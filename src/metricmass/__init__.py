@@ -56,6 +56,7 @@ from .meb import meb_radius, minimum_enclosing_ball
 from .oracles import (
     OracleEstimate,
     conditional_missing_mass,
+    conditional_missing_masses,
     exact_wasserstein_1d,
     expected_missing_mass,
     smoothed_oracle_H,

@@ -260,8 +260,9 @@ class UniformIntervalSpec:
         # A metric ball of radius r is the coordinate interval of halfwidth r.
         return r
 
-    def cdf(self, x: float) -> float:
-        return float(np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0))
+    def cdf(self, x) -> np.ndarray:
+        """CDF at x, elementwise over an array."""
+        return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def cdf_integral(self, lo: float, hi: float) -> float:
         """Integral of the CDF over [lo, hi] (exact, piecewise)."""
@@ -310,8 +311,13 @@ class ScaledIndicatorSpec:
         # d(a, b) <= r means |a - b| <= r^p in coordinate units.
         return r ** self.p
 
-    def cdf(self, x: float) -> float:
-        return 0.0 if x < 0 else 1.0 - math.exp(-self.rate * x)
+    def cdf(self, x) -> np.ndarray:
+        """CDF at x, elementwise over an array.  Evaluated with math.exp per
+        element: np.exp can differ from it in the last bit, and the oracles'
+        masses are pinned bit-for-bit."""
+        x = np.asarray(x, dtype=float)
+        values = [0.0 if v < 0 else 1.0 - math.exp(-self.rate * v) for v in x.ravel().tolist()]
+        return np.array(values).reshape(x.shape)
 
     def cdf_integral(self, lo: float, hi: float) -> float:
         if hi <= lo:

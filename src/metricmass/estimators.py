@@ -76,10 +76,16 @@ def _check_delta(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
-def good_turing(sample: Sample, r: float) -> float:
-    """Fraction of sample points farther than r from all other sample points."""
+def _check_sample(sample: Sample, r: float) -> None:
+    if r < 0:
+        raise ValueError("radius must be non-negative")
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
+
+
+def good_turing(sample: Sample, r: float) -> float:
+    """Fraction of sample points farther than r from all other sample points."""
+    _check_sample(sample, r)
     if sample.n == 1:
         return 1.0
     d = sample.distance_matrix().copy()
@@ -89,8 +95,7 @@ def good_turing(sample: Sample, r: float) -> float:
 
 def escape_indicators(sample: Sample, r: float) -> np.ndarray:
     """Indicator, per point in sample order, of escaping all earlier balls."""
-    if sample.n < 1:
-        raise ValueError("sample must be non-empty")
+    _check_sample(sample, r)
     d = np.where(np.tri(sample.n, k=-1, dtype=bool), sample.distance_matrix(), np.inf)
     return (d.min(axis=1) > r).astype(float)
 

@@ -94,76 +94,98 @@ def _finite_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
 
 
 def _interval_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
-    """Coverage masses for scalar distributions: balls are intervals."""
+    """Coverage masses for scalar distributions: balls are intervals.
+
+    One sweep over the 2n sorted endpoints, starts before ends at a tie so
+    touching closed intervals leave no gap.  The masses are summed
+    sequentially in sweep order (np.cumsum, not the pairwise np.sum), which
+    keeps them bit-identical to an endpoint-by-endpoint loop.
+    """
     xs = spec.coord_values(sample)
     rho = spec.coord_halfwidth(r)
     pos = np.concatenate([xs - rho, xs + rho])
-    delta = np.concatenate([np.ones(len(xs)), -np.ones(len(xs))])
+    delta = np.concatenate([np.ones(len(xs), dtype=np.int64),
+                            -np.ones(len(xs), dtype=np.int64)])
     order = np.lexsort((-delta, pos))
-    cdf = spec.cdf
-    m0 = m1 = 0.0
-    count = 0
-    prev = None
-    for i in order:
-        p = float(pos[i])
-        if prev is None:
-            m0 += cdf(p)
-        elif p > prev:
-            mass = cdf(p) - cdf(prev)
-            if count == 0:
-                m0 += mass
-            elif count == 1:
-                m1 += mass
-        count += int(delta[i])
-        prev = p
-    m0 += 1.0 - cdf(prev)
-    return m0, m1
+    pos = pos[order]
+    cdf = spec.cdf(pos)
+    # Balls covering the gap (pos[k-1], pos[k]), for k >= 1.
+    count = np.cumsum(delta[order])[:-1]
+    mass = cdf[1:] - cdf[:-1]
+    gap = pos[1:] > pos[:-1]
+    m0 = np.cumsum(np.concatenate([[0.0, cdf[0]], mass[gap & (count == 0)],
+                                   [1.0 - cdf[-1]]]))[-1]
+    m1 = np.cumsum(np.concatenate([[0.0], mass[gap & (count == 1)]]))[-1]
+    return float(m0), float(m1)
 
 
-def _mc_coverage_counts(spec, sample: Sample, r: float, n_test: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Ball-coverage count of each of n_test fresh draws, chunked."""
-    space = sample.space
-    counts = np.empty(n_test, dtype=np.int64)
-    done = 0
-    while done < n_test:
-        take = min(_MC_CHUNK, n_test - done)
-        pts = spec.sample(take, rng)
-        d = space.cross_distances(pts, sample.points)
-        counts[done:done + take] = (d <= r).sum(axis=1)
-        done += take
-    return counts
+def has_exact_oracle(spec) -> bool:
+    """Whether the coverage masses of spec are computed exactly."""
+    return is_finite_support(spec) or has_scalar_cdf(spec)
 
 
-def _validate_mc_args(n_test: int, alpha: float) -> None:
+def _exact_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
+    if is_finite_support(spec):
+        return _finite_coverage(spec, sample, r)
+    return _interval_coverage(spec, sample, r)
+
+
+def _mc_nearest_two(spec, sample: Sample, n_test: int, alpha: float,
+                    seed) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from each of n_test fresh draws to its nearest and its
+    second-nearest sample point (inf for a one-point sample), chunked.
+
+    Under the closed-ball convention a draw is covered by no sample ball
+    iff d1 > r, and by exactly one iff d1 <= r < d2, at every radius r.
+    """
     if n_test < 1:
         raise ValueError("n_test must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    rng = rng_from_seed(seed)
+    space = sample.space
+    k = min(2, sample.n)
+    nearest = np.full((n_test, 2), np.inf)
+    for start in range(0, n_test, _MC_CHUNK):
+        take = min(_MC_CHUNK, n_test - start)
+        d = space.cross_distances(spec.sample(take, rng), sample.points)
+        if k == 2:
+            d.partition(1, axis=1)  # in place: no second chunk-sized array
+        nearest[start:start + take, :k] = d[:, :k]
+    return nearest[:, 0], nearest[:, 1]
+
+
+def _monte_carlo(value: float, n_test: int, alpha: float, seed) -> OracleEstimate:
+    return OracleEstimate(float(value), _hoeffding_halfwidth(n_test, alpha),
+                          MONTE_CARLO, 1.0 - alpha, n_test=n_test,
+                          seed=_seed_field(seed))
 
 
 # -- oracle operations --------------------------------------------------------
+
+def conditional_missing_masses(spec, sample: Sample, radii,
+                               n_test: int = 100_000, alpha: float = 0.01,
+                               seed=0) -> list[OracleEstimate]:
+    """:func:`conditional_missing_mass` at each radius.  The Monte Carlo
+    branch draws its n_test points once and scores every radius on them,
+    which gives each radius exactly the estimate of a one-radius call with
+    the same seed."""
+    if any(r < 0 for r in radii):
+        raise ValueError("radius must be non-negative")
+    if sample.n < 1:
+        raise ValueError("sample must be non-empty")
+    if has_exact_oracle(spec):
+        return [_analytic(_exact_coverage(spec, sample, r)[0]) for r in radii]
+    d1, _ = _mc_nearest_two(spec, sample, n_test, alpha, seed)
+    return [_monte_carlo((d1 > r).mean(), n_test, alpha, seed) for r in radii]
+
 
 def conditional_missing_mass(spec, sample: Sample, r: float,
                              n_test: int = 100_000, alpha: float = 0.01,
                              seed=0) -> OracleEstimate:
     """Mass of the region farther than r from every sample point."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    if sample.n < 1:
-        raise ValueError("sample must be non-empty")
-    if is_finite_support(spec):
-        m0, _ = _finite_coverage(spec, sample, r)
-        return _analytic(m0)
-    if has_scalar_cdf(spec):
-        m0, _ = _interval_coverage(spec, sample, r)
-        return _analytic(m0)
-    _validate_mc_args(n_test, alpha)
-    counts = _mc_coverage_counts(spec, sample, r, n_test, rng_from_seed(seed))
-    value = float((counts == 0).mean())
-    return OracleEstimate(value, _hoeffding_halfwidth(n_test, alpha),
-                          MONTE_CARLO, 1.0 - alpha, n_test=n_test,
-                          seed=_seed_field(seed))
+    return conditional_missing_masses(spec, sample, [r], n_test=n_test,
+                                      alpha=alpha, seed=seed)[0]
 
 
 def smoothed_oracle_H(spec, sample: Sample, r: float,
@@ -179,20 +201,14 @@ def smoothed_oracle_H(spec, sample: Sample, r: float,
     n = sample.n
     if n < 1:
         raise ValueError("sample must be non-empty")
-    if is_finite_support(spec):
-        m0, m1 = _finite_coverage(spec, sample, r)
+    if has_exact_oracle(spec):
+        m0, m1 = _exact_coverage(spec, sample, r)
         return _analytic(m0 + m1 / n)
-    if has_scalar_cdf(spec):
-        m0, m1 = _interval_coverage(spec, sample, r)
-        return _analytic(m0 + m1 / n)
-    _validate_mc_args(n_test, alpha)
-    counts = _mc_coverage_counts(spec, sample, r, n_test, rng_from_seed(seed))
+    d1, d2 = _mc_nearest_two(spec, sample, n_test, alpha, seed)
     # Per test point the leave-one-out contribution lies in [0, 1], so one
     # Hoeffding width covers the averaged statistic despite shared points.
-    z = (counts == 0) + (counts == 1) / n
-    return OracleEstimate(float(z.mean()), _hoeffding_halfwidth(n_test, alpha),
-                          MONTE_CARLO, 1.0 - alpha, n_test=n_test,
-                          seed=_seed_field(seed))
+    z = (d1 > r) + ((d1 <= r) & (d2 > r)) / n
+    return _monte_carlo(z.mean(), n_test, alpha, seed)
 
 
 def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,

@@ -44,14 +44,15 @@ class MetricSpace:
     # -- point canonicalization ------------------------------------------
 
     def as_points(self, points) -> np.ndarray:
-        """Canonicalize an array-like of points, validating shape and range."""
+        """Canonicalize an array-like of points, validating shape, range and
+        finiteness."""
         if self.kind in (EUCLIDEAN, LP):
             arr = np.atleast_2d(np.asarray(points, dtype=float))
             if arr.ndim != 2 or arr.shape[1] != self.dim:
                 raise DimensionError(
                     f"expected points of dimension {self.dim}, got shape {arr.shape}"
                 )
-            return arr
+            return _finite(arr)
         if self.kind == DISCRETE:
             arr = np.asarray(points)
             if arr.ndim != 1:
@@ -66,7 +67,7 @@ class MetricSpace:
                 raise DimensionError(f"index out of range for {n}x{n} distance matrix")
             return arr
         if self.kind == SCALED_INDICATOR:
-            arr = np.asarray(points, dtype=float).reshape(-1)
+            arr = _finite(np.asarray(points, dtype=float).reshape(-1))
             if arr.size and arr.min() < 0:
                 raise DimensionError("scaled-indicator points must be non-negative reals")
             return arr
@@ -87,8 +88,9 @@ class MetricSpace:
 
     def cross_distances(self, a, b) -> np.ndarray:
         """|a| x |b| matrix of distances between two point batches."""
+        same = a is b  # a pairwise call: validate the one batch once
         a = self.as_points(a)
-        b = self.as_points(b)
+        b = a if same else self.as_points(b)
         if self.kind == EUCLIDEAN:
             return cdist(a, b)
         if self.kind == LP:
@@ -106,6 +108,14 @@ class MetricSpace:
 
     def distance(self, x, y) -> float:
         return float(self.cross_distances(self.as_point(x), self.as_point(y))[0, 0])
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    # NaN compares false with every radius, so it would pass as a point
+    # escaping every ball instead of failing.
+    if not np.isfinite(arr).all():
+        raise ValueError("point coordinates must be finite")
+    return arr
 
 
 def euclidean(dim: int) -> MetricSpace:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import martingale_upper_bound
-from .oracles import conditional_missing_mass
+from .oracles import conditional_missing_masses
 from .samples import Sample, farthest_first_net, verify_net
 
 DIAMETER_MARGIN = 1.05
@@ -147,12 +147,15 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
 
     delta_r = delta / len(r_grid)
     n = sample.n
+    radii = sorted(r_grid)
+    oracle = [None] * len(radii)
+    if mu_spec is not None:
+        oracle = conditional_missing_masses(mu_spec, sample, radii, seed=seed)
     reports = []
-    for r in sorted(r_grid):
+    for r, est in zip(radii, oracle):
         net = farthest_first_net(normalized, r / scale)
         m = len(net)
-        if mu_spec is not None:
-            est = conditional_missing_mass(mu_spec, sample, r, seed=seed)
+        if est is not None:
             mhat = est.value
             mhat_hi = min(1.0, est.value + est.half_width)
             mhat_lo = max(0.0, est.value - est.half_width)

@@ -6,6 +6,7 @@ vectorized implementations is meaningful.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -39,6 +40,53 @@ def brute_missing_mass_finite(atom_points, weights, sample_points, space, r):
         if all(space.distance(a, x) > r for x in sample_points):
             mass += w
     return mass
+
+
+def scalar_cdf(spec, x):
+    """CDF of a uniform-interval or scaled-indicator spec at one float."""
+    if spec.kind == "uniform_interval":
+        return float(np.clip((x - spec.a) / (spec.b - spec.a), 0.0, 1.0))
+    return 0.0 if x < 0 else 1.0 - math.exp(-spec.rate * x)
+
+
+def interval_coverage_loop(spec, points, r):
+    """(mass covered by no ball, mass covered by exactly one) for a scalar
+    spec, by a sweep over the sorted interval endpoints one at a time."""
+    xs = np.asarray(points, dtype=float).reshape(-1)
+    rho = spec.coord_halfwidth(r)
+    pos = np.concatenate([xs - rho, xs + rho])
+    delta = np.concatenate([np.ones(len(xs)), -np.ones(len(xs))])
+    order = np.lexsort((-delta, pos))
+    m0 = m1 = 0.0
+    count = 0
+    prev = None
+    for i in order:
+        p = float(pos[i])
+        if prev is None:
+            m0 += scalar_cdf(spec, p)
+        elif p > prev:
+            mass = scalar_cdf(spec, p) - scalar_cdf(spec, prev)
+            if count == 0:
+                m0 += mass
+            elif count == 1:
+                m1 += mass
+        count += int(delta[i])
+        prev = p
+    m0 += 1.0 - scalar_cdf(spec, prev)
+    return m0, m1
+
+
+def mc_coverage_counts(spec, sample, r, n_test, seed):
+    """Number of closed sample balls covering each of n_test fresh draws,
+    drawn from the generator seeded by ``seed`` in the oracles' chunks of
+    8192, so that the draws are the oracles' own."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    for start in range(0, n_test, 8192):
+        pts = spec.sample(min(8192, n_test - start), rng)
+        d = sample.space.cross_distances(pts, sample.points)
+        counts.append((d <= r).sum(axis=1))
+    return np.concatenate(counts)
 
 
 def h_grid_oracle(points, r, cap=8, pitch_rel=0.01, accept_tol=None):

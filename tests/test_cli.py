@@ -45,6 +45,16 @@ def test_estimate_missing_file(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_estimate_nan_coordinate_is_usage_error(tmp_path, capsys):
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[0.0], ["nan"], [5.0]])
+    out = tmp_path / "report"
+    code = main(["estimate", "--input", str(sample), "--r", "1.0", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_hypothesis_strict_aborts(tmp_path):
     sample = tmp_path / "pts.csv"
     write_csv(sample, [[1.0]] * 4)

@@ -47,6 +47,15 @@ def test_gt_empty_sample_rejected():
         good_turing(make_sample(np.zeros((0, 1))), 1.0)
 
 
+def test_negative_radius_rejected():
+    s = line_sample(0.0, 10.0, 20.0)
+    for fn in (good_turing, escape_indicators, all_martingale_estimates):
+        with pytest.raises(ValueError, match="radius"):
+            fn(s, -1.0)
+    with pytest.raises(ValueError, match="radius"):
+        martingale_upper_bound(s, -1.0, 0.1)
+
+
 def test_gt_matches_brute_force_random():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metricmass.distributions import (
     DiscreteSpec,
@@ -14,14 +16,22 @@ from metricmass.distributions import (
     draw_sample,
 )
 from metricmass.oracles import (
+    _interval_coverage,
     conditional_missing_mass,
+    conditional_missing_masses,
     exact_wasserstein_1d,
     expected_missing_mass,
     smoothed_oracle_H,
 )
 from metricmass.samples import Sample
 
-from helpers import brute_missing_mass_finite, transport_w1_atoms
+from helpers import (
+    brute_missing_mass_finite,
+    interval_coverage_loop,
+    mc_coverage_counts,
+    scalar_cdf,
+    transport_w1_atoms,
+)
 
 
 def interval_sample(spec, *xs):
@@ -120,6 +130,128 @@ def test_antitone_in_radius_and_extension():
             <= conditional_missing_mass(spec, s_small, 0.05).value)
 
 
+# -- the interval sweep against the endpoint-by-endpoint loop ------------------
+
+# Coordinates on a grid of eighths as well as arbitrary floats, so that
+# coincident endpoints and intervals touching at exactly 2 rho come up often.
+_grid = st.integers(0, 16).map(lambda k: k / 8.0)
+_coords = st.one_of(_grid, st.floats(0.0, 2.0, allow_nan=False))
+
+
+def _scalar_case(spec, points, r):
+    sample = Sample(np.array(points, dtype=float).reshape(-1, 1), spec.space())
+    got = _interval_coverage(spec, sample, r)
+    assert got == interval_coverage_loop(spec, points, r)
+    # Both masses come back as Python floats, like the loop's.
+    assert all(type(m) is float for m in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(_coords, min_size=1, max_size=25),
+       r=st.one_of(st.integers(0, 8).map(lambda k: k / 16.0), st.floats(0.0, 1.0)),
+       b=st.sampled_from([1.0, 2.0, 1.7]))
+@example(points=[0.5], r=0.25, b=1.0)                      # n = 1
+@example(points=[0.25, 0.25, 0.75], r=0.125, b=1.0)         # coincident points
+@example(points=[0.25, 0.5, 0.75], r=0.125, b=1.0)          # touching at 2 rho
+@example(points=[0.0, 1.0], r=0.5, b=1.0)                   # balls meet at 0.5
+def test_interval_sweep_matches_loop_uniform(points, r, b):
+    _scalar_case(UniformIntervalSpec(0.0, b), points, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(_coords, min_size=1, max_size=25),
+       r=st.one_of(st.integers(0, 8).map(lambda k: k / 8.0), st.floats(0.0, 1.5)),
+       p=st.sampled_from([2.0, 1.5, 3.0]),
+       rate=st.sampled_from([1.0, 0.5, 2.5]))
+@example(points=[0.0], r=0.5, p=2.0, rate=1.0)              # n = 1 at 0
+@example(points=[0.0, 0.0, 0.0], r=0.5, p=2.0, rate=1.0)    # coincident at 0
+@example(points=[0.0, 0.5], r=0.5, p=2.0, rate=1.0)         # touching at 2 rho = 0.5
+@example(points=[0.0, 0.25, 1.0], r=0.0, p=2.0, rate=1.0)   # r = 0
+def test_interval_sweep_matches_loop_scaled_indicator(points, r, p, rate):
+    _scalar_case(ScaledIndicatorSpec(p=p, rate=rate), points, r)
+
+
+@pytest.mark.parametrize("spec", [UniformIntervalSpec(0.0, 1.0),
+                                  UniformIntervalSpec(0.3, 1.7),
+                                  ScaledIndicatorSpec(p=2.0)])
+def test_interval_sweep_matches_loop_at_campaign_sizes(spec):
+    # Up to hundreds of uncovered gaps: summing them in any order other than
+    # the loop's (np.sum's pairwise one, say) rounds differently here.
+    for seed in range(8):
+        points = draw_sample(spec, (30, 100, 500)[seed % 3], seed).points
+        for r in (0.0005, 0.004, 0.02, 0.1):
+            _scalar_case(spec, points, r)
+
+
+@pytest.mark.parametrize("spec", [UniformIntervalSpec(-1.0, 2.0),
+                                  ScaledIndicatorSpec(p=2.0, rate=1.5)])
+def test_array_cdf_matches_scalar_cdf(spec):
+    xs = np.concatenate([np.linspace(-2.0, 3.0, 1001),
+                         np.random.default_rng(0).exponential(size=1000)])
+    assert spec.cdf(xs).tolist() == [scalar_cdf(spec, x) for x in xs.tolist()]
+
+
+# -- the shared Monte Carlo kernel ---------------------------------------------
+
+class _Opaque:
+    """A distribution without an exact oracle: it only draws points."""
+
+    def __init__(self, draw, space):
+        self.draw = draw
+        self._space = space
+
+    def space(self):
+        return self._space
+
+    def sample(self, count, rng):
+        return self.draw(count, rng)
+
+
+def _opaque_gaussian(dim):
+    spec = LowdimEmbeddingSpec(dim, dim)
+    return _Opaque(spec.sample, spec.space())
+
+
+def test_radius_sweep_equals_one_radius_calls():
+    spec = _opaque_gaussian(2)
+    s = draw_sample(LowdimEmbeddingSpec(2, 2), 30, seed=4)
+    radii = [0.05, 0.2, 0.2, 0.5, 1.0, 3.0]
+    for k in (0, 11, [5, 2]):
+        swept = conditional_missing_masses(spec, s, radii, n_test=20_000, seed=k)
+        assert len(swept) == len(radii)
+        for r, est in zip(radii, swept):
+            assert est.method == "monte_carlo"
+            assert est == conditional_missing_mass(spec, s, r, n_test=20_000, seed=k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_monte_carlo_oracles_match_coverage_counts(n):
+    spec = _opaque_gaussian(3)
+    s = draw_sample(LowdimEmbeddingSpec(3, 3), n, seed=n)
+    n_test = 20_000  # more than two chunks, the last one partial
+    for r in (0.3, 1.0, 2.5):
+        counts = mc_coverage_counts(spec, s, r, n_test, seed=9)
+        assert conditional_missing_mass(spec, s, r, n_test=n_test, seed=9).value \
+            == float((counts == 0).mean())
+        z = (counts == 0) + (counts == 1) / n
+        assert smoothed_oracle_H(spec, s, r, n_test=n_test, seed=9).value == float(z.mean())
+
+
+def test_monte_carlo_closed_ball_at_exact_radius():
+    # Every test point lands at 1.0: distance exactly r = 1 from 0 and 2.
+    at_one = _Opaque(lambda count, rng: np.ones((count, 1)), UniformIntervalSpec(0, 1).space())
+    below = float(np.nextafter(1.0, 0.0))
+    one_ball = Sample(np.array([[0.0], [5.0]]), at_one.space())
+    two_balls = Sample(np.array([[0.0], [2.0]]), at_one.space())
+    assert conditional_missing_mass(at_one, one_ball, 1.0, n_test=10).value == 0.0
+    assert conditional_missing_mass(at_one, one_ball, below, n_test=10).value == 1.0
+    # Covered by exactly one ball: in that ball's leave-one-out region only.
+    assert smoothed_oracle_H(at_one, one_ball, 1.0, n_test=10).value == 0.5
+    # Covered by both balls at d1 = d2 = r: in no leave-one-out region.
+    assert smoothed_oracle_H(at_one, two_balls, 1.0, n_test=10).value == 0.0
+    assert smoothed_oracle_H(at_one, two_balls, below, n_test=10).value == 1.0
+
+
 # -- smoothed leave-one-out quantity -------------------------------------------
 
 def test_H_single_point_is_one():
@@ -169,15 +301,8 @@ def test_H_monte_carlo_close_to_analytic():
     spec = UniformIntervalSpec(0.0, 1.0)
     s = draw_sample(spec, 8, seed=5)
     exact = smoothed_oracle_H(spec, s, 0.1).value
-
-    class Opaque:
-        def space(self):
-            return spec.space()
-
-        def sample(self, count, rng):
-            return spec.sample(count, rng)
-
-    est = smoothed_oracle_H(Opaque(), s, 0.1, n_test=60_000, alpha=0.01, seed=1)
+    opaque = _Opaque(spec.sample, spec.space())
+    est = smoothed_oracle_H(opaque, s, 0.1, n_test=60_000, alpha=0.01, seed=1)
     assert est.method == "monte_carlo"
     assert abs(est.value - exact) <= est.half_width
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from metricmass.distributions import UniformIntervalSpec, discrete_uniform
+from metricmass.oracles import expected_missing_mass
 from metricmass.simulate import SimulationConfig, campaign_header, run_campaign
 
 
@@ -49,6 +50,7 @@ def test_oracle_column_present_for_exact_specs():
     assert "mhat" in agg
     assert "good_turing_bias" in agg
     bias = agg["good_turing_bias"]
+    assert bias["expected_mass"] == expected_missing_mass(discrete_uniform(10), 40, 0.5).value
     assert 0 - 4 * bias["sigma"] <= bias["mean"] <= bias["upper_limit"] + 4 * bias["sigma"]
 
 
@@ -70,11 +72,19 @@ def test_compute_h_column():
     assert result["aggregate"]["h"]["mean"] == 1.0
 
 
-def test_continuous_spec_without_finite_oracle_uses_interval_branch():
+def test_continuous_spec_without_finite_oracle_uses_interval_branch(monkeypatch):
+    # Its expected mass would be Monte Carlo, which the aggregate never
+    # reports, so the campaign must not compute it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("expected_missing_mass called for a non-finite spec")
+
+    monkeypatch.setattr("metricmass.simulate.expected_missing_mass", refuse)
     cfg = SimulationConfig(spec=UniformIntervalSpec(0, 1), n=30, r=0.05,
                            replicates=10, seed=1)
     result = run_campaign(cfg)
     assert all(row[4] is not None for row in result["rows"])
+    assert "mhat" in result["aggregate"]
+    assert "good_turing_bias" not in result["aggregate"]
 
 
 def test_config_validation():

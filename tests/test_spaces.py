@@ -81,6 +81,22 @@ def test_ball_membership_is_symmetric(a, b, r, p):
     assert ball_contains(space, a, r, b) == ball_contains(space, b, r, a)
 
 
+@pytest.mark.parametrize("space", [euclidean(1), lp(1, 3.0), scaled_indicator(2.0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(space, bad):
+    with pytest.raises(ValueError, match="finite"):
+        space.as_points([[0.0], [bad], [5.0]])
+    with pytest.raises(ValueError, match="finite"):
+        space.distance(0.0, bad)
+
+
+def test_nan_sample_rejected_before_estimation():
+    # [0, NaN, 5] at r = 1 used to give G = 0.0 instead of failing.
+    from metricmass.samples import make_sample
+    with pytest.raises(ValueError, match="finite"):
+        make_sample(np.array([[0.0], [np.nan], [5.0]]))
+
+
 def test_cross_distances_shape():
     space = euclidean(2)
     d = space.cross_distances([[0, 0], [1, 0], [0, 1]], [[0, 0], [3, 4]])
