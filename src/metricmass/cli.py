@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .applications import (
     ProximityClassifier,
@@ -31,6 +29,7 @@ from .estimators import (
     all_martingale_estimates,
     good_turing_interval,
     martingale_upper_bound,
+    sequential_slacks,
 )
 from .oracles import exact_wasserstein_1d
 from .samples import Sample, sample_from_csv, sample_from_json
@@ -118,7 +117,7 @@ def cmd_estimate(args) -> int:
               "space": args.space, "n": n, "r": args.r, "delta": delta,
               "t": args.t, "h_cap": args.h_cap}
     t_all = all_martingale_estimates(sample, args.r)
-    slack = np.sqrt(np.log(n / delta) / (2.0 * np.arange(1, n + 1)))
+    slack = sequential_slacks(n, delta)
     payload = {
         "config": config,
         "good_turing": g_int.to_dict(),
@@ -210,6 +209,7 @@ def cmd_wasserstein(args) -> int:
     if spec_payload is not None:
         spec = spec_from_dict(spec_payload)
 
+    seed = args.seed
     if args.input:
         sample = _load_sample(args.input, args.space)
     elif spec is not None:
@@ -236,7 +236,7 @@ def cmd_wasserstein(args) -> int:
     reports = w1_report(sample, grid, delta, mu_spec=spec)
     config = {"command": "wasserstein", "version": __version__,
               "input": args.input, "n": sample.n, "delta": delta,
-              "r_grid": grid, "seed": args.seed,
+              "r_grid": grid, "seed": seed,
               "distribution": spec_payload, "scale": reports[0].scale}
     payload = {"config": config, "reports": [rep.to_dict() for rep in reports]}
     if spec is not None and sample.space.kind == "euclidean" and sample.space.dim == 1:

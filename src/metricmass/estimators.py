@@ -88,16 +88,13 @@ def good_turing(sample: Sample, r: float) -> float:
     _check_sample(sample, r)
     if sample.n == 1:
         return 1.0
-    d = sample.distance_matrix().copy()
-    np.fill_diagonal(d, np.inf)
-    return float(np.mean(d.min(axis=1) > r))
+    return float(np.mean(sample.nearest_distances() > r))
 
 
 def escape_indicators(sample: Sample, r: float) -> np.ndarray:
     """Indicator, per point in sample order, of escaping all earlier balls."""
     _check_sample(sample, r)
-    d = np.where(np.tri(sample.n, k=-1, dtype=bool), sample.distance_matrix(), np.inf)
-    return (d.min(axis=1) > r).astype(float)
+    return (sample.earlier_distances() > r).astype(float)
 
 
 def martingale_estimate(sample: Sample, r: float, m: int) -> float:
@@ -115,15 +112,20 @@ def all_martingale_estimates(sample: Sample, r: float) -> np.ndarray:
     return np.cumsum(e[::-1]) / m
 
 
+def sequential_slacks(n: int, delta: float) -> np.ndarray:
+    """Sub-Gaussian slacks sqrt(ln(n/delta) / (2m)) of the sequential
+    estimates for m = 1..n (index m-1), union-bounded over the n windows."""
+    _check_delta(delta)
+    return np.sqrt(np.log(n / delta) / (2.0 * np.arange(1, n + 1)))
+
+
 def martingale_upper_bound(sample: Sample, r: float, delta: float) -> Estimate:
     """Upper confidence bound on the conditional missing mass, valid with
     probability at least 1 - delta, obtained by minimizing the sequential
     estimate plus its sub-Gaussian slack over the window length m."""
     _check_delta(delta)
-    n = sample.n
     t = all_martingale_estimates(sample, r)
-    m = np.arange(1, n + 1)
-    slack = np.sqrt(np.log(n / delta) / (2.0 * m))
+    slack = sequential_slacks(sample.n, delta)
     values = t + slack
     best = int(np.argmin(values))
     raw = float(values[best])

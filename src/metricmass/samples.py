@@ -4,6 +4,13 @@ Sample order is preserved exactly as ingested; the sequential estimators in
 :mod:`metricmass.estimators` depend on it.  Pairwise distances are cached
 eagerly at construction for samples up to ``EAGER_CACHE_MAX`` points and on
 first use above that.
+
+Each sample also computes, once, two radius-free summaries of its distances:
+every point's distance to its nearest other point and to its nearest
+earlier point in sample order.  They are filled in one row-blocked pass over
+the cached matrix on first use, so the Good-Turing estimate and the escape
+indicators at any further radius cost O(n), and all radii of a sweep share
+that one pass.  The diameter is cached the same way.
 """
 from __future__ import annotations
 
@@ -26,6 +33,9 @@ from .spaces import (
 
 EAGER_CACHE_MAX = 4096
 
+# Elements per row block of the summary pass, which bounds its temporaries.
+SUMMARY_BLOCK_ELEMENTS = 1 << 20
+
 
 class InvalidNetError(ValueError):
     """A claimed r-net fails the separation or coverage requirement."""
@@ -34,7 +44,8 @@ class InvalidNetError(ValueError):
 class Sample:
     """An ordered iid sample of points from one space.
 
-    Immutable after construction apart from the lazily filled distance cache.
+    Immutable after construction apart from the lazily filled distance cache
+    and the summaries derived from it.
     ``atom_indices`` carries optional provenance for samples generated from a
     finite-support distribution (indices into its atom list), which the
     oracles use for fast exact computations.
@@ -46,8 +57,14 @@ class Sample:
         self.points = space.as_points(points)
         self.atom_indices = None if atom_indices is None else np.asarray(atom_indices, dtype=int)
         self._distances: np.ndarray | None = None
+        self._clear_summaries()
         if self.n <= eager_cache_max:
             self._distances = space.pairwise_distances(self.points)
+
+    def _clear_summaries(self) -> None:
+        self._nearest: np.ndarray | None = None
+        self._earlier: np.ndarray | None = None
+        self._diameter: float | None = None
 
     @property
     def n(self) -> int:
@@ -62,9 +79,43 @@ class Sample:
         return float(self.distance_matrix()[i, j])
 
     def diameter(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return float(self.distance_matrix().max())
+        if self._diameter is None:
+            self._diameter = float(self.distance_matrix().max()) if self.n else 0.0
+        return self._diameter
+
+    def nearest_distances(self) -> np.ndarray:
+        """Per point, the distance to its nearest other sample point (inf
+        for a single point).  Read-only."""
+        if self._nearest is None:
+            self._summarize()
+        return self._nearest
+
+    def earlier_distances(self) -> np.ndarray:
+        """Per point, the distance to its nearest strictly earlier sample
+        point in sample order (inf for the first point).  Read-only."""
+        if self._earlier is None:
+            self._summarize()
+        return self._earlier
+
+    def _summarize(self) -> None:
+        # Row-wise minima only: a precomputed matrix is only allclose-
+        # symmetric, and the estimators read row i as point i's distances.
+        d = self.distance_matrix()
+        n = self.n
+        nearest = np.empty(n)
+        earlier = np.empty(n)
+        step = max(1, SUMMARY_BLOCK_ELEMENTS // max(n, 1))
+        cols = np.arange(n)
+        for start in range(0, n, step):
+            rows = cols[start:start + step]
+            block = d[start:start + step].copy()
+            block[rows - start, rows] = np.inf
+            nearest[rows] = block.min(axis=1)
+            block[cols[None, :] > rows[:, None]] = np.inf
+            earlier[rows] = block.min(axis=1)
+        nearest.flags.writeable = False
+        earlier.flags.writeable = False
+        self._nearest, self._earlier = nearest, earlier
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""
@@ -74,6 +125,7 @@ class Sample:
         sub.points = self.points[idx]
         sub.atom_indices = None if self.atom_indices is None else self.atom_indices[idx]
         sub._distances = None
+        sub._clear_summaries()  # earlier distances depend on the new order
         if self._distances is not None:
             sub._distances = self._distances[np.ix_(idx, idx)]
         return sub

@@ -135,9 +135,15 @@ def _freq(mask: np.ndarray) -> dict:
 def _aggregate(config: SimulationConfig, rows: list[list]) -> dict:
     n, r = config.n, config.r
     reps = len(rows)
-    g = np.array([row[1] for row in rows], dtype=float)
-    t_full = np.array([row[2] for row in rows], dtype=float)
-    min_bound = np.array([row[3] for row in rows], dtype=float)
+    header = campaign_header(config)
+
+    def column(name: str) -> np.ndarray:
+        k = header.index(name)
+        return np.array([row[k] for row in rows], dtype=float)
+
+    g = column("good_turing")
+    t_full = column("martingale_full")
+    min_bound = column("martingale_min_bound")
     agg: dict = {
         "replicates": reps,
         "good_turing": {"mean": float(g.mean()), "variance": float(g.var(ddof=1)) if reps > 1 else 0.0},
@@ -147,7 +153,7 @@ def _aggregate(config: SimulationConfig, rows: list[list]) -> dict:
 
     e_h = 1.0
     if config.compute_h:
-        h = np.array([row[5] for row in rows], dtype=float)
+        h = column("h")
         agg["h"] = {"mean": float(h.mean()), "max": int(h.max())}
         e_h = max(1.0, float(h.mean()))
     agg["e_h_used"] = e_h
@@ -167,7 +173,7 @@ def _aggregate(config: SimulationConfig, rows: list[list]) -> dict:
     agg["tail_G"] = tail_rows
 
     if has_exact_oracle(config.spec):
-        mhat = np.array([row[4] for row in rows], dtype=float)
+        mhat = column("mhat_oracle")
         agg["mhat"] = {"mean": float(mhat.mean()),
                        "variance": float(mhat.var(ddof=1)) if reps > 1 else 0.0}
         # Only finite support has an exact expected mass; the bias is never
@@ -191,8 +197,8 @@ def _aggregate(config: SimulationConfig, rows: list[list]) -> dict:
         agg["tail_Mhat"] = mhat_tails
 
         seq_rows = []
-        for mi, m in enumerate(config.m_list):
-            t_m = np.array([row[6 + mi] for row in rows], dtype=float)
+        for m in config.m_list:
+            t_m = column(f"martingale_m{m}")
             entry = {"m": m,
                      "bias_mean": float((t_m - mhat).mean()),
                      "bias_limit": math.log(n / (n - m)) if m < n else None,

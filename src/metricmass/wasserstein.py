@@ -102,8 +102,9 @@ def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     """Logarithmic grid between the 1st percentile and the median of the
     positive pairwise distances."""
     d = sample.distance_matrix()
-    iu = np.triu_indices(sample.n, k=1)
-    vals = d[iu]
+    # Row slices of the upper triangle, in np.triu_indices order, without
+    # its two n(n-1)/2 index arrays.
+    vals = np.concatenate([d[i, i + 1:] for i in range(sample.n)] or [np.empty(0)])
     vals = vals[vals > 0]
     if len(vals) == 0:
         raise ValueError("sample has no positive pairwise distance; supply a grid")

@@ -33,6 +33,47 @@ def brute_martingale(points, space, r, m):
     return total / m
 
 
+def dense_summaries(sample):
+    """(nearest, earlier) distances per point, each from a masked copy of
+    the whole distance matrix: the diagonal set to inf for the nearest
+    distances, every j >= i for the earlier ones; row-wise minima."""
+    d = sample.distance_matrix()
+    others = d.copy()
+    np.fill_diagonal(others, np.inf)
+    earlier = np.where(np.tri(sample.n, k=-1, dtype=bool), d, np.inf)
+    return others.min(axis=1), earlier.min(axis=1)
+
+
+def dense_good_turing(sample, r):
+    """Good-Turing estimate from a masked copy of the whole matrix."""
+    if sample.n == 1:
+        return 1.0
+    d = sample.distance_matrix().copy()
+    np.fill_diagonal(d, np.inf)
+    return float(np.mean(d.min(axis=1) > r))
+
+
+def dense_escape_indicators(sample, r):
+    """Escape indicators from the whole matrix masked to j < i."""
+    d = np.where(np.tri(sample.n, k=-1, dtype=bool), sample.distance_matrix(), np.inf)
+    return (d.min(axis=1) > r).astype(float)
+
+
+def triu_r_grid(sample, size=20):
+    """Default radius grid from the upper triangle gathered by
+    np.triu_indices."""
+    d = sample.distance_matrix()
+    vals = d[np.triu_indices(sample.n, k=1)]
+    vals = vals[vals > 0]
+    if len(vals) == 0:
+        raise ValueError("sample has no positive pairwise distance; supply a grid")
+    lo = float(np.percentile(vals, 1))
+    hi = float(np.median(vals))
+    if lo <= 0 or hi <= lo:
+        raise ValueError("degenerate pairwise distances; supply a grid")
+    return list(np.geomspace(lo, hi, size))
+
+
 def brute_missing_mass_finite(atom_points, weights, sample_points, space, r):
     """Sum of atom weights farther than r from every sample point."""
     mass = 0.0

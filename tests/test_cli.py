@@ -122,6 +122,29 @@ def test_wasserstein_from_distribution(tmp_path):
     assert lines[1] == "r,m,delta,lower,upper_a,upper_b,scale"
 
 
+@pytest.mark.parametrize("seed", [11, None])
+def test_wasserstein_echoes_config_file_seed(tmp_path, seed):
+    # The sample is drawn with the config file's seed, or 0 without one,
+    # and that seed is the one echoed.
+    from metricmass.distributions import draw_sample, spec_from_dict
+    from metricmass.oracles import exact_wasserstein_1d
+    spec = {"kind": "uniform_interval", "a": 0.0, "b": 1.0}
+    cfg = {"distribution": spec, "n": 60, "r_grid": [0.05, 0.1]}
+    if seed is not None:
+        cfg["seed"] = seed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "w1"
+    assert main(["wasserstein", "--config", str(cfg_path), "--out", str(out)]) == 0
+    drawn = 0 if seed is None else seed
+    payload = json.loads((tmp_path / "w1.json").read_text())
+    assert payload["config"]["seed"] == drawn
+    assert payload["exact_w1"] == exact_wasserstein_1d(
+        spec_from_dict(spec), draw_sample(spec_from_dict(spec), 60, drawn))
+    header = (tmp_path / "w1.csv").read_text().splitlines()[0]
+    assert json.loads(header.removeprefix("# config "))["seed"] == drawn
+
+
 def test_wasserstein_invalid_grid(tmp_path, capsys):
     spec = json.dumps({"kind": "uniform_interval", "a": 0.0, "b": 1.0})
     code = main(["wasserstein", "--distribution", spec, "--n", "50",

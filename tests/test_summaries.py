@@ -1,0 +1,156 @@
+"""The cached nearest and earlier-nearest distances of a sample, and the
+estimators and radius grid read from them, against the dense references."""
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metricmass import samples
+from metricmass.estimators import escape_indicators, good_turing
+from metricmass.samples import Sample, make_sample
+from metricmass.spaces import discrete, lp, precomputed, scaled_indicator
+from metricmass.wasserstein import default_r_grid
+
+from helpers import (
+    dense_escape_indicators,
+    dense_good_turing,
+    dense_summaries,
+    triu_r_grid,
+)
+
+KINDS = ("euclidean", "lp", "discrete", "precomputed", "scaled_indicator")
+
+
+def near_symmetric(rng, size):
+    """Symmetric small-integer matrix with a zero diagonal, plus 1e-12 on
+    random upper-triangle entries: allclose to its transpose, not equal."""
+    m = np.triu(rng.integers(0, 4, size=(size, size)).astype(float), k=1)
+    m = m + m.T
+    return m + np.triu(rng.integers(0, 2, size=(size, size)) * 1e-12, k=1)
+
+
+def tie_prone_sample(kind, n, rng):
+    """Points on small integer lattices, so many pairs sit at equal
+    distances and radii read off the matrix fall exactly on d == r."""
+    if kind == "euclidean":
+        return make_sample(rng.integers(-2, 3, size=(n, 2)).astype(float))
+    if kind == "lp":
+        return Sample(rng.integers(-2, 3, size=(n, 3)).astype(float), lp(3, 1.0))
+    if kind == "discrete":
+        return Sample(rng.choice(list("abcd"), size=n), discrete())
+    if kind == "precomputed":
+        size = int(rng.integers(1, 8))
+        return Sample(rng.integers(0, size, size=n), precomputed(near_symmetric(rng, size)))
+    return Sample(rng.integers(0, 5, size=n).astype(float), scaled_indicator(2.0))
+
+
+def radii_on_ties(sample, rng, count=4):
+    d = sample.distance_matrix()
+    return [0.0, 0.5, 1.0] + [float(v) for v in rng.choice(d.ravel(), size=count)]
+
+
+def assert_matches_dense(sample, radii):
+    nearest, earlier = dense_summaries(sample)
+    assert np.array_equal(sample.nearest_distances(), nearest)
+    assert np.array_equal(sample.earlier_distances(), earlier)
+    for r in radii:
+        assert good_turing(sample, r) == dense_good_turing(sample, r)
+        assert np.array_equal(escape_indicators(sample, r),
+                              dense_escape_indicators(sample, r))
+
+
+def r_grid_or_error(fn, sample):
+    try:
+        return fn(sample)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS]))
+@settings(max_examples=150)
+def test_summaries_match_dense_reference(kind, n, seed, block):
+    # Small blocks split even these samples into many row blocks with a
+    # partial last one.
+    rng = np.random.default_rng(seed)
+    sample = tie_prone_sample(kind, n, rng)
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+        assert_matches_dense(sample, radii_on_ties(sample, rng))
+    assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, sample)
+    assert sample.diameter() == float(sample.distance_matrix().max())
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=4)
+def test_summaries_span_several_row_blocks(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1100, 1400))
+    assert n * n > 1.1 * samples.SUMMARY_BLOCK_ELEMENTS
+    sample = make_sample(rng.integers(0, 12, size=(n, 2)).astype(float))
+    assert_matches_dense(sample, radii_on_ties(sample, rng))
+    assert default_r_grid(sample) == triu_r_grid(sample)
+
+
+def test_points_exactly_at_radius_are_inside():
+    # Closed balls: d == r is neither isolated nor escaping.
+    sample = make_sample(np.array([[0.0], [1.0], [3.0], [5.0]]))
+    assert list(sample.nearest_distances()) == [1.0, 1.0, 2.0, 2.0]
+    assert list(sample.earlier_distances()) == [np.inf, 1.0, 2.0, 2.0]
+    assert good_turing(sample, 2.0) == 0.0
+    assert good_turing(sample, 1.5) == 0.5
+    assert list(escape_indicators(sample, 2.0)) == [1.0, 0.0, 0.0, 0.0]
+    assert list(escape_indicators(sample, 1.5)) == [1.0, 0.0, 1.0, 1.0]
+
+
+def test_near_symmetric_matrix_is_read_row_wise():
+    # d(1, 0) exceeds d(0, 1) by 1e-12: at r = d(0, 1) point 1 is isolated
+    # and escapes by its own row, though not by its column.
+    m = np.array([[0.0, 1.0, 2.0],
+                  [1.0 + 1e-12, 0.0, 3.0],
+                  [2.0, 3.0, 0.0]])
+    sample = Sample(np.arange(3), precomputed(m))
+    assert list(sample.nearest_distances()) == [1.0, 1.0 + 1e-12, 2.0]
+    assert good_turing(sample, 1.0) == pytest.approx(2 / 3)
+    assert list(escape_indicators(sample, 1.0)) == [1.0, 1.0, 1.0]
+    assert_matches_dense(sample, [1.0, 1.0 + 1e-12, 2.0])
+
+
+@given(st.sampled_from(KINDS), st.integers(2, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60)
+def test_subsample_gets_fresh_summaries(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    sample = tie_prone_sample(kind, n, rng)
+    radii = radii_on_ties(sample, rng)
+    assert_matches_dense(sample, radii)
+    before = (sample.nearest_distances().copy(), sample.earlier_distances().copy(),
+              sample.diameter())
+    order = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+    sub = sample.subsample(order)
+    assert_matches_dense(sub, radii)
+    fresh = Sample(sample.points[order], sample.space)
+    assert np.array_equal(sub.earlier_distances(), fresh.earlier_distances())
+    assert sub.diameter() == fresh.diameter()
+    assert np.array_equal(sample.nearest_distances(), before[0])
+    assert np.array_equal(sample.earlier_distances(), before[1])
+    assert sample.diameter() == before[2]
+
+
+def test_one_pass_serves_every_radius():
+    rng = np.random.default_rng(0)
+    sample = make_sample(rng.normal(size=(50, 2)))
+    with mock.patch.object(Sample, "_summarize", autospec=True,
+                           side_effect=Sample._summarize) as spy:
+        for r in np.geomspace(0.01, 2.0, 20):
+            good_turing(sample, r)
+            escape_indicators(sample, r)
+    assert spy.call_count == 1
+
+
+def test_summaries_are_read_only():
+    sample = make_sample(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError):
+        sample.nearest_distances()[0] = 5.0
+    with pytest.raises(ValueError):
+        sample.earlier_distances()[1] = 5.0
+
