@@ -17,7 +17,6 @@ eps/2, and the exceedance probability is bounded through the net instead.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .estimators import (
     MARTINGALE_MIN,
     UPPER,
     Estimate,
-    good_turing,
+    good_turing_interval,
     martingale_upper_bound,
     net_missing_mass_bound,
 )
@@ -74,12 +73,10 @@ def false_alarm_certificate(classifier: ProximityClassifier, delta: float,
     if method == MARTINGALE_MIN:
         return martingale_upper_bound(training, gamma, delta)
     if method == GOOD_TURING:
-        n = training.n
-        g = good_turing(training, gamma)
-        raw = g + 1.0 / n + math.sqrt(3.0 / (n * delta))
+        interval = good_turing_interval(training, gamma, delta)
+        raw = interval.value + interval.radius
         return Estimate(value=min(1.0, raw), method=GOOD_TURING, side=UPPER,
-                        delta=delta, radius=1.0 / n + math.sqrt(3.0 / (n * delta)),
-                        vacuous=raw >= 1.0)
+                        delta=delta, radius=interval.radius, vacuous=raw >= 1.0)
     raise ValueError(f"unknown certificate method {method!r}")
 
 

@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .oracles import exact_wasserstein_1d
 from .samples import Sample, sample_from_csv, sample_from_json
-from .separation import eh_upper_from_sample, h_clique_relaxed, h_exact
+from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact
 from .serialize import write_json
 from .simulate import SimulationConfig, campaign_header, run_campaign
 from .spaces import discrete, euclidean, lp, scaled_indicator
@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
         t_list=tuple(float(t) for t in
                      (args.t_list.split(",") if args.t_list else cfg.get("t_list", [1.0, 3.0]))),
         compute_h=bool(pick(args.compute_h or None, "compute_h", False)),
-        h_cap=int(pick(args.h_cap, "h_cap", 8)),
+        h_cap=int(pick(args.h_cap, "h_cap", DEFAULT_CAP)),
     )
     if sim.n < 16 and args.hypothesis_strict:
         raise HypothesisViolation(f"n = {sim.n} is below the bound hypothesis n >= 16")
@@ -209,13 +209,12 @@ def cmd_wasserstein(args) -> int:
     if spec_payload is not None:
         spec = spec_from_dict(spec_payload)
 
-    seed = args.seed
+    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     if args.input:
         sample = _load_sample(args.input, args.space)
     elif spec is not None:
         from .distributions import draw_sample
         n = int(args.n if args.n is not None else cfg.get("n", 500))
-        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
         sample = draw_sample(spec, n, seed)
     else:
         raise UsageError("wasserstein needs --input or a distribution")
@@ -233,7 +232,7 @@ def cmd_wasserstein(args) -> int:
         raise UsageError("radius grid must be non-empty and positive")
 
     delta = float(args.delta if args.delta is not None else cfg.get("delta", 0.1))
-    reports = w1_report(sample, grid, delta, mu_spec=spec)
+    reports = w1_report(sample, grid, delta, mu_spec=spec, seed=seed)
     config = {"command": "wasserstein", "version": __version__,
               "input": args.input, "n": sample.n, "delta": delta,
               "r_grid": grid, "seed": seed,
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--h-cap", type=int, default=8)
+    p.add_argument("--h-cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 

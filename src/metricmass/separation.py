@@ -7,18 +7,25 @@ an empirical local packing number: the variance and tail bounds in
 certifies concentration of the estimators regardless of the ambient
 dimension.
 
-Computing h exactly is a bounded search.  The property is hereditary (every
-subsequence of a locally separated sequence is locally separated), so a
-depth-first search that only ever extends feasible subsets enumerates all of
-them.  Candidate pairs are pre-filtered by the necessary condition
-r < d(x_i, x_j) <= 2r; the 2r half relies on the triangle inequality and is
-sound for every built-in space kind (precomputed matrices are assumed to be
-metrics for this purpose).
+Both h and its clique relaxation come from one branch-and-bound search
+over one graph, with an edge where r < d(x_i, x_j) <= 2r.  Every locally
+separated subset is a clique of it; the 2r half relies on the triangle
+inequality and is sound for every built-in space kind (precomputed
+matrices are assumed to be metrics for this purpose).  The window is
+closed at 2r: a pair's enclosing ball has radius d/2, and halving is
+exact, so d <= 2r is the exact locality test for a pair.  The search finds
+the largest clique whose every prefix passes a hereditary feasibility
+predicate (every subset of a locally separated set is locally separated),
+pruning with a greedy-colouring bound in the style of Tomita and Seki's
+MCQ.  The clique relaxation's predicate accepts everything; h's is the
+locality test below.  Witnesses are returned sorted.
 
 Locality of a candidate subset is decided per space kind:
 
-* euclidean: minimum enclosing ball radius <= r, an exact test, so the
-  search result is exact when it terminates below the cap;
+* euclidean: minimum enclosing ball radius <= r (three points from their
+  pairwise distances, more by exact enumeration), an exact test up to a
+  relative slack of MEB_FEASIBILITY_RTOL, so the search result is exact
+  when it terminates below the cap;
 * discrete: h = 1 identically (no two distinct symbols fit in a ball of
   radius below 1, and no pair is separated at radius 1 or above);
 * everything else: candidate centers are restricted to sample points, which
@@ -70,73 +77,37 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP) -> SeparationRepor
     locality test and the search terminates below the cap; otherwise the
     value is a certified lower bound (the witness is still genuine).
     """
-    if sample.n < 1:
-        raise ValueError("sample must be non-empty")
+    d, adj = _separation_graph(sample, r)
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if r < 0:
-        raise ValueError("radius must be non-negative")
     kind = sample.space.kind
     if kind == DISCRETE:
         return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
 
-    n = sample.n
-    d = sample.distance_matrix()
-    adj = (d > r) & (d <= 2.0 * r * (1.0 + MEB_FEASIBILITY_RTOL))
-    np.fill_diagonal(adj, False)
-
-    exact_locality = kind == EUCLIDEAN
-    r_feas = r * (1.0 + MEB_FEASIBILITY_RTOL)
-
-    if exact_locality:
+    if kind == EUCLIDEAN:
         pts = sample.points
+        r_feas = r * (1.0 + MEB_FEASIBILITY_RTOL)
 
         def feasible(subset: list[int]) -> bool:
             k = len(subset)
             if k <= 2:
-                # The pairwise window d <= 2r already certifies a midpoint.
+                # The closed window d <= 2r already certifies a midpoint.
                 return True
             if k == 3:
                 i, j, l = subset
                 return three_point_radius(d[i, j], d[i, l], d[j, l]) <= r_feas
-            return meb_radius(pts[subset]) <= r_feas
+            # Sorted, so the floating-point MEB does not depend on the
+            # order in which the search grew the subset.
+            return meb_radius(pts[sorted(subset)]) <= r_feas
     else:
         def feasible(subset: list[int]) -> bool:
-            return bool((d[:, subset].max(axis=1) <= r_feas).any())
+            return bool((d[:, subset].max(axis=1) <= r).any())
 
-    best: list[int] = [0]
-    capped = False
-
-    def extend(subset: list[int], candidates: np.ndarray) -> None:
-        nonlocal best, capped
-        if len(subset) > len(best):
-            best = list(subset)
-        if len(subset) >= cap:
-            capped = True
-            return
-        for pos, v in enumerate(candidates):
-            if len(subset) + (len(candidates) - pos) <= len(best):
-                return
-            trial = subset + [int(v)]
-            if not feasible(trial):
-                continue
-            rest = candidates[pos + 1:]
-            extend(trial, rest[adj[v, rest]])
-            if capped and len(best) >= cap:
-                return
-
-    order = np.arange(n)
-    for v in order:
-        if capped and len(best) >= cap:
-            break
-        nbrs = order[order > v]
-        extend([int(v)], nbrs[adj[v, nbrs]])
-
-    value = len(best)
-    if capped and value >= cap:
-        return SeparationReport(cap, LOWER_BOUND, BRUTE_FORCE, witness=tuple(best[:cap]))
-    certified = EXACT if exact_locality else LOWER_BOUND
-    return SeparationReport(value, certified, BRUTE_FORCE, witness=tuple(best))
+    best, capped = _largest_clique(adj, feasible, cap)
+    if capped:
+        return SeparationReport(cap, LOWER_BOUND, BRUTE_FORCE, witness=best)
+    certified = EXACT if kind == EUCLIDEAN else LOWER_BOUND
+    return SeparationReport(len(best), certified, BRUTE_FORCE, witness=best)
 
 
 def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
@@ -146,6 +117,13 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
     consequence makes this an upper bound for h; the converse can fail, so
     the certificate is one-sided.
     """
+    _, adj = _separation_graph(sample, r)
+    clique, _ = _largest_clique(adj, lambda subset: True, sample.n)
+    return SeparationReport(len(clique), UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
+
+
+def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distance matrix and the adjacency of r < d <= 2r, closed at 2r."""
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
     if r < 0:
@@ -153,58 +131,59 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
     d = sample.distance_matrix()
     adj = (d > r) & (d <= 2.0 * r)
     np.fill_diagonal(adj, False)
-    clique = _max_clique(adj)
-    return SeparationReport(len(clique), UPPER_BOUND, CLIQUE_RELAXATION,
-                            witness=tuple(sorted(clique)))
+    return d, adj
 
 
-def _max_clique(adj: np.ndarray) -> list[int]:
-    """Exact maximum clique by branch and bound with greedy coloring."""
-    n = adj.shape[0]
-    if n == 0:
-        return []
-    best: list[int] = [int(np.argmax(adj.sum(axis=1)))] if n else []
-    if not adj.any():
-        return [0]
+def _largest_clique(adj: np.ndarray, feasible, cap: int) -> tuple[tuple[int, ...], bool]:
+    """Largest clique of ``adj`` whose every prefix passes the hereditary
+    ``feasible``, by branch and bound with a greedy-colouring bound.
 
-    def color_bound(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Greedy coloring; returns candidates reordered by color with the
-        # color number as an upper bound on the clique size within them.
-        order: list[int] = []
-        col_of: list[int] = []
-        color = 0
-        remaining = list(range(len(cands)))
-        while remaining:
-            color += 1
-            nxt = []
-            picked: list[int] = []
-            for i in remaining:
-                if all(not adj[cands[i], cands[j]] for j in picked):
-                    picked.append(i)
-                else:
-                    nxt.append(i)
-            for i in picked:
-                order.append(i)
-                col_of.append(color)
-            remaining = nxt
-        return cands[np.array(order)], np.array(col_of)
+    Returns the clique sorted, and whether the search stopped at ``cap``.
+    """
+    nbrs = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in adj]
+    best = [0]
 
-    def expand(clique: list[int], cands: np.ndarray) -> None:
+    def colour_sort(cands: list[int]) -> tuple[list[int], list[int]]:
+        # First-fit colouring in candidate order; the candidates come back
+        # class by class, and a clique among the first i of them has at
+        # most colours[i - 1] vertices.
+        masks: list[int] = []
+        classes: list[list[int]] = []
+        for v in cands:
+            for c, mask in enumerate(masks):
+                if not mask & nbrs[v]:
+                    masks[c] |= 1 << v
+                    classes[c].append(v)
+                    break
+            else:
+                masks.append(1 << v)
+                classes.append([v])
+        return ([v for members in classes for v in members],
+                [c for c, members in enumerate(classes, 1) for _ in members])
+
+    def expand(clique: list[int], cands: list[int]) -> bool:
         nonlocal best
-        if len(cands) == 0:
-            if len(clique) > len(best):
-                best = list(clique)
-            return
-        ordered, colors = color_bound(cands)
+        if len(clique) + len(cands) <= len(best):
+            return False
+        ordered, colours = colour_sort(cands)
         for i in range(len(ordered) - 1, -1, -1):
-            if len(clique) + colors[i] <= len(best):
-                return
-            v = int(ordered[i])
-            nxt = ordered[:i][adj[v, ordered[:i]]]
-            expand(clique + [v], nxt)
+            if len(clique) + colours[i] <= len(best):
+                return False
+            v = ordered[i]
+            grown = clique + [v]
+            if not feasible(grown):
+                continue
+            if len(grown) > len(best):
+                best = grown
+                if len(best) >= cap:
+                    return True
+            if expand(grown, [u for u in ordered[:i] if nbrs[v] >> u & 1]):
+                return True
+        return False
 
-    expand([], np.arange(n))
-    return best
+    capped = len(best) >= cap or expand([], list(range(adj.shape[0])))
+    return tuple(sorted(best)), capped
 
 
 def packing_cap(space: MetricSpace) -> int | None:

@@ -23,7 +23,7 @@ from .bounds import tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bo
 from .distributions import draw_sample, is_finite_support, spec_from_dict, spec_to_dict
 from .estimators import all_martingale_estimates, good_turing, martingale_upper_bound
 from .oracles import conditional_missing_mass, expected_missing_mass, has_exact_oracle
-from .separation import h_exact
+from .separation import DEFAULT_CAP, h_exact
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SimulationConfig:
     m_list: tuple[int, ...] = ()
     t_list: tuple[float, ...] = (1.0, 3.0)
     compute_h: bool = False
-    h_cap: int = 8
+    h_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         if self.n < 1 or self.replicates < 1:

@@ -199,6 +199,111 @@ def _grid_hit(sub, lo, hi, pitch, r_tol, chunk=200_000):
     return False
 
 
+def window_graph(sample, r):
+    """Adjacency of r < d <= 2r over the sample, closed at 2r."""
+    d = sample.distance_matrix()
+    adj = (d > r) & (d <= 2.0 * r)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def reference_h_exact(sample, r, cap=8):
+    """h by a depth-first search that extends feasible subsets in index
+    order, pruned only by subset size plus remaining candidates; returns
+    (value, certified, method, witness)."""
+    from metricmass.meb import meb_radius, three_point_radius
+
+    if sample.space.kind == "discrete":
+        return 1, "exact", "brute_force", (0,)
+    d = sample.distance_matrix()
+    adj = window_graph(sample, r)
+    euclidean = sample.space.kind == "euclidean"
+    r_feas = r * (1.0 + 1e-9)
+
+    def feasible(subset):
+        if not euclidean:
+            return bool((d[:, subset].max(axis=1) <= r).any())
+        if len(subset) <= 2:
+            return True
+        if len(subset) == 3:
+            i, j, l = subset
+            return three_point_radius(d[i, j], d[i, l], d[j, l]) <= r_feas
+        return meb_radius(sample.points[subset]) <= r_feas
+
+    best = [0]
+    capped = False
+
+    def extend(subset, candidates):
+        nonlocal best, capped
+        if len(subset) > len(best):
+            best = list(subset)
+        if len(subset) >= cap:
+            capped = True
+            return
+        for pos, v in enumerate(candidates):
+            if len(subset) + (len(candidates) - pos) <= len(best):
+                return
+            trial = subset + [int(v)]
+            if not feasible(trial):
+                continue
+            rest = candidates[pos + 1:]
+            extend(trial, rest[adj[v, rest]])
+            if capped:
+                return
+
+    order = np.arange(sample.n)
+    for v in order:
+        if capped:
+            break
+        nbrs = order[order > v]
+        extend([int(v)], nbrs[adj[v, nbrs]])
+    if capped:
+        return cap, "lower_bound", "brute_force", tuple(best)
+    return len(best), "exact" if euclidean else "lower_bound", "brute_force", tuple(best)
+
+
+def reference_max_clique(adj):
+    """Maximum clique by branch and bound with a class-by-class greedy
+    colouring bound, candidates held as index arrays."""
+    n = adj.shape[0]
+    if not adj.any():
+        return [0]
+    best = [int(np.argmax(adj.sum(axis=1)))]
+
+    def color_bound(cands):
+        order, col_of = [], []
+        color = 0
+        remaining = list(range(len(cands)))
+        while remaining:
+            color += 1
+            nxt, picked = [], []
+            for i in remaining:
+                if all(not adj[cands[i], cands[j]] for j in picked):
+                    picked.append(i)
+                else:
+                    nxt.append(i)
+            order.extend(picked)
+            col_of.extend([color] * len(picked))
+            remaining = nxt
+        return cands[np.array(order)], np.array(col_of)
+
+    def expand(clique, cands):
+        nonlocal best
+        if len(cands) == 0:
+            if len(clique) > len(best):
+                best = list(clique)
+            return
+        ordered, colors = color_bound(cands)
+        for i in range(len(ordered) - 1, -1, -1):
+            if len(clique) + colors[i] <= len(best):
+                return
+            v = int(ordered[i])
+            expand(clique + [v], ordered[:i][adj[v, ordered[:i]]])
+
+    expand([], np.arange(n))
+    return best
+
+
 def transport_w1_atoms(mu_positions, mu_weights, nu_positions, nu_weights):
     """W1 between two atomic measures on the line, by CDF area over a mesh."""
     xs = np.unique(np.concatenate([mu_positions, nu_positions]))

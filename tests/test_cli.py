@@ -145,6 +145,34 @@ def test_wasserstein_echoes_config_file_seed(tmp_path, seed):
     assert json.loads(header.removeprefix("# config "))["seed"] == drawn
 
 
+def test_wasserstein_monte_carlo_oracle_uses_seed(tmp_path):
+    # A continuous spec without an exact oracle: the Monte Carlo draw of
+    # test points follows --seed (default 0), like the sample's own draw.
+    from metricmass.distributions import spec_from_dict
+    from metricmass.samples import sample_from_csv
+    from metricmass.wasserstein import w1_report
+    spec = {"kind": "lowdim_embedding", "d_intrinsic": 2, "d_ambient": 3}
+    points = spec_from_dict(spec).sample(40, np.random.default_rng(5))
+    sample_path = tmp_path / "x.csv"
+    write_csv(sample_path, points.tolist())
+    sample = sample_from_csv(str(sample_path))
+    mhats = {}
+    for seed in (None, 1, 2):
+        out = tmp_path / f"w1_{seed}"
+        argv = ["wasserstein", "--input", str(sample_path), "--distribution",
+                json.dumps(spec), "--r-grid", "0.3,0.6", "--out", str(out)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / f"w1_{seed}.json").read_text())
+        used = 0 if seed is None else seed
+        assert payload["config"]["seed"] == used
+        mhats[seed] = [rep["mhat"] for rep in payload["reports"]]
+        expected = w1_report(sample, [0.3, 0.6], 0.1, mu_spec=spec_from_dict(spec), seed=used)
+        assert mhats[seed] == [rep.mhat for rep in expected]
+    assert mhats[1] != mhats[2]
+
+
 def test_wasserstein_invalid_grid(tmp_path, capsys):
     spec = json.dumps({"kind": "uniform_interval", "a": 0.0, "b": 1.0})
     code = main(["wasserstein", "--distribution", spec, "--n", "50",

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricmass.distributions import ScaledIndicatorSpec, draw_sample
 from metricmass.meb import meb_radius
-from metricmass.samples import make_sample
+from metricmass.samples import Sample, make_sample
 from metricmass.separation import (
+    DEFAULT_CAP,
     eh_upper_from_sample,
     h_clique_relaxed,
     h_exact,
@@ -14,7 +16,7 @@ from metricmass.separation import (
 )
 from metricmass.spaces import discrete, euclidean, lp, precomputed, scaled_indicator
 
-from helpers import h_grid_oracle
+from helpers import h_grid_oracle, reference_h_exact, reference_max_clique, window_graph
 
 
 def line_sample(*xs):
@@ -137,10 +139,19 @@ def test_clique_dominates_exact():
         pts = rng.normal(size=(n, 2)) * 0.7
         s = make_sample(pts)
         r = float(rng.uniform(0.2, 1.2))
-        exact = h_exact(s, r)
-        relaxed = h_clique_relaxed(s, r)
-        if exact.certified == "exact":
-            assert exact.value <= relaxed.value
+        for cap in (2, DEFAULT_CAP):
+            assert h_exact(s, r, cap=cap).value <= h_clique_relaxed(s, r).value
+
+
+def test_pair_just_past_twice_r_is_not_local():
+    # d = 2r(1 + 5e-10): the pair's enclosing ball has radius d/2 > r, so h
+    # is 1 and stays within its clique upper bound.
+    s = line_sample(0.0, 2.0 * (1.0 + 5e-10))
+    exact, relaxed = h_exact(s, 1.0), h_clique_relaxed(s, 1.0)
+    assert (exact.value, exact.certified) == (1, "exact")
+    assert relaxed.value == 1
+    pair = line_sample(0.0, 2.0)
+    assert h_exact(pair, 1.0).value == h_clique_relaxed(pair, 1.0).value == 2
 
 
 def test_packing_caps():
@@ -199,3 +210,62 @@ def test_eh_upper_examples():
         eh_upper_from_sample(0, 0.5)
     with pytest.raises(ValueError):
         eh_upper_from_sample(2, 1.5)
+
+
+REFERENCE_KINDS = ("euclidean", "lp", "precomputed", "scaled_indicator")
+
+
+def metric_on_tie_prone_sample(kind, n, rng):
+    """Small samples on integer lattices (or a shortest-path metric on a
+    small weighted graph), so pairs sit at equal distances."""
+    if kind == "euclidean":
+        return make_sample(rng.integers(-2, 3, size=(n, 2)).astype(float))
+    if kind == "lp":
+        return Sample(rng.integers(-2, 3, size=(n, 2)).astype(float), lp(2, 1.0))
+    if kind == "precomputed":
+        size = int(rng.integers(1, 8))
+        w = rng.integers(1, 4, size=(size, size)).astype(float)
+        m = np.minimum(w, w.T)
+        np.fill_diagonal(m, 0.0)
+        for k in range(size):  # Floyd-Warshall: a genuine metric
+            m = np.minimum(m, m[:, [k]] + m[[k], :])
+        return Sample(rng.integers(0, size, size=n), precomputed(m))
+    return Sample(rng.integers(0, 5, size=n).astype(float), scaled_indicator(2.0))
+
+
+def witness_pairs(sample, rep):
+    w = list(rep.witness)
+    assert len(w) == rep.value and w == sorted(set(w))
+    return sample.distance_matrix()[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
+
+
+def assert_genuine_witnesses(sample, r, h, clique):
+    pairs = witness_pairs(sample, clique)
+    assert ((pairs > r) & (pairs <= 2.0 * r)).all()
+    assert (witness_pairs(sample, h) > r).all()
+    w = list(h.witness)
+    if sample.space.kind == "euclidean":
+        assert meb_radius(sample.points[w]) <= r * (1 + 1e-9)
+    else:
+        assert (sample.distance_matrix()[:, w].max(axis=1) <= r).any()
+
+
+@given(st.sampled_from(REFERENCE_KINDS), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200)
+def test_searches_match_references(kind, n, seed):
+    # Radii read off the matrix, and halves of its entries, put pairs
+    # exactly at d == r and at d == 2r.
+    rng = np.random.default_rng(seed)
+    sample = metric_on_tie_prone_sample(kind, n, rng)
+    values = rng.choice(sample.distance_matrix().ravel(), size=3)
+    for r in [0.0, 1.0] + [float(v) for v in values] + [float(v) / 2.0 for v in values]:
+        clique = h_clique_relaxed(sample, r)
+        ref_clique = reference_max_clique(window_graph(sample, r))
+        assert clique.witness == tuple(sorted(ref_clique))
+        assert (clique.certified, clique.method) == ("upper_bound", "clique_relaxation")
+        uncapped = reference_h_exact(sample, r)[0]
+        for cap in (1, 2, uncapped, uncapped + 1, DEFAULT_CAP):
+            h = h_exact(sample, r, cap=cap)
+            assert (h.value, h.certified, h.method) == reference_h_exact(sample, r, cap)[:3]
+            assert h.value <= clique.value
+            assert_genuine_witnesses(sample, r, h, clique)
