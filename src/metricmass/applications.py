@@ -30,7 +30,7 @@ from .estimators import (
     martingale_upper_bound,
     net_missing_mass_bound,
 )
-from .samples import Sample, farthest_first_net
+from .samples import Sample, farthest_first_net, row_blocks
 from .spaces import DISCRETE, PRECOMPUTED, MetricSpace, discrete, euclidean
 
 NORMAL = "normal"
@@ -57,10 +57,15 @@ def classify(classifier: ProximityClassifier, y) -> str:
 
 
 def classify_batch(classifier: ProximityClassifier, queries) -> list[str]:
-    space = classifier.training.space
-    d = space.cross_distances(queries, classifier.training.points)
-    return [ANOMALOUS if row_min > classifier.gamma else NORMAL
-            for row_min in d.min(axis=1)]
+    """Verdicts from each query's nearest training distance, taken over
+    row blocks of queries, so no |queries| x n matrix is held."""
+    training = classifier.training
+    queries = training.space.as_points(queries)
+    verdicts = []
+    for rows in row_blocks(len(queries), training.n):
+        nearest = training.space.kernel(queries[rows], training.points).min(axis=1)
+        verdicts.extend(ANOMALOUS if d > classifier.gamma else NORMAL for d in nearest)
+    return verdicts
 
 
 def false_alarm_certificate(classifier: ProximityClassifier, delta: float,

@@ -1,16 +1,22 @@
-"""Ordered samples with cached pairwise distances, nets and separation tests.
+"""Ordered samples with streamed pairwise distances, nets and separation
+tests.
 
 Sample order is preserved exactly as ingested; the sequential estimators in
-:mod:`metricmass.estimators` depend on it.  Pairwise distances are cached
-eagerly at construction for samples up to ``EAGER_CACHE_MAX`` points and on
-first use above that.
+:mod:`metricmass.estimators` depend on it.
+
+Distances are streamed in row blocks of at most ``SUMMARY_BLOCK_ELEMENTS``
+entries: read from the n x n matrix if something has already built it,
+computed by the space's kernel otherwise.  The time is still O(n^2), but
+the memory is O(n * block).  The matrix itself is built only on request, by
+:meth:`Sample.distance_matrix` (the h search in :mod:`metricmass.separation`
+reads it).
 
 Each sample also computes, once, two radius-free summaries of its distances:
 every point's distance to its nearest other point and to its nearest
-earlier point in sample order.  They are filled in one row-blocked pass over
-the cached matrix on first use, so the Good-Turing estimate and the escape
+earlier point in sample order.  They are filled, with the diameter, in one
+blocked pass on first use, so the Good-Turing estimate and the escape
 indicators at any further radius cost O(n), and all radii of a sweep share
-that one pass.  The diameter is cached the same way.
+that one pass.
 """
 from __future__ import annotations
 
@@ -31,9 +37,8 @@ from .spaces import (
     precomputed,
 )
 
-EAGER_CACHE_MAX = 4096
-
-# Elements per row block of the summary pass, which bounds its temporaries.
+# Elements per row block of distances, which bounds the temporaries of
+# every blocked pass.
 SUMMARY_BLOCK_ELEMENTS = 1 << 20
 
 
@@ -41,27 +46,28 @@ class InvalidNetError(ValueError):
     """A claimed r-net fails the separation or coverage requirement."""
 
 
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices cutting ``rows`` rows of ``width`` entries each into blocks of
+    at most ``SUMMARY_BLOCK_ELEMENTS`` entries, one row at least."""
+    step = max(1, SUMMARY_BLOCK_ELEMENTS // max(width, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
 class Sample:
     """An ordered iid sample of points from one space.
 
-    Immutable after construction apart from the lazily filled distance cache
-    and the summaries derived from it.
+    Immutable after construction apart from the distance matrix, built on
+    request, and the summaries, filled on first use.
     ``atom_indices`` carries optional provenance for samples generated from a
     finite-support distribution (indices into its atom list), which the
     oracles use for fast exact computations.
     """
 
-    def __init__(self, points, space: MetricSpace, atom_indices=None,
-                 eager_cache_max: int = EAGER_CACHE_MAX):
+    def __init__(self, points, space: MetricSpace, atom_indices=None):
         self.space = space
         self.points = space.as_points(points)
         self.atom_indices = None if atom_indices is None else np.asarray(atom_indices, dtype=int)
         self._distances: np.ndarray | None = None
-        self._clear_summaries()
-        if self.n <= eager_cache_max:
-            self._distances = space.pairwise_distances(self.points)
-
-    def _clear_summaries(self) -> None:
         self._nearest: np.ndarray | None = None
         self._earlier: np.ndarray | None = None
         self._diameter: float | None = None
@@ -71,16 +77,25 @@ class Sample:
         return len(self.points)
 
     def distance_matrix(self) -> np.ndarray:
+        """The whole n x n matrix, built on the first call and kept."""
         if self._distances is None:
-            self._distances = self.space.pairwise_distances(self.points)
+            self._distances = self.space.kernel(self.points, self.points)
         return self._distances
 
+    def distance_rows(self, rows, cols=slice(None)) -> np.ndarray:
+        """A new array of the distances from the points ``rows`` to the
+        points ``cols`` (each a slice or an index array; every point by
+        default), read from the matrix if it has been built, else computed."""
+        if self._distances is not None:
+            return np.array(self._distances[rows][:, cols])
+        return self.space.kernel(self.points[rows], self.points[cols])
+
     def distance(self, i: int, j: int) -> float:
-        return float(self.distance_matrix()[i, j])
+        return float(self.distance_rows([i], [j])[0, 0])
 
     def diameter(self) -> float:
         if self._diameter is None:
-            self._diameter = float(self.distance_matrix().max()) if self.n else 0.0
+            self._summarize()
         return self._diameter
 
     def nearest_distances(self) -> np.ndarray:
@@ -100,35 +115,30 @@ class Sample:
     def _summarize(self) -> None:
         # Row-wise minima only: a precomputed matrix is only allclose-
         # symmetric, and the estimators read row i as point i's distances.
-        d = self.distance_matrix()
         n = self.n
         nearest = np.empty(n)
         earlier = np.empty(n)
-        step = max(1, SUMMARY_BLOCK_ELEMENTS // max(n, 1))
+        blocks = row_blocks(n, n)
+        tops = np.empty(len(blocks))
         cols = np.arange(n)
-        for start in range(0, n, step):
-            rows = cols[start:start + step]
-            block = d[start:start + step].copy()
-            block[rows - start, rows] = np.inf
+        for k, rows in enumerate(blocks):
+            block = self.distance_rows(rows)
+            tops[k] = block.max()
+            idx = cols[rows]
+            block[idx - rows.start, idx] = np.inf
             nearest[rows] = block.min(axis=1)
-            block[cols[None, :] > rows[:, None]] = np.inf
+            block[cols[None, :] > idx[:, None]] = np.inf
             earlier[rows] = block.min(axis=1)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
         self._nearest, self._earlier = nearest, earlier
+        self._diameter = float(tops.max()) if n else 0.0
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""
         idx = np.asarray(indices, dtype=int)
-        sub = Sample.__new__(Sample)
-        sub.space = self.space
-        sub.points = self.points[idx]
-        sub.atom_indices = None if self.atom_indices is None else self.atom_indices[idx]
-        sub._distances = None
-        sub._clear_summaries()  # earlier distances depend on the new order
-        if self._distances is not None:
-            sub._distances = self._distances[np.ix_(idx, idx)]
-        return sub
+        atoms = None if self.atom_indices is None else self.atom_indices[idx]
+        return Sample(self.points[idx], self.space, atom_indices=atoms)
 
     def with_distances_scaled(self, factor: float) -> "Sample":
         """A copy whose every pairwise distance is multiplied by ``factor``."""
@@ -223,11 +233,44 @@ def is_r_separated(sample: Sample, indices, r: float) -> bool:
     idx = np.asarray(indices, dtype=int)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    if idx.size <= 1:
-        return True
-    d = sample.distance_matrix()[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    return bool((d[iu] > r).all())
+    positions = np.arange(idx.size)
+    for rows in row_blocks(idx.size, idx.size):
+        block = sample.distance_rows(idx[rows], idx)
+        if not (block[positions[None, :] > positions[rows, None]] > r).all():
+            return False
+    return True
+
+
+def farthest_first_traversal(sample: Sample, r: float,
+                             seed_index: int = 0) -> tuple[list[int], np.ndarray]:
+    """The farthest-first order from the seed, run until every sample point
+    lies within r of it, and after each pick the covering radius of the
+    picks so far (the largest distance from a sample point to its nearest
+    pick).  Each step adds the point farthest from the picks, lowest index
+    on ties.  At any radius s >= r the greedy s-net is the shortest prefix
+    whose covering radius is at most s (:func:`net_prefix`)."""
+    if sample.n < 1:
+        raise ValueError("sample must be non-empty")
+    if not 0 <= seed_index < sample.n:
+        raise ValueError("seed index out of range")
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    order = [seed_index]
+    covering = []
+    dist_to_net = sample.distance_rows(slice(seed_index, seed_index + 1))[0]
+    while True:
+        far = int(np.argmax(dist_to_net))
+        covering.append(dist_to_net[far])
+        if dist_to_net[far] <= r:
+            return order, np.array(covering)
+        order.append(far)
+        np.minimum(dist_to_net, sample.distance_rows(slice(far, far + 1))[0],
+                   out=dist_to_net)
+
+
+def net_prefix(order: list[int], covering: np.ndarray, r: float) -> list[int]:
+    """The greedy r-net from a traversal run down to at most r."""
+    return order[:int(np.argmax(covering <= r)) + 1]
 
 
 def farthest_first_net(sample: Sample, r: float, seed_index: int = 0) -> list[int]:
@@ -238,21 +281,7 @@ def farthest_first_net(sample: Sample, r: float, seed_index: int = 0) -> list[in
     most r.  The result is r-separated and every sample point lies within r
     of some net point.
     """
-    if sample.n < 1:
-        raise ValueError("sample must be non-empty")
-    if not 0 <= seed_index < sample.n:
-        raise ValueError("seed index out of range")
-    if r < 0:
-        raise ValueError("radius must be non-negative")
-    dmat = sample.distance_matrix()
-    net = [seed_index]
-    dist_to_net = dmat[seed_index].copy()
-    while True:
-        far = int(np.argmax(dist_to_net))
-        if dist_to_net[far] <= r:
-            return net
-        net.append(far)
-        np.minimum(dist_to_net, dmat[far], out=dist_to_net)
+    return farthest_first_traversal(sample, r, seed_index)[0]
 
 
 def verify_net(sample: Sample, net, r: float) -> None:
@@ -262,6 +291,6 @@ def verify_net(sample: Sample, net, r: float) -> None:
         raise InvalidNetError("net is empty")
     if not is_r_separated(sample, idx, r):
         raise InvalidNetError("net is not r-separated")
-    cover = sample.distance_matrix()[:, idx].min(axis=1)
-    if (cover > r).any():
-        raise InvalidNetError("net does not cover the sample at radius r")
+    for rows in row_blocks(sample.n, idx.size):
+        if (sample.distance_rows(rows, idx).min(axis=1) > r).any():
+            raise InvalidNetError("net does not cover the sample at radius r")

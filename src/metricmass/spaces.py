@@ -91,6 +91,13 @@ class MetricSpace:
         same = a is b  # a pairwise call: validate the one batch once
         a = self.as_points(a)
         b = a if same else self.as_points(b)
+        return self.kernel(a, b)
+
+    def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|a| x |b| distances between two batches already canonicalized by
+        :meth:`as_points`, without validating them again.  Each entry is
+        computed from its own pair only, so any block of rows or columns
+        equals the same block of the whole matrix bit for bit."""
         if self.kind == EUCLIDEAN:
             return cdist(a, b)
         if self.kind == LP:

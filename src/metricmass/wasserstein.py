@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimators import martingale_upper_bound
 from .oracles import conditional_missing_masses
-from .samples import Sample, farthest_first_net, verify_net
+from .samples import Sample, farthest_first_traversal, net_prefix, row_blocks, verify_net
 
 DIAMETER_MARGIN = 1.05
 
@@ -101,15 +101,24 @@ def w1_upper_bounds(sample: Sample, r: float, net, delta: float,
 def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     """Logarithmic grid between the 1st percentile and the median of the
     positive pairwise distances."""
-    d = sample.distance_matrix()
-    # Row slices of the upper triangle, in np.triu_indices order, without
-    # its two n(n-1)/2 index arrays.
-    vals = np.concatenate([d[i, i + 1:] for i in range(sample.n)] or [np.empty(0)])
-    vals = vals[vals > 0]
-    if len(vals) == 0:
+    n = sample.n
+    # The positive upper-triangle distances, packed row by row into one
+    # buffer.  Both calls take order statistics, which do not depend on the
+    # order the values landed in, so they may partition it in place.
+    vals = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for rows in row_blocks(n, n):
+        # Unnamed, so each block is freed before the next one is computed.
+        for k, row in enumerate(sample.distance_rows(rows, slice(rows.start + 1, None))):
+            row = row[k:]
+            row = row[row > 0]
+            vals[filled:filled + row.size] = row
+            filled += row.size
+    vals = vals[:filled]
+    if filled == 0:
         raise ValueError("sample has no positive pairwise distance; supply a grid")
-    lo = float(np.percentile(vals, 1))
-    hi = float(np.median(vals))
+    lo = float(np.percentile(vals, 1, overwrite_input=True))
+    hi = float(np.median(vals, overwrite_input=True))
     if lo <= 0 or hi <= lo:
         raise ValueError("degenerate pairwise distances; supply a grid")
     return list(np.geomspace(lo, hi, size))
@@ -128,6 +137,10 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     bounds.  All fields are in the sample's original distance units; the
     normalization constant applied for the diameter-1 hypothesis is echoed
     as ``scale``.
+
+    ``seed`` is the sweep's root seed.  The Monte Carlo oracle draws its
+    test points from the child stream ``[seed, 1]``, so they stay
+    independent of a sample drawn from ``seed`` itself.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -151,10 +164,13 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     radii = sorted(r_grid)
     oracle = [None] * len(radii)
     if mu_spec is not None:
-        oracle = conditional_missing_masses(mu_spec, sample, radii, seed=seed)
+        oracle_seed = None if seed is None else [seed, 1]
+        oracle = conditional_missing_masses(mu_spec, sample, radii, seed=oracle_seed)
+    # One traversal down to the smallest radius serves every radius.
+    order, covering = farthest_first_traversal(normalized, radii[0] / scale)
     reports = []
     for r, est in zip(radii, oracle):
-        net = farthest_first_net(normalized, r / scale)
+        net = net_prefix(order, covering, r / scale)
         m = len(net)
         if est is not None:
             mhat = est.value

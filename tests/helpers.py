@@ -74,6 +74,36 @@ def triu_r_grid(sample, size=20):
     return list(np.geomspace(lo, hi, size))
 
 
+def dense_farthest_first_net(sample, r, seed_index=0):
+    """Greedy farthest-first r-net, every row read from the whole matrix."""
+    dmat = sample.distance_matrix()
+    net = [seed_index]
+    dist_to_net = dmat[seed_index].copy()
+    while True:
+        far = int(np.argmax(dist_to_net))
+        if dist_to_net[far] <= r:
+            return net
+        net.append(far)
+        np.minimum(dist_to_net, dmat[far], out=dist_to_net)
+
+
+def dense_verify_net(sample, net, r):
+    """Net check from the whole matrix: separation on the upper triangle of
+    the net's submatrix, cover on a column gather of the net."""
+    from metricmass.samples import InvalidNetError
+
+    idx = np.asarray(net, dtype=int)
+    if idx.size == 0:
+        raise InvalidNetError("net is empty")
+    if len(np.unique(idx)) != len(idx):
+        raise ValueError("indices must be distinct")
+    d = sample.distance_matrix()
+    if not (d[np.ix_(idx, idx)][np.triu_indices(idx.size, k=1)] > r).all():
+        raise InvalidNetError("net is not r-separated")
+    if (d[:, idx].min(axis=1) > r).any():
+        raise InvalidNetError("net does not cover the sample at radius r")
+
+
 def brute_missing_mass_finite(atom_points, weights, sample_points, space, r):
     """Sum of atom weights farther than r from every sample point."""
     mass = 0.0

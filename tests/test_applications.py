@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+
+from metricmass import samples
 
 from metricmass.applications import (
     ProximityClassifier,
@@ -53,6 +57,28 @@ def test_false_alarm_identity_monte_carlo():
     frac = np.mean([v == "anomalous" for v in verdicts])
     mhat = conditional_missing_mass(spec, train, gamma).value
     assert frac == pytest.approx(mhat, abs=3 * math.sqrt(0.25 / 20_000) + 1e-3)
+
+
+@pytest.mark.parametrize("block, n_queries", [(700, 51), (samples.SUMMARY_BLOCK_ELEMENTS, 5000)])
+def test_classify_batch_blocks_match_dense_rule(block, n_queries):
+    # 300 training points: blocks of 2 queries with a last one of 1, or of
+    # 3495 queries with a partial second one.  Lattice points put many
+    # queries at exactly d == gamma, which is normal.
+    rng = np.random.default_rng(4)
+    train = make_sample(rng.integers(0, 8, size=(300, 2)).astype(float))
+    queries = rng.integers(-4, 12, size=(n_queries, 2)).astype(float)
+    gamma = 1.0
+    nearest = cdist(queries, train.points).min(axis=1)
+    assert (nearest == gamma).any() and (nearest > gamma).any()
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+        verdicts = classify_batch(ProximityClassifier(train, gamma), queries)
+    assert verdicts == ["anomalous" if d > gamma else "normal" for d in nearest]
+
+
+def test_classify_batch_query_at_gamma_is_normal():
+    clf = ProximityClassifier(line_sample(0.0, 2.0), gamma=1.0)
+    assert classify_batch(clf, [[1.0], [3.0], [3.5], [-1.25]]) == [
+        "normal", "normal", "anomalous", "anomalous"]
 
 
 def test_certificate_methods_and_monotonicity():

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -171,6 +172,30 @@ def test_wasserstein_monte_carlo_oracle_uses_seed(tmp_path):
         expected = w1_report(sample, [0.3, 0.6], 0.1, mu_spec=spec_from_dict(spec), seed=used)
         assert mhats[seed] == [rep.mhat for rep in expected]
     assert mhats[1] != mhats[2]
+
+
+def test_wasserstein_oracle_does_not_replay_the_sample_draw(tmp_path, monkeypatch):
+    # The sample is drawn from --seed.  Had the Monte Carlo oracle's
+    # generator started in the same state, its test points would be a
+    # prefix-draw of the sample's stream (the same mixture labels first).
+    from metricmass.distributions import LowdimEmbeddingSpec
+    starts = []
+    draw = LowdimEmbeddingSpec.sample
+
+    def recording(self, count, rng):
+        starts.append(copy.deepcopy(rng.bit_generator.state))
+        return draw(self, count, rng)
+
+    monkeypatch.setattr(LowdimEmbeddingSpec, "sample", recording)
+    spec = json.dumps({"kind": "lowdim_embedding", "d_intrinsic": 2, "d_ambient": 5})
+    out = tmp_path / "w1"
+    assert main(["wasserstein", "--distribution", spec, "--n", "250", "--seed", "3",
+                 "--r-grid", "0.3,0.6", "--out", str(out)]) == 0
+    sample_start, oracle_start = starts[:2]
+    assert sample_start == np.random.default_rng(3).bit_generator.state
+    assert oracle_start != sample_start
+    assert oracle_start == np.random.default_rng([3, 1]).bit_generator.state
+    assert json.loads((tmp_path / "w1.json").read_text())["config"]["seed"] == 3
 
 
 def test_wasserstein_invalid_grid(tmp_path, capsys):

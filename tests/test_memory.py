@@ -1,0 +1,39 @@
+"""Sample-only commands stream distances in row blocks: none requests the
+n x n distance matrix, and none holds even most of one."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from metricmass.cli import main
+from metricmass.samples import Sample
+
+N = 3000
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "code", "classify"])
+def test_command_never_builds_the_matrix(command, tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    train, queries = tmp_path / "train.csv", tmp_path / "queries.csv"
+    np.savetxt(train, rng.normal(size=(N, 3)), delimiter=",")
+    np.savetxt(queries, rng.normal(size=(1000, 3)) + 1.0, delimiter=",")
+    argv = {
+        "wasserstein": ["wasserstein", "--input", str(train)],
+        "code": ["code", "--input", str(train), "--epsilon", "0.4", "--use-net"],
+        "classify": ["classify", "--train", str(train), "--gamma", "0.3",
+                     "--certificate-delta", "0.05", "--queries", str(queries)],
+    }[command] + ["--out", str(tmp_path / "out")]
+
+    def refuse(self):
+        raise AssertionError("the n x n distance matrix was requested")
+
+    monkeypatch.setattr(Sample, "distance_matrix", refuse)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One matrix is n * n * 8 bytes; the radius grid alone keeps the half
+    # above the diagonal.
+    assert peak < 0.75 * N * N * 8

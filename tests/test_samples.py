@@ -3,7 +3,6 @@ import pytest
 
 from metricmass.samples import (
     InvalidNetError,
-    Sample,
     farthest_first_net,
     is_r_separated,
     make_sample,
@@ -12,7 +11,8 @@ from metricmass.samples import (
     sample_to_csv,
     verify_net,
 )
-from metricmass.spaces import discrete, euclidean
+from metricmass.spaces import discrete
+from metricmass.wasserstein import default_r_grid
 
 
 def line_sample(*xs):
@@ -33,12 +33,25 @@ def test_distance_cache_round_trip():
     assert (cached == rebuilt).all()
 
 
-def test_lazy_cache_above_cap():
-    pts = np.zeros((5, 1))
-    s = Sample(pts, euclidean(1), eager_cache_max=3)
+def test_matrix_built_only_on_request():
+    s = make_sample(np.random.default_rng(3).normal(size=(60, 2)))
+    s.nearest_distances(), s.earlier_distances(), s.diameter()
+    default_r_grid(s)
+    net = farthest_first_net(s, 0.5)
+    verify_net(s, net, 0.5)
     assert s._distances is None
-    s.distance_matrix()
-    assert s._distances is not None
+    d = s.distance_matrix()
+    assert s._distances is d
+    assert s.distance_matrix() is d
+
+
+def test_distance_reads_one_pair_without_the_matrix():
+    s = make_sample(np.random.default_rng(5).normal(size=(3000, 3)))
+    pairs = [(0, 1), (2999, 7), (-1, 0), (5, 5)]
+    got = [s.distance(i, j) for i, j in pairs]
+    assert s._distances is None
+    d = s.distance_matrix()
+    assert got == [float(d[i, j]) for i, j in pairs]
 
 
 def test_subsample_keeps_given_order():

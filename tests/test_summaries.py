@@ -1,5 +1,7 @@
-"""The cached nearest and earlier-nearest distances of a sample, and the
-estimators and radius grid read from them, against the dense references."""
+"""Everything a sample computes from streamed row blocks of distances (the
+cached nearest and earlier-nearest distances, the estimators read from
+them, the diameter, the radius grid, farthest-first nets and net checks)
+against dense references read from the whole matrix."""
 from unittest import mock
 
 import numpy as np
@@ -8,14 +10,23 @@ from hypothesis import given, settings, strategies as st
 
 from metricmass import samples
 from metricmass.estimators import escape_indicators, good_turing
-from metricmass.samples import Sample, make_sample
+from metricmass.samples import (
+    Sample,
+    farthest_first_net,
+    farthest_first_traversal,
+    make_sample,
+    net_prefix,
+    verify_net,
+)
 from metricmass.spaces import discrete, lp, precomputed, scaled_indicator
-from metricmass.wasserstein import default_r_grid
+from metricmass.wasserstein import default_r_grid, w1_report
 
 from helpers import (
     dense_escape_indicators,
+    dense_farthest_first_net,
     dense_good_turing,
     dense_summaries,
+    dense_verify_net,
     triu_r_grid,
 )
 
@@ -67,18 +78,120 @@ def r_grid_or_error(fn, sample):
         return str(exc)
 
 
+def net_verdict(check, sample, net, r):
+    """None if the check accepts the net, else the error it raised."""
+    try:
+        check(sample, net, r)
+    except ValueError as exc:  # InvalidNetError is a ValueError
+        return type(exc), str(exc)
+    return None
+
+
+def corrupted_nets(net, n, rng):
+    """The net without its last point, with a repeated point, with one
+    non-net point added, and empty."""
+    nets = [net[:-1], net + [net[0]], []]
+    others = np.setdiff1d(np.arange(n), net)
+    if others.size:
+        nets.append(net + [int(rng.choice(others))])
+    return nets
+
+
+def matrix_built(sample):
+    return sample._distances is not None
+
+
+BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
+
+
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS]))
+       BLOCKS, st.booleans())
 @settings(max_examples=150)
-def test_summaries_match_dense_reference(kind, n, seed, block):
-    # Small blocks split even these samples into many row blocks with a
-    # partial last one.
+def test_summaries_match_dense_reference(kind, n, seed, block, prebuilt):
+    # ``dense`` holds the matrix the references read; ``sample`` streams its
+    # blocks, computed by the kernel or, when prebuilt, read from its own
+    # matrix.  Small blocks split even these samples into many row blocks
+    # with a partial last one.
     rng = np.random.default_rng(seed)
-    sample = tie_prone_sample(kind, n, rng)
+    dense = tie_prone_sample(kind, n, rng)
+    sample = Sample(dense.points, dense.space)
+    if prebuilt:
+        sample.distance_matrix()
+    radii = radii_on_ties(dense, rng)
+    d = dense.distance_matrix()
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
-        assert_matches_dense(sample, radii_on_ties(sample, rng))
-    assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, sample)
-    assert sample.diameter() == float(sample.distance_matrix().max())
+        nearest, earlier = dense_summaries(dense)
+        assert np.array_equal(sample.nearest_distances(), nearest)
+        assert np.array_equal(sample.earlier_distances(), earlier)
+        for r in radii:
+            assert good_turing(sample, r) == dense_good_turing(dense, r)
+            assert np.array_equal(escape_indicators(sample, r),
+                                  dense_escape_indicators(dense, r))
+        assert sample.diameter() == float(d.max())
+        i, j = (int(v) for v in rng.integers(n, size=2))
+        assert sample.distance(i, j) == float(d[i, j])
+        assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+        for r in radii:
+            start = int(rng.integers(n))
+            net = farthest_first_net(sample, r, start)
+            assert net == dense_farthest_first_net(dense, r, start)
+            # The greedy net reads rows, the cover check columns: only a
+            # symmetric matrix guarantees a net passes and a corrupted one
+            # fails, but the verdicts always equal the reference's.
+            symmetric = np.array_equal(d, d.T)
+            verdict = net_verdict(verify_net, sample, net, r)
+            assert verdict == net_verdict(dense_verify_net, dense, net, r)
+            assert verdict is None or not symmetric
+            for bad in corrupted_nets(net, n, rng):
+                verdict = net_verdict(verify_net, sample, bad, r)
+                assert verdict == net_verdict(dense_verify_net, dense, bad, r)
+                assert verdict is not None or not symmetric
+    assert matrix_built(sample) == prebuilt
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
+@settings(max_examples=100)
+def test_one_traversal_serves_every_radius(kind, n, seed, block):
+    # Each radius's net is a prefix of one traversal run to the smallest
+    # radius, also at radii equal to a recorded covering radius, where the
+    # per-radius loop stops exactly at d == r.
+    rng = np.random.default_rng(seed)
+    dense = tie_prone_sample(kind, n, rng)
+    sample = Sample(dense.points, dense.space)
+    radii = radii_on_ties(dense, rng)
+    start = int(rng.integers(n))
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+        order, covering = farthest_first_traversal(sample, min(radii), start)
+        assert covering[-1] <= min(radii) < covering[:-1].min(initial=np.inf)
+        for r in radii + [float(c) for c in covering]:
+            net = net_prefix(order, covering, r)
+            assert net == farthest_first_net(sample, r, start)
+            assert net == dense_farthest_first_net(dense, r, start)
+    assert not matrix_built(sample)
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
+@settings(max_examples=60)
+def test_sweep_nets_match_dense_per_radius_nets(kind, n, seed, block):
+    rng = np.random.default_rng(seed)
+    dense = tie_prone_sample(kind, n, rng)
+    sample = Sample(dense.points, dense.space)
+    radii = [r for r in radii_on_ties(dense, rng) if r > 0]
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+        try:
+            reports = w1_report(sample, radii)
+        except ValueError:
+            # An asymmetric matrix only: its greedy net may fail the
+            # column-wise cover check (see above), and its rescaled copy
+            # the symmetry check.
+            d = dense.distance_matrix()
+            assert not np.array_equal(d, d.T)
+            return
+    scale = reports[0].scale
+    normalized = dense.with_distances_scaled(1.0 / scale) if scale != 1.0 else dense
+    for rep in reports:
+        assert list(rep.net_indices) == dense_farthest_first_net(normalized, rep.r / scale)
+    assert not matrix_built(sample)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -87,9 +200,15 @@ def test_summaries_span_several_row_blocks(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1100, 1400))
     assert n * n > 1.1 * samples.SUMMARY_BLOCK_ELEMENTS
-    sample = make_sample(rng.integers(0, 12, size=(n, 2)).astype(float))
-    assert_matches_dense(sample, radii_on_ties(sample, rng))
-    assert default_r_grid(sample) == triu_r_grid(sample)
+    dense = make_sample(rng.integers(0, 12, size=(n, 2)).astype(float))
+    sample = Sample(dense.points, dense.space)
+    assert default_r_grid(sample) == triu_r_grid(dense)
+    r = float(default_r_grid(sample)[3])
+    net = farthest_first_net(sample, r)
+    assert net == dense_farthest_first_net(dense, r)
+    verify_net(sample, net, r)
+    assert not matrix_built(sample)
+    assert_matches_dense(sample, radii_on_ties(dense, rng))
 
 
 def test_points_exactly_at_radius_are_inside():
@@ -110,6 +229,7 @@ def test_near_symmetric_matrix_is_read_row_wise():
                   [1.0 + 1e-12, 0.0, 3.0],
                   [2.0, 3.0, 0.0]])
     sample = Sample(np.arange(3), precomputed(m))
+    assert (sample.distance(0, 1), sample.distance(1, 0)) == (1.0, 1.0 + 1e-12)
     assert list(sample.nearest_distances()) == [1.0, 1.0 + 1e-12, 2.0]
     assert good_turing(sample, 1.0) == pytest.approx(2 / 3)
     assert list(escape_indicators(sample, 1.0)) == [1.0, 1.0, 1.0]
