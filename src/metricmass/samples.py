@@ -5,9 +5,8 @@ Sample order is preserved exactly as ingested; the sequential estimators in
 :mod:`metricmass.estimators` depend on it.
 
 Distances are streamed in row blocks of at most ``SUMMARY_BLOCK_ELEMENTS``
-entries: read from the n x n matrix if something has already built it,
-computed by the space's kernel otherwise.  The time is still O(n^2), but
-the memory is O(n * block).  The matrix itself is built only on request, by
+entries, each computed by the space's kernel.  The time is still O(n^2),
+but the memory is O(n * block).  The matrix itself is built only on request, by
 :meth:`Sample.distance_matrix` (the h search in :mod:`metricmass.separation`
 reads it).
 
@@ -85,9 +84,7 @@ class Sample:
     def distance_rows(self, rows, cols=slice(None)) -> np.ndarray:
         """A new array of the distances from the points ``rows`` to the
         points ``cols`` (each a slice or an index array; every point by
-        default), read from the matrix if it has been built, else computed."""
-        if self._distances is not None:
-            return np.array(self._distances[rows][:, cols])
+        default), computed by the kernel whether or not the matrix is built."""
         return self.space.kernel(self.points[rows], self.points[cols])
 
     def distance(self, i: int, j: int) -> float:

@@ -104,19 +104,15 @@ def matrix_built(sample):
 BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       BLOCKS, st.booleans())
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
 @settings(max_examples=150)
-def test_summaries_match_dense_reference(kind, n, seed, block, prebuilt):
+def test_summaries_match_dense_reference(kind, n, seed, block):
     # ``dense`` holds the matrix the references read; ``sample`` streams its
-    # blocks, computed by the kernel or, when prebuilt, read from its own
-    # matrix.  Small blocks split even these samples into many row blocks
-    # with a partial last one.
+    # blocks from the kernel.  Small blocks split even these samples into
+    # many row blocks with a partial last one.
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
-    if prebuilt:
-        sample.distance_matrix()
     radii = radii_on_ties(dense, rng)
     d = dense.distance_matrix()
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
@@ -146,7 +142,7 @@ def test_summaries_match_dense_reference(kind, n, seed, block, prebuilt):
                 verdict = net_verdict(verify_net, sample, bad, r)
                 assert verdict == net_verdict(dense_verify_net, dense, bad, r)
                 assert verdict is not None or not symmetric
-    assert matrix_built(sample) == prebuilt
+    assert not matrix_built(sample)
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
