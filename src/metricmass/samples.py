@@ -12,10 +12,15 @@ reads it).
 
 Each sample also computes, once, two radius-free summaries of its distances:
 every point's distance to its nearest other point and to its nearest
-earlier point in sample order.  They are filled, with the diameter, in one
-blocked pass on first use, so the Good-Turing estimate and the escape
-indicators at any further radius cost O(n), and all radii of a sweep share
-that one pass.
+earlier point in sample order.  One blocked pass over the upper triangle,
+d(i, j) with i < j, fills them with the diameter on first use: every kernel
+is exactly symmetric, so column j's minimum is point j's earlier distance,
+and a point's nearest distance is the smaller of that and the minimum of its
+own row.  The same pass can also pack the positive distances it reads, which
+:meth:`Sample.upper_distances` returns for the default radius grid.  So the
+grid, the diameter, the Good-Turing estimate and the escape indicators at
+every radius share one pass over half the pairs, and each further radius
+costs O(n).
 """
 from __future__ import annotations
 
@@ -39,6 +44,10 @@ from .spaces import (
 # Elements per row block of distances, which bounds the temporaries of
 # every blocked pass.
 SUMMARY_BLOCK_ELEMENTS = 1 << 20
+# Rows per block of the upper-triangle pass.  Each block also computes the
+# square below its part of the diagonal and discards it; short blocks keep
+# that waste near n * SUMMARY_BLOCK_ROWS / 2 entries in all.
+SUMMARY_BLOCK_ROWS = 64
 
 
 class InvalidNetError(ValueError):
@@ -109,27 +118,44 @@ class Sample:
             self._summarize()
         return self._earlier
 
-    def _summarize(self) -> None:
-        # Row-wise minima only: a precomputed matrix is only allclose-
-        # symmetric, and the estimators read row i as point i's distances.
+    def upper_distances(self) -> np.ndarray:
+        """A new array of the positive distances d(i, j), i < j, packed row
+        by row.  The pass that packs them also fills the summaries, so
+        asking for these first leaves nothing to compute for the rest."""
+        return self._summarize(pack=True)
+
+    def _summarize(self, pack: bool = False) -> np.ndarray:
         n = self.n
-        nearest = np.empty(n)
-        earlier = np.empty(n)
-        blocks = row_blocks(n, n)
-        tops = np.empty(len(blocks))
-        cols = np.arange(n)
-        for k, rows in enumerate(blocks):
-            block = self.distance_rows(rows)
-            tops[k] = block.max()
-            idx = cols[rows]
-            block[idx - rows.start, idx] = np.inf
-            nearest[rows] = block.min(axis=1)
-            block[cols[None, :] > idx[:, None]] = np.inf
-            earlier[rows] = block.min(axis=1)
+        row_min = np.empty(n)
+        earlier = np.full(n, np.inf)
+        diameter = 0.0
+        packed = np.empty(n * (n - 1) // 2 if pack else 0)
+        filled = 0
+        step = max(1, min(SUMMARY_BLOCK_ROWS, SUMMARY_BLOCK_ELEMENTS // max(n, 1)))
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            block = self.distance_rows(rows, slice(start, None))
+            diameter = max(diameter, float(block.max()))
+            # In the block's leading square, the diagonal pairs each point
+            # with itself, and the entries below it repeat pairs read above.
+            square = block[:, :block.shape[0]]
+            below = np.tri(block.shape[0], dtype=bool)
+            if pack:
+                square[below] = 0.0
+                kept = block[block > 0]
+                packed[filled:filled + kept.size] = kept
+                filled += kept.size
+                del kept
+            square[below] = np.inf
+            row_min[rows] = block.min(axis=1)
+            np.minimum(earlier[start:], block.min(axis=0), out=earlier[start:])
+            # Freed before the next block is computed.
+            del block, square
+        nearest = np.minimum(row_min, earlier)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
-        self._nearest, self._earlier = nearest, earlier
-        self._diameter = float(tops.max()) if n else 0.0
+        self._nearest, self._earlier, self._diameter = nearest, earlier, diameter
+        return packed[:filled]
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""

@@ -48,7 +48,6 @@ LOWER_BOUND = "lower_bound"
 
 BRUTE_FORCE = "brute_force"
 CLIQUE_RELAXATION = "clique_relaxation"
-PACKING_CAP = "packing_cap"
 
 DEFAULT_CAP = 8
 MEB_FEASIBILITY_RTOL = 1e-9

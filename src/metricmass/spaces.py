@@ -12,9 +12,13 @@ d : X x X -> [0, inf) satisfying d(x, x) = 0.  Five kinds are supported:
                         under the L_p norm
 
 All built-in kinds are true metrics.  A precomputed matrix is only required
-to be symmetric, non-negative and zero on the diagonal; callers supplying
-one are responsible for the triangle inequality where an algorithm's
-certificate depends on it (see :mod:`metricmass.separation`).
+to be symmetric to within ``np.allclose``, non-negative and zero on the
+diagonal; callers supplying one are responsible for the triangle inequality
+where an algorithm's certificate depends on it (see
+:mod:`metricmass.separation`).  It is stored symmetrised, as (m + m^T) / 2,
+which leaves an exactly symmetric matrix unchanged.  Every kernel is thus
+exactly symmetric: d(x, y) and d(y, x) are the same float, so a pass over
+the upper triangle reads every distance.
 """
 from __future__ import annotations
 
@@ -153,7 +157,7 @@ def precomputed(matrix) -> MetricSpace:
         raise ValueError("distance matrix must be symmetric")
     if m.min() < 0:
         raise ValueError("distance matrix must be non-negative")
-    return MetricSpace(PRECOMPUTED, dim=None, matrix=m)
+    return MetricSpace(PRECOMPUTED, dim=None, matrix=(m + m.T) / 2)
 
 
 def scaled_indicator(p: float) -> MetricSpace:

@@ -24,9 +24,10 @@ import numpy as np
 
 from .estimators import martingale_upper_bound
 from .oracles import conditional_missing_masses
-from .samples import Sample, farthest_first_traversal, net_prefix, row_blocks, verify_net
+from .samples import Sample, farthest_first_traversal, net_prefix, verify_net
 
 DIAMETER_MARGIN = 1.05
+DIAMETER_ERROR = "upper bounds need diameter <= 1; rescale the sample"
 
 
 @dataclass(frozen=True)
@@ -79,18 +80,13 @@ def w1_upper_bounds(sample: Sample, r: float, net, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if sample.diameter() > 1.0:
-        raise ValueError("upper bounds need diameter <= 1; rescale the sample")
+        raise ValueError(DIAMETER_ERROR)
     verify_net(sample, net, r)
     n = sample.n
     m = len(net)
     if m > (n - 3) / 2:
         raise ValueError(f"net size {m} exceeds (n - 3)/2 = {(n - 3) / 2:.1f}")
-    ratio = math.sqrt(m / (n - m))
-    upper_b = min(1.0, 3.0 * r + 3.0 * ratio * (1.0 + math.sqrt(math.log(2.0 * n / delta))))
-    upper_a = None
-    if mhat_upper is not None:
-        upper_a = min(1.0, mhat_upper + 3.0 * r
-                      + 2.0 * ratio * (1.0 + math.sqrt(math.log(n / delta))))
+    upper_a, upper_b = _net_upper_bounds(n, m, r, delta, mhat_upper)
     lower = w1_lower_bound(mhat_upper, r) if mhat_upper is not None else 0.0
     return WassersteinReport(r=r, m=m, delta=delta, lower=lower,
                              upper_a=upper_a, upper_b=upper_b,
@@ -98,24 +94,26 @@ def w1_upper_bounds(sample: Sample, r: float, net, delta: float,
                              mhat=mhat_upper)
 
 
+def _net_upper_bounds(n: int, m: int, r: float, delta: float,
+                      mhat_upper: float | None) -> tuple[float | None, float]:
+    """(upper_a, upper_b) for a verified r-net of size m <= (n - 3)/2 of a
+    sample of diameter at most one; upper_a is None without ``mhat_upper``."""
+    ratio = math.sqrt(m / (n - m))
+    upper_b = min(1.0, 3.0 * r + 3.0 * ratio * (1.0 + math.sqrt(math.log(2.0 * n / delta))))
+    upper_a = None
+    if mhat_upper is not None:
+        upper_a = min(1.0, mhat_upper + 3.0 * r
+                      + 2.0 * ratio * (1.0 + math.sqrt(math.log(n / delta))))
+    return upper_a, upper_b
+
+
 def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     """Logarithmic grid between the 1st percentile and the median of the
     positive pairwise distances."""
-    n = sample.n
-    # The positive upper-triangle distances, packed row by row into one
-    # buffer.  Both calls take order statistics, which do not depend on the
-    # order the values landed in, so they may partition it in place.
-    vals = np.empty(n * (n - 1) // 2)
-    filled = 0
-    for rows in row_blocks(n, n):
-        # Unnamed, so each block is freed before the next one is computed.
-        for k, row in enumerate(sample.distance_rows(rows, slice(rows.start + 1, None))):
-            row = row[k:]
-            row = row[row > 0]
-            vals[filled:filled + row.size] = row
-            filled += row.size
-    vals = vals[:filled]
-    if filled == 0:
+    # Both calls take order statistics, which do not depend on the order
+    # the values landed in, so they may partition the one buffer in place.
+    vals = sample.upper_distances()
+    if vals.size == 0:
         raise ValueError("sample has no positive pairwise distance; supply a grid")
     lo = float(np.percentile(vals, 1, overwrite_input=True))
     hi = float(np.median(vals, overwrite_input=True))
@@ -136,7 +134,8 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     certificate.  Radii whose net violates m <= (n - 3)/2 report no upper
     bounds.  All fields are in the sample's original distance units; the
     normalization constant applied for the diameter-1 hypothesis is echoed
-    as ``scale``.
+    as ``scale``.  That hypothesis is checked once, from the sample's cached
+    diameter, and each net is verified before its bounds are computed.
 
     ``seed`` is the sweep's root seed.  The Monte Carlo oracle draws its
     test points from the child stream ``[seed, 1]``, so they stay
@@ -157,6 +156,8 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
         scale = 1.0  # the discrete metric has true diameter exactly 1
     else:
         scale = diameter * margin if diameter > 0 else 1.0
+    if diameter / scale > 1.0:
+        raise ValueError(DIAMETER_ERROR)
     normalized = sample.with_distances_scaled(1.0 / scale) if scale != 1.0 else sample
 
     delta_r = delta / len(r_grid)
@@ -183,10 +184,10 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
         lower = w1_lower_bound(mhat_lo, r)
         upper_a = upper_b = None
         if m <= (n - 3) / 2:
-            rep = w1_upper_bounds(normalized, r / scale, net, delta_r,
-                                  mhat_upper=mhat_hi)
-            upper_a = rep.upper_a * scale
-            upper_b = rep.upper_b * scale
+            verify_net(normalized, net, r / scale)
+            upper_a, upper_b = _net_upper_bounds(n, m, r / scale, delta_r, mhat_hi)
+            upper_a *= scale
+            upper_b *= scale
         reports.append(WassersteinReport(
             r=r, m=m, delta=delta_r, lower=lower, upper_a=upper_a,
             upper_b=upper_b, net_indices=tuple(int(i) for i in net),

@@ -59,6 +59,13 @@ def test_precomputed_lookup_and_range():
         space.as_points([0, 2])
 
 
+def test_precomputed_stores_symmetric_matrix_unchanged():
+    m = np.random.default_rng(0).uniform(size=(9, 9))
+    m = m + m.T
+    np.fill_diagonal(m, 0.0)
+    assert np.array_equal(precomputed(m).matrix, m)
+
+
 def test_dimension_mismatch():
     space = euclidean(2)
     with pytest.raises(DimensionError):

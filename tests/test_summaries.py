@@ -2,6 +2,7 @@
 cached nearest and earlier-nearest distances, the estimators read from
 them, the diameter, the radius grid, farthest-first nets and net checks)
 against dense references read from the whole matrix."""
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -61,14 +62,17 @@ def radii_on_ties(sample, rng, count=4):
     return [0.0, 0.5, 1.0] + [float(v) for v in rng.choice(d.ravel(), size=count)]
 
 
-def assert_matches_dense(sample, radii):
-    nearest, earlier = dense_summaries(sample)
+def assert_matches_dense(sample, radii, dense=None):
+    """The sample's summaries and estimates against references read from
+    the matrix of ``dense`` (by default the sample itself)."""
+    dense = sample if dense is None else dense
+    nearest, earlier = dense_summaries(dense)
     assert np.array_equal(sample.nearest_distances(), nearest)
     assert np.array_equal(sample.earlier_distances(), earlier)
     for r in radii:
-        assert good_turing(sample, r) == dense_good_turing(sample, r)
+        assert good_turing(sample, r) == dense_good_turing(dense, r)
         assert np.array_equal(escape_indicators(sample, r),
-                              dense_escape_indicators(sample, r))
+                              dense_escape_indicators(dense, r))
 
 
 def r_grid_or_error(fn, sample):
@@ -102,11 +106,20 @@ def matrix_built(sample):
 
 
 BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
+ROWS = st.sampled_from([1, 2, 5, samples.SUMMARY_BLOCK_ROWS])
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
+@contextmanager
+def small_blocks(block, rows):
+    """Patch the elements and the rows per block of the upper-triangle pass."""
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
+            mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows):
+        yield
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
 @settings(max_examples=150)
-def test_summaries_match_dense_reference(kind, n, seed, block):
+def test_summaries_match_dense_reference(kind, n, seed, block, rows):
     # ``dense`` holds the matrix the references read; ``sample`` streams its
     # blocks from the kernel.  Small blocks split even these samples into
     # many row blocks with a partial last one.
@@ -115,7 +128,7 @@ def test_summaries_match_dense_reference(kind, n, seed, block):
     sample = Sample(dense.points, dense.space)
     radii = radii_on_ties(dense, rng)
     d = dense.distance_matrix()
-    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+    with small_blocks(block, rows):
         nearest, earlier = dense_summaries(dense)
         assert np.array_equal(sample.nearest_distances(), nearest)
         assert np.array_equal(sample.earlier_distances(), earlier)
@@ -131,17 +144,37 @@ def test_summaries_match_dense_reference(kind, n, seed, block):
             start = int(rng.integers(n))
             net = farthest_first_net(sample, r, start)
             assert net == dense_farthest_first_net(dense, r, start)
-            # The greedy net reads rows, the cover check columns: only a
-            # symmetric matrix guarantees a net passes and a corrupted one
-            # fails, but the verdicts always equal the reference's.
-            symmetric = np.array_equal(d, d.T)
+            # Every kernel is exactly symmetric, so the net, read by rows,
+            # passes the cover check, read by columns, and a corrupted one
+            # fails; the verdicts equal the reference's.
             verdict = net_verdict(verify_net, sample, net, r)
+            assert verdict is None
             assert verdict == net_verdict(dense_verify_net, dense, net, r)
-            assert verdict is None or not symmetric
             for bad in corrupted_nets(net, n, rng):
                 verdict = net_verdict(verify_net, sample, bad, r)
+                assert verdict is not None
                 assert verdict == net_verdict(dense_verify_net, dense, bad, r)
-                assert verdict is not None or not symmetric
+    assert not matrix_built(sample)
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@settings(max_examples=150)
+def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows):
+    # The CLI's order: the radius grid's pass packs the positive distances
+    # and fills the summaries on the way, so reading them costs no pass.
+    rng = np.random.default_rng(seed)
+    dense = tie_prone_sample(kind, n, rng)
+    sample = Sample(dense.points, dense.space)
+    radii = radii_on_ties(dense, rng)
+    d = dense.distance_matrix()
+    upper = d[np.triu_indices(n, k=1)]
+    with small_blocks(block, rows):
+        assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+        with mock.patch.object(Sample, "_summarize",
+                               side_effect=AssertionError("a second pass")):
+            assert_matches_dense(sample, radii, dense)
+            assert sample.diameter() == float(d.max())
+        assert np.array_equal(np.sort(sample.upper_distances()), np.sort(upper[upper > 0]))
     assert not matrix_built(sample)
 
 
@@ -166,23 +199,15 @@ def test_one_traversal_serves_every_radius(kind, n, seed, block):
     assert not matrix_built(sample)
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
 @settings(max_examples=60)
-def test_sweep_nets_match_dense_per_radius_nets(kind, n, seed, block):
+def test_sweep_nets_match_dense_per_radius_nets(kind, n, seed, block, rows):
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
     radii = [r for r in radii_on_ties(dense, rng) if r > 0]
-    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
-        try:
-            reports = w1_report(sample, radii)
-        except ValueError:
-            # An asymmetric matrix only: its greedy net may fail the
-            # column-wise cover check (see above), and its rescaled copy
-            # the symmetry check.
-            d = dense.distance_matrix()
-            assert not np.array_equal(d, d.T)
-            return
+    with small_blocks(block, rows):
+        reports = w1_report(sample, radii)
     scale = reports[0].scale
     normalized = dense.with_distances_scaled(1.0 / scale) if scale != 1.0 else dense
     for rep in reports:
@@ -218,18 +243,37 @@ def test_points_exactly_at_radius_are_inside():
     assert list(escape_indicators(sample, 1.5)) == [1.0, 0.0, 1.0, 1.0]
 
 
-def test_near_symmetric_matrix_is_read_row_wise():
-    # d(1, 0) exceeds d(0, 1) by 1e-12: at r = d(0, 1) point 1 is isolated
-    # and escapes by its own row, though not by its column.
+def test_near_symmetric_matrix_is_read_symmetrised():
+    # The input's d(1, 0) exceeds its d(0, 1) by 1e-12.  The space stores
+    # their average, which both orders read, so points 0 and 1 are isolated
+    # together or not at all.
     m = np.array([[0.0, 1.0, 2.0],
                   [1.0 + 1e-12, 0.0, 3.0],
                   [2.0, 3.0, 0.0]])
     sample = Sample(np.arange(3), precomputed(m))
-    assert (sample.distance(0, 1), sample.distance(1, 0)) == (1.0, 1.0 + 1e-12)
-    assert list(sample.nearest_distances()) == [1.0, 1.0 + 1e-12, 2.0]
-    assert good_turing(sample, 1.0) == pytest.approx(2 / 3)
+    mid = (1.0 + (1.0 + 1e-12)) / 2
+    assert sample.distance(0, 1) == sample.distance(1, 0) == mid
+    assert list(sample.nearest_distances()) == [mid, mid, 2.0]
+    assert good_turing(sample, 1.0) == 1.0
+    assert good_turing(sample, mid) == pytest.approx(1 / 3)
     assert list(escape_indicators(sample, 1.0)) == [1.0, 1.0, 1.0]
-    assert_matches_dense(sample, [1.0, 1.0 + 1e-12, 2.0])
+    assert list(escape_indicators(sample, mid)) == [1.0, 0.0, 1.0]
+    assert_matches_dense(sample, [1.0, mid, 2.0])
+
+
+def test_sweep_nets_on_near_symmetric_matrix_pass_their_check():
+    # The hypothesis case (precomputed, n = 6, seed 0) where the greedy net,
+    # read by rows, failed the cover check, read by columns, of the input's
+    # transpose.
+    rng = np.random.default_rng(0)
+    dense = tie_prone_sample("precomputed", 6, rng)
+    radii = [r for r in radii_on_ties(dense, rng) if r > 0]
+    sample = Sample(dense.points, dense.space)
+    reports = w1_report(sample, radii)
+    scale = reports[0].scale
+    normalized = sample.with_distances_scaled(1.0 / scale)
+    for rep in reports:
+        verify_net(normalized, list(rep.net_indices), rep.r / scale)
 
 
 @given(st.sampled_from(KINDS), st.integers(2, 30), st.integers(0, 2 ** 32 - 1))

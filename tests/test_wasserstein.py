@@ -151,3 +151,9 @@ def test_upper_b_never_below_3r():
     for rep in reports:
         if rep.upper_b is not None:
             assert rep.upper_b >= 3 * rep.r * 0.999 or rep.upper_b == 1.0 * rep.scale
+
+
+def test_report_rejects_margin_below_one():
+    # The sweep's scale would leave the normalized diameter above one.
+    with pytest.raises(ValueError, match="diameter <= 1"):
+        w1_report(unit_sample(50), [0.05, 0.1], margin=0.9)
