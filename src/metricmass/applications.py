@@ -43,7 +43,7 @@ class ProximityClassifier:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be non-negative")
         if self.training.n < 1:
             raise ValueError("training sample must be non-empty")
@@ -122,7 +122,7 @@ def coding_report(sample: Sample, epsilon: float, delta: float,
     is declared the expected reconstruction error is bounded by
     diameter * exceedance + epsilon.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -135,7 +135,7 @@ def coding_report(sample: Sample, epsilon: float, delta: float,
         codebook = tuple(range(sample.n))
     expected = None
     if diameter is not None:
-        if diameter <= 0:
+        if not diameter > 0:
             raise ValueError("declared diameter must be positive")
         expected = diameter * bound.value + epsilon
     return CodingReport(codebook=codebook, epsilon=epsilon,

@@ -81,7 +81,7 @@ def tail_bound_G(e_h: float, n: int, t: float) -> BoundReport:
     """Deviation threshold 12 sqrt((1 + E_h) t / n) + 23 t / sqrt(n) for
     |G - E[G]|, exceeded with probability at most min(1, 15 e^-t)."""
     _check_eh(e_h)
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     warnings = _small_n_warnings(n)
     threshold = 12.0 * math.sqrt((1.0 + e_h) * t / n) + 23.0 * t / math.sqrt(n)
@@ -96,7 +96,7 @@ def tail_bound_Mhat(e_h: float, n: int, t: float) -> BoundReport:
     """Deviation threshold 12 sqrt(E_h t / n) + 37 t / sqrt(n-1) for
     |M_hat - E[M_hat]|, exceeded with probability at most min(1, 2n e^-t)."""
     _check_eh(e_h)
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     warnings = _small_n_warnings(n)
     threshold = 12.0 * math.sqrt(e_h * t / n) + 37.0 * t / math.sqrt(n - 1)

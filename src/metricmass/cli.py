@@ -228,7 +228,7 @@ def cmd_wasserstein(args) -> int:
             grid = default_r_grid(sample)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if not grid or any(r <= 0 for r in grid):
+    if not grid or any(not r > 0 for r in grid):
         raise UsageError("radius grid must be non-empty and positive")
 
     delta = float(args.delta if args.delta is not None else cfg.get("delta", 0.1))

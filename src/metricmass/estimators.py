@@ -56,7 +56,7 @@ class Estimate:
             raise ValueError("estimate value must lie in [0, 1]")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.radius is not None and self.radius < 0.0:
+        if self.radius is not None and not self.radius >= 0.0:
             raise ValueError("radius must be non-negative")
 
     def to_dict(self) -> dict:
@@ -77,7 +77,7 @@ def _check_delta(delta: float) -> None:
 
 
 def _check_sample(sample: Sample, r: float) -> None:
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     if sample.n < 1:
         raise ValueError("sample must be non-empty")

@@ -170,7 +170,7 @@ def conditional_missing_masses(spec, sample: Sample, radii,
     branch draws its n_test points once and scores every radius on them,
     which gives each radius exactly the estimate of a one-radius call with
     the same seed."""
-    if any(r < 0 for r in radii):
+    if any(not r >= 0 for r in radii):
         raise ValueError("radius must be non-negative")
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
@@ -196,7 +196,7 @@ def smoothed_oracle_H(spec, sample: Sample, r: float,
     Sandwiched between the conditional missing mass and the same plus 1/n;
     its expectation equals that of the Good-Turing estimate.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     n = sample.n
     if n < 1:
@@ -223,7 +223,7 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     if is_finite_support(spec):
         w = spec.atom_weights()

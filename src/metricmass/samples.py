@@ -16,11 +16,18 @@ earlier point in sample order.  One blocked pass over the upper triangle,
 d(i, j) with i < j, fills them with the diameter on first use: every kernel
 is exactly symmetric, so column j's minimum is point j's earlier distance,
 and a point's nearest distance is the smaller of that and the minimum of its
-own row.  The same pass can also pack the positive distances it reads, which
-:meth:`Sample.upper_distances` returns for the default radius grid.  So the
-grid, the diameter, the Good-Turing estimate and the escape indicators at
-every radius share one pass over half the pairs, and each further radius
-costs O(n).
+own row.  So the diameter, the Good-Turing estimate and the escape
+indicators at every radius share one pass over half the pairs, and each
+further radius costs O(n).
+
+Order statistics of the positive distances d(i, j), i < j, such as the
+default radius grid's percentile and median, take two passes and hold no
+n(n - 1)/2 buffer.  The summary pass, run with ``histogram=True``, also
+counts the positive distances per bucket, the bucket being the top 16 bits
+of the float64 bit pattern; for non-negative doubles that order is the
+order of the values.  :meth:`Sample.pair_order_statistics` then finds the
+bucket of each wanted rank from the cumulative counts, and a second pass
+keeps only the distances in those buckets and sorts them.
 """
 from __future__ import annotations
 
@@ -48,6 +55,9 @@ SUMMARY_BLOCK_ELEMENTS = 1 << 20
 # square below its part of the diagonal and discards it; short blocks keep
 # that waste near n * SUMMARY_BLOCK_ROWS / 2 entries in all.
 SUMMARY_BLOCK_ROWS = 64
+# A distance's bucket is its float64 bit pattern shifted right by this many
+# bits: the sign, the exponent and the four leading mantissa bits.
+BUCKET_SHIFT = 48
 
 
 class InvalidNetError(ValueError):
@@ -79,6 +89,7 @@ class Sample:
         self._nearest: np.ndarray | None = None
         self._earlier: np.ndarray | None = None
         self._diameter: float | None = None
+        self._buckets: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -118,44 +129,87 @@ class Sample:
             self._summarize()
         return self._earlier
 
-    def upper_distances(self) -> np.ndarray:
-        """A new array of the positive distances d(i, j), i < j, packed row
-        by row.  The pass that packs them also fills the summaries, so
-        asking for these first leaves nothing to compute for the rest."""
-        return self._summarize(pack=True)
+    def positive_pair_count(self) -> int:
+        """The number of pairs i < j at a positive distance."""
+        return int(self._bucket_counts().sum())
 
-    def _summarize(self, pack: bool = False) -> np.ndarray:
+    def pair_order_statistics(self, ranks) -> np.ndarray:
+        """The positive distances d(i, j), i < j, at the given ranks (0 the
+        smallest), one per rank, by a pass that keeps only the distances in
+        the ranks' buckets."""
+        counts = self._bucket_counts()
+        ranks = np.asarray(ranks, dtype=np.int64)
+        if ranks.size and not 0 <= ranks.min() <= ranks.max() < counts.sum():
+            raise IndexError("rank out of range of the positive pair distances")
+        ends = np.cumsum(counts)
+        buckets = np.searchsorted(ends, ranks, side="right")
+        wanted = np.unique(buckets)
+        keep = np.zeros(counts.size, dtype=bool)
+        keep[wanted] = True
+        values = np.empty(int(counts[wanted].sum()))
+        filled = 0
+        for _, block in self._upper_blocks():
+            found = block[keep[block.view(np.int64) >> BUCKET_SHIFT]]
+            found = found[found > 0]
+            values[filled:filled + found.size] = found
+            filled += found.size
+            del block
+        values.sort()
+        # Each wanted bucket's values are a run of ``values``; a rank's
+        # position is its offset in its bucket plus the runs before it.
+        runs = np.cumsum(counts[wanted]) - counts[wanted]
+        offsets = ranks - (ends[buckets] - counts[buckets])
+        return values[runs[np.searchsorted(wanted, buckets)] + offsets]
+
+    def _bucket_counts(self) -> np.ndarray:
+        if self._buckets is None:
+            self._summarize(histogram=True)
+        return self._buckets
+
+    def _upper_blocks(self):
+        """(start, block) per row block of the upper triangle: the
+        distances from the rows start:start + len(block) to every point
+        from start on.  The diagonal of the block's leading square and the
+        entries below it, which pair a point with itself or repeat a pair
+        read above, are set to zero."""
+        n = self.n
+        step = max(1, min(SUMMARY_BLOCK_ROWS, SUMMARY_BLOCK_ELEMENTS // max(n, 1)))
+        for start in range(0, n, step):
+            block = self.distance_rows(slice(start, min(start + step, n)), slice(start, None))
+            height = block.shape[0]
+            block[:, :height][np.tri(height, dtype=bool)] = 0.0
+            yield start, block
+            # Freed before the next block is computed.
+            del block
+
+    def _summarize(self, histogram: bool = False) -> None:
         n = self.n
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
         diameter = 0.0
-        packed = np.empty(n * (n - 1) // 2 if pack else 0)
-        filled = 0
-        step = max(1, min(SUMMARY_BLOCK_ROWS, SUMMARY_BLOCK_ELEMENTS // max(n, 1)))
-        for start in range(0, n, step):
-            rows = slice(start, min(start + step, n))
-            block = self.distance_rows(rows, slice(start, None))
-            diameter = max(diameter, float(block.max()))
-            # In the block's leading square, the diagonal pairs each point
-            # with itself, and the entries below it repeat pairs read above.
-            square = block[:, :block.shape[0]]
-            below = np.tri(block.shape[0], dtype=bool)
-            if pack:
-                square[below] = 0.0
-                kept = block[block > 0]
-                packed[filled:filled + kept.size] = kept
-                filled += kept.size
-                del kept
-            square[below] = np.inf
-            row_min[rows] = block.min(axis=1)
+        counts = np.zeros(1 << (63 - BUCKET_SHIFT), dtype=np.int64) if histogram else None
+        for start, block in self._upper_blocks():
+            top = float(block.max())
+            if not np.isfinite(top):
+                raise ValueError("pairwise distances must be finite")
+            diameter = max(diameter, top)
+            if histogram:
+                counts += np.bincount((block.view(np.int64) >> BUCKET_SHIFT).ravel(),
+                                      minlength=counts.size)
+                # Zeros land in bucket 0 with the smallest subnormals.
+                counts[0] -= block.size - np.count_nonzero(block)
+            height = block.shape[0]
+            block[:, :height][np.tri(height, dtype=bool)] = np.inf
+            row_min[start:start + height] = block.min(axis=1)
             np.minimum(earlier[start:], block.min(axis=0), out=earlier[start:])
-            # Freed before the next block is computed.
-            del block, square
+            del block
         nearest = np.minimum(row_min, earlier)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
         self._nearest, self._earlier, self._diameter = nearest, earlier, diameter
-        return packed[:filled]
+        if histogram:
+            counts.flags.writeable = False
+            self._buckets = counts
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""
@@ -165,7 +219,7 @@ class Sample:
 
     def with_distances_scaled(self, factor: float) -> "Sample":
         """A copy whose every pairwise distance is multiplied by ``factor``."""
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError("scale factor must be positive")
         sp = self.space
         if sp.kind in (EUCLIDEAN, LP):
@@ -256,12 +310,18 @@ def is_r_separated(sample: Sample, indices, r: float) -> bool:
     idx = np.asarray(indices, dtype=int)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    positions = np.arange(idx.size)
+    return bool((_earlier_pick_distances(sample, idx)[1:] > r).all())
+
+
+def _earlier_pick_distances(sample: Sample, idx: np.ndarray) -> np.ndarray:
+    """Per position b, the distance from idx[b] to the nearest of idx[:b]
+    (inf at 0), by one blocked pass over the upper triangle of idx x idx."""
+    earlier = np.full(idx.size, np.inf)
     for rows in row_blocks(idx.size, idx.size):
-        block = sample.distance_rows(idx[rows], idx)
-        if not (block[positions[None, :] > positions[rows, None]] > r).all():
-            return False
-    return True
+        block = sample.distance_rows(idx[rows], idx[rows.start:])
+        block[np.tri(*block.shape, dtype=bool)] = np.inf
+        np.minimum(earlier[rows.start:], block.min(axis=0), out=earlier[rows.start:])
+    return earlier
 
 
 def farthest_first_traversal(sample: Sample, r: float,
@@ -276,7 +336,7 @@ def farthest_first_traversal(sample: Sample, r: float,
         raise ValueError("sample must be non-empty")
     if not 0 <= seed_index < sample.n:
         raise ValueError("seed index out of range")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     order = [seed_index]
     covering = []
@@ -309,11 +369,46 @@ def farthest_first_net(sample: Sample, r: float, seed_index: int = 0) -> list[in
 
 def verify_net(sample: Sample, net, r: float) -> None:
     """Raise InvalidNetError unless ``net`` is r-separated and covers the sample."""
-    idx = np.asarray(net, dtype=int)
-    if idx.size == 0:
-        raise InvalidNetError("net is empty")
-    if not is_r_separated(sample, idx, r):
-        raise InvalidNetError("net is not r-separated")
-    for rows in row_blocks(sample.n, idx.size):
-        if (sample.distance_rows(rows, idx).min(axis=1) > r).any():
-            raise InvalidNetError("net does not cover the sample at radius r")
+    error = prefix_net_errors(sample, net, [(len(net), r)])[0]
+    if error is not None:
+        raise error
+
+
+def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
+    """For each (k, r) in ``checks``, the error :func:`verify_net` raises
+    on the net ``order[:k]`` at radius r, or None if that net passes.
+
+    One blocked pass over the distances from every point to ``order[:K]``,
+    K the largest k, gives each prefix's covering radius by running minima
+    along the order; one over the upper triangle of ``order[:K]`` gives,
+    per position, the distance to the nearest earlier pick, whose running
+    minimum is each prefix's separation."""
+    checks = [(int(k), float(r)) for k, r in checks]
+    if any(not r >= 0 for _, r in checks):
+        raise ValueError("radius must be non-negative")
+    width = max((k for k, _ in checks), default=0)
+    idx = np.asarray(order, dtype=int)[:width]
+    if idx.size < width:
+        raise ValueError("prefix longer than the order")
+    _, first = np.unique(idx, return_index=True)
+    repeats = np.setdiff1d(np.arange(width), first)
+    distinct = int(repeats[0]) if repeats.size else width
+    cover = np.zeros(width)
+    for rows in row_blocks(sample.n, width):
+        block = sample.distance_rows(rows, idx)
+        np.minimum.accumulate(block, axis=1, out=block)
+        np.maximum(cover, block.max(axis=0), out=cover)
+    separation = np.minimum.accumulate(_earlier_pick_distances(sample, idx))
+    errors = []
+    for k, r in checks:
+        if k == 0:
+            errors.append(InvalidNetError("net is empty"))
+        elif k > distinct:
+            errors.append(ValueError("indices must be distinct"))
+        elif k > 1 and not separation[k - 1] > r:
+            errors.append(InvalidNetError("net is not r-separated"))
+        elif cover[k - 1] > r:
+            errors.append(InvalidNetError("net does not cover the sample at radius r"))
+        else:
+            errors.append(None)
+    return errors

@@ -125,7 +125,7 @@ def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]
     """Distance matrix and the adjacency of r < d <= 2r, closed at 2r."""
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     d = sample.distance_matrix()
     adj = (d > r) & (d <= 2.0 * r)

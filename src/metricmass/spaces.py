@@ -12,13 +12,13 @@ d : X x X -> [0, inf) satisfying d(x, x) = 0.  Five kinds are supported:
                         under the L_p norm
 
 All built-in kinds are true metrics.  A precomputed matrix is only required
-to be symmetric to within ``np.allclose``, non-negative and zero on the
-diagonal; callers supplying one are responsible for the triangle inequality
-where an algorithm's certificate depends on it (see
+to be finite, symmetric to within ``np.allclose``, non-negative and zero on
+the diagonal; callers supplying one are responsible for the triangle
+inequality where an algorithm's certificate depends on it (see
 :mod:`metricmass.separation`).  It is stored symmetrised, as (m + m^T) / 2,
-which leaves an exactly symmetric matrix unchanged.  Every kernel is thus
-exactly symmetric: d(x, y) and d(y, x) are the same float, so a pass over
-the upper triangle reads every distance.
+which leaves an exactly symmetric matrix unchanged, and with every -0.0
+read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
+are the same float, so a pass over the upper triangle reads every distance.
 """
 from __future__ import annotations
 
@@ -151,13 +151,17 @@ def precomputed(matrix) -> MetricSpace:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("distance matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("distance matrix entries must be finite")
     if not np.allclose(np.diag(m), 0.0):
         raise ValueError("distance matrix must have a zero diagonal")
     if not np.allclose(m, m.T):
         raise ValueError("distance matrix must be symmetric")
     if m.min() < 0:
         raise ValueError("distance matrix must be non-negative")
-    return MetricSpace(PRECOMPUTED, dim=None, matrix=(m + m.T) / 2)
+    # Adding 0.0 turns -0.0, whose sign bit would make a negative bucket key
+    # in the samples' distance counts, into +0.0 and leaves the rest as is.
+    return MetricSpace(PRECOMPUTED, dim=None, matrix=(m + m.T) / 2 + 0.0)
 
 
 def scaled_indicator(p: float) -> MetricSpace:
@@ -168,6 +172,6 @@ def scaled_indicator(p: float) -> MetricSpace:
 
 def ball_contains(space: MetricSpace, center, r: float, y) -> bool:
     """Whether y lies in the closed ball B(center, r) = {y : d(center, y) <= r}."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     return space.distance(center, y) <= r

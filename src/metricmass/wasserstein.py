@@ -24,7 +24,13 @@ import numpy as np
 
 from .estimators import martingale_upper_bound
 from .oracles import conditional_missing_masses
-from .samples import Sample, farthest_first_traversal, net_prefix, verify_net
+from .samples import (
+    Sample,
+    farthest_first_traversal,
+    net_prefix,
+    prefix_net_errors,
+    verify_net,
+)
 
 DIAMETER_MARGIN = 1.05
 DIAMETER_ERROR = "upper bounds need diameter <= 1; rescale the sample"
@@ -43,7 +49,7 @@ class WassersteinReport:
     mhat: float | None = None
 
     def __post_init__(self):
-        if self.lower < 0 or self.r < 0:
+        if not (self.lower >= 0 and self.r >= 0):
             raise ValueError("report fields must be non-negative")
 
     def to_dict(self) -> dict:
@@ -64,7 +70,7 @@ def w1_lower_bound(mhat: float, r: float) -> float:
     """r * Mhat, valid for every r with no failure probability."""
     if not 0.0 <= mhat <= 1.0:
         raise ValueError("mhat must lie in [0, 1]")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     return r * mhat
 
@@ -110,16 +116,34 @@ def _net_upper_bounds(n: int, m: int, r: float, delta: float,
 def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     """Logarithmic grid between the 1st percentile and the median of the
     positive pairwise distances."""
-    # Both calls take order statistics, which do not depend on the order
-    # the values landed in, so they may partition the one buffer in place.
-    vals = sample.upper_distances()
-    if vals.size == 0:
+    count = sample.positive_pair_count()
+    if count == 0:
         raise ValueError("sample has no positive pairwise distance; supply a grid")
-    lo = float(np.percentile(vals, 1, overwrite_input=True))
-    hi = float(np.median(vals, overwrite_input=True))
+    lo, hi = grid_endpoints(count, sample.pair_order_statistics)
     if lo <= 0 or hi <= lo:
         raise ValueError("degenerate pairwise distances; supply a grid")
     return list(np.geomspace(lo, hi, size))
+
+
+def grid_endpoints(count: int, select) -> tuple[float, float]:
+    """``np.percentile(values, 1)`` and ``np.median(values)`` of ``count``
+    values, bit for bit, from ``select(ranks)``, which returns the values at
+    the given ranks (0 the smallest), one per rank.
+
+    The percentile follows numpy's linear rule: virtual index
+    (count - 1) * 0.01, interpolated between its floor's value a and the
+    next one b as a + (b - a) * gamma, or b - (b - a) * (1 - gamma) when the
+    fraction gamma is at least one half.  The median is numpy's mean of the
+    one or two middle values."""
+    virtual = (count - 1) * np.true_divide(1, 100)
+    below = int(np.floor(virtual))
+    gamma = virtual - below
+    middle = [(count - 1) // 2, count // 2]
+    a, b, *mid = select([below, min(below + 1, count - 1)] + middle)
+    diff = b - a
+    lo = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    hi = np.median(mid[:1] if count % 2 else mid)
+    return float(lo), float(hi)
 
 
 def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
@@ -135,7 +159,8 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     bounds.  All fields are in the sample's original distance units; the
     normalization constant applied for the diameter-1 hypothesis is echoed
     as ``scale``.  That hypothesis is checked once, from the sample's cached
-    diameter, and each net is verified before its bounds are computed.
+    diameter, and every net is verified, in one pass, before any bound is
+    computed.
 
     ``seed`` is the sweep's root seed.  The Monte Carlo oracle draws its
     test points from the child stream ``[seed, 1]``, so they stay
@@ -148,7 +173,7 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     r_grid = [float(r) for r in r_grid]
     if not r_grid:
         raise ValueError("radius grid must be non-empty")
-    if any(r <= 0 for r in r_grid):
+    if any(not r > 0 for r in r_grid):
         raise ValueError("grid radii must be positive")
 
     diameter = sample.diameter()
@@ -167,11 +192,16 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     if mu_spec is not None:
         oracle_seed = None if seed is None else [seed, 1]
         oracle = conditional_missing_masses(mu_spec, sample, radii, seed=oracle_seed)
-    # One traversal down to the smallest radius serves every radius.
+    # One traversal down to the smallest radius serves every radius, and
+    # one pass verifies every net small enough for the upper bounds.
     order, covering = farthest_first_traversal(normalized, radii[0] / scale)
+    nets = [net_prefix(order, covering, r / scale) for r in radii]
+    checks = [(len(net), r / scale) for net, r in zip(nets, radii) if len(net) <= (n - 3) / 2]
+    for error in prefix_net_errors(normalized, order, checks):
+        if error is not None:
+            raise error
     reports = []
-    for r, est in zip(radii, oracle):
-        net = net_prefix(order, covering, r / scale)
+    for r, est, net in zip(radii, oracle, nets):
         m = len(net)
         if est is not None:
             mhat = est.value
@@ -184,7 +214,6 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
         lower = w1_lower_bound(mhat_lo, r)
         upper_a = upper_b = None
         if m <= (n - 3) / 2:
-            verify_net(normalized, net, r / scale)
             upper_a, upper_b = _net_upper_bounds(n, m, r / scale, delta_r, mhat_hi)
             upper_a *= scale
             upper_b *= scale

@@ -123,6 +123,16 @@ def test_coding_report_full_sample():
     assert rep.expected_error_bound is None
 
 
+def test_nan_gamma_epsilon_and_diameter_rejected():
+    s = line_sample(0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="gamma"):
+        ProximityClassifier(training=s, gamma=math.nan)
+    with pytest.raises(ValueError, match="epsilon"):
+        coding_report(s, epsilon=math.nan, delta=0.1)
+    with pytest.raises(ValueError, match="diameter"):
+        coding_report(s, epsilon=0.5, delta=0.1, diameter=math.nan)
+
+
 def test_coding_report_net_constant_sample():
     s = line_sample(*([2.0] * 30))
     rep = coding_report(s, epsilon=0.5, delta=0.1, use_net=True)

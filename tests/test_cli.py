@@ -235,3 +235,35 @@ def test_code_command(tmp_path):
     assert rep["exceed_prob_estimate"]["method"] == "net_bound"
     assert rep["expected_error_bound"] == pytest.approx(
         rep["exceed_prob_estimate"]["value"] + 0.2)
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "estimate", "classify", "code"])
+def test_nan_radius_is_usage_error(command, tmp_path):
+    # Each used to exit 0 (estimate with G = 0 and NaN in its JSON), and the
+    # sweep never returned.
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[v] for v in np.linspace(0, 1, 60)])
+    out = tmp_path / "x"
+    argv = {
+        "wasserstein": ["wasserstein", "--input", str(sample), "--r-grid", "nan,0.5"],
+        "estimate": ["estimate", "--input", str(sample), "--r", "nan"],
+        "classify": ["classify", "--train", str(sample), "--gamma", "nan",
+                     "--certificate-delta", "0.1"],
+        "code": ["code", "--input", str(sample), "--epsilon", "nan"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "estimate"])
+def test_overflowing_distances_are_usage_error(command, tmp_path, capsys):
+    # Finite coordinates near 1e200 give inf distances: estimate used to
+    # report G = 1 at r = 1e203, where the truth is 0.
+    sample = tmp_path / "pts.csv"
+    rng = np.random.default_rng(0)
+    write_csv(sample, (rng.uniform(-1, 1, size=(20, 2)) * 1e200).tolist())
+    argv = {"wasserstein": ["wasserstein", "--input", str(sample)],
+            "estimate": ["estimate", "--input", str(sample), "--r", "1e203"]}[command]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

@@ -56,6 +56,16 @@ def test_negative_radius_rejected():
         martingale_upper_bound(s, -1.0, 0.1)
 
 
+def test_nan_radius_rejected():
+    # NaN passed ``r < 0``: good_turing at NaN read every point as isolated.
+    s = line_sample(0.0, 10.0, 20.0)
+    for fn in (good_turing, escape_indicators, all_martingale_estimates):
+        with pytest.raises(ValueError, match="radius"):
+            fn(s, math.nan)
+    with pytest.raises(ValueError, match="radius"):
+        martingale_upper_bound(s, math.nan, 0.1)
+
+
 def test_gt_matches_brute_force_random():
     rng = np.random.default_rng(2)
     for _ in range(20):

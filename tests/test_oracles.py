@@ -403,3 +403,15 @@ def test_w1_unsupported_space():
     s = draw_sample(spec, 5, seed=0)
     with pytest.raises(ValueError):
         exact_wasserstein_1d(spec, s)
+
+
+def test_nan_radius_rejected():
+    spec = UniformIntervalSpec(0.0, 1.0)
+    sample = draw_sample(spec, 10, 0)
+    for fn in (conditional_missing_mass, smoothed_oracle_H):
+        with pytest.raises(ValueError, match="radius"):
+            fn(spec, sample, math.nan)
+    with pytest.raises(ValueError, match="radius"):
+        conditional_missing_masses(spec, sample, [0.1, math.nan])
+    with pytest.raises(ValueError, match="radius"):
+        expected_missing_mass(spec, 10, math.nan)

@@ -4,6 +4,7 @@ import pytest
 from metricmass.samples import (
     InvalidNetError,
     farthest_first_net,
+    farthest_first_traversal,
     is_r_separated,
     make_sample,
     sample_from_csv,
@@ -154,3 +155,26 @@ def test_scaling_distances():
     s = line_sample(0.0, 2.0)
     scaled = s.with_distances_scaled(0.5)
     assert scaled.distance(0, 1) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("r", [np.nan, -1.0])
+def test_traversal_and_net_check_reject_invalid_radius(r):
+    # At NaN the traversal's ``dist <= r`` is never true: it used to pick
+    # points forever instead of failing.
+    s = line_sample(*np.arange(60.0))
+    with pytest.raises(ValueError, match="radius"):
+        farthest_first_traversal(s, r)
+    with pytest.raises(ValueError, match="radius"):
+        farthest_first_net(s, r)
+    with pytest.raises(ValueError, match="radius"):
+        verify_net(s, [0], r)
+
+
+def test_overflowing_distances_fail_the_summary_pass():
+    # Finite points whose distances overflow to inf used to give G = 1 at
+    # any radius and an inf diameter.
+    s = make_sample(np.array([[0.0, 0.0], [1e200, 1e200], [-1e200, 3e200]]))
+    assert np.isinf(s.distance(0, 1))
+    for read in (s.diameter, s.nearest_distances, s.positive_pair_count):
+        with pytest.raises(ValueError, match="finite"):
+            read()

@@ -269,3 +269,10 @@ def test_searches_match_references(kind, n, seed):
             assert (h.value, h.certified, h.method) == reference_h_exact(sample, r, cap)[:3]
             assert h.value <= clique.value
             assert_genuine_witnesses(sample, r, h, clique)
+
+
+def test_nan_radius_rejected():
+    s = make_sample(np.array([[0.0], [1.0], [3.0]]))
+    for fn in (h_exact, h_clique_relaxed):
+        with pytest.raises(ValueError, match="radius"):
+            fn(s, math.nan)

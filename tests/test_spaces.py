@@ -51,6 +51,25 @@ def test_precomputed_validation():
         precomputed([[0.0, -1.0], [-1.0, 0.0]])  # negative
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_precomputed_rejects_non_finite_entries(bad):
+    # NaN entries used to fail as "must be symmetric"; inf entries passed.
+    with pytest.raises(ValueError, match="finite"):
+        precomputed([[0.0, bad], [bad, 0.0]])
+
+
+def test_precomputed_reads_negative_zero_as_zero():
+    # The sign bit of -0.0 would make its bit pattern negative.
+    space = precomputed([[-0.0, -0.0, 1.0], [-0.0, 0.0, 2.0], [1.0, 2.0, -0.0]])
+    assert not np.signbit(space.matrix).any()
+    assert np.array_equal(space.matrix, [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+
+
+def test_ball_rejects_nan_radius():
+    with pytest.raises(ValueError, match="radius"):
+        ball_contains(euclidean(1), [0.0], float("nan"), [0.0])
+
+
 def test_precomputed_lookup_and_range():
     m = np.array([[0.0, 2.0], [2.0, 0.0]])
     space = precomputed(m)

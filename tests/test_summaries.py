@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricmass import samples
+from metricmass import samples, wasserstein
 from metricmass.estimators import escape_indicators, good_turing
 from metricmass.samples import (
     Sample,
@@ -17,10 +17,11 @@ from metricmass.samples import (
     farthest_first_traversal,
     make_sample,
     net_prefix,
+    prefix_net_errors,
     verify_net,
 )
 from metricmass.spaces import discrete, lp, precomputed, scaled_indicator
-from metricmass.wasserstein import default_r_grid, w1_report
+from metricmass.wasserstein import default_r_grid, grid_endpoints, w1_report
 
 from helpers import (
     dense_escape_indicators,
@@ -160,8 +161,9 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows):
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
 @settings(max_examples=150)
 def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows):
-    # The CLI's order: the radius grid's pass packs the positive distances
-    # and fills the summaries on the way, so reading them costs no pass.
+    # The CLI's order: the radius grid's pass counts the positive distances
+    # per bucket and fills the summaries on the way, so reading them costs
+    # no pass.
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
@@ -174,8 +176,107 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
                                side_effect=AssertionError("a second pass")):
             assert_matches_dense(sample, radii, dense)
             assert sample.diameter() == float(d.max())
-        assert np.array_equal(np.sort(sample.upper_distances()), np.sort(upper[upper > 0]))
+        positive = np.sort(upper[upper > 0])
+        ranks = np.arange(positive.size)
+        assert sample.positive_pair_count() == positive.size
+        assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
     assert not matrix_built(sample)
+
+
+def edge_sample(kind, n, scale, rng):
+    """Repeated points whose distances include 1, 2, 4 and 8, each the first
+    value of its bucket, at a coordinate scale (1e-310 makes the distances
+    subnormal; for precomputed matrices, the scale of the entries, whose
+    zeros are -0.0)."""
+    coords = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0, 8.0], size=n) * scale
+    if kind == "euclidean":
+        return make_sample(coords[:, None])
+    if kind == "lp":
+        return Sample(np.stack([coords, rng.choice([0.0, scale], size=n)], axis=1), lp(2, 1.0))
+    if kind == "scaled_indicator":
+        return Sample(np.abs(coords), scaled_indicator(1.0))
+    size = int(rng.integers(1, 8))
+    m = np.triu(rng.choice([0.0, 1.0, 2.0, 4.0], size=(size, size)), k=1) * scale
+    m = m + m.T
+    return Sample(rng.integers(0, size, size=n), precomputed(np.where(m == 0, -0.0, m)))
+
+
+@given(st.sampled_from(["euclidean", "lp", "scaled_indicator", "precomputed"]),
+       st.integers(1, 40), st.sampled_from([1.0, 0.5, 1e-310, 1e150]),
+       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@settings(max_examples=150)
+def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows):
+    rng = np.random.default_rng(seed)
+    dense = edge_sample(kind, n, scale, rng)
+    sample = Sample(dense.points, dense.space)
+    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    positive = np.sort(upper[upper > 0])
+    ranks = np.arange(positive.size)
+    picked = rng.integers(positive.size, size=4) if positive.size else ranks
+    with small_blocks(block, rows):
+        assert sample.positive_pair_count() == positive.size
+        assert np.array_equal(sample.pair_order_statistics(ranks), positive)
+        assert np.array_equal(sample.pair_order_statistics(picked), positive[picked])
+        assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+    assert not matrix_built(sample)
+
+
+def test_pair_order_statistics_reject_ranks_out_of_range():
+    sample = make_sample(np.array([[0.0], [1.0], [3.0]]))
+    assert list(sample.pair_order_statistics([2, 0, 1])) == [3.0, 1.0, 2.0]
+    for ranks in ([3], [-1]):
+        with pytest.raises(IndexError):
+            sample.pair_order_statistics(ranks)
+
+
+def test_grid_endpoints_follow_numpy_percentile_and_median():
+    rng = np.random.default_rng(0)
+    # Counts 51, 151, ... put the virtual index exactly half way, where the
+    # two interpolation forms can round differently; repeat them.
+    counts = list(range(1, 3001)) + [51, 151, 251, 351] * 25
+    integral = 0
+    for i, count in enumerate(counts):
+        values = rng.lognormal(0.0, 3.0, size=count)
+        if i % 2:
+            values = np.round(values, 1)  # ties
+        ordered = np.sort(values)
+        lo, hi = grid_endpoints(count, lambda ranks: ordered[ranks])
+        assert lo == float(np.percentile(values, 1))
+        assert hi == float(np.median(values))
+        integral += float((count - 1) * np.true_divide(1, 100)).is_integer()
+    # Counts whose virtual index is a whole number, such as 101.
+    assert integral >= 30
+
+
+@given(st.sampled_from(KINDS), st.integers(1, 30), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@settings(max_examples=60)
+def test_prefix_net_verdicts_match_dense_reference(kind, n, seed, block, rows):
+    # Every prefix of a traversal order, of the order with a repeated pick,
+    # and of random orders with and without repeats, at radii on ties.
+    rng = np.random.default_rng(seed)
+    dense = tie_prone_sample(kind, n, rng)
+    sample = Sample(dense.points, dense.space)
+    radii = radii_on_ties(dense, rng)
+    order = farthest_first_traversal(dense, min(radii), int(rng.integers(n)))[0]
+    orders = [order, order + [order[0]],
+              [int(i) for i in rng.permutation(n)],
+              [int(i) for i in rng.integers(n, size=int(rng.integers(1, n + 2)))]]
+    with small_blocks(block, rows):
+        for bad in orders:
+            checks = [(k, r) for k in range(len(bad) + 1) for r in radii]
+            got = [None if error is None else (type(error), str(error))
+                   for error in prefix_net_errors(sample, bad, checks)]
+            assert got == [net_verdict(dense_verify_net, dense, bad[:k], r) for k, r in checks]
+    assert not matrix_built(sample)
+
+
+def test_sweep_verifies_every_net_in_one_pass():
+    sample = make_sample(np.random.default_rng(0).normal(size=(200, 2)))
+    with mock.patch.object(wasserstein, "prefix_net_errors", wraps=prefix_net_errors) as spy, \
+            mock.patch.object(wasserstein, "verify_net", side_effect=AssertionError("per net")):
+        reports = w1_report(sample)
+    assert spy.call_count == 1
+    assert sum(rep.upper_b is not None for rep in reports) == len(spy.call_args.args[2])
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)

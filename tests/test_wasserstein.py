@@ -20,6 +20,23 @@ def test_lower_bound_arithmetic():
     assert w1_lower_bound(0.5, 0.25) == 0.125
     with pytest.raises(ValueError):
         w1_lower_bound(1.5, 0.1)
+    with pytest.raises(ValueError, match="radius"):
+        w1_lower_bound(0.5, math.nan)
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 0.5], [0.5, math.nan]])
+def test_report_rejects_nan_radius(grid):
+    with pytest.raises(ValueError, match="positive"):
+        w1_report(unit_sample(60), grid)
+
+
+def test_report_rejects_overflowing_distances():
+    # The inf diameter used to surface as "scale factor must be positive".
+    s = make_sample(np.array([[0.0, 0.0], [1e200, 1e200], [-1e200, 3e200], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        w1_report(s, [0.5])
+    with pytest.raises(ValueError, match="finite"):
+        default_r_grid(s)
 
 
 def unit_sample(n, seed=0):
