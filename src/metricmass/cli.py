@@ -102,8 +102,8 @@ def cmd_estimate(args) -> int:
     n = sample.n
     g_int = good_turing_interval(sample, args.r, delta)
     mart = martingale_upper_bound(sample, args.r, delta)
-    h_rep = h_exact(sample, args.r, cap=args.h_cap)
     clique = h_clique_relaxed(sample, args.r)
+    h_rep = h_exact(sample, args.r, cap=args.h_cap, clique=clique)
     e_h = eh_upper_from_sample(h_rep.value, delta)
 
     bound_reports = [variance_bound_G(e_h, n), variance_bound_Mhat(e_h, n),

@@ -379,13 +379,16 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     on the net ``order[:k]`` at radius r, or None if that net passes.
 
     One blocked pass over the distances from every point to ``order[:K]``,
-    K the largest k, gives each prefix's covering radius by running minima
-    along the order; one over the upper triangle of ``order[:K]`` gives,
-    per position, the distance to the nearest earlier pick, whose running
-    minimum is each prefix's separation."""
+    K the largest k, gives each checked prefix's covering radius: minima
+    over the segments between consecutive checked lengths, then running
+    minima over those few segments.  One pass over the upper triangle of
+    ``order[:K]`` gives, per position, the distance to the nearest earlier
+    pick, whose running minimum is each prefix's separation."""
     checks = [(int(k), float(r)) for k, r in checks]
     if any(not r >= 0 for _, r in checks):
         raise ValueError("radius must be non-negative")
+    if any(k < 0 for k, _ in checks):
+        raise ValueError("prefix length must be non-negative")
     width = max((k for k, _ in checks), default=0)
     idx = np.asarray(order, dtype=int)[:width]
     if idx.size < width:
@@ -393,11 +396,15 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     _, first = np.unique(idx, return_index=True)
     repeats = np.setdiff1d(np.arange(width), first)
     distinct = int(repeats[0]) if repeats.size else width
-    cover = np.zeros(width)
-    for rows in row_blocks(sample.n, width):
-        block = sample.distance_rows(rows, idx)
-        np.minimum.accumulate(block, axis=1, out=block)
-        np.maximum(cover, block.max(axis=0), out=cover)
+    lengths = sorted({k for k, _ in checks if k > 0})
+    cover = np.zeros(len(lengths))
+    if lengths:
+        starts = [0] + lengths[:-1]
+        for rows in row_blocks(sample.n, width):
+            segments = np.minimum.reduceat(sample.distance_rows(rows, idx), starts, axis=1)
+            np.minimum.accumulate(segments, axis=1, out=segments)
+            np.maximum(cover, segments.max(axis=0), out=cover)
+    cover_at = dict(zip(lengths, cover.tolist()))
     separation = np.minimum.accumulate(_earlier_pick_distances(sample, idx))
     errors = []
     for k, r in checks:
@@ -407,7 +414,7 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
             errors.append(ValueError("indices must be distinct"))
         elif k > 1 and not separation[k - 1] > r:
             errors.append(InvalidNetError("net is not r-separated"))
-        elif cover[k - 1] > r:
+        elif cover_at[k] > r:
             errors.append(InvalidNetError("net does not cover the sample at radius r"))
         else:
             errors.append(None)

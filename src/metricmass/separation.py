@@ -20,6 +20,13 @@ pruning with a greedy-colouring bound in the style of Tomita and Seki's
 MCQ.  The clique relaxation's predicate accepts everything; h's is the
 locality test below.  Witnesses are returned sorted.
 
+The clique value ω bounds h from above, so :func:`h_exact` given the
+:func:`h_clique_relaxed` report of the same sample and radius stops as soon
+as its witness reaches ω: the witness found first at that size is the one
+the full search returns, since a witness is only replaced by a larger one.
+A witness of size ω also proves h = ω, and is reported exact on every kind
+whose triangle inequality is known (all but precomputed matrices).
+
 Locality of a candidate subset is decided per space kind:
 
 * euclidean: minimum enclosing ball radius <= r (three points from their
@@ -40,7 +47,7 @@ import numpy as np
 
 from .meb import meb_radius, three_point_radius
 from .samples import Sample
-from .spaces import DISCRETE, EUCLIDEAN, LP, MetricSpace
+from .spaces import DISCRETE, EUCLIDEAN, LP, PRECOMPUTED, MetricSpace
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -69,16 +76,28 @@ class SeparationReport:
         }
 
 
-def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP) -> SeparationReport:
+def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
+            clique: SeparationReport | None = None) -> SeparationReport:
     """Largest locally separated sub-sample, searched up to size ``cap``.
 
     Returns an exact value with witness when the space admits an exact
     locality test and the search terminates below the cap; otherwise the
     value is a certified lower bound (the witness is still genuine).
+
+    ``clique``, if given, must be the :func:`h_clique_relaxed` report of
+    the same sample and radius.  The search then stops once its witness
+    reaches that upper bound ω, with the value, method and witness of the
+    full search, and a witness of size ω is reported exact unless the
+    space is a precomputed matrix, whose triangle inequality is unverified.
     """
     d, adj = _separation_graph(sample, r)
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    stop = cap
+    if clique is not None:
+        if (clique.certified, clique.method) != (UPPER_BOUND, CLIQUE_RELAXATION):
+            raise ValueError("clique must be an h_clique_relaxed report")
+        stop = min(cap, clique.value)
     kind = sample.space.kind
     if kind == DISCRETE:
         return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
@@ -102,8 +121,10 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP) -> SeparationRepor
         def feasible(subset: list[int]) -> bool:
             return bool((d[:, subset].max(axis=1) <= r).any())
 
-    best, capped = _largest_clique(adj, feasible, cap)
-    if capped:
+    best = _largest_clique(adj, feasible, stop)
+    if clique is not None and len(best) == clique.value and kind != PRECOMPUTED:
+        return SeparationReport(len(best), EXACT, BRUTE_FORCE, witness=best)
+    if len(best) >= cap:
         return SeparationReport(cap, LOWER_BOUND, BRUTE_FORCE, witness=best)
     certified = EXACT if kind == EUCLIDEAN else LOWER_BOUND
     return SeparationReport(len(best), certified, BRUTE_FORCE, witness=best)
@@ -117,7 +138,7 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
     the certificate is one-sided.
     """
     _, adj = _separation_graph(sample, r)
-    clique, _ = _largest_clique(adj, lambda subset: True, sample.n)
+    clique = _largest_clique(adj, lambda subset: True, sample.n)
     return SeparationReport(len(clique), UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
 
 
@@ -133,14 +154,19 @@ def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]
     return d, adj
 
 
-def _largest_clique(adj: np.ndarray, feasible, cap: int) -> tuple[tuple[int, ...], bool]:
+def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
     """Largest clique of ``adj`` whose every prefix passes the hereditary
     ``feasible``, by branch and bound with a greedy-colouring bound.
 
-    Returns the clique sorted, and whether the search stopped at ``cap``.
+    Returns the clique sorted; the search ends as soon as the clique has
+    ``stop`` vertices.
     """
+    n = adj.shape[0]
     nbrs = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             for row in adj]
+    # One byte per adjacency entry, for the child-candidate filter; a
+    # single buffer, since per-row lists fragment the heap across calls.
+    flat = adj.tobytes()
     best = [0]
 
     def colour_sort(cands: list[int]) -> tuple[list[int], list[int]]:
@@ -150,9 +176,10 @@ def _largest_clique(adj: np.ndarray, feasible, cap: int) -> tuple[tuple[int, ...
         masks: list[int] = []
         classes: list[list[int]] = []
         for v in cands:
+            adjacent = nbrs[v]
             for c, mask in enumerate(masks):
-                if not mask & nbrs[v]:
-                    masks[c] |= 1 << v
+                if not mask & adjacent:
+                    masks[c] = mask | 1 << v
                     classes[c].append(v)
                     break
             else:
@@ -175,14 +202,16 @@ def _largest_clique(adj: np.ndarray, feasible, cap: int) -> tuple[tuple[int, ...
                 continue
             if len(grown) > len(best):
                 best = grown
-                if len(best) >= cap:
+                if len(best) >= stop:
                     return True
-            if expand(grown, [u for u in ordered[:i] if nbrs[v] >> u & 1]):
+            row = v * n
+            if expand(grown, [u for u in ordered[:i] if flat[row + u]]):
                 return True
         return False
 
-    capped = len(best) >= cap or expand([], list(range(adj.shape[0])))
-    return tuple(sorted(best)), capped
+    if len(best) < stop:
+        expand([], list(range(n)))
+    return tuple(sorted(best))
 
 
 def packing_cap(space: MetricSpace) -> int | None:

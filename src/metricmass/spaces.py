@@ -159,9 +159,15 @@ def precomputed(matrix) -> MetricSpace:
         raise ValueError("distance matrix must be symmetric")
     if m.min() < 0:
         raise ValueError("distance matrix must be non-negative")
+    with np.errstate(over="ignore"):
+        mean = (m + m.T) / 2
+    # Halving each term first can round away a subnormal's last bit, so
+    # only entries whose sum overflows are halved before adding.
+    overflow = np.isinf(mean)
+    mean[overflow] = m[overflow] / 2 + m.T[overflow] / 2
     # Adding 0.0 turns -0.0, whose sign bit would make a negative bucket key
     # in the samples' distance counts, into +0.0 and leaves the rest as is.
-    return MetricSpace(PRECOMPUTED, dim=None, matrix=(m + m.T) / 2 + 0.0)
+    return MetricSpace(PRECOMPUTED, dim=None, matrix=mean + 0.0)
 
 
 def scaled_indicator(p: float) -> MetricSpace:

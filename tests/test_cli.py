@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from metricmass.cli import main
+from metricmass.samples import sample_from_csv
+from metricmass.separation import h_clique_relaxed, h_exact
+from metricmass.spaces import lp
 
 
 def write_csv(path, rows):
@@ -37,6 +40,23 @@ def test_estimate_discrete_symbols(tmp_path):
     payload = json.loads((tmp_path / "rep.json").read_text())
     assert payload["good_turing"]["value"] == 0.5
     assert payload["h"]["value"] == 1
+
+
+@pytest.mark.parametrize("option, space", [([], None), (["--space", "lp:2,1.0"], lp(2, 1.0))])
+def test_estimate_h_is_the_bounded_search(option, space, tmp_path):
+    # On the 1-norm the witness reaches ω, which makes h exact there too.
+    rng = np.random.default_rng(3)
+    cells = np.stack(np.meshgrid(np.arange(10), np.arange(10)), -1).reshape(-1, 2)
+    path = tmp_path / "grid.csv"
+    write_csv(path, (cells + rng.uniform(size=cells.shape)) / 10)
+    argv = ["estimate", "--input", str(path), "--r", "0.2", "--out", str(tmp_path / "rep")]
+    main(argv + option)
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    sample = sample_from_csv(str(path), space)
+    clique = h_clique_relaxed(sample, 0.2)
+    assert payload["h_clique"] == clique.to_dict()
+    assert payload["h"] == h_exact(sample, 0.2, clique=clique).to_dict()
+    assert payload["h"]["certified"] == "exact"
 
 
 def test_estimate_missing_file(tmp_path, capsys):

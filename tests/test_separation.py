@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metricmass import separation
 from metricmass.distributions import ScaledIndicatorSpec, draw_sample
 from metricmass.meb import meb_radius
 from metricmass.samples import Sample, make_sample
@@ -26,8 +27,8 @@ def line_sample(*xs):
 def test_discrete_always_one():
     s = make_sample(np.array(["a", "b", "c", "a"]), discrete())
     for r in (0.2, 0.5, 1.0, 3.0):
-        rep = h_exact(s, r)
-        assert rep.value == 1 and rep.certified == "exact"
+        for rep in (h_exact(s, r), h_exact(s, r, clique=h_clique_relaxed(s, r))):
+            assert rep.value == 1 and rep.certified == "exact"
 
 
 def test_single_point():
@@ -90,6 +91,51 @@ def test_cap_reports_lower_bound():
     assert rep.certified == "lower_bound"
     full = h_exact(s, 1.0, cap=8)
     assert full.value == 4 and full.certified == "exact"
+
+
+def test_witness_reaching_clique_bound_is_exact():
+    # The simplex again, in the 1-norm (pairwise 2 apart, all within 1 of
+    # the origin) and on sample-point centres (the origin is one of them):
+    # without the bound both searches are lower bounds, with it h = ω = 4.
+    s = Sample(np.vstack([np.zeros(4), np.eye(4)]), lp(4, 1.0))
+    clique = h_clique_relaxed(s, 1.0)
+    assert clique.value == 4
+    for cap in (4, DEFAULT_CAP):
+        assert h_exact(s, 1.0, cap=cap).certified == "lower_bound"
+        rep = h_exact(s, 1.0, cap=cap, clique=clique)
+        assert (rep.value, rep.certified, rep.witness) == (4, "exact", (1, 2, 3, 4))
+    assert h_exact(s, 1.0, cap=3, clique=clique).certified == "lower_bound"
+
+
+def test_clique_bound_must_be_a_clique_report():
+    s = line_sample(0.0, 1.9)
+    with pytest.raises(ValueError, match="h_clique_relaxed"):
+        h_exact(s, 1.5, clique=h_exact(s, 1.5))
+
+
+def test_clique_bound_saves_feasibility_tests(monkeypatch):
+    # A jittered 2-D grid at the benchmark's radius: h reaches ω, and the
+    # bounded search skips proving that nothing larger is feasible.
+    rng = np.random.default_rng(5)
+    cells = np.stack(np.meshgrid(np.arange(14), np.arange(14)), -1).reshape(-1, 2)
+    s = make_sample((cells + rng.uniform(size=cells.shape)) / 14)
+    calls = 0
+
+    def counting(fn):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("three_point_radius", "meb_radius"):
+        monkeypatch.setattr(separation, name, counting(getattr(separation, name)))
+    clique = h_clique_relaxed(s, 0.18)
+    full = h_exact(s, 0.18)
+    unbounded, calls = calls, 0
+    bounded = h_exact(s, 0.18, clique=clique)
+    assert bounded == full and full.value == clique.value
+    assert calls < unbounded
 
 
 def test_non_euclidean_sample_scan_is_lower_bound():
@@ -269,6 +315,13 @@ def test_searches_match_references(kind, n, seed):
             assert (h.value, h.certified, h.method) == reference_h_exact(sample, r, cap)[:3]
             assert h.value <= clique.value
             assert_genuine_witnesses(sample, r, h, clique)
+            # The search stopped at the clique bound returns the full
+            # search's witness, and a witness of size ω proves h exact.
+            bounded = h_exact(sample, r, cap=cap, clique=clique)
+            assert (bounded.value, bounded.method, bounded.witness) == \
+                (h.value, h.method, h.witness)
+            reaches = h.value == clique.value and kind != "precomputed"
+            assert bounded.certified == ("exact" if reaches else h.certified)
 
 
 def test_nan_radius_rejected():

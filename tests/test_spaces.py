@@ -85,6 +85,16 @@ def test_precomputed_stores_symmetric_matrix_unchanged():
     assert np.array_equal(precomputed(m).matrix, m)
 
 
+def test_precomputed_keeps_large_finite_entries():
+    # (m + m.T) / 2 overflows above about 9e307; halving first does not.
+    big = np.finfo(float).max
+    m = np.array([[0.0, 1e308, big], [1e308, 0.0, 5e-324], [big, 5e-324, 0.0]])
+    assert np.array_equal(precomputed(m).matrix, m)
+    nearly = np.array([[0.0, 1e308], [1e308 * (1 + 1e-15), 0.0]])
+    assert np.array_equal(precomputed(nearly).matrix,
+                          nearly / 2 + nearly.T / 2)
+
+
 def test_dimension_mismatch():
     space = euclidean(2)
     with pytest.raises(DimensionError):
