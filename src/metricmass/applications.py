@@ -31,7 +31,7 @@ from .estimators import (
     net_missing_mass_bound,
 )
 from .samples import Sample, farthest_first_net, row_blocks
-from .spaces import DISCRETE, PRECOMPUTED, MetricSpace, discrete, euclidean
+from .spaces import space_from_dict
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -146,36 +146,13 @@ def coding_report(sample: Sample, epsilon: float, delta: float,
 # -- persistence --------------------------------------------------------------
 
 def classifier_to_dict(classifier: ProximityClassifier) -> dict:
-    space = classifier.training.space
-    if space.kind == PRECOMPUTED:
-        raise ValueError("classifiers over precomputed spaces do not persist")
-    payload: dict = {"gamma": classifier.gamma, "space": {"kind": space.kind}}
-    if space.dim is not None:
-        payload["space"]["dim"] = space.dim
-    if space.p is not None:
-        payload["space"]["p"] = space.p
-    if space.kind == DISCRETE:
-        payload["training"] = [str(s) for s in classifier.training.points]
-    else:
-        payload["training"] = np.asarray(classifier.training.points).tolist()
-    return payload
+    training = classifier.training
+    return {"gamma": classifier.gamma, "space": training.space.to_dict(),
+            "training": training.points.tolist()}
 
 
 def classifier_from_dict(payload: dict) -> ProximityClassifier:
-    from .spaces import lp, scaled_indicator
-    sp = payload["space"]
-    kind = sp["kind"]
-    if kind == "euclidean":
-        space: MetricSpace = euclidean(sp["dim"])
-    elif kind == "lp":
-        space = lp(sp["dim"], sp["p"])
-    elif kind == DISCRETE:
-        space = discrete()
-    elif kind == "scaled_indicator":
-        space = scaled_indicator(sp["p"])
-    else:
-        raise ValueError(f"unknown space kind {kind!r}")
-    training = Sample(np.asarray(payload["training"]), space)
+    training = Sample(np.asarray(payload["training"]), space_from_dict(payload["space"]))
     return ProximityClassifier(training=training, gamma=payload["gamma"])
 
 

@@ -36,7 +36,7 @@ from .samples import Sample, sample_from_csv, sample_from_json
 from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact
 from .serialize import write_json
 from .simulate import SimulationConfig, campaign_header, run_campaign
-from .spaces import discrete, euclidean, lp, scaled_indicator
+from .spaces import euclidean, parse_space
 from .wasserstein import default_r_grid, w1_report
 
 
@@ -51,7 +51,7 @@ class HypothesisViolation(Exception):
 def _load_sample(path: str, space_arg: str | None) -> Sample:
     if not os.path.exists(path):
         raise UsageError(f"input file not found: {path}")
-    space = _parse_space(space_arg) if space_arg else None
+    space = parse_space(space_arg) if space_arg else None
     try:
         if path.endswith(".json"):
             return sample_from_json(path, space)
@@ -60,19 +60,11 @@ def _load_sample(path: str, space_arg: str | None) -> Sample:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _parse_space(text: str):
-    name, _, arg = text.partition(":")
-    if name == "euclidean":
-        return euclidean(int(arg))
-    if name == "discrete":
-        return discrete()
-    if name == "lp":
-        dim, p = arg.split(",")
-        return lp(int(dim), float(p))
-    if name == "scaled_indicator":
-        return scaled_indicator(float(arg))
-    raise UsageError(f"unknown space {text!r}; use euclidean:D, lp:D,p, "
-                     "discrete or scaled_indicator:p")
+def _parse_spec(payload):
+    try:
+        return spec_from_dict(payload)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad distribution spec: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -143,10 +135,7 @@ def cmd_simulate(args) -> int:
         spec_payload = json.loads(args.distribution)
     if spec_payload is None:
         raise UsageError("simulate needs a distribution (config key or flag)")
-    try:
-        spec = spec_from_dict(spec_payload)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad distribution spec: {exc}") from exc
+    spec = _parse_spec(spec_payload)
 
     def pick(flag, key, fallback):
         return flag if flag is not None else cfg.get(key, fallback)
@@ -207,7 +196,7 @@ def cmd_wasserstein(args) -> int:
     if args.distribution:
         spec_payload = json.loads(args.distribution)
     if spec_payload is not None:
-        spec = spec_from_dict(spec_payload)
+        spec = _parse_spec(spec_payload)
 
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     if args.input:
@@ -238,7 +227,7 @@ def cmd_wasserstein(args) -> int:
               "r_grid": grid, "seed": seed,
               "distribution": spec_payload, "scale": reports[0].scale}
     payload = {"config": config, "reports": [rep.to_dict() for rep in reports]}
-    if spec is not None and sample.space.kind == "euclidean" and sample.space.dim == 1:
+    if spec is not None and sample.space == euclidean(1):
         payload["exact_w1"] = exact_wasserstein_1d(spec, sample)
     write_json(args.out + ".json", payload)
     rows = [[rep.r, rep.m, rep.delta, rep.lower, rep.upper_a, rep.upper_b, rep.scale]

@@ -17,7 +17,7 @@ maximum 1/4 once D is large against n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -54,35 +54,45 @@ class _FiniteSupportMixin:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.points_from_indices(self.sample_indices(count, rng))
 
+    def points_from_indices(self, idx) -> np.ndarray:
+        return self.atom_points()[np.asarray(idx, dtype=int)]
+
+
+class _ListedAtomsMixin(_FiniteSupportMixin):
+    """Atoms listed one by one in a field, with a weight each."""
+
+    def _list_atoms(self, name: str, atoms: tuple) -> None:
+        # Lists, as read from JSON, become tuples so the spec stays hashable.
+        object.__setattr__(self, name, atoms)
+        object.__setattr__(self, "weights", tuple(self.weights))
+        w = self.atom_weights()
+        if len(atoms) != len(w) or len(w) == 0:
+            raise ValueError(f"{name} and weights must be non-empty and aligned")
+        if w.min() < 0:
+            raise ValueError("weights must be non-negative")
+        if abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1")
+
+    def atom_weights(self) -> np.ndarray:
+        return _cached(self, "_weights", lambda: np.asarray(self.weights, dtype=float))
+
 
 @dataclass(frozen=True)
-class DiscreteSpec(_FiniteSupportMixin):
+class DiscreteSpec(_ListedAtomsMixin):
     """Finitely many symbols under the discrete metric."""
     symbols: tuple[str, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if len(self.symbols) != len(w) or len(w) == 0:
-            raise ValueError("symbols and weights must be non-empty and aligned")
-        if w.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        self._list_atoms("symbols", tuple(self.symbols))
 
     kind = "discrete"
 
     def space(self) -> MetricSpace:
         return discrete()
 
-    def atom_weights(self) -> np.ndarray:
-        return _cached(self, "_weights", lambda: np.asarray(self.weights, dtype=float))
-
     def atom_points(self) -> np.ndarray:
         return np.asarray(self.symbols)
-
-    def points_from_indices(self, idx) -> np.ndarray:
-        return self.atom_points()[np.asarray(idx, dtype=int)]
 
     def atom_distance_matrix(self) -> np.ndarray:
         k = len(self.symbols)
@@ -102,21 +112,14 @@ def discrete_zipf(k: int) -> DiscreteSpec:
 
 
 @dataclass(frozen=True)
-class PointMassSpec(_FiniteSupportMixin):
+class PointMassSpec(_ListedAtomsMixin):
     """Finitely many atoms at explicit coordinates in euclidean space."""
     points: tuple[tuple[float, ...], ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if len(self.points) != len(w) or len(w) == 0:
-            raise ValueError("points and weights must be non-empty and aligned")
-        if w.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        dims = {len(p) for p in self.points}
-        if len(dims) != 1:
+        self._list_atoms("points", tuple(tuple(p) for p in self.points))
+        if len({len(p) for p in self.points}) != 1:
             raise ValueError("all atoms must share one dimension")
 
     kind = "point_mass"
@@ -128,14 +131,8 @@ class PointMassSpec(_FiniteSupportMixin):
     def space(self) -> MetricSpace:
         return euclidean(self.dim)
 
-    def atom_weights(self) -> np.ndarray:
-        return _cached(self, "_weights", lambda: np.asarray(self.weights, dtype=float))
-
     def atom_points(self) -> np.ndarray:
         return _cached(self, "_points", lambda: np.asarray(self.points, dtype=float))
-
-    def points_from_indices(self, idx) -> np.ndarray:
-        return self.atom_points()[np.asarray(idx, dtype=int)]
 
     def atom_distance_matrix(self) -> np.ndarray:
         return _cached(self, "_dmat",
@@ -362,12 +359,6 @@ class LowdimEmbeddingSpec:
         return pts
 
 
-DistributionSpec = (
-    DiscreteSpec | PointMassSpec | SphereAtomSpec | BasisUniformSpec
-    | UniformIntervalSpec | ScaledIndicatorSpec | LowdimEmbeddingSpec
-)
-
-
 def is_finite_support(spec) -> bool:
     return isinstance(spec, _FiniteSupportMixin)
 
@@ -426,45 +417,26 @@ def adversarial_pair(n: int, epsilon: float, r: float
 
 # -- serialization -----------------------------------------------------------
 
+# Every distribution kind, by the ``kind`` its dict form carries.
+SPECS = {cls.kind: cls for cls in (
+    DiscreteSpec, PointMassSpec, SphereAtomSpec, BasisUniformSpec,
+    UniformIntervalSpec, ScaledIndicatorSpec, LowdimEmbeddingSpec)}
+
+
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, DiscreteSpec):
-        return {"kind": spec.kind, "symbols": list(spec.symbols),
-                "weights": list(spec.weights)}
-    if isinstance(spec, PointMassSpec):
-        return {"kind": spec.kind, "points": [list(p) for p in spec.points],
-                "weights": list(spec.weights)}
-    if isinstance(spec, SphereAtomSpec):
-        return {"kind": spec.kind, "dim": spec.dim, "n_design": spec.n_design,
-                "r_design": spec.r_design}
-    if isinstance(spec, BasisUniformSpec):
-        return {"kind": spec.kind, "dim": spec.dim}
-    if isinstance(spec, UniformIntervalSpec):
-        return {"kind": spec.kind, "a": spec.a, "b": spec.b}
-    if isinstance(spec, ScaledIndicatorSpec):
-        return {"kind": spec.kind, "p": spec.p, "rate": spec.rate}
-    if isinstance(spec, LowdimEmbeddingSpec):
-        return {"kind": spec.kind, "d_intrinsic": spec.d_intrinsic,
-                "d_ambient": spec.d_ambient, "spread": spec.spread,
-                "component_std": spec.component_std}
-    raise ValueError(f"unknown distribution spec {type(spec)!r}")
+    return {"kind": spec.kind, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
 
 
 def spec_from_dict(payload: dict):
-    kind = payload.get("kind")
-    body = {k: v for k, v in payload.items() if k != "kind"}
-    if kind == "discrete":
-        return DiscreteSpec(tuple(body["symbols"]), tuple(body["weights"]))
-    if kind == "point_mass":
-        return PointMassSpec(tuple(tuple(p) for p in body["points"]),
-                             tuple(body["weights"]))
-    if kind == "sphere_atom":
-        return SphereAtomSpec(**body)
-    if kind == "basis_uniform":
-        return BasisUniformSpec(**body)
-    if kind == "uniform_interval":
-        return UniformIntervalSpec(**body)
-    if kind == "scaled_indicator":
-        return ScaledIndicatorSpec(**body)
-    if kind == "lowdim_embedding":
-        return LowdimEmbeddingSpec(**body)
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    body = dict(payload)
+    kind = body.pop("kind", None)
+    if kind not in SPECS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    known = fields(SPECS[kind])
+    missing = [f.name for f in known if f.default is MISSING and f.name not in body]
+    unexpected = sorted(body.keys() - {f.name for f in known})
+    problems = [f"{label} {', '.join(map(repr, names))}"
+                for label, names in (("missing", missing), ("unexpected", unexpected)) if names]
+    if problems:
+        raise ValueError(f"{kind} spec: {'; '.join(problems)}")
+    return SPECS[kind](**body)

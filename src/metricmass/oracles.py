@@ -37,6 +37,7 @@ from .distributions import (
     rng_from_seed,
 )
 from .samples import Sample
+from .spaces import euclidean
 
 ANALYTIC = "analytic"
 MONTE_CARLO = "monte_carlo"
@@ -254,7 +255,7 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
 def exact_wasserstein_1d(spec, sample: Sample) -> float:
     """W1 distance between a one-dimensional distribution and the empirical
     measure of the sample, computed as the exact area between the two CDFs."""
-    if sample.space.kind != "euclidean" or sample.space.dim != 1:
+    if sample.space != euclidean(1):
         raise ValueError("exact W1 is implemented for 1-D euclidean samples only")
     xs = np.sort(np.asarray(sample.points, dtype=float).reshape(-1))
     n = len(xs)

@@ -36,17 +36,7 @@ import json
 
 import numpy as np
 
-from .spaces import (
-    DISCRETE,
-    EUCLIDEAN,
-    LP,
-    PRECOMPUTED,
-    SCALED_INDICATOR,
-    MetricSpace,
-    discrete,
-    euclidean,
-    precomputed,
-)
+from .spaces import MetricSpace, discrete, euclidean, precomputed
 
 # Elements per row block of distances, which bounds the temporaries of
 # every blocked pass.
@@ -219,17 +209,8 @@ class Sample:
 
     def with_distances_scaled(self, factor: float) -> "Sample":
         """A copy whose every pairwise distance is multiplied by ``factor``."""
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        sp = self.space
-        if sp.kind in (EUCLIDEAN, LP):
-            return Sample(self.points * factor, sp, atom_indices=self.atom_indices)
-        if sp.kind == SCALED_INDICATOR:
-            return Sample(self.points * factor ** sp.p, sp, atom_indices=self.atom_indices)
-        if sp.kind == PRECOMPUTED:
-            scaled_space = precomputed(sp.matrix * factor)
-            return Sample(self.points, scaled_space, atom_indices=self.atom_indices)
-        raise ValueError(f"distances of a {sp.kind} space cannot be rescaled")
+        points, space = self.space.scaled(self.points, factor)
+        return Sample(points, space, atom_indices=self.atom_indices)
 
 
 def infer_space(points) -> MetricSpace:
@@ -258,16 +239,17 @@ def _looks_numeric(row) -> bool:
 
 def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
     """One point per row.  Numeric columns are coordinates; a single
-    non-numeric column is read as categorical symbols under the discrete
-    metric.  An optional header row is skipped when it does not parse as
-    numbers but the rest of the file does."""
+    non-numeric column, or any single column under a declared discrete
+    space, is read as categorical symbols under the discrete metric.  An
+    optional header row is skipped when it does not parse as numbers but
+    the rest of the file does."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     if len(rows) > 1 and not _looks_numeric(rows[0]) and _looks_numeric(rows[1]):
         rows = rows[1:]
-    if _looks_numeric(rows[0]):
+    if _looks_numeric(rows[0]) and space != discrete():
         pts = np.array([[float(v) for v in row] for row in rows])
         return make_sample(pts, space)
     if any(len(row) != 1 for row in rows):
@@ -293,13 +275,11 @@ def sample_from_json(path, space: MetricSpace | None = None) -> Sample:
 def sample_to_csv(sample: Sample, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if sample.space.kind == DISCRETE:
-            for s in sample.points:
-                writer.writerow([s])
+        if sample.space == discrete():
+            writer.writerows([s] for s in sample.points)
         else:
-            for p in np.atleast_2d(sample.points if sample.points.ndim > 1
-                                   else sample.points[:, None]):
-                writer.writerow([repr(float(v)) for v in np.atleast_1d(p)])
+            rows = sample.points if sample.points.ndim > 1 else sample.points[:, None]
+            writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 # -- separation and nets ----------------------------------------------------
@@ -310,18 +290,7 @@ def is_r_separated(sample: Sample, indices, r: float) -> bool:
     idx = np.asarray(indices, dtype=int)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    return bool((_earlier_pick_distances(sample, idx)[1:] > r).all())
-
-
-def _earlier_pick_distances(sample: Sample, idx: np.ndarray) -> np.ndarray:
-    """Per position b, the distance from idx[b] to the nearest of idx[:b]
-    (inf at 0), by one blocked pass over the upper triangle of idx x idx."""
-    earlier = np.full(idx.size, np.inf)
-    for rows in row_blocks(idx.size, idx.size):
-        block = sample.distance_rows(idx[rows], idx[rows.start:])
-        block[np.tri(*block.shape, dtype=bool)] = np.inf
-        np.minimum(earlier[rows.start:], block.min(axis=0), out=earlier[rows.start:])
-    return earlier
+    return bool((sample.subsample(idx).earlier_distances()[1:] > r).all())
 
 
 def farthest_first_traversal(sample: Sample, r: float,
@@ -405,7 +374,7 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
             np.minimum.accumulate(segments, axis=1, out=segments)
             np.maximum(cover, segments.max(axis=0), out=cover)
     cover_at = dict(zip(lengths, cover.tolist()))
-    separation = np.minimum.accumulate(_earlier_pick_distances(sample, idx))
+    separation = np.minimum.accumulate(sample.subsample(idx).earlier_distances())
     errors = []
     for k, r in checks:
         if k == 0:

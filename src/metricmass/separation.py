@@ -24,17 +24,17 @@ The clique value ω bounds h from above, so :func:`h_exact` given the
 :func:`h_clique_relaxed` report of the same sample and radius stops as soon
 as its witness reaches ω: the witness found first at that size is the one
 the full search returns, since a witness is only replaced by a larger one.
-A witness of size ω also proves h = ω, and is reported exact on every kind
+A witness of size ω also proves h = ω, and is reported exact on every space
 whose triangle inequality is known (all but precomputed matrices).
 
-Locality of a candidate subset is decided per space kind:
+Locality of a candidate subset is decided by what the space tells:
 
-* euclidean: minimum enclosing ball radius <= r (three points from their
-  pairwise distances, more by exact enumeration), an exact test up to a
-  relative slack of MEB_FEASIBILITY_RTOL, so the search result is exact
-  when it terminates below the cap;
-* discrete: h = 1 identically (no two distinct symbols fit in a ball of
-  radius below 1, and no pair is separated at radius 1 or above);
+* a packing cap of 1 (the discrete metric) settles h = 1 without a search;
+* where the minimum enclosing ball decides locality (euclidean): its radius
+  <= r (three points from their pairwise distances, more by exact
+  enumeration), an exact test up to a relative slack of
+  MEB_FEASIBILITY_RTOL, so the search result is exact when it terminates
+  below the cap;
 * everything else: candidate centers are restricted to sample points, which
   certifies a lower bound only, since the true center may lie off-sample.
 """
@@ -47,7 +47,7 @@ import numpy as np
 
 from .meb import meb_radius, three_point_radius
 from .samples import Sample
-from .spaces import DISCRETE, EUCLIDEAN, LP, PRECOMPUTED, MetricSpace
+from .spaces import MetricSpace
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -88,7 +88,7 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     the same sample and radius.  The search then stops once its witness
     reaches that upper bound ω, with the value, method and witness of the
     full search, and a witness of size ω is reported exact unless the
-    space is a precomputed matrix, whose triangle inequality is unverified.
+    space's triangle inequality is unverified (a precomputed matrix).
     """
     d, adj = _separation_graph(sample, r)
     if cap < 1:
@@ -98,11 +98,11 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
         if (clique.certified, clique.method) != (UPPER_BOUND, CLIQUE_RELAXATION):
             raise ValueError("clique must be an h_clique_relaxed report")
         stop = min(cap, clique.value)
-    kind = sample.space.kind
-    if kind == DISCRETE:
+    space = sample.space
+    if space.packing_cap == 1:
         return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
 
-    if kind == EUCLIDEAN:
+    if space.meb_locality:
         pts = sample.points
         r_feas = r * (1.0 + MEB_FEASIBILITY_RTOL)
 
@@ -122,11 +122,11 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
             return bool((d[:, subset].max(axis=1) <= r).any())
 
     best = _largest_clique(adj, feasible, stop)
-    if clique is not None and len(best) == clique.value and kind != PRECOMPUTED:
+    if clique is not None and len(best) == clique.value and space.known_metric:
         return SeparationReport(len(best), EXACT, BRUTE_FORCE, witness=best)
     if len(best) >= cap:
         return SeparationReport(cap, LOWER_BOUND, BRUTE_FORCE, witness=best)
-    certified = EXACT if kind == EUCLIDEAN else LOWER_BOUND
+    certified = EXACT if space.meb_locality else LOWER_BOUND
     return SeparationReport(len(best), certified, BRUTE_FORCE, witness=best)
 
 
@@ -215,15 +215,8 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
 
 
 def packing_cap(space: MetricSpace) -> int | None:
-    """Dimension-based ceiling on h: 3^D for the 2-norm, 8^D for general
-    p-norms, 1 for the discrete metric, and none where no cap is known."""
-    if space.kind == DISCRETE:
-        return 1
-    if space.kind == EUCLIDEAN:
-        return 3 ** space.dim
-    if space.kind == LP:
-        return 8 ** space.dim
-    return None
+    """Dimension-based ceiling on h, or None: :attr:`MetricSpace.packing_cap`."""
+    return space.packing_cap
 
 
 def eh_upper_from_sample(h_observed: int, delta: float) -> float:

@@ -19,9 +19,16 @@ inequality where an algorithm's certificate depends on it (see
 which leaves an exactly symmetric matrix unchanged, and with every -0.0
 read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
 are the same float, so a pass over the upper triangle reads every distance.
+
+Every decision that depends on the kind is made here, and the dict and
+``kind[:a,b]`` forms of the kinds that persist are read from one
+:data:`GRAMMAR` table.  Other modules compare spaces by value instead, as
+in ``space == euclidean(1)``.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,12 +87,7 @@ class MetricSpace:
     def as_point(self, point) -> np.ndarray:
         """Canonicalize a single point to a length-1 batch."""
         if self.kind in (EUCLIDEAN, LP):
-            arr = np.asarray(point, dtype=float).reshape(-1)
-            if arr.shape[0] != self.dim:
-                raise DimensionError(
-                    f"expected a point of dimension {self.dim}, got {arr.shape[0]}"
-                )
-            return arr[None, :]
+            return self.as_points(np.reshape(np.asarray(point, dtype=float), (1, -1)))
         return self.as_points([point] if np.isscalar(point) or self.kind == DISCRETE else point)
 
     # -- distances ---------------------------------------------------------
@@ -120,6 +122,51 @@ class MetricSpace:
     def distance(self, x, y) -> float:
         return float(self.cross_distances(self.as_point(x), self.as_point(y))[0, 0])
 
+    # -- kind behaviour ----------------------------------------------------
+
+    def scaled(self, points: np.ndarray, factor: float) -> tuple[np.ndarray, "MetricSpace"]:
+        """Canonical points and a space under which every distance between
+        them is ``factor`` times its distance here."""
+        if not factor > 0:
+            raise ValueError("scale factor must be positive")
+        if self.kind in (EUCLIDEAN, LP):
+            return points * factor, self
+        if self.kind == SCALED_INDICATOR:
+            return points * factor ** self.p, self
+        if self.kind == PRECOMPUTED:
+            return points, precomputed(self.matrix * factor)
+        raise ValueError(f"distances of a {self.kind} space cannot be rescaled")
+
+    @property
+    def packing_cap(self) -> int | None:
+        """Dimension-based ceiling on the local-separation statistic h: 3^D
+        for the 2-norm, 8^D for general p-norms, 1 for the discrete metric
+        (no two distinct symbols fit in a ball of radius below 1, and no
+        pair is separated at radius 1 or above), and None where no cap is
+        known."""
+        if self.kind in (EUCLIDEAN, LP):
+            return (3 if self.kind == EUCLIDEAN else 8) ** self.dim
+        return 1 if self.kind == DISCRETE else None
+
+    @property
+    def meb_locality(self) -> bool:
+        """Whether the minimum enclosing ball decides exactly if points fit
+        in one closed r-ball (true for the 2-norm only)."""
+        return self.kind == EUCLIDEAN
+
+    @property
+    def known_metric(self) -> bool:
+        """Whether the triangle inequality is known to hold; a precomputed
+        matrix is only checked for symmetry, sign and its diagonal."""
+        return self.kind != PRECOMPUTED
+
+    def to_dict(self) -> dict:
+        """``{"kind", "dim"?, "p"?}``, read back by :func:`space_from_dict`."""
+        if self.kind not in GRAMMAR:
+            raise ValueError(f"{self.kind} spaces do not persist")
+        fields = {"kind": self.kind, "dim": self.dim, "p": self.p}
+        return {key: value for key, value in fields.items() if value is not None}
+
 
 def _finite(arr: np.ndarray) -> np.ndarray:
     # NaN compares false with every radius, so it would pass as a point
@@ -129,18 +176,21 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _dimension(dim) -> int:
+    if not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def euclidean(dim: int) -> MetricSpace:
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    return MetricSpace(EUCLIDEAN, dim=int(dim))
+    return MetricSpace(EUCLIDEAN, dim=_dimension(dim))
 
 
 def lp(dim: int, p: float) -> MetricSpace:
-    if dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    if p < 1:
-        raise ValueError("p-norms require p >= 1")
-    return MetricSpace(LP, dim=int(dim), p=float(p))
+    dim = _dimension(dim)
+    if not p >= 1:
+        raise ValueError(f"p-norms require p >= 1, got {p!r}")
+    return MetricSpace(LP, dim=dim, p=float(p))
 
 
 def discrete() -> MetricSpace:
@@ -171,9 +221,54 @@ def precomputed(matrix) -> MetricSpace:
 
 
 def scaled_indicator(p: float) -> MetricSpace:
-    if p < 1:
-        raise ValueError("scaled-indicator exponent requires p >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"scaled-indicator exponent requires finite p >= 1, got {p!r}")
     return MetricSpace(SCALED_INDICATOR, dim=1, p=float(p))
+
+
+# Each kind that persists: its factory and its parameters, in the order the
+# factory and the ``kind:a,b`` form take them, each with its type.
+GRAMMAR = {
+    EUCLIDEAN: (euclidean, (("dim", int),)),
+    LP: (lp, (("dim", int), ("p", float))),
+    DISCRETE: (discrete, ()),
+    SCALED_INDICATOR: (scaled_indicator, (("p", float),)),
+}
+SPACE_FORMS = " | ".join(
+    kind + (":" + ",".join(name for name, _ in params) if params else "")
+    for kind, (_, params) in GRAMMAR.items())
+
+
+def space_from_dict(payload: dict) -> MetricSpace:
+    """The space :meth:`MetricSpace.to_dict` wrote."""
+    kind = payload.get("kind")
+    if kind not in GRAMMAR:
+        raise ValueError(f"unknown space kind {kind!r}; persisted kinds are {SPACE_FORMS}")
+    factory, params = GRAMMAR[kind]
+    missing = [name for name, _ in params if name not in payload]
+    if missing:
+        raise ValueError(f"{kind} space is missing {', '.join(missing)}")
+    space = factory(*(payload[name] for name, _ in params))
+    unexpected = [key for key, value in payload.items() if space.to_dict().get(key) != value]
+    if unexpected:
+        raise ValueError(f"{kind} space has unexpected {', '.join(unexpected)}")
+    return space
+
+
+def parse_space(text: str) -> MetricSpace:
+    """The space written ``kind[:a,b]``: the kind, then its parameters in
+    :data:`GRAMMAR` order, for example ``euclidean:3`` or ``lp:2,1.5``."""
+    usage = ValueError(f"bad space {text!r}; use {SPACE_FORMS}")
+    kind, colon, arg = text.partition(":")
+    values = arg.split(",") if colon else []
+    if kind not in GRAMMAR or len(values) != len(GRAMMAR[kind][1]):
+        raise usage
+    factory, params = GRAMMAR[kind]
+    try:
+        args = [cast(value) for (_, cast), value in zip(params, values)]
+    except ValueError:
+        raise usage from None
+    return factory(*args)
 
 
 def ball_contains(space: MetricSpace, center, r: float, y) -> bool:

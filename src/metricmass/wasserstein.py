@@ -31,6 +31,7 @@ from .samples import (
     prefix_net_errors,
     verify_net,
 )
+from .spaces import discrete
 
 DIAMETER_MARGIN = 1.05
 DIAMETER_ERROR = "upper bounds need diameter <= 1; rescale the sample"
@@ -177,7 +178,7 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
         raise ValueError("grid radii must be positive")
 
     diameter = sample.diameter()
-    if sample.space.kind == "discrete":
+    if sample.space == discrete():
         scale = 1.0  # the discrete metric has true diameter exactly 1
     else:
         scale = diameter * margin if diameter > 0 else 1.0

@@ -15,13 +15,15 @@ from metricmass.applications import (
     classify_batch,
     coding_report,
     false_alarm_certificate,
+    load_classifier,
     nn_encode,
+    save_classifier,
 )
 from metricmass.distributions import UniformIntervalSpec, draw_sample
 from metricmass.estimators import good_turing
 from metricmass.oracles import conditional_missing_mass
 from metricmass.samples import make_sample
-from metricmass.spaces import discrete
+from metricmass.spaces import discrete, lp, scaled_indicator
 
 
 def line_sample(*xs):
@@ -188,3 +190,37 @@ def test_classifier_round_trip_discrete():
     clone = classifier_from_dict(classifier_to_dict(clf))
     assert classify(clone, "a") == "normal"
     assert classify(clone, "z") == "anomalous"
+
+
+@pytest.mark.parametrize("space, points, queries", [
+    (lp(2, 1.0), [[0.0, 0.0], [1.0, 1.0]], [[0.2, 0.2], [0.4, 0.4], [3.0, 0.0]]),
+    (scaled_indicator(2.0), [0.0, 1.0, 4.0], [0.1, 0.5, 9.0]),
+])
+def test_classifier_round_trip_lp_and_scaled_indicator(space, points, queries, tmp_path):
+    clf = ProximityClassifier(make_sample(points, space), gamma=0.5)
+    save_classifier(clf, tmp_path / "clf.json")
+    clone = load_classifier(tmp_path / "clf.json")
+    assert clone.training.space == space
+    assert np.array_equal(clone.training.points, clf.training.points)
+    assert classify_batch(clone, queries) == classify_batch(clf, queries)
+
+
+def test_classifier_round_trip_integer_symbols(tmp_path):
+    # Integer symbols used to be saved as strings, so a reloaded classifier
+    # called the training symbol 1 anomalous.
+    clf = ProximityClassifier(make_sample(np.array([1, 2, 3]), discrete()), gamma=0.5)
+    save_classifier(clf, tmp_path / "clf.json")
+    clone = load_classifier(tmp_path / "clf.json")
+    assert classify(clf, 1) == classify(clone, 1) == "normal"
+    assert classify(clone, 4) == "anomalous"
+
+
+def test_classifier_file_format_is_pinned():
+    import json
+    symbols = ProximityClassifier(make_sample(np.array(["a", "b"]), discrete()), gamma=0.5)
+    assert json.dumps(classifier_to_dict(symbols)) == (
+        '{"gamma": 0.5, "space": {"kind": "discrete"}, "training": ["a", "b"]}')
+    steps = ProximityClassifier(make_sample([0.0, 1.5], scaled_indicator(2.0)), gamma=0.25)
+    assert json.dumps(classifier_to_dict(steps)) == (
+        '{"gamma": 0.25, "space": {"kind": "scaled_indicator", "dim": 1, "p": 2.0}, '
+        '"training": [0.0, 1.5]}')

@@ -7,7 +7,15 @@ import pytest
 from metricmass.cli import main
 from metricmass.samples import sample_from_csv
 from metricmass.separation import h_clique_relaxed, h_exact
-from metricmass.spaces import lp
+from metricmass.spaces import (
+    SPACE_FORMS,
+    discrete,
+    euclidean,
+    lp,
+    parse_space,
+    scaled_indicator,
+    space_from_dict,
+)
 
 
 def write_csv(path, rows):
@@ -286,4 +294,75 @@ def test_overflowing_distances_are_usage_error(command, tmp_path, capsys):
             "estimate": ["estimate", "--input", str(sample), "--r", "1e203"]}[command]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("text, space", [
+    ("euclidean:3", euclidean(3)),
+    ("lp:2,1.5", lp(2, 1.5)),
+    ("lp:1,inf", lp(1, float("inf"))),
+    ("discrete", discrete()),
+    ("scaled_indicator:2", scaled_indicator(2.0)),
+])
+def test_space_forms_round_trip(text, space):
+    assert parse_space(text) == space
+    assert space_from_dict(space.to_dict()) == space
+
+
+@pytest.mark.parametrize("text", ["euclidean", "euclidean:", "euclidean:2.5", "lp:2",
+                                  "lp:2,1,3", "lp:x,2", "discrete:1",
+                                  "scaled_indicator", "precomputed", "sphere:2"])
+def test_malformed_space_is_usage_error(text, tmp_path, capsys):
+    # "euclidean" and "lp:2" used to print raw int() and unpacking errors.
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[v] for v in np.linspace(0, 1, 20)])
+    code = main(["estimate", "--input", str(sample), "--space", text, "--r", "0.1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert SPACE_FORMS in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("text", ["scaled_indicator:inf", "scaled_indicator:nan",
+                                  "lp:1,nan", "euclidean:0"])
+def test_bad_space_parameter_is_usage_error(text, tmp_path):
+    # scaled_indicator:inf used to write a result with d(x, x) = 1 and exit 1.
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[v] for v in np.linspace(0, 1, 20)])
+    code = main(["estimate", "--input", str(sample), "--space", text, "--r", "0.1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_discrete_space_reads_numeric_symbols(tmp_path):
+    # A numeric one-column file under --space discrete used to be rejected
+    # as "discrete points must be a flat sequence of symbols".
+    train = tmp_path / "train.csv"
+    write_csv(train, [[1], [2], [2], [3]])
+    queries = tmp_path / "q.csv"
+    write_csv(queries, [[2], [7]])
+    out = tmp_path / "verdicts"
+    code = main(["classify", "--train", str(train), "--space", "discrete",
+                 "--gamma", "0.5", "--queries", str(queries), "--out", str(out)])
+    assert code == 0
+    rows = (tmp_path / "verdicts.csv").read_text().strip().splitlines()
+    assert rows[2:] == ["0,normal", "1,anomalous"]
+
+
+@pytest.mark.parametrize("command", ["wasserstein", "simulate"])
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "uniform_interval"}, "'a'"),
+    ({"kind": "discrete"}, "'symbols'"),
+    ({"kind": "uniform_interval", "a": 0.0, "b": 1.0, "c": 2.0}, "'c'"),
+])
+def test_malformed_distribution_is_usage_error(command, spec, field, tmp_path, capsys):
+    # wasserstein used to raise TypeError or KeyError and exit 1, the code
+    # for hypothesis violations.
+    code = main([command, "--distribution", json.dumps(spec), "--n", "20",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad distribution spec" in err
+    assert spec["kind"] in err and field in err
     assert not (tmp_path / "x.json").exists()

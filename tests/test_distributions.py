@@ -194,3 +194,20 @@ def test_frequencies_match_weights():
     for sym, w in zip(spec.symbols, spec.weights):
         freq = (pts == sym).mean()
         assert freq == pytest.approx(w, abs=3 * math.sqrt(w * (1 - w) / 100_000) + 1e-3)
+
+
+def test_spec_from_dict_names_missing_and_unexpected_fields():
+    with pytest.raises(ValueError, match="discrete.*'symbols'"):
+        spec_from_dict({"kind": "discrete", "weights": [1.0]})
+    with pytest.raises(ValueError, match="basis_uniform.*'size'"):
+        spec_from_dict({"kind": "basis_uniform", "dim": 2, "size": 3})
+    with pytest.raises(ValueError, match="unknown distribution kind"):
+        spec_from_dict({"kind": "gaussian"})
+
+
+def test_specs_from_lists_are_hashable_tuples():
+    spec = spec_from_dict({"kind": "point_mass", "points": [[0.0], [1.0]],
+                           "weights": [0.5, 0.5]})
+    assert spec == PointMassSpec(((0.0,), (1.0,)), (0.5, 0.5))
+    assert hash(spec) == hash(PointMassSpec(((0.0,), (1.0,)), (0.5, 0.5)))
+    assert hash(DiscreteSpec(["a", "b"], [0.5, 0.5])) == hash(DiscreteSpec(("a", "b"), (0.5, 0.5)))

@@ -132,6 +132,17 @@ def test_csv_symbols(tmp_path):
     assert list(s.points) == ["a", "a", "b", "c"]
 
 
+def test_csv_integer_symbols_round_trip(tmp_path):
+    # Read back under the discrete space, integer symbols used to be parsed
+    # as one-column coordinates and rejected.
+    s = make_sample(np.array([3, 1, 3, 2]), discrete())
+    out = tmp_path / "sym.csv"
+    sample_to_csv(s, out)
+    again = sample_from_csv(out, discrete())
+    assert list(again.points) == ["3", "1", "3", "2"]
+    assert np.array_equal(again.distance_matrix(), s.distance_matrix())
+
+
 def test_json_array_and_matrix(tmp_path):
     arr = tmp_path / "pts.json"
     arr.write_text("[[0.0, 0.0], [1.0, 1.0]]")

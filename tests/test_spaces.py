@@ -10,6 +10,7 @@ from metricmass.spaces import (
     lp,
     precomputed,
     scaled_indicator,
+    space_from_dict,
 )
 
 
@@ -138,3 +139,52 @@ def test_cross_distances_shape():
     d = space.cross_distances([[0, 0], [1, 0], [0, 1]], [[0, 0], [3, 4]])
     assert d.shape == (3, 2)
     assert d[1, 1] == pytest.approx(np.hypot(2, 4))
+
+
+@pytest.mark.parametrize("factory, args", [
+    (euclidean, (2.5,)),
+    (euclidean, (0,)),
+    (euclidean, (np.nan,)),
+    (lp, (2.5, 2.0)),
+    (lp, (2, np.nan)),
+    (lp, (2, 0.5)),
+    (scaled_indicator, (np.nan,)),
+    (scaled_indicator, (np.inf,)),
+    (scaled_indicator, (0.5,)),
+])
+def test_factories_reject_bad_parameters(factory, args):
+    # NaN exponents gave NaN kernels, scaled_indicator(inf) gave d(x, x) = 1
+    # and euclidean(2.5) became 2-D.
+    with pytest.raises(ValueError):
+        factory(*args)
+
+
+def test_lp_with_infinite_p_is_the_max_norm():
+    assert lp(2, np.inf).distance([0.0, 0.0], [1.0, -3.0]) == 3.0
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "lp", "dim": 2}, "missing p"),
+    ({"kind": "euclidean", "dim": 2, "p": 2.0}, "unexpected p"),
+    ({"kind": "scaled_indicator", "dim": 2, "p": 2.0}, "unexpected dim"),
+    ({"kind": "precomputed"}, "unknown space kind"),
+])
+def test_space_from_dict_rejects_malformed_payloads(payload, message):
+    with pytest.raises(ValueError, match=message):
+        space_from_dict(payload)
+
+
+def test_scaled_spaces_rescale_every_distance():
+    points = np.array([0.0, 0.3, 2.0])
+    for space in (euclidean(1), lp(1, 3.0), scaled_indicator(2.0)):
+        canon = space.as_points(points[:, None])
+        scaled_points, scaled = space.scaled(canon, 4.0)
+        assert scaled.kernel(scaled_points, scaled_points) == pytest.approx(
+            4.0 * space.kernel(canon, canon))
+    m = precomputed([[0.0, 1.0], [1.0, 0.0]])
+    idx, scaled = m.scaled(np.arange(2), 0.5)
+    assert scaled.kernel(idx, idx)[0, 1] == 0.5
+    with pytest.raises(ValueError, match="rescaled"):
+        discrete().scaled(np.array(["a"]), 2.0)
+    with pytest.raises(ValueError, match="positive"):
+        euclidean(1).scaled(np.zeros((1, 1)), 0.0)
