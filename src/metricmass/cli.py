@@ -34,7 +34,7 @@ from .estimators import (
 from .oracles import exact_wasserstein_1d
 from .samples import Sample, sample_from_csv, sample_from_json
 from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact
-from .serialize import write_json
+from .serialize import dump_json, write_csv, write_json
 from .simulate import SimulationConfig, campaign_header, run_campaign
 from .spaces import euclidean, parse_space
 from .wasserstein import default_r_grid, w1_report
@@ -123,8 +123,8 @@ def cmd_estimate(args) -> int:
     write_json(args.out + ".json", payload)
     rows = [[m + 1, float(t_all[m]), float(slack[m]),
              min(1.0, float(t_all[m] + slack[m]))] for m in range(n)]
-    _write_csv_with_config(args.out + ".csv", config,
-                           ["m", "martingale_estimate", "slack", "upper_bound"], rows)
+    write_csv(args.out + ".csv", ["m", "martingale_estimate", "slack", "upper_bound"],
+              rows, config)
     return 1 if warnings else 0
 
 
@@ -160,8 +160,7 @@ def cmd_simulate(args) -> int:
     result = run_campaign(sim)
     write_json(args.out + ".json", {"config": result["config"],
                                     "aggregate": result["aggregate"]})
-    _write_csv_with_config(args.out + ".csv", result["config"],
-                           campaign_header(sim), result["rows"])
+    write_csv(args.out + ".csv", campaign_header(sim), result["rows"], result["config"])
     return 1 if sim.n < 16 else 0
 
 
@@ -184,7 +183,6 @@ def cmd_bounds(args) -> int:
     if args.out:
         write_json(args.out, payload)
     else:
-        from .serialize import dump_json
         print(dump_json(payload))
     return 1 if warnings else 0
 
@@ -232,9 +230,8 @@ def cmd_wasserstein(args) -> int:
     write_json(args.out + ".json", payload)
     rows = [[rep.r, rep.m, rep.delta, rep.lower, rep.upper_a, rep.upper_b, rep.scale]
             for rep in reports]
-    _write_csv_with_config(args.out + ".csv", config,
-                           ["r", "m", "delta", "lower", "upper_a", "upper_b", "scale"],
-                           rows)
+    write_csv(args.out + ".csv", ["r", "m", "delta", "lower", "upper_a", "upper_b", "scale"],
+              rows, config)
     return 0
 
 
@@ -253,8 +250,8 @@ def cmd_classify(args) -> int:
     if args.queries:
         queries = _load_sample(args.queries, args.space)
         verdicts = classify_batch(clf, queries.points)
-        _write_csv_with_config(args.out + ".csv", config, ["index", "verdict"],
-                               [[i, v] for i, v in enumerate(verdicts)])
+        write_csv(args.out + ".csv", ["index", "verdict"],
+                  [[i, v] for i, v in enumerate(verdicts)], config)
         payload["n_queries"] = queries.n
         payload["n_anomalous"] = sum(v == "anomalous" for v in verdicts)
     write_json(args.out + ".json", payload)
@@ -270,15 +267,6 @@ def cmd_code(args) -> int:
               "use_net": args.use_net, "diameter": args.diameter, "n": sample.n}
     write_json(args.out + ".json", {"config": config, "report": report.to_dict()})
     return 0
-
-
-def _write_csv_with_config(path, config, header, rows) -> None:
-    from .serialize import csv_cell, dump_json
-    with open(path, "w") as fh:
-        fh.write("# config " + json.dumps(json.loads(dump_json(config))) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
 
 
 # -- parser --------------------------------------------------------------------

@@ -17,6 +17,7 @@ maximum 1/4 once D is large against n.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -439,4 +440,18 @@ def spec_from_dict(payload: dict):
                 for label, names in (("missing", missing), ("unexpected", unexpected)) if names]
     if problems:
         raise ValueError(f"{kind} spec: {'; '.join(problems)}")
+    for f in known:
+        if f.name in body and not _json_fits(body[f.name], f.type):
+            raise ValueError(f"{kind} spec: {f.name!r} must be {f.type}, "
+                             f"got {body[f.name]!r}")
     return SPECS[kind](**body)
+
+
+def _json_fits(value, annotation: str) -> bool:
+    """Whether a value read from JSON fits a field annotated ``int``,
+    ``float``, ``str`` or ``tuple[T, ...]`` (a list of T)."""
+    if annotation.startswith("tuple["):
+        inner = annotation[len("tuple["):-len(", ...]")]
+        return isinstance(value, (list, tuple)) and all(_json_fits(v, inner) for v in value)
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+    return isinstance(value, kinds[annotation]) and not isinstance(value, bool)

@@ -6,6 +6,11 @@ For the point counts that arise here (local-separation search is capped at
 single digits) enumerating every subset is both simple and fast, and it is
 numerically transparent: each candidate solves one small positive-definite
 system, and the smallest candidate that encloses all points is the answer.
+
+The h search enumerates only in three or more dimensions.  In one or two, a
+set fits in a closed r-ball exactly when each of its triples does (Helly's
+theorem for the r-balls around the points), and :func:`three_point_radius`
+decides a triple from its pairwise distances alone.
 """
 from __future__ import annotations
 

@@ -260,12 +260,15 @@ def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
 def sample_from_json(path, space: MetricSpace | None = None) -> Sample:
     """Either a JSON array of coordinate arrays, or an object
     ``{"matrix": [[...]]}`` declaring a precomputed distance matrix whose
-    points are the row indices."""
+    points are the row indices; a matrix is its own space, so ``space``
+    must then be None."""
     with open(path) as fh:
         payload = json.load(fh)
     if isinstance(payload, dict):
         if "matrix" not in payload:
             raise ValueError(f"{path}: expected a 'matrix' key")
+        if space is not None:
+            raise ValueError("a distance matrix input takes no declared space")
         sp = precomputed(np.asarray(payload["matrix"], dtype=float))
         return Sample(np.arange(sp.matrix.shape[0]), sp)
     pts = np.asarray(payload, dtype=float)

@@ -15,10 +15,11 @@ matrices are assumed to be metrics for this purpose).  The window is
 closed at 2r: a pair's enclosing ball has radius d/2, and halving is
 exact, so d <= 2r is the exact locality test for a pair.  The search finds
 the largest clique whose every prefix passes a hereditary feasibility
-predicate (every subset of a locally separated set is locally separated),
-pruning with a greedy-colouring bound in the style of Tomita and Seki's
-MCQ.  The clique relaxation's predicate accepts everything; h's is the
-locality test below.  Witnesses are returned sorted.
+predicate (every subset of a locally separated set is locally separated).
+Candidate sets are Python-int bitsets, and each node peels colour classes
+off its candidates in index order for its bound, as in San Segundo et
+al.'s BBMC.  The clique relaxation's predicate accepts everything; h's is
+the locality test below.  Witnesses are returned sorted.
 
 The clique value ω bounds h from above, so :func:`h_exact` given the
 :func:`h_clique_relaxed` report of the same sample and radius stops as soon
@@ -31,10 +32,13 @@ Locality of a candidate subset is decided by what the space tells:
 
 * a packing cap of 1 (the discrete metric) settles h = 1 without a search;
 * where the minimum enclosing ball decides locality (euclidean): its radius
-  <= r (three points from their pairwise distances, more by exact
-  enumeration), an exact test up to a relative slack of
-  MEB_FEASIBILITY_RTOL, so the search result is exact when it terminates
-  below the cap;
+  <= r, an exact test up to a relative slack of MEB_FEASIBILITY_RTOL, so
+  the search result is exact when it terminates below the cap.  Three
+  points are decided from their pairwise distances.  In one or two
+  dimensions a larger subset fits exactly when each of its triples does
+  (Helly), and the search only tests a subset whose prefix passed, so the
+  triples holding the newest point decide it; in three or more dimensions
+  the ball comes from exact enumeration;
 * everything else: candidate centers are restricted to sample points, which
   certifies a lower bound only, since the true center may lie off-sample.
 """
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -111,9 +116,12 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
             if k <= 2:
                 # The closed window d <= 2r already certifies a midpoint.
                 return True
-            if k == 3:
-                i, j, l = subset
-                return three_point_radius(d[i, j], d[i, l], d[j, l]) <= r_feas
+            if k == 3 or space.dim <= 2:
+                # The prefix passed, so in the plane (Helly) only the
+                # triples holding the new vertex are left to check.
+                *prefix, v = subset
+                return all(three_point_radius(d[i, j], d[i, v], d[j, v]) <= r_feas
+                           for i, j in combinations(prefix, 2))
             # Sorted, so the floating-point MEB does not depend on the
             # order in which the search grew the subset.
             return meb_radius(pts[sorted(subset)]) <= r_feas
@@ -156,47 +164,38 @@ def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]
 
 def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
     """Largest clique of ``adj`` whose every prefix passes the hereditary
-    ``feasible``, by branch and bound with a greedy-colouring bound.
+    ``feasible``, by branch and bound over bitset candidate sets with a
+    colour-class bound.
 
     Returns the clique sorted; the search ends as soon as the clique has
     ``stop`` vertices.
     """
-    n = adj.shape[0]
-    nbrs = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in adj]
-    # One byte per adjacency entry, for the child-candidate filter; a
-    # single buffer, since per-row lists fragment the heap across calls.
-    flat = adj.tobytes()
+    nbrs = [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(adj, axis=1, bitorder="little")]
     best = [0]
 
-    def colour_sort(cands: list[int]) -> tuple[list[int], list[int]]:
-        # First-fit colouring in candidate order; the candidates come back
-        # class by class, and a clique among the first i of them has at
-        # most colours[i - 1] vertices.
-        masks: list[int] = []
-        classes: list[list[int]] = []
-        for v in cands:
-            adjacent = nbrs[v]
-            for c, mask in enumerate(masks):
-                if not mask & adjacent:
-                    masks[c] = mask | 1 << v
-                    classes[c].append(v)
-                    break
-            else:
-                masks.append(1 << v)
-                classes.append([v])
-        return ([v for members in classes for v in members],
-                [c for c, members in enumerate(classes, 1) for _ in members])
-
-    def expand(clique: list[int], cands: list[int]) -> bool:
+    def expand(clique: list[int], cands: int) -> bool:
         nonlocal best
-        if len(clique) + len(cands) <= len(best):
-            return False
-        ordered, colours = colour_sort(cands)
-        for i in range(len(ordered) - 1, -1, -1):
-            if len(clique) + colours[i] <= len(best):
+        # Colour classes peeled in index order; a clique among the
+        # candidates up to a class-k vertex has at most k of them.  A
+        # vertex whose colour cannot beat best is never branched on.
+        skip = len(best) - len(clique)
+        listed: list[tuple[int, int]] = []
+        uncoloured, colour = cands, 0
+        while uncoloured:
+            colour += 1
+            free = uncoloured
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                free &= ~(nbrs[v] | low)
+                uncoloured ^= low
+                if colour > skip:
+                    listed.append((v, colour))
+        for v, colour in reversed(listed):
+            if len(clique) + colour <= len(best):
                 return False
-            v = ordered[i]
+            cands ^= 1 << v
             grown = clique + [v]
             if not feasible(grown):
                 continue
@@ -204,13 +203,12 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
                 best = grown
                 if len(best) >= stop:
                     return True
-            row = v * n
-            if expand(grown, [u for u in ordered[:i] if flat[row + u]]):
+            if expand(grown, cands & nbrs[v]):
                 return True
         return False
 
     if len(best) < stop:
-        expand([], list(range(n)))
+        expand([], (1 << adj.shape[0]) - 1)
     return tuple(sorted(best))
 
 

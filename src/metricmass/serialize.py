@@ -81,8 +81,12 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows, config: dict | None = None) -> None:
+    """Header and rows; ``config``, if given, goes first as one
+    ``# config`` line of compact JSON."""
     with open(path, "w") as fh:
+        if config is not None:
+            fh.write("# config " + json.dumps(json.loads(dump_json(config))) + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(csv_cell(v) for v in row) + "\n")

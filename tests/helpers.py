@@ -323,7 +323,7 @@ def reference_max_clique(adj):
             if len(clique) > len(best):
                 best = list(clique)
             return
-        ordered, colors = color_bound(cands)
+        ordered, colors = color_bound(np.sort(cands))
         for i in range(len(ordered) - 1, -1, -1):
             if len(clique) + colors[i] <= len(best):
                 return

@@ -355,6 +355,7 @@ def test_discrete_space_reads_numeric_symbols(tmp_path):
     ({"kind": "uniform_interval"}, "'a'"),
     ({"kind": "discrete"}, "'symbols'"),
     ({"kind": "uniform_interval", "a": 0.0, "b": 1.0, "c": 2.0}, "'c'"),
+    ({"kind": "basis_uniform", "dim": "3"}, "'dim'"),
 ])
 def test_malformed_distribution_is_usage_error(command, spec, field, tmp_path, capsys):
     # wasserstein used to raise TypeError or KeyError and exit 1, the code
@@ -365,4 +366,16 @@ def test_malformed_distribution_is_usage_error(command, spec, field, tmp_path, c
     err = capsys.readouterr().err
     assert "bad distribution spec" in err
     assert spec["kind"] in err and field in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_matrix_input_rejects_declared_space(tmp_path, capsys):
+    # --space used to be dropped for a {"matrix": ...} input while the
+    # config echoed it.
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": [[0.0, 2.0], [2.0, 0.0]]}')
+    code = main(["estimate", "--input", str(path), "--space", "euclidean:2", "--r", "1.0",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "takes no declared space" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()

@@ -205,6 +205,26 @@ def test_spec_from_dict_names_missing_and_unexpected_fields():
         spec_from_dict({"kind": "gaussian"})
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"kind": "basis_uniform", "dim": "3"}, "'dim'"),
+    ({"kind": "sphere_atom", "dim": 9.0, "n_design": 4}, "'dim'"),
+    ({"kind": "uniform_interval", "a": True, "b": 1.0}, "'a'"),
+    ({"kind": "discrete", "symbols": "ab", "weights": [0.5, 0.5]}, "'symbols'"),
+    ({"kind": "discrete", "symbols": ["a", 2], "weights": [0.5, 0.5]}, "'symbols'"),
+    ({"kind": "point_mass", "points": [[0.0], ["1"]], "weights": [0.5, 0.5]}, "'points'"),
+    ({"kind": "point_mass", "points": [0.0, 1.0], "weights": [0.5, 0.5]}, "'points'"),
+])
+def test_spec_from_dict_names_wrongly_typed_fields(payload, field):
+    # {"dim": "3"} used to fail in __post_init__ with "'<' not supported
+    # between instances of 'str' and 'int'".
+    with pytest.raises(ValueError, match=f"{payload['kind']} spec: {field} must be"):
+        spec_from_dict(payload)
+
+
+def test_spec_from_dict_takes_integers_for_float_fields():
+    assert spec_from_dict({"kind": "uniform_interval", "a": 0, "b": 2}) == UniformIntervalSpec(0.0, 2.0)
+
+
 def test_specs_from_lists_are_hashable_tuples():
     spec = spec_from_dict({"kind": "point_mass", "points": [[0.0], [1.0]],
                            "weights": [0.5, 0.5]})

@@ -1,7 +1,12 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from metricmass.meb import meb_radius, minimum_enclosing_ball
+from metricmass.meb import meb_radius, minimum_enclosing_ball, three_point_radius
+from metricmass.samples import make_sample
+from metricmass.separation import MEB_FEASIBILITY_RTOL
 
 
 def test_single_point():
@@ -80,3 +85,21 @@ def test_grid_cross_check_2d():
             grid[:, None, :] - pts[None, :, :], axis=2).max(axis=1).min()
         assert radius <= grid_best + 1e-9
         assert radius >= grid_best - 0.05  # grid resolution slack
+
+
+@given(st.integers(1, 2), st.data())
+@settings(max_examples=300)
+def test_planar_triangle_test_agrees_with_meb(dim, data):
+    # Helly in the plane: points fit in a closed r-ball exactly when each
+    # triple does.  On a lattice, with r a pair distance or half of one,
+    # enclosing radii land exactly on r, so the tie tolerance is exercised.
+    lattice = list(product(range(-3, 4) if dim == 1 else range(-2, 3), repeat=dim))
+    pts = np.array(data.draw(st.lists(st.sampled_from(lattice), min_size=4, max_size=6,
+                                      unique=True)), dtype=float)
+    d = make_sample(pts).distance_matrix()
+    pairs = d[np.triu_indices(len(pts), k=1)]
+    r = data.draw(st.sampled_from(sorted(set(pairs.tolist()) | set((pairs / 2).tolist()))))
+    r_feas = r * (1.0 + MEB_FEASIBILITY_RTOL)
+    triples = all(three_point_radius(d[i, j], d[i, l], d[j, l]) <= r_feas
+                  for i, j, l in combinations(range(len(pts)), 3))
+    assert triples == (meb_radius(pts) <= r_feas)

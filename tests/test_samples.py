@@ -12,7 +12,7 @@ from metricmass.samples import (
     sample_to_csv,
     verify_net,
 )
-from metricmass.spaces import discrete
+from metricmass.spaces import discrete, euclidean
 from metricmass.wasserstein import default_r_grid
 
 
@@ -154,6 +154,8 @@ def test_json_array_and_matrix(tmp_path):
     s2 = sample_from_json(mat)
     assert s2.space.kind == "precomputed"
     assert s2.distance(0, 1) == 2.0
+    with pytest.raises(ValueError, match="takes no declared space"):
+        sample_from_json(mat, euclidean(2))
 
 
 def test_discrete_sample_pairwise():

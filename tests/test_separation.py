@@ -324,6 +324,16 @@ def test_searches_match_references(kind, n, seed):
             assert bounded.certified == ("exact" if reaches else h.certified)
 
 
+@given(st.integers(1, 60), st.floats(0.05, 0.6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300)
+def test_bitset_search_matches_reference_on_random_graphs(n, density, seed):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    adj = upper | upper.T
+    assert separation._largest_clique(adj, lambda subset: True, n) == \
+        tuple(sorted(reference_max_clique(adj)))
+
+
 def test_nan_radius_rejected():
     s = make_sample(np.array([[0.0], [1.0], [3.0]]))
     for fn in (h_exact, h_clique_relaxed):
