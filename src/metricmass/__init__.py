@@ -76,7 +76,6 @@ from .separation import (
     eh_upper_from_sample,
     h_clique_relaxed,
     h_exact,
-    packing_cap,
 )
 from .simulate import SimulationConfig, run_campaign
 from .spaces import (

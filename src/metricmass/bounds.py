@@ -119,3 +119,14 @@ def gt_error_bounds(n: int) -> tuple[BoundReport, BoundReport]:
         BoundReport(GT_VARIANCE, {"n": n}, variance, vacuous=variance >= 0.25),
         BoundReport(GT_L2, {"n": n}, l2, vacuous=l2 >= 1.0),
     )
+
+
+def bound_reports(e_h: float, n: int, ts) -> list[BoundReport]:
+    """Every bound at (E_h, n) in report order: the two variance ceilings,
+    the G and M_hat tails for each t in ``ts``, then the Good-Turing error
+    ceilings."""
+    reports = [variance_bound_G(e_h, n), variance_bound_Mhat(e_h, n)]
+    for t in ts:
+        reports.extend((tail_bound_G(e_h, n, t), tail_bound_Mhat(e_h, n, t)))
+    reports.extend(gt_error_bounds(n))
+    return reports

@@ -10,9 +10,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .applications import (
@@ -22,8 +25,7 @@ from .applications import (
     false_alarm_certificate,
     save_classifier,
 )
-from .bounds import gt_error_bounds, tail_bound_G, tail_bound_Mhat, \
-    variance_bound_G, variance_bound_Mhat
+from .bounds import bound_reports
 from .distributions import spec_from_dict
 from .estimators import (
     all_martingale_estimates,
@@ -33,9 +35,9 @@ from .estimators import (
 )
 from .oracles import exact_wasserstein_1d
 from .samples import Sample, sample_from_csv, sample_from_json
-from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact
+from .separation import DEFAULT_CAP, EXACT, eh_upper_from_sample, h_clique_relaxed, h_exact
 from .serialize import dump_json, write_csv, write_json
-from .simulate import SimulationConfig, campaign_header, run_campaign
+from .simulate import SimulationConfig, run_campaign
 from .spaces import euclidean, parse_space
 from .wasserstein import default_r_grid, w1_report
 
@@ -79,6 +81,11 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
+def _pick(cfg: dict, flag, key: str, fallback):
+    """A command-line value, else the config file's ``key``, else ``fallback``."""
+    return flag if flag is not None else cfg.get(key, fallback)
+
+
 def _collect_warnings(reports) -> list[str]:
     out = []
     for rep in reports:
@@ -96,12 +103,18 @@ def cmd_estimate(args) -> int:
     mart = martingale_upper_bound(sample, args.r, delta)
     clique = h_clique_relaxed(sample, args.r)
     h_rep = h_exact(sample, args.r, cap=args.h_cap, clique=clique)
-    e_h = eh_upper_from_sample(h_rep.value, delta)
+    # E[h] is estimated from an upper bound on h: h when exact, else the
+    # clique value ω or the space's packing cap, whichever is smaller.
+    h_upper, e_h_source = h_rep.value, "h"
+    if h_rep.certified != EXACT:
+        h_upper, e_h_source = clique.value, "clique"
+        cap = sample.space.packing_cap
+        if cap is not None and cap < h_upper:
+            h_upper, e_h_source = cap, "packing_cap"
+    e_h = eh_upper_from_sample(h_upper, delta)
 
-    bound_reports = [variance_bound_G(e_h, n), variance_bound_Mhat(e_h, n),
-                     tail_bound_G(e_h, n, args.t), tail_bound_Mhat(e_h, n, args.t)]
-    bound_reports.extend(gt_error_bounds(n))
-    warnings = _collect_warnings(bound_reports)
+    reports = bound_reports(e_h, n, [args.t])
+    warnings = _collect_warnings(reports)
     if warnings and args.hypothesis_strict:
         raise HypothesisViolation("; ".join(warnings))
 
@@ -117,14 +130,14 @@ def cmd_estimate(args) -> int:
         "h": h_rep.to_dict(),
         "h_clique": clique.to_dict(),
         "e_h_upper": e_h,
-        "bounds": [rep.to_dict() for rep in bound_reports],
+        "e_h_source": e_h_source,
+        "bounds": [rep.to_dict() for rep in reports],
         "warnings": warnings,
     }
     write_json(args.out + ".json", payload)
-    rows = [[m + 1, float(t_all[m]), float(slack[m]),
-             min(1.0, float(t_all[m] + slack[m]))] for m in range(n)]
-    write_csv(args.out + ".csv", ["m", "martingale_estimate", "slack", "upper_bound"],
-              rows, config)
+    write_csv(args.out + ".csv", {"m": np.arange(1, n + 1), "martingale_estimate": t_all,
+                                  "slack": slack,
+                                  "upper_bound": np.minimum(1.0, t_all + slack)}, config)
     return 1 if warnings else 0
 
 
@@ -136,41 +149,32 @@ def cmd_simulate(args) -> int:
     if spec_payload is None:
         raise UsageError("simulate needs a distribution (config key or flag)")
     spec = _parse_spec(spec_payload)
-
-    def pick(flag, key, fallback):
-        return flag if flag is not None else cfg.get(key, fallback)
-
     sim = SimulationConfig(
         spec=spec,
-        n=int(pick(args.n, "n", 100)),
-        r=float(pick(args.r, "r", 0.5)),
-        delta=float(pick(args.delta, "delta", 0.1)),
-        replicates=int(pick(args.replicates, "replicates", 100)),
-        seed=int(pick(args.seed, "seed", 0)),
-        workers=int(pick(args.workers, "workers", 1)),
+        n=int(_pick(cfg, args.n, "n", 100)),
+        r=float(_pick(cfg, args.r, "r", 0.5)),
+        delta=float(_pick(cfg, args.delta, "delta", 0.1)),
+        replicates=int(_pick(cfg, args.replicates, "replicates", 100)),
+        seed=int(_pick(cfg, args.seed, "seed", 0)),
+        workers=int(_pick(cfg, args.workers, "workers", 1)),
         m_list=tuple(int(m) for m in
                      (args.m_list.split(",") if args.m_list else cfg.get("m_list", []))),
         t_list=tuple(float(t) for t in
                      (args.t_list.split(",") if args.t_list else cfg.get("t_list", [1.0, 3.0]))),
-        compute_h=bool(pick(args.compute_h or None, "compute_h", False)),
-        h_cap=int(pick(args.h_cap, "h_cap", DEFAULT_CAP)),
+        compute_h=bool(_pick(cfg, args.compute_h or None, "compute_h", False)),
+        h_cap=int(_pick(cfg, args.h_cap, "h_cap", DEFAULT_CAP)),
     )
     if sim.n < 16 and args.hypothesis_strict:
         raise HypothesisViolation(f"n = {sim.n} is below the bound hypothesis n >= 16")
     result = run_campaign(sim)
     write_json(args.out + ".json", {"config": result["config"],
                                     "aggregate": result["aggregate"]})
-    write_csv(args.out + ".csv", campaign_header(sim), result["rows"], result["config"])
+    write_csv(args.out + ".csv", result["columns"], result["config"])
     return 1 if sim.n < 16 else 0
 
 
 def cmd_bounds(args) -> int:
-    reports = [variance_bound_G(args.e_h, args.n),
-               variance_bound_Mhat(args.e_h, args.n)]
-    for t in args.t:
-        reports.append(tail_bound_G(args.e_h, args.n, t))
-        reports.append(tail_bound_Mhat(args.e_h, args.n, t))
-    reports.extend(gt_error_bounds(args.n))
+    reports = bound_reports(args.e_h, args.n, args.t)
     warnings = _collect_warnings(reports)
     if warnings and args.hypothesis_strict:
         raise HypothesisViolation("; ".join(warnings))
@@ -196,12 +200,12 @@ def cmd_wasserstein(args) -> int:
     if spec_payload is not None:
         spec = _parse_spec(spec_payload)
 
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = int(_pick(cfg, args.seed, "seed", 0))
     if args.input:
         sample = _load_sample(args.input, args.space)
     elif spec is not None:
         from .distributions import draw_sample
-        n = int(args.n if args.n is not None else cfg.get("n", 500))
+        n = int(_pick(cfg, args.n, "n", 500))
         sample = draw_sample(spec, n, seed)
     else:
         raise UsageError("wasserstein needs --input or a distribution")
@@ -218,7 +222,7 @@ def cmd_wasserstein(args) -> int:
     if not grid or any(not r > 0 for r in grid):
         raise UsageError("radius grid must be non-empty and positive")
 
-    delta = float(args.delta if args.delta is not None else cfg.get("delta", 0.1))
+    delta = float(_pick(cfg, args.delta, "delta", 0.1))
     reports = w1_report(sample, grid, delta, mu_spec=spec, seed=seed)
     config = {"command": "wasserstein", "version": __version__,
               "input": args.input, "n": sample.n, "delta": delta,
@@ -228,10 +232,8 @@ def cmd_wasserstein(args) -> int:
     if spec is not None and sample.space == euclidean(1):
         payload["exact_w1"] = exact_wasserstein_1d(spec, sample)
     write_json(args.out + ".json", payload)
-    rows = [[rep.r, rep.m, rep.delta, rep.lower, rep.upper_a, rep.upper_b, rep.scale]
-            for rep in reports]
-    write_csv(args.out + ".csv", ["r", "m", "delta", "lower", "upper_a", "upper_b", "scale"],
-              rows, config)
+    names = ("r", "m", "delta", "lower", "upper_a", "upper_b", "scale")
+    write_csv(args.out + ".csv", {k: [getattr(rep, k) for rep in reports] for k in names}, config)
     return 0
 
 
@@ -250,8 +252,7 @@ def cmd_classify(args) -> int:
     if args.queries:
         queries = _load_sample(args.queries, args.space)
         verdicts = classify_batch(clf, queries.points)
-        write_csv(args.out + ".csv", ["index", "verdict"],
-                  [[i, v] for i, v in enumerate(verdicts)], config)
+        write_csv(args.out + ".csv", {"index": range(len(verdicts)), "verdict": verdicts}, config)
         payload["n_queries"] = queries.n
         payload["n_anomalous"] = sum(v == "anomalous" for v in verdicts)
     write_json(args.out + ".json", payload)
@@ -271,7 +272,10 @@ def cmd_code(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="metricmass",
         description="Missing-mass estimation and concentration bounds in metric spaces")

@@ -52,7 +52,6 @@ import numpy as np
 
 from .meb import meb_radius, three_point_radius
 from .samples import Sample
-from .spaces import MetricSpace
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -210,11 +209,6 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
     if len(best) < stop:
         expand([], (1 << adj.shape[0]) - 1)
     return tuple(sorted(best))
-
-
-def packing_cap(space: MetricSpace) -> int | None:
-    """Dimension-based ceiling on h, or None: :attr:`MetricSpace.packing_cap`."""
-    return space.packing_cap
 
 
 def eh_upper_from_sample(h_observed: int, delta: float) -> float:

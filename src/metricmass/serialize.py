@@ -81,12 +81,15 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows, config: dict | None = None) -> None:
-    """Header and rows; ``config``, if given, goes first as one
-    ``# config`` line of compact JSON."""
+def write_csv(path, columns: dict, config: dict | None = None) -> None:
+    """One column per ``columns`` entry (name -> sequence or array), in key
+    order, after one ``# config`` line of compact JSON if ``config`` is given."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in cols]}")
     with open(path, "w") as fh:
         if config is not None:
             fh.write("# config " + json.dumps(json.loads(dump_json(config))) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*cols):
             fh.write(",".join(csv_cell(v) for v in row) + "\n")

@@ -6,21 +6,20 @@ missing mass.  Aggregation reports empirical means, variances, biases and
 tail frequencies next to the corresponding closed-form ceilings.
 
 Replicate i uses the generator seeded by (root_seed, i), so campaigns are
-bit-reproducible regardless of worker count; rows are always emitted in
-replicate order.
+bit-reproducible regardless of worker count.  The campaign table has one
+column per name (replicate, estimators, oracle, h, each requested T_m),
+every column in replicate order.
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bounds import tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
-from .distributions import draw_sample, is_finite_support, spec_from_dict, spec_to_dict
+from .distributions import draw_sample, is_finite_support, spec_to_dict
 from .estimators import all_martingale_estimates, good_turing, martingale_upper_bound
 from .oracles import conditional_missing_mass, expected_missing_mass, has_exact_oracle
 from .separation import DEFAULT_CAP, h_exact
@@ -66,63 +65,48 @@ class SimulationConfig:
         }
 
 
-@lru_cache(maxsize=8)
-def _spec_from_json(payload: str):
-    return spec_from_dict(json.loads(payload))
-
-
-def _run_range(payload: str, start: int, stop: int) -> list[list]:
-    cfg = json.loads(payload)
-    spec = _spec_from_json(json.dumps(cfg["spec"], sort_keys=True))
-    n, r = cfg["n"], cfg["r"]
-    rows = []
+def _run_range(config: SimulationConfig, start: int, stop: int) -> list[dict]:
+    """One named record per replicate in [start, stop); a column that is
+    off holds None."""
+    spec, n, r = config.spec, config.n, config.r
+    oracle = has_exact_oracle(spec)
+    records = []
     for i in range(start, stop):
-        sample = draw_sample(spec, n, [cfg["seed"], i])
-        g = good_turing(sample, r)
+        sample = draw_sample(spec, n, [config.seed, i])
         t_all = all_martingale_estimates(sample, r)
-        bound = martingale_upper_bound(sample, r, cfg["delta"])
-        row = [i, g, float(t_all[-1]), bound.value]
-        if cfg["oracle"]:
-            row.append(conditional_missing_mass(spec, sample, r).value)
-        else:
-            row.append(None)
-        if cfg["compute_h"]:
-            row.append(h_exact(sample, r, cap=cfg["h_cap"]).value)
-        else:
-            row.append(None)
-        row.extend(float(t_all[m - 1]) for m in cfg["m_list"])
-        rows.append(row)
-    return rows
-
-
-def campaign_header(config: SimulationConfig) -> list[str]:
-    return (["replicate", "good_turing", "martingale_full", "martingale_min_bound",
-             "mhat_oracle", "h"]
-            + [f"martingale_m{m}" for m in config.m_list])
+        record = {
+            "replicate": i,
+            "good_turing": good_turing(sample, r),
+            "martingale_full": float(t_all[-1]),
+            "martingale_min_bound": martingale_upper_bound(sample, r, config.delta).value,
+            "mhat_oracle": conditional_missing_mass(spec, sample, r).value if oracle else None,
+            "h": h_exact(sample, r, cap=config.h_cap).value if config.compute_h else None,
+        }
+        record.update((f"martingale_m{m}", float(t_all[m - 1])) for m in config.m_list)
+        records.append(record)
+    return records
 
 
 def run_campaign(config: SimulationConfig) -> dict:
-    """Execute the campaign; returns config echo, per-replicate rows and
-    aggregate comparisons against the closed-form bounds."""
-    payload = dict(config.to_dict())
-    payload["oracle"] = has_exact_oracle(config.spec)
-    payload_json = json.dumps(payload, sort_keys=True)
-
+    """Execute the campaign; returns the config echo, the per-replicate
+    table as ``"columns"`` (name -> list in replicate order) and aggregate
+    comparisons against the closed-form bounds."""
     reps = config.replicates
     if config.workers <= 1:
-        rows = _run_range(payload_json, 0, reps)
+        records = _run_range(config, 0, reps)
     else:
         chunk = max(1, math.ceil(reps / (config.workers * 4)))
         spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(_run_range, [payload_json] * len(spans),
+            parts = list(pool.map(_run_range, [config] * len(spans),
                                   [s for s, _ in spans], [e for _, e in spans]))
-        rows = [row for part in parts for row in part]
+        records = [record for part in parts for record in part]
 
+    columns = {name: [record[name] for record in records] for name in records[0]}
     return {
         "config": config.to_dict(),
-        "rows": rows,
-        "aggregate": _aggregate(config, rows),
+        "columns": columns,
+        "aggregate": _aggregate(config, columns),
     }
 
 
@@ -132,14 +116,12 @@ def _freq(mask: np.ndarray) -> dict:
             "sigma": float(math.sqrt(max(p * (1 - p), 1e-12) / len(mask)))}
 
 
-def _aggregate(config: SimulationConfig, rows: list[list]) -> dict:
+def _aggregate(config: SimulationConfig, columns: dict[str, list]) -> dict:
     n, r = config.n, config.r
-    reps = len(rows)
-    header = campaign_header(config)
+    reps = len(columns["replicate"])
 
     def column(name: str) -> np.ndarray:
-        k = header.index(name)
-        return np.array([row[k] for row in rows], dtype=float)
+        return np.array(columns[name], dtype=float)
 
     g = column("good_turing")
     t_full = column("martingale_full")

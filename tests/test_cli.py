@@ -6,9 +6,10 @@ import pytest
 
 from metricmass.cli import main
 from metricmass.samples import sample_from_csv
-from metricmass.separation import h_clique_relaxed, h_exact
+from metricmass.separation import eh_upper_from_sample, h_clique_relaxed, h_exact
 from metricmass.spaces import (
     SPACE_FORMS,
+    MetricSpace,
     discrete,
     euclidean,
     lp,
@@ -65,6 +66,30 @@ def test_estimate_h_is_the_bounded_search(option, space, tmp_path):
     assert payload["h_clique"] == clique.to_dict()
     assert payload["h"] == h_exact(sample, 0.2, clique=clique).to_dict()
     assert payload["h"]["certified"] == "exact"
+    assert payload["e_h_source"] == "h"
+
+
+@pytest.mark.parametrize("draw", [1, 2])
+@pytest.mark.parametrize("cap, source, h_upper", [(None, "clique", 4), (3, "packing_cap", 3)])
+def test_estimate_e_h_comes_from_an_upper_bound_on_h(draw, cap, source, h_upper, tmp_path,
+                                                     monkeypatch):
+    # On these 1-norm samples h = 3 is only a lower bound while ω = 4, so
+    # E[h] is estimated from ω, or from a packing cap below ω (patched in:
+    # the built-in caps exceed ω on small samples).
+    if cap is not None:
+        monkeypatch.setattr(MetricSpace, "packing_cap", property(lambda self: cap))
+    rng = np.random.default_rng(3)
+    points = [rng.uniform(size=(40, 2)) for _ in range(3)][draw]
+    path = tmp_path / "pts.csv"
+    np.savetxt(path, points, fmt="%.17g", delimiter=",")
+    main(["estimate", "--input", str(path), "--space", "lp:2,1", "--r", "0.2",
+          "--out", str(tmp_path / "rep")])
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    assert (payload["h"]["value"], payload["h"]["certified"]) == (3, "lower_bound")
+    assert payload["h_clique"]["value"] == 4
+    e_h = eh_upper_from_sample(h_upper, 0.1)
+    assert (payload["e_h_upper"], payload["e_h_source"]) == (e_h, source)
+    assert [rep["inputs"]["E_h"] for rep in payload["bounds"][:4]] == [e_h] * 4
 
 
 def test_estimate_missing_file(tmp_path, capsys):

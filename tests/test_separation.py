@@ -13,7 +13,6 @@ from metricmass.separation import (
     eh_upper_from_sample,
     h_clique_relaxed,
     h_exact,
-    packing_cap,
 )
 from metricmass.spaces import discrete, euclidean, lp, precomputed, scaled_indicator
 
@@ -201,12 +200,12 @@ def test_pair_just_past_twice_r_is_not_local():
 
 
 def test_packing_caps():
-    assert packing_cap(euclidean(2)) == 9
-    assert packing_cap(euclidean(3)) == 27
-    assert packing_cap(lp(3, 1.5)) == 512
-    assert packing_cap(discrete()) == 1
-    assert packing_cap(scaled_indicator(2.0)) is None
-    assert packing_cap(precomputed([[0.0]])) is None
+    assert euclidean(2).packing_cap == 9
+    assert euclidean(3).packing_cap == 27
+    assert lp(3, 1.5).packing_cap == 512
+    assert discrete().packing_cap == 1
+    assert scaled_indicator(2.0).packing_cap is None
+    assert precomputed([[0.0]]).packing_cap is None
 
 
 def test_h_within_packing_cap():
@@ -216,7 +215,7 @@ def test_h_within_packing_cap():
         pts = rng.normal(size=(n, 2)) * 0.4
         s = make_sample(pts)
         rep = h_exact(s, float(rng.uniform(0.2, 1.0)))
-        assert rep.value <= packing_cap(s.space)
+        assert rep.value <= s.space.packing_cap
 
 
 def test_indicator_embedding_h_at_most_five():

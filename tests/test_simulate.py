@@ -4,7 +4,7 @@ import pytest
 
 from metricmass.distributions import UniformIntervalSpec, discrete_uniform
 from metricmass.oracles import expected_missing_mass
-from metricmass.simulate import SimulationConfig, campaign_header, run_campaign
+from metricmass.simulate import SimulationConfig, run_campaign
 
 
 def small_config(**kw):
@@ -14,38 +14,39 @@ def small_config(**kw):
     return SimulationConfig(**base)
 
 
-def test_rows_shape_and_header():
+def test_columns_shape_and_names():
     cfg = small_config(m_list=(10, 40))
-    result = run_campaign(cfg)
-    header = campaign_header(cfg)
-    assert len(result["rows"]) == 30
-    assert all(len(row) == len(header) for row in result["rows"])
-    assert [row[0] for row in result["rows"]] == list(range(30))
+    columns = run_campaign(cfg)["columns"]
+    assert list(columns) == ["replicate", "good_turing", "martingale_full",
+                             "martingale_min_bound", "mhat_oracle", "h",
+                             "martingale_m10", "martingale_m40"]
+    assert all(len(col) == 30 for col in columns.values())
+    assert columns["replicate"] == list(range(30))
 
 
 def test_same_seed_identical_results():
     a = run_campaign(small_config())
     b = run_campaign(small_config())
-    assert a["rows"] == b["rows"]
+    assert a["columns"] == b["columns"]
     assert a["aggregate"] == b["aggregate"]
 
 
 def test_different_seed_differs():
     a = run_campaign(small_config())
     b = run_campaign(small_config(seed=8))
-    assert a["rows"] != b["rows"]
+    assert a["columns"] != b["columns"]
 
 
 def test_worker_count_does_not_change_results():
     serial = run_campaign(small_config(replicates=24, workers=1))
     parallel = run_campaign(small_config(replicates=24, workers=4))
-    assert serial["rows"] == parallel["rows"]
+    assert serial["columns"] == parallel["columns"]
     assert serial["aggregate"] == parallel["aggregate"]
 
 
 def test_oracle_column_present_for_exact_specs():
     result = run_campaign(small_config(replicates=10))
-    assert all(row[4] is not None for row in result["rows"])
+    assert all(v is not None for v in result["columns"]["mhat_oracle"])
     agg = result["aggregate"]
     assert "mhat" in agg
     assert "good_turing_bias" in agg
@@ -68,7 +69,7 @@ def test_martingale_aggregates_track_bounds():
 def test_compute_h_column():
     cfg = small_config(replicates=5, compute_h=True)
     result = run_campaign(cfg)
-    assert all(row[5] == 1 for row in result["rows"])  # discrete metric
+    assert result["columns"]["h"] == [1] * 5  # discrete metric
     assert result["aggregate"]["h"]["mean"] == 1.0
 
 
@@ -82,7 +83,7 @@ def test_continuous_spec_without_finite_oracle_uses_interval_branch(monkeypatch)
     cfg = SimulationConfig(spec=UniformIntervalSpec(0, 1), n=30, r=0.05,
                            replicates=10, seed=1)
     result = run_campaign(cfg)
-    assert all(row[4] is not None for row in result["rows"])
+    assert all(v is not None for v in result["columns"]["mhat_oracle"])
     assert "mhat" in result["aggregate"]
     assert "good_turing_bias" not in result["aggregate"]
 
