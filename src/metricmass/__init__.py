@@ -76,6 +76,7 @@ from .separation import (
     eh_upper_from_sample,
     h_clique_relaxed,
     h_exact,
+    h_upper_bound,
 )
 from .simulate import SimulationConfig, run_campaign
 from .spaces import (

@@ -24,13 +24,15 @@ import numpy as np
 from .estimators import (
     GOOD_TURING,
     MARTINGALE_MIN,
-    UPPER,
     Estimate,
+    check_delta,
     good_turing_interval,
     martingale_upper_bound,
     net_missing_mass_bound,
+    upper_estimate,
 )
 from .samples import Sample, farthest_first_net, row_blocks
+from .serialize import Record
 from .spaces import space_from_dict
 
 NORMAL = "normal"
@@ -72,16 +74,14 @@ def false_alarm_certificate(classifier: ProximityClassifier, delta: float,
                             method: str = MARTINGALE_MIN) -> Estimate:
     """Upper confidence bound on the false-alarm rate, valid with
     probability at least 1 - delta over the training sample."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     training, gamma = classifier.training, classifier.gamma
     if method == MARTINGALE_MIN:
         return martingale_upper_bound(training, gamma, delta)
     if method == GOOD_TURING:
         interval = good_turing_interval(training, gamma, delta)
-        raw = interval.value + interval.radius
-        return Estimate(value=min(1.0, raw), method=GOOD_TURING, side=UPPER,
-                        delta=delta, radius=interval.radius, vacuous=raw >= 1.0)
+        return upper_estimate(interval.value + interval.radius, GOOD_TURING, delta,
+                              radius=interval.radius)
     raise ValueError(f"unknown certificate method {method!r}")
 
 
@@ -95,19 +95,11 @@ def nn_encode(codebook: Sample, x) -> int:
 
 
 @dataclass(frozen=True)
-class CodingReport:
+class CodingReport(Record):
     codebook: tuple[int, ...]
     epsilon: float
     exceed_prob_estimate: Estimate
     expected_error_bound: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "codebook": list(self.codebook),
-            "epsilon": self.epsilon,
-            "exceed_prob_estimate": self.exceed_prob_estimate.to_dict(),
-            "expected_error_bound": self.expected_error_bound,
-        }
 
 
 def coding_report(sample: Sample, epsilon: float, delta: float,
@@ -124,8 +116,7 @@ def coding_report(sample: Sample, epsilon: float, delta: float,
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     if use_net:
         net = farthest_first_net(sample, epsilon / 2.0)
         bound = net_missing_mass_bound(sample, epsilon / 2.0, net, delta)

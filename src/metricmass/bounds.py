@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .serialize import Record
+
 VARIANCE_G = "variance_G"
 VARIANCE_MHAT = "variance_Mhat"
 TAIL_G = "tail_G"
@@ -25,7 +27,7 @@ _MIN_N_HYPOTHESIS = 16
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     kind: str
     inputs: dict
     value: float
@@ -33,23 +35,15 @@ class BoundReport:
     vacuous: bool = False
     warnings: tuple[str, ...] = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "probability": self.probability,
-            "vacuous": self.vacuous,
-            "warnings": list(self.warnings),
-        }
-
 
 def _check_eh(e_h: float) -> None:
     if e_h < 1.0:
         raise ValueError("E_h is at least 1 (h >= 1 on non-empty samples)")
 
 
-def _small_n_warnings(n: int) -> tuple[str, ...]:
+def hypothesis_warnings(n: int) -> tuple[str, ...]:
+    """The warning that n is below the hypothesis n >= 16 of the E_h-driven
+    bounds, if it is; n must be positive."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n < _MIN_N_HYPOTHESIS:
@@ -58,53 +52,55 @@ def _small_n_warnings(n: int) -> tuple[str, ...]:
     return ()
 
 
+def _variance(kind: str, e_h: float, n: int, formula) -> BoundReport:
+    """The variance ceiling ``formula()`` at (E_h, n), checked first."""
+    _check_eh(e_h)
+    warnings = hypothesis_warnings(n)
+    value = formula()
+    return BoundReport(kind, {"E_h": e_h, "n": n}, value,
+                       vacuous=value >= 0.25, warnings=warnings)
+
+
+def _tail(kind: str, e_h: float, n: int, t: float, formula) -> BoundReport:
+    """The deviation threshold and failure probability ``formula()`` at
+    (E_h, n, t), checked first."""
+    _check_eh(e_h)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    warnings = hypothesis_warnings(n)
+    threshold, probability = formula()
+    return BoundReport(kind, {"E_h": e_h, "n": n, "t": t}, threshold,
+                       probability=probability,
+                       vacuous=threshold >= 1.0 or probability >= 1.0,
+                       warnings=warnings)
+
+
 def variance_bound_G(e_h: float, n: int) -> BoundReport:
     """Variance ceiling 2(1 + E_h)/n for the Good-Turing estimator."""
-    _check_eh(e_h)
-    warnings = _small_n_warnings(n)
-    value = 2.0 * (1.0 + e_h) / n
-    return BoundReport(VARIANCE_G, {"E_h": e_h, "n": n}, value,
-                       vacuous=value >= 0.25, warnings=warnings)
+    return _variance(VARIANCE_G, e_h, n, lambda: 2.0 * (1.0 + e_h) / n)
 
 
 def variance_bound_Mhat(e_h: float, n: int) -> BoundReport:
     """Variance ceiling (2 E_h + 4(e-2)(ln n + 1))/(n-1) for the
     conditional missing mass."""
-    _check_eh(e_h)
-    warnings = _small_n_warnings(n)
-    value = (2.0 * e_h + 4.0 * (math.e - 2.0) * (math.log(n) + 1.0)) / (n - 1)
-    return BoundReport(VARIANCE_MHAT, {"E_h": e_h, "n": n}, value,
-                       vacuous=value >= 0.25, warnings=warnings)
+    return _variance(VARIANCE_MHAT, e_h, n, lambda: (
+        2.0 * e_h + 4.0 * (math.e - 2.0) * (math.log(n) + 1.0)) / (n - 1))
 
 
 def tail_bound_G(e_h: float, n: int, t: float) -> BoundReport:
     """Deviation threshold 12 sqrt((1 + E_h) t / n) + 23 t / sqrt(n) for
     |G - E[G]|, exceeded with probability at most min(1, 15 e^-t)."""
-    _check_eh(e_h)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    warnings = _small_n_warnings(n)
-    threshold = 12.0 * math.sqrt((1.0 + e_h) * t / n) + 23.0 * t / math.sqrt(n)
-    probability = min(1.0, 15.0 * math.exp(-t))
-    return BoundReport(TAIL_G, {"E_h": e_h, "n": n, "t": t}, threshold,
-                       probability=probability,
-                       vacuous=threshold >= 1.0 or probability >= 1.0,
-                       warnings=warnings)
+    return _tail(TAIL_G, e_h, n, t, lambda: (
+        12.0 * math.sqrt((1.0 + e_h) * t / n) + 23.0 * t / math.sqrt(n),
+        min(1.0, 15.0 * math.exp(-t))))
 
 
 def tail_bound_Mhat(e_h: float, n: int, t: float) -> BoundReport:
     """Deviation threshold 12 sqrt(E_h t / n) + 37 t / sqrt(n-1) for
     |M_hat - E[M_hat]|, exceeded with probability at most min(1, 2n e^-t)."""
-    _check_eh(e_h)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    warnings = _small_n_warnings(n)
-    threshold = 12.0 * math.sqrt(e_h * t / n) + 37.0 * t / math.sqrt(n - 1)
-    probability = min(1.0, 2.0 * n * math.exp(-t))
-    return BoundReport(TAIL_MHAT, {"E_h": e_h, "n": n, "t": t}, threshold,
-                       probability=probability,
-                       vacuous=threshold >= 1.0 or probability >= 1.0,
-                       warnings=warnings)
+    return _tail(TAIL_MHAT, e_h, n, t, lambda: (
+        12.0 * math.sqrt(e_h * t / n) + 37.0 * t / math.sqrt(n - 1),
+        min(1.0, 2.0 * n * math.exp(-t))))
 
 
 def gt_error_bounds(n: int) -> tuple[BoundReport, BoundReport]:

@@ -25,7 +25,7 @@ from .applications import (
     false_alarm_certificate,
     save_classifier,
 )
-from .bounds import bound_reports
+from .bounds import bound_reports, hypothesis_warnings
 from .distributions import spec_from_dict
 from .estimators import (
     all_martingale_estimates,
@@ -35,7 +35,7 @@ from .estimators import (
 )
 from .oracles import exact_wasserstein_1d
 from .samples import Sample, sample_from_csv, sample_from_json
-from .separation import DEFAULT_CAP, EXACT, eh_upper_from_sample, h_clique_relaxed, h_exact
+from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact, h_upper_bound
 from .serialize import dump_json, write_csv, write_json
 from .simulate import SimulationConfig, run_campaign
 from .spaces import euclidean, parse_space
@@ -87,10 +87,14 @@ def _pick(cfg: dict, flag, key: str, fallback):
 
 
 def _collect_warnings(reports) -> list[str]:
-    out = []
-    for rep in reports:
-        out.extend(rep.warnings)
-    return out
+    return [w for rep in reports for w in rep.warnings]
+
+
+def _stop_if_strict(args, warnings) -> None:
+    """Raise before anything is written when a hypothesis warning stands
+    under --hypothesis-strict."""
+    if warnings and args.hypothesis_strict:
+        raise HypothesisViolation("; ".join(warnings))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -103,20 +107,12 @@ def cmd_estimate(args) -> int:
     mart = martingale_upper_bound(sample, args.r, delta)
     clique = h_clique_relaxed(sample, args.r)
     h_rep = h_exact(sample, args.r, cap=args.h_cap, clique=clique)
-    # E[h] is estimated from an upper bound on h: h when exact, else the
-    # clique value ω or the space's packing cap, whichever is smaller.
-    h_upper, e_h_source = h_rep.value, "h"
-    if h_rep.certified != EXACT:
-        h_upper, e_h_source = clique.value, "clique"
-        cap = sample.space.packing_cap
-        if cap is not None and cap < h_upper:
-            h_upper, e_h_source = cap, "packing_cap"
+    h_upper, e_h_source = h_upper_bound(h_rep, clique, sample.space)
     e_h = eh_upper_from_sample(h_upper, delta)
 
     reports = bound_reports(e_h, n, [args.t])
     warnings = _collect_warnings(reports)
-    if warnings and args.hypothesis_strict:
-        raise HypothesisViolation("; ".join(warnings))
+    _stop_if_strict(args, warnings)
 
     config = {"command": "estimate", "version": __version__, "input": args.input,
               "space": args.space, "n": n, "r": args.r, "delta": delta,
@@ -164,20 +160,19 @@ def cmd_simulate(args) -> int:
         compute_h=bool(_pick(cfg, args.compute_h or None, "compute_h", False)),
         h_cap=int(_pick(cfg, args.h_cap, "h_cap", DEFAULT_CAP)),
     )
-    if sim.n < 16 and args.hypothesis_strict:
-        raise HypothesisViolation(f"n = {sim.n} is below the bound hypothesis n >= 16")
+    warnings = hypothesis_warnings(sim.n)
+    _stop_if_strict(args, warnings)
     result = run_campaign(sim)
     write_json(args.out + ".json", {"config": result["config"],
                                     "aggregate": result["aggregate"]})
     write_csv(args.out + ".csv", result["columns"], result["config"])
-    return 1 if sim.n < 16 else 0
+    return 1 if warnings else 0
 
 
 def cmd_bounds(args) -> int:
     reports = bound_reports(args.e_h, args.n, args.t)
     warnings = _collect_warnings(reports)
-    if warnings and args.hypothesis_strict:
-        raise HypothesisViolation("; ".join(warnings))
+    _stop_if_strict(args, warnings)
     payload = {
         "config": {"command": "bounds", "version": __version__, "n": args.n,
                    "E_h": args.e_h, "t": list(args.t)},

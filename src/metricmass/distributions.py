@@ -262,22 +262,6 @@ class UniformIntervalSpec:
         """CDF at x, elementwise over an array."""
         return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def cdf_integral(self, lo: float, hi: float) -> float:
-        """Integral of the CDF over [lo, hi] (exact, piecewise)."""
-        if hi <= lo:
-            return 0.0
-        a, b = self.a, self.b
-        total = 0.0
-        # Below a the CDF is 0; above b it is 1; linear in between.
-        mid_lo, mid_hi = max(lo, a), min(hi, b)
-        if mid_hi > mid_lo:
-            f_lo = (mid_lo - a) / (b - a)
-            f_hi = (mid_hi - a) / (b - a)
-            total += 0.5 * (f_lo + f_hi) * (mid_hi - mid_lo)
-        if hi > b:
-            total += hi - max(lo, b)
-        return total
-
 
 @dataclass(frozen=True)
 class ScaledIndicatorSpec:
@@ -316,16 +300,6 @@ class ScaledIndicatorSpec:
         x = np.asarray(x, dtype=float)
         values = [0.0 if v < 0 else 1.0 - math.exp(-self.rate * v) for v in x.ravel().tolist()]
         return np.array(values).reshape(x.shape)
-
-    def cdf_integral(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
-        # Antiderivative of 1 - exp(-rate x) is x + exp(-rate x)/rate.
-        anti = lambda x: x + math.exp(-self.rate * x) / self.rate
-        return anti(hi) - anti(lo)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ distance exactly r does not escape), separation is strict (d > r).  The
 escape indicator of the first point is 1, the empty intersection of ball
 complements being the whole space.
 
-All upper confidence constructions clip to [0, 1] and flag the estimate as
-vacuous when the pre-clip value is 1 or more.
+All upper confidence constructions go through :func:`upper_estimate`:
+clipped to [0, 1], vacuous when the pre-clip value is 1 or more.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .samples import Sample, verify_net
+from .serialize import Record
 
 GOOD_TURING = "good_turing"
 MARTINGALE = "martingale"
@@ -35,8 +36,14 @@ UPPER = "upper"
 LOWER = "lower"
 
 
+def check_delta(delta: float) -> None:
+    """Reject a failure probability outside (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """A point estimate with an optional confidence radius.
 
     ``radius`` is a two-sided half-width for ``side == "two_sided"`` and a
@@ -54,26 +61,18 @@ class Estimate:
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("estimate value must lie in [0, 1]")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        if self.delta is not None:
+            check_delta(self.delta)
         if self.radius is not None and not self.radius >= 0.0:
             raise ValueError("radius must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "side": self.side,
-            "delta": self.delta,
-            "radius": self.radius,
-            "m": self.m,
-            "vacuous": self.vacuous,
-        }
 
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+def upper_estimate(raw: float, method: str, delta: float, radius: float | None = None,
+                   m: int | None = None) -> Estimate:
+    """A one-sided upper estimate at ``raw`` clipped to 1, vacuous when
+    ``raw`` is 1 or more."""
+    return Estimate(value=min(1.0, raw), method=method, side=UPPER, delta=delta,
+                    radius=radius, m=m, vacuous=raw >= 1.0)
 
 
 def _check_sample(sample: Sample, r: float) -> None:
@@ -115,7 +114,7 @@ def all_martingale_estimates(sample: Sample, r: float) -> np.ndarray:
 def sequential_slacks(n: int, delta: float) -> np.ndarray:
     """Sub-Gaussian slacks sqrt(ln(n/delta) / (2m)) of the sequential
     estimates for m = 1..n (index m-1), union-bounded over the n windows."""
-    _check_delta(delta)
+    check_delta(delta)
     return np.sqrt(np.log(n / delta) / (2.0 * np.arange(1, n + 1)))
 
 
@@ -123,27 +122,19 @@ def martingale_upper_bound(sample: Sample, r: float, delta: float) -> Estimate:
     """Upper confidence bound on the conditional missing mass, valid with
     probability at least 1 - delta, obtained by minimizing the sequential
     estimate plus its sub-Gaussian slack over the window length m."""
-    _check_delta(delta)
+    check_delta(delta)
     t = all_martingale_estimates(sample, r)
     slack = sequential_slacks(sample.n, delta)
     values = t + slack
     best = int(np.argmin(values))
-    raw = float(values[best])
-    return Estimate(
-        value=min(1.0, raw),
-        method=MARTINGALE_MIN,
-        side=UPPER,
-        delta=delta,
-        radius=float(slack[best]),
-        m=best + 1,
-        vacuous=raw >= 1.0,
-    )
+    return upper_estimate(float(values[best]), MARTINGALE_MIN, delta,
+                          radius=float(slack[best]), m=best + 1)
 
 
 def good_turing_interval(sample: Sample, r: float, delta: float) -> Estimate:
     """Two-sided interval around the Good-Turing estimate from its variance
     bound via Chebyshev; radius 1/n + sqrt(3/(n*delta))."""
-    _check_delta(delta)
+    check_delta(delta)
     n = sample.n
     g = good_turing(sample, r)
     radius = 1.0 / n + math.sqrt(3.0 / (n * delta))
@@ -160,19 +151,12 @@ def good_turing_interval(sample: Sample, r: float, delta: float) -> Estimate:
 def net_missing_mass_bound(sample: Sample, r: float, net, delta: float) -> Estimate:
     """Upper bound m/n + sqrt(m ln(n/delta) / n) from a verified r-net of
     size m, valid with probability at least 1 - delta."""
-    _check_delta(delta)
+    check_delta(delta)
     verify_net(sample, net, r)
     n = sample.n
     m = len(net)
-    raw = m / n + math.sqrt(m * math.log(n / delta) / n)
-    return Estimate(
-        value=min(1.0, raw),
-        method=NET_BOUND,
-        side=UPPER,
-        delta=delta,
-        m=m,
-        vacuous=raw >= 1.0,
-    )
+    return upper_estimate(m / n + math.sqrt(m * math.log(n / delta) / n), NET_BOUND,
+                          delta, m=m)
 
 
 def subsample_supremum_slack(n: int, m: int, delta: float) -> float:
@@ -180,5 +164,5 @@ def subsample_supremum_slack(n: int, m: int, delta: float) -> float:
     estimation gap over all size-m sub-samples simultaneously."""
     if not 1 <= m <= n:
         raise ValueError("m must lie in [1, n]")
-    _check_delta(delta)
+    check_delta(delta)
     return math.sqrt(min(n - m, m) * math.log(n / delta) / m)

@@ -37,6 +37,7 @@ from .distributions import (
     rng_from_seed,
 )
 from .samples import Sample
+from .serialize import Record
 from .spaces import euclidean
 
 ANALYTIC = "analytic"
@@ -46,7 +47,7 @@ _MC_CHUNK = 8192
 
 
 @dataclass(frozen=True)
-class OracleEstimate:
+class OracleEstimate(Record):
     value: float
     half_width: float
     method: str
@@ -57,16 +58,6 @@ class OracleEstimate:
     def __post_init__(self):
         if self.method == ANALYTIC and self.half_width != 0.0:
             raise ValueError("analytic oracles carry no Monte Carlo width")
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "half_width": self.half_width,
-            "method": self.method,
-            "confidence": self.confidence,
-            "n_test": self.n_test,
-            "seed": self.seed,
-        }
 
 
 def _analytic(value: float) -> OracleEstimate:

@@ -50,8 +50,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .estimators import check_delta
 from .meb import meb_radius, three_point_radius
 from .samples import Sample
+from .serialize import Record
 
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -65,19 +67,11 @@ MEB_FEASIBILITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     value: int
     certified: str
     method: str
     witness: tuple[int, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "certified": self.certified,
-            "method": self.method,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
 
 
 def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
@@ -216,7 +210,19 @@ def eh_upper_from_sample(h_observed: int, delta: float) -> float:
     at least 1 - delta: (sqrt(h) + sqrt(2 ln(1/delta)))^2."""
     if h_observed < 1:
         raise ValueError("h is at least 1 on non-empty samples")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     t = math.log(1.0 / delta)
     return (math.sqrt(h_observed) + math.sqrt(2.0 * t)) ** 2
+
+
+def h_upper_bound(h: SeparationReport, clique: SeparationReport, space) -> tuple[int, str]:
+    """The upper bound on h that E[h] is estimated from, and its source:
+    the :func:`h_exact` value when certified exact (``"h"``), else the
+    smaller of the clique value ω (``"clique"``) and the space's packing cap
+    (``"packing_cap"``)."""
+    if h.certified == EXACT:
+        return h.value, "h"
+    cap = space.packing_cap
+    if cap is not None and cap < clique.value:
+        return cap, "packing_cap"
+    return clique.value, "clique"

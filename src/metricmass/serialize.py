@@ -8,6 +8,7 @@ stdlib encoder because the latter offers no hook for float formatting.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -62,6 +63,25 @@ def dump_json(obj, indent: int = 0) -> str:
         items = [f"{pad}{dump_json(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{closing}]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+class Record:
+    """Base of the frozen report dataclasses: ``to_dict`` lists the fields in
+    declaration order, tuples as lists, dicts copied and nested records as
+    their dicts."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 def write_json(path, obj) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
 from .distributions import draw_sample, is_finite_support, spec_to_dict
-from .estimators import all_martingale_estimates, good_turing, martingale_upper_bound
+from .estimators import all_martingale_estimates, check_delta, good_turing, martingale_upper_bound
 from .oracles import conditional_missing_mass, expected_missing_mass, has_exact_oracle
 from .separation import DEFAULT_CAP, h_exact
 
@@ -42,8 +42,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n < 1 or self.replicates < 1:
             raise ValueError("n and replicates must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        check_delta(self.delta)
         if any(not 1 <= m <= self.n for m in self.m_list):
             raise ValueError("every m must lie in [1, n]")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import martingale_upper_bound
+from .estimators import check_delta, martingale_upper_bound
 from .oracles import conditional_missing_masses
 from .samples import (
     Sample,
@@ -31,6 +31,7 @@ from .samples import (
     prefix_net_errors,
     verify_net,
 )
+from .serialize import Record
 from .spaces import discrete
 
 DIAMETER_MARGIN = 1.05
@@ -38,7 +39,7 @@ DIAMETER_ERROR = "upper bounds need diameter <= 1; rescale the sample"
 
 
 @dataclass(frozen=True)
-class WassersteinReport:
+class WassersteinReport(Record):
     r: float
     m: int
     delta: float
@@ -52,19 +53,6 @@ class WassersteinReport:
     def __post_init__(self):
         if not (self.lower >= 0 and self.r >= 0):
             raise ValueError("report fields must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "delta": self.delta,
-            "lower": self.lower,
-            "upper_a": self.upper_a,
-            "upper_b": self.upper_b,
-            "net_indices": list(self.net_indices),
-            "scale": self.scale,
-            "mhat": self.mhat,
-        }
 
 
 def w1_lower_bound(mhat: float, r: float) -> float:
@@ -84,21 +72,25 @@ def w1_upper_bounds(sample: Sample, r: float, net, delta: float,
     at radius r (oracle value or a high-probability bound); without it only
     the net-only form is reported.  Bounds are clipped to the diameter.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     if sample.diameter() > 1.0:
         raise ValueError(DIAMETER_ERROR)
     verify_net(sample, net, r)
     n = sample.n
     m = len(net)
-    if m > (n - 3) / 2:
-        raise ValueError(f"net size {m} exceeds (n - 3)/2 = {(n - 3) / 2:.1f}")
+    if m > _max_net_size(n):
+        raise ValueError(f"net size {m} exceeds (n - 3)/2 = {_max_net_size(n):.1f}")
     upper_a, upper_b = _net_upper_bounds(n, m, r, delta, mhat_upper)
     lower = w1_lower_bound(mhat_upper, r) if mhat_upper is not None else 0.0
     return WassersteinReport(r=r, m=m, delta=delta, lower=lower,
                              upper_a=upper_a, upper_b=upper_b,
                              net_indices=tuple(int(i) for i in net),
                              mhat=mhat_upper)
+
+
+def _max_net_size(n: int) -> float:
+    """The largest net size, (n - 3)/2, for which the upper bounds hold."""
+    return (n - 3) / 2
 
 
 def _net_upper_bounds(n: int, m: int, r: float, delta: float,
@@ -167,8 +159,7 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     test points from the child stream ``[seed, 1]``, so they stay
     independent of a sample drawn from ``seed`` itself.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     if r_grid is None:
         r_grid = default_r_grid(sample)
     r_grid = [float(r) for r in r_grid]
@@ -187,7 +178,7 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     normalized = sample.with_distances_scaled(1.0 / scale) if scale != 1.0 else sample
 
     delta_r = delta / len(r_grid)
-    n = sample.n
+    n_max = _max_net_size(sample.n)
     radii = sorted(r_grid)
     oracle = [None] * len(radii)
     if mu_spec is not None:
@@ -197,7 +188,7 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     # one pass verifies every net small enough for the upper bounds.
     order, covering = farthest_first_traversal(normalized, radii[0] / scale)
     nets = [net_prefix(order, covering, r / scale) for r in radii]
-    checks = [(len(net), r / scale) for net, r in zip(nets, radii) if len(net) <= (n - 3) / 2]
+    checks = [(len(net), r / scale) for net, r in zip(nets, radii) if len(net) <= n_max]
     for error in prefix_net_errors(normalized, order, checks):
         if error is not None:
             raise error
@@ -214,8 +205,8 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
             mhat_lo = mhat
         lower = w1_lower_bound(mhat_lo, r)
         upper_a = upper_b = None
-        if m <= (n - 3) / 2:
-            upper_a, upper_b = _net_upper_bounds(n, m, r / scale, delta_r, mhat_hi)
+        if m <= n_max:
+            upper_a, upper_b = _net_upper_bounds(sample.n, m, r / scale, delta_r, mhat_hi)
             upper_a *= scale
             upper_b *= scale
         reports.append(WassersteinReport(

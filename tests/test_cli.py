@@ -109,13 +109,19 @@ def test_estimate_nan_coordinate_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_hypothesis_strict_aborts(tmp_path):
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_hypothesis_strict_aborts(command, tmp_path):
     sample = tmp_path / "pts.csv"
     write_csv(sample, [[1.0]] * 4)
-    code = main(["--hypothesis-strict", "estimate", "--input", str(sample),
-                 "--r", "1.0", "--out", str(tmp_path / "r")])
+    argv = {"estimate": ["estimate", "--input", str(sample), "--r", "1.0"],
+            "simulate": ["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                         "--n", "8", "--r", "0.1", "--replicates", "3"]}[command]
+    code = main(["--hypothesis-strict"] + argv + ["--out", str(tmp_path / "r")])
     assert code == 1
-    assert not (tmp_path / "r.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
+    # Without the flag the violation still exits 1, with both outputs written.
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv", "r.csv", "r.json"]
 
 
 def test_simulate_deterministic_across_runs_and_workers(tmp_path):

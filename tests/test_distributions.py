@@ -103,8 +103,6 @@ def test_uniform_interval_sampling_and_cdf():
     assert pts.shape == (1000, 1)
     assert pts.min() >= 2.0 and pts.max() <= 4.0
     assert spec.cdf(3.0) == 0.5
-    assert spec.cdf_integral(2.0, 4.0) == pytest.approx(1.0)
-    assert spec.cdf_integral(0.0, 5.0) == pytest.approx(2.0)
 
 
 def test_scaled_indicator_metric_identity():

@@ -13,8 +13,9 @@ from metricmass.separation import (
     eh_upper_from_sample,
     h_clique_relaxed,
     h_exact,
+    h_upper_bound,
 )
-from metricmass.spaces import discrete, euclidean, lp, precomputed, scaled_indicator
+from metricmass.spaces import MetricSpace, discrete, euclidean, lp, precomputed, scaled_indicator
 
 from helpers import h_grid_oracle, reference_h_exact, reference_max_clique, window_graph
 
@@ -255,6 +256,25 @@ def test_eh_upper_examples():
         eh_upper_from_sample(0, 0.5)
     with pytest.raises(ValueError):
         eh_upper_from_sample(2, 1.5)
+
+
+@pytest.mark.parametrize("source, cap, expected", [("h", None, 2), ("clique", None, 4),
+                                                    ("packing_cap", 3, 3)])
+def test_h_upper_bound_sources(source, cap, expected, monkeypatch):
+    # h is exact on the line; on the 1-norm sample h = 3 is only a lower
+    # bound while ω = 4, so the bound is ω, or a packing cap below ω
+    # (patched in: the built-in caps exceed ω on small samples).
+    if cap is not None:
+        monkeypatch.setattr(MetricSpace, "packing_cap", property(lambda self: cap))
+    if source == "h":
+        sample = line_sample(0.0, 0.3, 0.6)
+    else:
+        rng = np.random.default_rng(3)
+        sample = make_sample([rng.uniform(size=(40, 2)) for _ in range(2)][1], lp(2, 1.0))
+    clique = h_clique_relaxed(sample, 0.2)
+    h = h_exact(sample, 0.2, clique=clique)
+    assert (h.certified == "exact") == (source == "h")
+    assert h_upper_bound(h, clique, sample.space) == (expected, source)
 
 
 REFERENCE_KINDS = ("euclidean", "lp", "precomputed", "scaled_indicator")

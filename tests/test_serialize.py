@@ -1,10 +1,19 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from metricmass.serialize import csv_cell, write_csv
+from metricmass import (
+    CodingReport,
+    Estimate,
+    OracleEstimate,
+    SeparationReport,
+    WassersteinReport,
+    variance_bound_G,
+)
+from metricmass.serialize import csv_cell, dump_json, write_csv
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, -1e308])
@@ -52,3 +61,45 @@ def test_write_csv_lines_are_the_transposed_columns(columns, config, tmp_path):
 def test_write_csv_rejects_columns_of_unequal_length(short, tmp_path):
     with pytest.raises(ValueError, match="length"):
         write_csv(tmp_path / "table.csv", {"a": np.arange(2), "b": short})
+
+
+ESTIMATE = Estimate(0.25, "martingale_min", side="upper", delta=0.1, radius=0.5, m=3)
+RECORDS = [
+    ESTIMATE,
+    variance_bound_G(2.0, 8),
+    OracleEstimate(0.5, 0.01, "monte_carlo", 0.99, n_test=100, seed=3),
+    SeparationReport(2, "exact", "brute_force", witness=(0, 4)),
+    WassersteinReport(r=0.1, m=2, delta=0.05, lower=0.0, upper_a=None, upper_b=0.9,
+                      net_indices=(1, 5)),
+    CodingReport(codebook=(0, 2), epsilon=0.2, exceed_prob_estimate=ESTIMATE),
+]
+
+
+def tuples_in(value) -> int:
+    if isinstance(value, tuple):
+        return 1
+    if isinstance(value, dict):
+        return sum(tuples_in(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(tuples_in(v) for v in value)
+    return 0
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_record_dict_lists_the_fields_in_order_without_tuples(record):
+    d = record.to_dict()
+    assert list(d) == [f.name for f in fields(record)]
+    assert tuples_in(d) == 0
+    assert json.loads(dump_json(d)) == d
+
+
+def test_coding_report_nests_its_estimate_as_a_dict():
+    d = RECORDS[-1].to_dict()
+    assert d["exceed_prob_estimate"] == ESTIMATE.to_dict()
+    assert d["codebook"] == [0, 2]
+
+
+def test_bound_report_dict_copies_its_inputs():
+    report = RECORDS[1]
+    assert report.to_dict()["inputs"] == report.inputs
+    assert report.to_dict()["inputs"] is not report.inputs
