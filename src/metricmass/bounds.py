@@ -52,6 +52,11 @@ def hypothesis_warnings(n: int) -> tuple[str, ...]:
     return ()
 
 
+def _check_mhat_n(n: int) -> None:
+    if n < 2:
+        raise ValueError("the M_hat bounds need n at least 2: they divide by n - 1")
+
+
 def _variance(kind: str, e_h: float, n: int, formula) -> BoundReport:
     """The variance ceiling ``formula()`` at (E_h, n), checked first."""
     _check_eh(e_h)
@@ -82,7 +87,8 @@ def variance_bound_G(e_h: float, n: int) -> BoundReport:
 
 def variance_bound_Mhat(e_h: float, n: int) -> BoundReport:
     """Variance ceiling (2 E_h + 4(e-2)(ln n + 1))/(n-1) for the
-    conditional missing mass."""
+    conditional missing mass; n must be at least 2."""
+    _check_mhat_n(n)
     return _variance(VARIANCE_MHAT, e_h, n, lambda: (
         2.0 * e_h + 4.0 * (math.e - 2.0) * (math.log(n) + 1.0)) / (n - 1))
 
@@ -97,7 +103,9 @@ def tail_bound_G(e_h: float, n: int, t: float) -> BoundReport:
 
 def tail_bound_Mhat(e_h: float, n: int, t: float) -> BoundReport:
     """Deviation threshold 12 sqrt(E_h t / n) + 37 t / sqrt(n-1) for
-    |M_hat - E[M_hat]|, exceeded with probability at most min(1, 2n e^-t)."""
+    |M_hat - E[M_hat]|, exceeded with probability at most min(1, 2n e^-t);
+    n must be at least 2."""
+    _check_mhat_n(n)
     return _tail(TAIL_MHAT, e_h, n, t, lambda: (
         12.0 * math.sqrt(e_h * t / n) + 37.0 * t / math.sqrt(n - 1),
         min(1.0, 2.0 * n * math.exp(-t))))

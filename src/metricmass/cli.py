@@ -26,19 +26,14 @@ from .applications import (
     save_classifier,
 )
 from .bounds import bound_reports, hypothesis_warnings
-from .distributions import spec_from_dict
-from .estimators import (
-    all_martingale_estimates,
-    good_turing_interval,
-    martingale_upper_bound,
-    sequential_slacks,
-)
-from .oracles import exact_wasserstein_1d
+from .distributions import draw_sample, spec_from_dict
+from .estimators import good_turing_interval, sequential_bounds
+from .oracles import exact_wasserstein_1d, has_exact_w1
 from .samples import Sample, sample_from_csv, sample_from_json
 from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact, h_upper_bound
 from .serialize import dump_json, write_csv, write_json
 from .simulate import SimulationConfig, run_campaign
-from .spaces import euclidean, parse_space
+from .spaces import parse_space
 from .wasserstein import default_r_grid, w1_report
 
 
@@ -86,10 +81,6 @@ def _pick(cfg: dict, flag, key: str, fallback):
     return flag if flag is not None else cfg.get(key, fallback)
 
 
-def _collect_warnings(reports) -> list[str]:
-    return [w for rep in reports for w in rep.warnings]
-
-
 def _stop_if_strict(args, warnings) -> None:
     """Raise before anything is written when a hypothesis warning stands
     under --hypothesis-strict."""
@@ -104,21 +95,19 @@ def cmd_estimate(args) -> int:
     delta = args.delta
     n = sample.n
     g_int = good_turing_interval(sample, args.r, delta)
-    mart = martingale_upper_bound(sample, args.r, delta)
+    t_all, slack, mart = sequential_bounds(sample, args.r, delta)
     clique = h_clique_relaxed(sample, args.r)
     h_rep = h_exact(sample, args.r, cap=args.h_cap, clique=clique)
     h_upper, e_h_source = h_upper_bound(h_rep, clique, sample.space)
     e_h = eh_upper_from_sample(h_upper, delta)
 
     reports = bound_reports(e_h, n, [args.t])
-    warnings = _collect_warnings(reports)
+    warnings = list(hypothesis_warnings(n))
     _stop_if_strict(args, warnings)
 
     config = {"command": "estimate", "version": __version__, "input": args.input,
               "space": args.space, "n": n, "r": args.r, "delta": delta,
               "t": args.t, "h_cap": args.h_cap}
-    t_all = all_martingale_estimates(sample, args.r)
-    slack = sequential_slacks(n, delta)
     payload = {
         "config": config,
         "good_turing": g_int.to_dict(),
@@ -171,7 +160,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     reports = bound_reports(args.e_h, args.n, args.t)
-    warnings = _collect_warnings(reports)
+    warnings = list(hypothesis_warnings(args.n))
     _stop_if_strict(args, warnings)
     payload = {
         "config": {"command": "bounds", "version": __version__, "n": args.n,
@@ -199,7 +188,6 @@ def cmd_wasserstein(args) -> int:
     if args.input:
         sample = _load_sample(args.input, args.space)
     elif spec is not None:
-        from .distributions import draw_sample
         n = int(_pick(cfg, args.n, "n", 500))
         sample = draw_sample(spec, n, seed)
     else:
@@ -224,7 +212,7 @@ def cmd_wasserstein(args) -> int:
               "r_grid": grid, "seed": seed,
               "distribution": spec_payload, "scale": reports[0].scale}
     payload = {"config": config, "reports": [rep.to_dict() for rep in reports]}
-    if spec is not None and sample.space == euclidean(1):
+    if spec is not None and has_exact_w1(spec, sample):
         payload["exact_w1"] = exact_wasserstein_1d(spec, sample)
     write_json(args.out + ".json", payload)
     names = ("r", "m", "delta", "lower", "upper_a", "upper_b", "scale")

@@ -2,9 +2,10 @@
 
 Every generator is deterministic given (spec, seed).  Finite-support specs
 additionally expose their atom list, weights and atom-to-atom distances,
-which the oracles use for exact computation; samples drawn through
-:func:`draw_sample` carry their atom indices as provenance for the same
-purpose.
+and the two scalar specs their ``cdf``; :mod:`metricmass.oracles` picks
+its exact branch from these.  Samples drawn through :func:`draw_sample`
+from a finite-support spec carry their atom indices as provenance for the
+same purpose.
 
 The basis-plus-atom family is the construction showing that no universal
 estimator of the expected missing mass exists: a mixture of uniform mass on
@@ -29,10 +30,6 @@ from .spaces import (
     euclidean,
     scaled_indicator,
 )
-
-
-def rng_from_seed(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _cached(spec, name: str, build):
@@ -249,15 +246,6 @@ class UniformIntervalSpec:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=(count, 1))
 
-    # 1-D distribution interface used by the oracles:
-
-    def coord_values(self, sample: Sample) -> np.ndarray:
-        return np.asarray(sample.points, dtype=float).reshape(-1)
-
-    def coord_halfwidth(self, r: float) -> float:
-        # A metric ball of radius r is the coordinate interval of halfwidth r.
-        return r
-
     def cdf(self, x) -> np.ndarray:
         """CDF at x, elementwise over an array."""
         return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
@@ -285,13 +273,6 @@ class ScaledIndicatorSpec:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(scale=1.0 / self.rate, size=count)
-
-    def coord_values(self, sample: Sample) -> np.ndarray:
-        return np.asarray(sample.points, dtype=float).reshape(-1)
-
-    def coord_halfwidth(self, r: float) -> float:
-        # d(a, b) <= r means |a - b| <= r^p in coordinate units.
-        return r ** self.p
 
     def cdf(self, x) -> np.ndarray:
         """CDF at x, elementwise over an array.  Evaluated with math.exp per
@@ -334,19 +315,11 @@ class LowdimEmbeddingSpec:
         return pts
 
 
-def is_finite_support(spec) -> bool:
-    return isinstance(spec, _FiniteSupportMixin)
-
-
-def has_scalar_cdf(spec) -> bool:
-    return isinstance(spec, (UniformIntervalSpec, ScaledIndicatorSpec))
-
-
 def sample_points(spec, count: int, seed) -> np.ndarray:
     """iid draws from the distribution; deterministic given the seed."""
     if count < 1:
         raise ValueError("count must be positive")
-    return spec.sample(count, rng_from_seed(seed))
+    return spec.sample(count, np.random.default_rng(seed))
 
 
 def draw_sample(spec, count: int, seed) -> Sample:
@@ -354,8 +327,8 @@ def draw_sample(spec, count: int, seed) -> Sample:
     attach atom-index provenance for exact oracle evaluation."""
     if count < 1:
         raise ValueError("count must be positive")
-    rng = rng_from_seed(seed)
-    if is_finite_support(spec):
+    rng = np.random.default_rng(seed)
+    if hasattr(spec, "sample_indices"):
         idx = spec.sample_indices(count, rng)
         return Sample(spec.points_from_indices(idx), spec.space(), atom_indices=idx)
     return Sample(spec.sample(count, rng), spec.space())

@@ -111,24 +111,24 @@ def all_martingale_estimates(sample: Sample, r: float) -> np.ndarray:
     return np.cumsum(e[::-1]) / m
 
 
-def sequential_slacks(n: int, delta: float) -> np.ndarray:
-    """Sub-Gaussian slacks sqrt(ln(n/delta) / (2m)) of the sequential
-    estimates for m = 1..n (index m-1), union-bounded over the n windows."""
+def sequential_bounds(sample: Sample, r: float, delta: float
+                      ) -> tuple[np.ndarray, np.ndarray, Estimate]:
+    """The sequential estimates and their sub-Gaussian slacks sqrt(ln(n/delta)
+    / (2m)) for m = 1..n (index m-1), union-bounded over the n windows, and
+    the minimum over m of estimate plus slack as an upper estimate."""
     check_delta(delta)
-    return np.sqrt(np.log(n / delta) / (2.0 * np.arange(1, n + 1)))
+    t = all_martingale_estimates(sample, r)
+    slack = np.sqrt(np.log(sample.n / delta) / (2.0 * np.arange(1, sample.n + 1)))
+    values = t + slack
+    best = int(np.argmin(values))
+    return t, slack, upper_estimate(float(values[best]), MARTINGALE_MIN, delta,
+                                    radius=float(slack[best]), m=best + 1)
 
 
 def martingale_upper_bound(sample: Sample, r: float, delta: float) -> Estimate:
     """Upper confidence bound on the conditional missing mass, valid with
-    probability at least 1 - delta, obtained by minimizing the sequential
-    estimate plus its sub-Gaussian slack over the window length m."""
-    check_delta(delta)
-    t = all_martingale_estimates(sample, r)
-    slack = sequential_slacks(sample.n, delta)
-    values = t + slack
-    best = int(np.argmin(values))
-    return upper_estimate(float(values[best]), MARTINGALE_MIN, delta,
-                          radius=float(slack[best]), m=best + 1)
+    probability at least 1 - delta: the last of :func:`sequential_bounds`."""
+    return sequential_bounds(sample, r, delta)[2]
 
 
 def good_turing_interval(sample: Sample, r: float, delta: float) -> Estimate:

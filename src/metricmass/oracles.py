@@ -5,16 +5,20 @@ generating distribution, of landing farther than r from every sample point.
 It is an oracle quantity (it needs the distribution), so these routines are
 what the estimators are judged against.
 
-Three evaluation strategies, picked automatically:
+Three evaluation branches; :func:`oracle_branch` is the one place that
+picks a spec's branch, from what the spec provides:
 
-* finite-support distributions: exact summation over atoms, using the
+* ``finite``, a spec with atoms: exact summation over the atoms, using the
   sampled atom indices when the sample carries them (fast path) or explicit
   cross distances otherwise;
-* scalar distributions with a computable CDF (uniform interval, exponential
-  step-function embedding): metric balls around sample points are coordinate
-  intervals, so masses reduce to exact sweeps over merged intervals;
-* everything else: Monte Carlo over fresh test points with a Hoeffding
+* ``interval``, a spec with a ``cdf`` on a line space: balls are coordinate
+  intervals (:meth:`~metricmass.spaces.MetricSpace.ball_halfwidth`), so
+  masses reduce to exact sweeps over merged intervals;
+* ``monte_carlo``, everything else: fresh test points with a Hoeffding
   confidence half-width sqrt(ln(2/alpha) / (2N)).
+
+Exact W1 (:func:`has_exact_w1`) takes the finite branch's atoms, or the
+uniform interval, the one ``interval`` spec on ``euclidean(1)``.
 
 The leave-one-out average H admits one shared decomposition used by both
 exact branches and Monte Carlo: a point covered by no sample ball lies in
@@ -29,18 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    PointMassSpec,
-    UniformIntervalSpec,
-    has_scalar_cdf,
-    is_finite_support,
-    rng_from_seed,
-)
+from .distributions import draw_sample
 from .samples import Sample
 from .serialize import Record
 from .spaces import euclidean
 
 ANALYTIC = "analytic"
+FINITE = "finite"
+INTERVAL = "interval"
 MONTE_CARLO = "monte_carlo"
 
 _MC_CHUNK = 8192
@@ -72,6 +72,16 @@ def _seed_field(seed) -> int | None:
     return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
+def oracle_branch(spec) -> str:
+    """:data:`FINITE` for a spec with atoms, :data:`INTERVAL` for one with a
+    ``cdf`` on a line space, else :data:`MONTE_CARLO`."""
+    if hasattr(spec, "atom_weights"):
+        return FINITE
+    if hasattr(spec, "cdf") and spec.space().ball_halfwidth(0.0) is not None:
+        return INTERVAL
+    return MONTE_CARLO
+
+
 # -- coverage decompositions -------------------------------------------------
 
 def _finite_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
@@ -93,8 +103,8 @@ def _interval_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
     sequentially in sweep order (np.cumsum, not the pairwise np.sum), which
     keeps them bit-identical to an endpoint-by-endpoint loop.
     """
-    xs = spec.coord_values(sample)
-    rho = spec.coord_halfwidth(r)
+    xs = np.asarray(sample.points, dtype=float).reshape(-1)
+    rho = spec.space().ball_halfwidth(r)
     pos = np.concatenate([xs - rho, xs + rho])
     delta = np.concatenate([np.ones(len(xs), dtype=np.int64),
                             -np.ones(len(xs), dtype=np.int64)])
@@ -111,15 +121,7 @@ def _interval_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
     return float(m0), float(m1)
 
 
-def has_exact_oracle(spec) -> bool:
-    """Whether the coverage masses of spec are computed exactly."""
-    return is_finite_support(spec) or has_scalar_cdf(spec)
-
-
-def _exact_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
-    if is_finite_support(spec):
-        return _finite_coverage(spec, sample, r)
-    return _interval_coverage(spec, sample, r)
+_COVERAGE = {FINITE: _finite_coverage, INTERVAL: _interval_coverage}
 
 
 def _mc_nearest_two(spec, sample: Sample, n_test: int, alpha: float,
@@ -134,7 +136,7 @@ def _mc_nearest_two(spec, sample: Sample, n_test: int, alpha: float,
         raise ValueError("n_test must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     space = sample.space
     k = min(2, sample.n)
     nearest = np.full((n_test, 2), np.inf)
@@ -166,8 +168,9 @@ def conditional_missing_masses(spec, sample: Sample, radii,
         raise ValueError("radius must be non-negative")
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
-    if has_exact_oracle(spec):
-        return [_analytic(_exact_coverage(spec, sample, r)[0]) for r in radii]
+    branch = oracle_branch(spec)
+    if branch != MONTE_CARLO:
+        return [_analytic(_COVERAGE[branch](spec, sample, r)[0]) for r in radii]
     d1, _ = _mc_nearest_two(spec, sample, n_test, alpha, seed)
     return [_monte_carlo((d1 > r).mean(), n_test, alpha, seed) for r in radii]
 
@@ -193,8 +196,9 @@ def smoothed_oracle_H(spec, sample: Sample, r: float,
     n = sample.n
     if n < 1:
         raise ValueError("sample must be non-empty")
-    if has_exact_oracle(spec):
-        m0, m1 = _exact_coverage(spec, sample, r)
+    branch = oracle_branch(spec)
+    if branch != MONTE_CARLO:
+        m0, m1 = _COVERAGE[branch](spec, sample, r)
         return _analytic(m0 + m1 / n)
     d1, d2 = _mc_nearest_two(spec, sample, n_test, alpha, seed)
     # Per test point the leave-one-out contribution lies in [0, 1], so one
@@ -217,7 +221,7 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
         raise ValueError("n must be positive")
     if not r >= 0:
         raise ValueError("radius must be non-negative")
-    if is_finite_support(spec):
+    if oracle_branch(spec) == FINITE:
         w = spec.atom_weights()
         ball_mass = ((spec.atom_distance_matrix() <= r) * w[None, :]).sum(axis=1)
         return _analytic(float((w * (1.0 - ball_mass) ** n).sum()))
@@ -225,7 +229,6 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
         raise ValueError("replicates must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    from .distributions import draw_sample
     values = np.empty(replicates)
     inner_width = 0.0
     for i in range(replicates):
@@ -243,48 +246,56 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
 
 # -- exact 1-D Wasserstein -----------------------------------------------------
 
+def has_exact_w1(spec, sample: Sample) -> bool:
+    """Whether :func:`exact_wasserstein_1d` applies: the spec and the sample
+    lie on ``euclidean(1)`` and the spec has an exact branch."""
+    line = euclidean(1)
+    return (sample.space == line and spec.space() == line
+            and oracle_branch(spec) != MONTE_CARLO)
+
+
 def exact_wasserstein_1d(spec, sample: Sample) -> float:
     """W1 distance between a one-dimensional distribution and the empirical
     measure of the sample, computed as the exact area between the two CDFs."""
-    if sample.space != euclidean(1):
-        raise ValueError("exact W1 is implemented for 1-D euclidean samples only")
+    if not has_exact_w1(spec, sample):
+        raise ValueError("exact W1 needs a finite or uniform distribution and a "
+                         "sample on the 1-D euclidean line")
     xs = np.sort(np.asarray(sample.points, dtype=float).reshape(-1))
     n = len(xs)
-    if isinstance(spec, UniformIntervalSpec):
-        extra = np.array([spec.a, spec.b])
-    elif isinstance(spec, PointMassSpec) and spec.dim == 1:
-        extra = spec.atom_points().reshape(-1)
-    else:
-        raise ValueError("unsupported distribution for the exact 1-D oracle")
+    atomic = oracle_branch(spec) == FINITE
+    extra = spec.atom_points().reshape(-1) if atomic else np.array([spec.a, spec.b])
+    piece_area = _atomic_piece_area if atomic else _uniform_piece_area
     knots = np.unique(np.concatenate([xs, extra]))
     total = 0.0
     for left, right in zip(knots[:-1], knots[1:]):
         c = np.searchsorted(xs, left, side="right") / n
-        total += _piece_area(spec, float(left), float(right), float(c))
+        total += piece_area(spec, float(left), float(right), float(c))
     return total
 
 
-def _piece_area(spec, left: float, right: float, c: float) -> float:
-    """Integral of |F - c| over (left, right) where F has no breakpoint."""
+def _uniform_piece_area(spec, left: float, right: float, c: float) -> float:
+    """Integral of |F - c| over (left, right), which holds neither a nor b."""
     width = right - left
-    if isinstance(spec, UniformIntervalSpec):
-        a, b = spec.a, spec.b
-        if right <= a:
-            return c * width
-        if left >= b:
-            return (1.0 - c) * width
-        # Piece lies inside [a, b]: F is linear with slope 1/(b - a).
-        f_left = (left - a) / (b - a)
-        f_right = (right - a) / (b - a)
-        if c <= f_left:
-            return 0.5 * (f_left + f_right) * width - c * width
-        if c >= f_right:
-            return c * width - 0.5 * (f_left + f_right) * width
-        cross = a + c * (b - a)
-        lower = (c - 0.5 * (f_left + c)) * (cross - left)
-        upper = (0.5 * (c + f_right) - c) * (right - cross)
-        return lower + upper
-    # Atomic distribution: F is constant strictly between breakpoints.
+    a, b = spec.a, spec.b
+    if right <= a:
+        return c * width
+    if left >= b:
+        return (1.0 - c) * width
+    # Piece lies inside [a, b]: F is linear with slope 1/(b - a).
+    f_left = (left - a) / (b - a)
+    f_right = (right - a) / (b - a)
+    if c <= f_left:
+        return 0.5 * (f_left + f_right) * width - c * width
+    if c >= f_right:
+        return c * width - 0.5 * (f_left + f_right) * width
+    cross = a + c * (b - a)
+    lower = (c - 0.5 * (f_left + c)) * (cross - left)
+    upper = (0.5 * (c + f_right) - c) * (right - cross)
+    return lower + upper
+
+
+def _atomic_piece_area(spec, left: float, right: float, c: float) -> float:
+    """Integral of |F - c| over (left, right), where F is constant."""
     f_mid = float(np.sum(spec.atom_weights()[spec.atom_points().reshape(-1)
                                              <= 0.5 * (left + right)]))
-    return abs(f_mid - c) * width
+    return abs(f_mid - c) * (right - left)

@@ -19,9 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
-from .distributions import draw_sample, is_finite_support, spec_to_dict
-from .estimators import all_martingale_estimates, check_delta, good_turing, martingale_upper_bound
-from .oracles import conditional_missing_mass, expected_missing_mass, has_exact_oracle
+from .distributions import draw_sample, spec_to_dict
+from .estimators import check_delta, good_turing, sequential_bounds
+from .oracles import (
+    FINITE,
+    MONTE_CARLO,
+    conditional_missing_mass,
+    expected_missing_mass,
+    oracle_branch,
+)
 from .separation import DEFAULT_CAP, h_exact
 
 
@@ -40,8 +46,9 @@ class SimulationConfig:
     h_cap: int = DEFAULT_CAP
 
     def __post_init__(self):
-        if self.n < 1 or self.replicates < 1:
-            raise ValueError("n and replicates must be positive")
+        # The M_hat bounds every campaign reports divide by n - 1.
+        if self.n < 2 or self.replicates < 1:
+            raise ValueError("n must be at least 2 and replicates positive")
         check_delta(self.delta)
         if any(not 1 <= m <= self.n for m in self.m_list):
             raise ValueError("every m must lie in [1, n]")
@@ -68,16 +75,16 @@ def _run_range(config: SimulationConfig, start: int, stop: int) -> list[dict]:
     """One named record per replicate in [start, stop); a column that is
     off holds None."""
     spec, n, r = config.spec, config.n, config.r
-    oracle = has_exact_oracle(spec)
+    oracle = oracle_branch(spec) != MONTE_CARLO
     records = []
     for i in range(start, stop):
         sample = draw_sample(spec, n, [config.seed, i])
-        t_all = all_martingale_estimates(sample, r)
+        t_all, _, min_bound = sequential_bounds(sample, r, config.delta)
         record = {
             "replicate": i,
             "good_turing": good_turing(sample, r),
             "martingale_full": float(t_all[-1]),
-            "martingale_min_bound": martingale_upper_bound(sample, r, config.delta).value,
+            "martingale_min_bound": min_bound.value,
             "mhat_oracle": conditional_missing_mass(spec, sample, r).value if oracle else None,
             "h": h_exact(sample, r, cap=config.h_cap).value if config.compute_h else None,
         }
@@ -153,13 +160,14 @@ def _aggregate(config: SimulationConfig, columns: dict[str, list]) -> dict:
         tail_rows.append(entry)
     agg["tail_G"] = tail_rows
 
-    if has_exact_oracle(config.spec):
+    branch = oracle_branch(config.spec)
+    if branch != MONTE_CARLO:
         mhat = column("mhat_oracle")
         agg["mhat"] = {"mean": float(mhat.mean()),
                        "variance": float(mhat.var(ddof=1)) if reps > 1 else 0.0}
         # Only finite support has an exact expected mass; the bias is never
         # reported against a Monte Carlo one, so none is computed.
-        if is_finite_support(config.spec):
+        if branch == FINITE:
             expected = expected_missing_mass(config.spec, n, r)
             bias = g - expected.value
             agg["good_turing_bias"] = {

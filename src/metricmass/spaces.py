@@ -20,10 +20,11 @@ which leaves an exactly symmetric matrix unchanged, and with every -0.0
 read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
 are the same float, so a pass over the upper triangle reads every distance.
 
-Every decision that depends on the kind is made here, and the dict and
-``kind[:a,b]`` forms of the kinds that persist are read from one
-:data:`GRAMMAR` table.  Other modules compare spaces by value instead, as
-in ``space == euclidean(1)``.
+Every decision that depends on the kind is made here: the points, the
+kernel, ``scaled``, ``ball_halfwidth`` on a line, ``packing_cap``,
+``meb_locality``, ``known_metric``, and the dict and ``kind[:a,b]`` forms
+of the kinds that persist, read from one :data:`GRAMMAR` table.  Other
+modules compare spaces by value instead, as in ``space == euclidean(1)``.
 """
 from __future__ import annotations
 
@@ -136,6 +137,14 @@ class MetricSpace:
         if self.kind == PRECOMPUTED:
             return points, precomputed(self.matrix * factor)
         raise ValueError(f"distances of a {self.kind} space cannot be rescaled")
+
+    def ball_halfwidth(self, r: float) -> float | None:
+        """Coordinate half-width of a closed r-ball on a line: r for a 1-D
+        norm, r^p for the scaled indicator (|a - b| <= r^p); None where the
+        points are not coordinates on a line."""
+        if self.kind in (EUCLIDEAN, LP) and self.dim == 1:
+            return r
+        return r ** self.p if self.kind == SCALED_INDICATOR else None
 
     @property
     def packing_cap(self) -> int | None:

@@ -124,7 +124,8 @@ def interval_coverage_loop(spec, points, r):
     """(mass covered by no ball, mass covered by exactly one) for a scalar
     spec, by a sweep over the sorted interval endpoints one at a time."""
     xs = np.asarray(points, dtype=float).reshape(-1)
-    rho = spec.coord_halfwidth(r)
+    # The ball's coordinate half-width: |a - b|^(1/p) <= r iff |a - b| <= r^p.
+    rho = r if spec.kind == "uniform_interval" else r ** spec.p
     pos = np.concatenate([xs - rho, xs + rho])
     delta = np.concatenate([np.ones(len(xs)), -np.ones(len(xs))])
     order = np.lexsort((-delta, pos))

@@ -111,3 +111,11 @@ def test_t_must_be_positive():
         tail_bound_G(1.0, 100, 0.0)
     with pytest.raises(ValueError):
         tail_bound_Mhat(1.0, 100, -1.0)
+
+
+def test_mhat_bounds_need_two_points():
+    # Both divide by n - 1; n = 1 used to raise ZeroDivisionError.
+    for bound in (lambda: variance_bound_Mhat(1.0, 1), lambda: tail_bound_Mhat(1.0, 1, 1.0)):
+        with pytest.raises(ValueError, match="at least 2"):
+            bound()
+    assert variance_bound_G(1.0, 1).value == 4.0

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from metricmass import cli
 from metricmass.cli import main
+from metricmass.distributions import spec_from_dict
 from metricmass.samples import sample_from_csv
 from metricmass.separation import eh_upper_from_sample, h_clique_relaxed, h_exact
 from metricmass.spaces import (
@@ -158,9 +160,14 @@ def test_bounds_stdout(capsys):
     assert var_g["value"] == 0.04
 
 
-def test_bounds_small_n_exit_code():
-    assert main(["bounds", "--n", "8"]) == 1
-    assert main(["--hypothesis-strict", "bounds", "--n", "8"]) == 1
+def test_bounds_small_n_exit_code(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--n", "8", "--t", "1", "3", "--out", str(out)]) == 1
+    # One copy of the warning, not one per E_h-driven report.
+    warnings = json.loads(out.read_text())["warnings"]
+    assert len(warnings) == 1 and "n = 8" in warnings[0]
+    assert main(["--hypothesis-strict", "bounds", "--n", "8", "--t", "1", "3"]) == 1
+    assert capsys.readouterr().err == f"hypothesis violation: {warnings[0]}\n"
 
 
 def test_wasserstein_from_distribution(tmp_path):
@@ -180,6 +187,29 @@ def test_wasserstein_from_distribution(tmp_path):
     lines = (tmp_path / "w1.csv").read_text().splitlines()
     assert lines[0].startswith("# config")
     assert lines[1] == "r,m,delta,lower,upper_a,upper_b,scale"
+
+
+@pytest.mark.parametrize("spec, exact", [
+    ({"kind": "basis_uniform", "dim": 1}, True),
+    ({"kind": "sphere_atom", "dim": 1, "n_design": 50}, True),
+    ({"kind": "lowdim_embedding", "d_intrinsic": 1, "d_ambient": 1}, False),
+], ids=["basis_uniform", "sphere_atom", "lowdim_embedding"])
+def test_wasserstein_on_the_line(spec, exact, tmp_path):
+    # Each used to exit 2 after its whole sweep: the command asked for the
+    # exact W1 of every 1-D sample, which the oracle had only for point
+    # masses and the uniform interval.
+    argv = ["wasserstein", "--n", "50", "--seed", "1", "--r-grid", "0.1,0.2"]
+    assert main(argv + ["--distribution", json.dumps(spec), "--out", str(tmp_path / "w1")]) == 0
+    payload = json.loads((tmp_path / "w1.json").read_text())
+    if not exact:
+        assert "exact_w1" not in payload
+        return
+    # A point-mass spec with the same atoms and weights draws the same sample.
+    atoms = spec_from_dict(spec)
+    twin = {"kind": "point_mass", "points": atoms.atom_points().tolist(),
+            "weights": atoms.atom_weights().tolist()}
+    assert main(argv + ["--distribution", json.dumps(twin), "--out", str(tmp_path / "pm")]) == 0
+    assert payload["exact_w1"] == json.loads((tmp_path / "pm.json").read_text())["exact_w1"]
 
 
 @pytest.mark.parametrize("seed", [11, None])
@@ -312,6 +342,23 @@ def test_nan_radius_is_usage_error(command, tmp_path):
     }[command]
     assert main(argv + ["--out", str(out)]) == 2
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "estimate", "simulate"])
+def test_fewer_than_two_points_is_usage_error(command, tmp_path, capsys, monkeypatch):
+    # Each used to end in a ZeroDivisionError traceback from the M_hat
+    # bounds, simulate only after its whole campaign had run.
+    monkeypatch.setattr(cli, "run_campaign", lambda config: pytest.fail("campaign ran"))
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[0.5]])
+    argv = {"bounds": ["bounds", "--n", "1", "--out", str(tmp_path / "x.json")],
+            "estimate": ["estimate", "--input", str(sample), "--r", "0.1",
+                         "--out", str(tmp_path / "x")],
+            "simulate": ["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                         "--n", "1", "--replicates", "3", "--out", str(tmp_path / "x")]}[command]
+    assert main(argv) == 2
+    assert "at least 2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
 
 
 @pytest.mark.parametrize("command", ["wasserstein", "estimate"])

@@ -13,6 +13,7 @@ from metricmass.estimators import (
     martingale_estimate,
     martingale_upper_bound,
     net_missing_mass_bound,
+    sequential_bounds,
     subsample_supremum_slack,
 )
 from metricmass.samples import InvalidNetError, farthest_first_net, make_sample
@@ -187,6 +188,18 @@ def test_min_bound_identical_interior_minimizer():
         for m in range(1, n + 1))
     assert est.value == pytest.approx(best)
     assert 1 < est.m < n
+
+
+def test_sequential_bounds_per_window():
+    n, delta = 40, 0.2
+    s = make_sample(np.random.default_rng(3).uniform(0, 1, (n, 1)))
+    t, slack, est = sequential_bounds(s, 0.05, delta)
+    assert t.tolist() == all_martingale_estimates(s, 0.05).tolist()
+    assert slack.tolist() == pytest.approx(
+        [math.sqrt(math.log(n / delta) / (2 * m)) for m in range(1, n + 1)])
+    assert est == martingale_upper_bound(s, 0.05, delta)
+    assert est.value == min(1.0, t[est.m - 1] + slack[est.m - 1])
+    assert est.radius == slack[est.m - 1]
 
 
 def test_gt_interval_formula():

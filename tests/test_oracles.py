@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricmass.distributions import (
+    BasisUniformSpec,
     DiscreteSpec,
     LowdimEmbeddingSpec,
     PointMassSpec,
@@ -21,6 +22,8 @@ from metricmass.oracles import (
     conditional_missing_masses,
     exact_wasserstein_1d,
     expected_missing_mass,
+    has_exact_w1,
+    oracle_branch,
     smoothed_oracle_H,
 )
 from metricmass.samples import Sample
@@ -36,6 +39,20 @@ from helpers import (
 
 def interval_sample(spec, *xs):
     return Sample(np.array(xs, dtype=float)[:, None], spec.space())
+
+
+@pytest.mark.parametrize("spec, branch", [
+    (DiscreteSpec(("a", "b"), (0.5, 0.5)), "finite"),
+    (PointMassSpec(((0.0, 1.0),), (1.0,)), "finite"),
+    (SphereAtomSpec(3, 10), "finite"),
+    (BasisUniformSpec(1), "finite"),
+    (UniformIntervalSpec(0.0, 1.0), "interval"),
+    (ScaledIndicatorSpec(p=2.0), "interval"),
+    (LowdimEmbeddingSpec(1, 1), "monte_carlo"),
+    (LowdimEmbeddingSpec(2, 5), "monte_carlo"),
+])
+def test_oracle_branch_of_each_kind(spec, branch):
+    assert oracle_branch(spec) == branch
 
 
 # -- conditional missing mass -------------------------------------------------
@@ -398,10 +415,32 @@ def test_w1_dominates_scaled_missing_mass():
             assert w1 >= r * mhat - 1e-12
 
 
+@pytest.mark.parametrize("spec", [BasisUniformSpec(1), SphereAtomSpec(1, 3), SphereAtomSpec(1, 50),
+                                  PointMassSpec(((0.5,), (-1.0,), (2.0,)), (0.2, 0.3, 0.5))])
+def test_w1_finite_spec_on_the_line_equals_its_point_masses(spec):
+    twin = PointMassSpec(tuple(map(tuple, spec.atom_points().tolist())),
+                         tuple(spec.atom_weights().tolist()))
+    for seed in range(6):
+        s = draw_sample(spec, 1 + 7 * seed, seed)
+        assert exact_wasserstein_1d(spec, s) == exact_wasserstein_1d(twin, s)
+        counts = np.bincount(s.atom_indices, minlength=len(twin.weights))
+        lp = transport_w1_atoms(twin.atom_points().reshape(-1), twin.atom_weights(),
+                                twin.atom_points().reshape(-1), counts / s.n)
+        assert exact_wasserstein_1d(spec, s) == pytest.approx(lp, abs=1e-9)
+
+
 def test_w1_unsupported_space():
     spec = ScaledIndicatorSpec(p=2.0)
     s = draw_sample(spec, 5, seed=0)
     with pytest.raises(ValueError):
+        exact_wasserstein_1d(spec, s)
+
+
+@pytest.mark.parametrize("spec", [LowdimEmbeddingSpec(1, 1), BasisUniformSpec(2)])
+def test_w1_needs_the_line_and_an_exact_branch(spec):
+    s = draw_sample(spec, 5, seed=0)
+    assert not has_exact_w1(spec, s)
+    with pytest.raises(ValueError, match="exact W1"):
         exact_wasserstein_1d(spec, s)
 
 

@@ -118,13 +118,30 @@ def test_ball_membership_is_symmetric(a, b, r, p):
     assert ball_contains(space, a, r, b) == ball_contains(space, b, r, a)
 
 
-@pytest.mark.parametrize("space", [euclidean(1), lp(1, 3.0), scaled_indicator(2.0)])
+LINES = [euclidean(1), lp(1, 3.0), scaled_indicator(2.0)]
+
+
+@pytest.mark.parametrize("space", LINES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coordinates_rejected(space, bad):
     with pytest.raises(ValueError, match="finite"):
         space.as_points([[0.0], [bad], [5.0]])
     with pytest.raises(ValueError, match="finite"):
         space.distance(0.0, bad)
+
+
+@pytest.mark.parametrize("space", LINES + [euclidean(2), lp(3, 1.0), discrete(),
+                                           precomputed([[0.0]])])
+def test_ball_halfwidth_is_the_ball_on_a_line(space):
+    r, x = 0.3, 1.0
+    rho = space.ball_halfwidth(r)
+    if space not in LINES:
+        assert rho is None
+        return
+    for side in (-1.0, 1.0):
+        assert space.distance(x, x + side * rho) == pytest.approx(r)
+        assert ball_contains(space, x, r, x + side * 0.99 * rho)
+        assert not ball_contains(space, x, r, x + side * 1.01 * rho)
 
 
 def test_nan_sample_rejected_before_estimation():
