@@ -235,7 +235,7 @@ def cmd_classify(args) -> int:
     if args.queries:
         queries = _load_sample(args.queries, args.space)
         verdicts = classify_batch(clf, queries.points)
-        write_csv(args.out + ".csv", {"index": range(len(verdicts)), "verdict": verdicts}, config)
+        write_csv(args.out + ".csv", {"index": np.arange(len(verdicts)), "verdict": verdicts}, config)
         payload["n_queries"] = queries.n
         payload["n_anomalous"] = sum(v == "anomalous" for v in verdicts)
     write_json(args.out + ".json", payload)

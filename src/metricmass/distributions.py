@@ -90,7 +90,7 @@ class DiscreteSpec(_ListedAtomsMixin):
         return discrete()
 
     def atom_points(self) -> np.ndarray:
-        return np.asarray(self.symbols)
+        return _cached(self, "_points", lambda: np.asarray(self.symbols))
 
     def atom_distance_matrix(self) -> np.ndarray:
         k = len(self.symbols)

@@ -15,7 +15,10 @@ picks a spec's branch, from what the spec provides:
   intervals (:meth:`~metricmass.spaces.MetricSpace.ball_halfwidth`), so
   masses reduce to exact sweeps over merged intervals;
 * ``monte_carlo``, everything else: fresh test points with a Hoeffding
-  confidence half-width sqrt(ln(2/alpha) / (2N)).
+  confidence half-width sqrt(ln(2/alpha) / (2N)).  Their distances to the
+  sample are streamed in the row blocks of
+  :func:`~metricmass.samples.row_blocks` (at most ``SUMMARY_BLOCK_ELEMENTS``
+  = 2^18 entries each), and only the nearest one or two are kept.
 
 Exact W1 (:func:`has_exact_w1`) takes the finite branch's atoms, or the
 uniform interval, the one ``interval`` spec on ``euclidean(1)``.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_sample
-from .samples import Sample
+from .samples import Sample, row_blocks
 from .serialize import Record
 from .spaces import euclidean
 
@@ -124,13 +127,17 @@ def _interval_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
 _COVERAGE = {FINITE: _finite_coverage, INTERVAL: _interval_coverage}
 
 
-def _mc_nearest_two(spec, sample: Sample, n_test: int, alpha: float,
-                    seed) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from each of n_test fresh draws to its nearest and its
-    second-nearest sample point (inf for a one-point sample), chunked.
+def _mc_nearest(spec, sample: Sample, n_test: int, alpha: float, seed,
+                k: int) -> np.ndarray:
+    """n_test x k distances from fresh draws to their nearest sample point
+    (k = 1) or to their nearest and second-nearest (k = 2, inf in the second
+    column for a one-point sample).
 
-    Under the closed-ball convention a draw is covered by no sample ball
-    iff d1 > r, and by exactly one iff d1 <= r < d2, at every radius r.
+    Draws come ``_MC_CHUNK`` at a time, because the rng stream, and so every
+    value, depends on the draw size.  Each chunk's distances are computed
+    and reduced in :func:`~metricmass.samples.row_blocks`, one block alive
+    at a time.  Under the closed-ball convention a draw is covered by no
+    sample ball iff d1 > r, and by exactly one iff d1 <= r < d2.
     """
     if n_test < 1:
         raise ValueError("n_test must be positive")
@@ -138,15 +145,20 @@ def _mc_nearest_two(spec, sample: Sample, n_test: int, alpha: float,
         raise ValueError("alpha must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     space = sample.space
-    k = min(2, sample.n)
-    nearest = np.full((n_test, 2), np.inf)
+    kept = min(k, sample.n)
+    nearest = np.full((n_test, k), np.inf)
     for start in range(0, n_test, _MC_CHUNK):
-        take = min(_MC_CHUNK, n_test - start)
-        d = space.cross_distances(spec.sample(take, rng), sample.points)
-        if k == 2:
-            d.partition(1, axis=1)  # in place: no second chunk-sized array
-        nearest[start:start + take, :k] = d[:, :k]
-    return nearest[:, 0], nearest[:, 1]
+        draws = spec.sample(min(_MC_CHUNK, n_test - start), rng)
+        for rows in row_blocks(len(draws), sample.n):
+            d = space.cross_distances(draws[rows], sample.points)
+            out = nearest[start + rows.start:start + rows.stop]
+            if kept == 2:
+                d.partition(1, axis=1)  # in place: no second block-sized array
+                out[:] = d[:, :2]
+            else:
+                out[:, 0] = d.min(axis=1)
+            del d  # free this block before the next one is computed
+    return nearest
 
 
 def _monte_carlo(value: float, n_test: int, alpha: float, seed) -> OracleEstimate:
@@ -171,7 +183,7 @@ def conditional_missing_masses(spec, sample: Sample, radii,
     branch = oracle_branch(spec)
     if branch != MONTE_CARLO:
         return [_analytic(_COVERAGE[branch](spec, sample, r)[0]) for r in radii]
-    d1, _ = _mc_nearest_two(spec, sample, n_test, alpha, seed)
+    d1 = _mc_nearest(spec, sample, n_test, alpha, seed, k=1)[:, 0]
     return [_monte_carlo((d1 > r).mean(), n_test, alpha, seed) for r in radii]
 
 
@@ -200,7 +212,7 @@ def smoothed_oracle_H(spec, sample: Sample, r: float,
     if branch != MONTE_CARLO:
         m0, m1 = _COVERAGE[branch](spec, sample, r)
         return _analytic(m0 + m1 / n)
-    d1, d2 = _mc_nearest_two(spec, sample, n_test, alpha, seed)
+    d1, d2 = _mc_nearest(spec, sample, n_test, alpha, seed, k=2).T
     # Per test point the leave-one-out contribution lies in [0, 1], so one
     # Hoeffding width covers the averaged statistic despite shared points.
     z = (d1 > r) + ((d1 <= r) & (d2 > r)) / n

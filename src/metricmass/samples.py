@@ -40,7 +40,7 @@ from .spaces import MetricSpace, discrete, euclidean, precomputed
 
 # Elements per row block of distances, which bounds the temporaries of
 # every blocked pass.
-SUMMARY_BLOCK_ELEMENTS = 1 << 20
+SUMMARY_BLOCK_ELEMENTS = 1 << 18
 # Rows per block of the upper-triangle pass.  Each block also computes the
 # square below its part of the diagonal and discards it; short blocks keep
 # that waste near n * SUMMARY_BLOCK_ROWS / 2 entries in all.

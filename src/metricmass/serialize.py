@@ -101,15 +101,28 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_column(col) -> tuple[str, list]:
+    """One printf conversion for a whole column, and the values it takes:
+    ``%d`` for an integer array, ``%.17g`` for a float array with no NaN or
+    infinity (the same digits as :func:`format_float`), else ``%s`` over
+    :func:`csv_cell`."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind in "iu":
+            return "%d", col.tolist()
+        if col.dtype.kind == "f" and np.isfinite(col).all():
+            return "%.17g", col.tolist()
+    return "%s", [csv_cell(v) for v in col]
+
+
 def write_csv(path, columns: dict, config: dict | None = None) -> None:
     """One column per ``columns`` entry (name -> sequence or array), in key
     order, after one ``# config`` line of compact JSON if ``config`` is given."""
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    if len({len(c) for c in cols}) > 1:
-        raise ValueError(f"CSV columns differ in length: {[len(c) for c in cols]}")
+    if len({len(c) for c in columns.values()}) > 1:
+        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns.values()]}")
+    parts = [_csv_column(c) for c in columns.values()]
+    row = ",".join(conv for conv, _ in parts) + "\n"
     with open(path, "w") as fh:
         if config is not None:
             fh.write("# config " + json.dumps(json.loads(dump_json(config))) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
+        fh.write("".join(row % cells for cells in zip(*(values for _, values in parts))))

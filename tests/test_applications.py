@@ -64,7 +64,7 @@ def test_false_alarm_identity_monte_carlo():
 @pytest.mark.parametrize("block, n_queries", [(700, 51), (samples.SUMMARY_BLOCK_ELEMENTS, 5000)])
 def test_classify_batch_blocks_match_dense_rule(block, n_queries):
     # 300 training points: blocks of 2 queries with a last one of 1, or of
-    # 3495 queries with a partial second one.  Lattice points put many
+    # 873 queries with a partial sixth one.  Lattice points put many
     # queries at exactly d == gamma, which is normal.
     rng = np.random.default_rng(4)
     train = make_sample(rng.integers(0, 8, size=(300, 2)).astype(float))

@@ -95,6 +95,8 @@ def test_points_from_indices_agree_with_atoms():
         direct = spec.points_from_indices(idx)
         via_atoms = spec.atom_points()[idx]
         assert (np.asarray(direct) == np.asarray(via_atoms)).all()
+        # Built once per spec: every draw indexes the same atom array.
+        assert spec.atom_points() is spec.atom_points()
 
 
 def test_uniform_interval_sampling_and_cdf():

@@ -1,11 +1,14 @@
 """Sample-only commands stream distances in row blocks: none requests the
-n x n distance matrix, and none holds even most of one."""
+n x n distance matrix, and none holds even most of one.  The Monte Carlo
+oracle streams its test points' distances in the same blocks."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from metricmass import oracles, samples
 from metricmass.cli import main
+from metricmass.distributions import LowdimEmbeddingSpec, draw_sample
 from metricmass.samples import Sample
 
 N = 3000
@@ -40,3 +43,25 @@ def test_command_never_builds_the_matrix(command, tmp_path, monkeypatch):
         # The radius grid selects its order statistics without holding the
         # n(n - 1)/2 distances above the diagonal.
         assert peak < 0.25 * N * N * 8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_monte_carlo_oracle_holds_one_block_at_a_time(k):
+    spec = LowdimEmbeddingSpec(2, 5)
+    sample = draw_sample(spec, 250, seed=0)
+    n_test = 100_000
+    tracemalloc.start()
+    try:
+        if k == 1:  # the nearest distance only
+            oracles.conditional_missing_masses(spec, sample, [0.2, 0.5, 1.0],
+                                               n_test=n_test, seed=1)
+        else:  # the nearest two
+            oracles.smoothed_oracle_H(spec, sample, 0.5, n_test=n_test, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = samples.SUMMARY_BLOCK_ELEMENTS * 8
+    draw_chunk = oracles._MC_CHUNK * spec.d_ambient * 8
+    # The k nearest distances of every test point.
+    result = n_test * k * 8
+    assert peak < 2 * block + draw_chunk + result

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from metricmass.oracles import (
     oracle_branch,
     smoothed_oracle_H,
 )
+from metricmass import samples
 from metricmass.samples import Sample
 
 from helpers import (
@@ -241,6 +243,11 @@ def test_radius_sweep_equals_one_radius_calls():
             assert est == conditional_missing_mass(spec, s, r, n_test=20_000, seed=k)
 
 
+# Row-block budgets of the Monte Carlo distances: one row per block, a few
+# rows that split each draw chunk unevenly, and the default.
+MC_BLOCKS = [1, 7, 1000, samples.SUMMARY_BLOCK_ELEMENTS]
+
+
 @pytest.mark.parametrize("n", [1, 2, 17])
 def test_monte_carlo_oracles_match_coverage_counts(n):
     spec = _opaque_gaussian(3)
@@ -248,10 +255,15 @@ def test_monte_carlo_oracles_match_coverage_counts(n):
     n_test = 20_000  # more than two chunks, the last one partial
     for r in (0.3, 1.0, 2.5):
         counts = mc_coverage_counts(spec, s, r, n_test, seed=9)
-        assert conditional_missing_mass(spec, s, r, n_test=n_test, seed=9).value \
-            == float((counts == 0).mean())
         z = (counts == 0) + (counts == 1) / n
-        assert smoothed_oracle_H(spec, s, r, n_test=n_test, seed=9).value == float(z.mean())
+        # Budget 7 already gives one-row blocks on the 17-point sample; budget
+        # 1 would only repeat that, slowly, over 20,000 draws.
+        for block in MC_BLOCKS[1:]:
+            with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+                assert conditional_missing_mass(spec, s, r, n_test=n_test, seed=9).value \
+                    == float((counts == 0).mean())
+                assert smoothed_oracle_H(spec, s, r, n_test=n_test, seed=9).value \
+                    == float(z.mean())
 
 
 def test_monte_carlo_closed_ball_at_exact_radius():
@@ -260,13 +272,15 @@ def test_monte_carlo_closed_ball_at_exact_radius():
     below = float(np.nextafter(1.0, 0.0))
     one_ball = Sample(np.array([[0.0], [5.0]]), at_one.space())
     two_balls = Sample(np.array([[0.0], [2.0]]), at_one.space())
-    assert conditional_missing_mass(at_one, one_ball, 1.0, n_test=10).value == 0.0
-    assert conditional_missing_mass(at_one, one_ball, below, n_test=10).value == 1.0
-    # Covered by exactly one ball: in that ball's leave-one-out region only.
-    assert smoothed_oracle_H(at_one, one_ball, 1.0, n_test=10).value == 0.5
-    # Covered by both balls at d1 = d2 = r: in no leave-one-out region.
-    assert smoothed_oracle_H(at_one, two_balls, 1.0, n_test=10).value == 0.0
-    assert smoothed_oracle_H(at_one, two_balls, below, n_test=10).value == 1.0
+    for block in MC_BLOCKS:
+        with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+            assert conditional_missing_mass(at_one, one_ball, 1.0, n_test=10).value == 0.0
+            assert conditional_missing_mass(at_one, one_ball, below, n_test=10).value == 1.0
+            # Covered by exactly one ball: in that ball's leave-one-out region only.
+            assert smoothed_oracle_H(at_one, one_ball, 1.0, n_test=10).value == 0.5
+            # Covered by both balls at d1 = d2 = r: in no leave-one-out region.
+            assert smoothed_oracle_H(at_one, two_balls, 1.0, n_test=10).value == 0.0
+            assert smoothed_oracle_H(at_one, two_balls, below, n_test=10).value == 1.0
 
 
 # -- smoothed leave-one-out quantity -------------------------------------------

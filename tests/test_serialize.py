@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from metricmass import (
     CodingReport,
@@ -31,6 +31,10 @@ def column(length: int):
             lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.booleans(), min_size=length, max_size=length).map(
             lambda v: np.array(v, dtype=bool)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=length,
+                 max_size=length).map(np.array),
+        st.lists(st.integers(0, 2**64 - 1), min_size=length, max_size=length).map(
+            lambda v: np.array(v, dtype=np.uint64)),
     )
 
 
@@ -44,6 +48,12 @@ def tables(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=tables(), config=st.none() | st.just({"seed": 3, "r": 0.25}))
+@example(columns={"nan": np.array([np.nan, 0.5]), "inf": np.array([np.inf, -np.inf]),
+                  "finite": np.array([-0.0, 5e-324]), "none": [None, 0.5],
+                  "bool": np.array([True, False]), "flags": [False, True],
+                  "int32": np.array([-3, 7], dtype=np.int32), "npint": [np.int64(4), np.int16(-2)],
+                  "str": ["a b", "x-+."], "range": range(2)},
+         config=None)
 def test_write_csv_lines_are_the_transposed_columns(columns, config, tmp_path):
     path = tmp_path / "table.csv"
     write_csv(path, columns, config)
