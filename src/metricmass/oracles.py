@@ -16,9 +16,10 @@ picks a spec's branch, from what the spec provides:
   masses reduce to exact sweeps over merged intervals;
 * ``monte_carlo``, everything else: fresh test points with a Hoeffding
   confidence half-width sqrt(ln(2/alpha) / (2N)).  Their distances to the
-  sample are streamed in the row blocks of
-  :func:`~metricmass.samples.row_blocks` (at most ``SUMMARY_BLOCK_ELEMENTS``
-  = 2^18 entries each), and only the nearest one or two are kept.
+  sample are streamed in row blocks by
+  :func:`~metricmass.samples.stream_blocks` (at most
+  ``SUMMARY_BLOCK_ELEMENTS`` = 2^18 entries alive at once), and only the
+  nearest one or two are kept.
 
 Exact W1 (:func:`has_exact_w1`) takes the finite branch's atoms, or the
 uniform interval, the one ``interval`` spec on ``euclidean(1)``.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_sample
-from .samples import Sample, row_blocks
+from .samples import Sample, block_view, row_blocks, stream_blocks
 from .serialize import Record
 from .spaces import euclidean
 
@@ -90,11 +91,13 @@ def oracle_branch(spec) -> str:
 def _finite_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
     """(mass covered by no sample ball, mass covered by exactly one)."""
     weights = spec.atom_weights()
+    # Sample points by atoms: the atom distance matrices are exactly
+    # symmetric, so gathering rows reads the same values as columns would.
     if sample.atom_indices is not None:
-        dist = spec.atom_distance_matrix()[:, sample.atom_indices]
+        dist = spec.atom_distance_matrix()[sample.atom_indices]
     else:
-        dist = spec.space().cross_distances(spec.atom_points(), sample.points)
-    counts = (dist <= r).sum(axis=1)
+        dist = spec.space().cross_distances(sample.points, spec.atom_points())
+    counts = (dist <= r).sum(axis=0)
     return float(weights[counts == 0].sum()), float(weights[counts == 1].sum())
 
 
@@ -134,10 +137,11 @@ def _mc_nearest(spec, sample: Sample, n_test: int, alpha: float, seed,
     column for a one-point sample).
 
     Draws come ``_MC_CHUNK`` at a time, because the rng stream, and so every
-    value, depends on the draw size.  Each chunk's distances are computed
-    and reduced in :func:`~metricmass.samples.row_blocks`, one block alive
-    at a time.  Under the closed-ball convention a draw is covered by no
-    sample ball iff d1 > r, and by exactly one iff d1 <= r < d2.
+    value, depends on the draw size; each chunk is canonicalized once, on
+    the calling thread, and its distances are computed and reduced in one
+    :func:`~metricmass.samples.stream_blocks` pass.  Under the closed-ball
+    convention a draw is covered by no sample ball iff d1 > r, and by
+    exactly one iff d1 <= r < d2.
     """
     if n_test < 1:
         raise ValueError("n_test must be positive")
@@ -147,17 +151,27 @@ def _mc_nearest(spec, sample: Sample, n_test: int, alpha: float, seed,
     space = sample.space
     kept = min(k, sample.n)
     nearest = np.full((n_test, k), np.inf)
+
+    def reduce(block, buffers):
+        # Each block writes its own rows of ``nearest``.
+        draws, out = block
+        d = space.kernel(draws, sample.points,
+                         out=block_view(buffers[0], len(draws), sample.n))
+        if kept == 2:
+            d.partition(1, axis=1)  # in place: no second block-sized array
+            out[:] = d[:, :2]
+        else:
+            out[:, 0] = d.min(axis=1)
+
     for start in range(0, n_test, _MC_CHUNK):
-        draws = spec.sample(min(_MC_CHUNK, n_test - start), rng)
-        for rows in row_blocks(len(draws), sample.n):
-            d = space.cross_distances(draws[rows], sample.points)
-            out = nearest[start + rows.start:start + rows.stop]
-            if kept == 2:
-                d.partition(1, axis=1)  # in place: no second block-sized array
-                out[:] = d[:, :2]
-            else:
-                out[:, 0] = d.min(axis=1)
-            del d  # free this block before the next one is computed
+        draws = space.as_points(spec.sample(min(_MC_CHUNK, n_test - start), rng))
+        out = nearest[start:start + len(draws)]
+
+        def blocks(budget, draws=draws, out=out):
+            return [(draws[rows], out[rows]) for rows in row_blocks(len(draws), sample.n, budget)]
+
+        for _ in stream_blocks(reduce, blocks, len(draws) * sample.n, sample.n):
+            pass
     return nearest
 
 

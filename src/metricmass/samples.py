@@ -28,19 +28,34 @@ of the float64 bit pattern; for non-negative doubles that order is the
 order of the values.  :meth:`Sample.pair_order_statistics` then finds the
 bucket of each wanted rank from the cumulative counts, and a second pass
 keeps only the distances in those buckets and sorts them.
+
+Every streamed pass runs through :func:`stream_blocks`.  A pass of at least
+``THREADED_MIN_BLOCKS`` blocks' worth of entries, in a process that may run
+on T > 1 cores, spreads its blocks over the calling thread and T - 1 threads
+of a process-wide pool; ``SUMMARY_BLOCK_ELEMENTS`` then bounds the blocks of
+all threads together.  Every step that combines block results is a
+minimum, a maximum, an integer sum or a final sort, so every result is the
+same for any number of cores.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from .spaces import MetricSpace, discrete, euclidean, precomputed
 
-# Elements per row block of distances, which bounds the temporaries of
-# every blocked pass.
+# Elements in the row blocks of distances alive at once, which bounds the
+# temporaries of every blocked pass.
 SUMMARY_BLOCK_ELEMENTS = 1 << 18
+# A pass of fewer entries than this many blocks runs on the calling thread,
+# where handing blocks to other threads would cost more than it saves.
+THREADED_MIN_BLOCKS = 2
 # Rows per block of the upper-triangle pass.  Each block also computes the
 # square below its part of the diagonal and discards it; short blocks keep
 # that waste near n * SUMMARY_BLOCK_ROWS / 2 entries in all.
@@ -54,11 +69,134 @@ class InvalidNetError(ValueError):
     """A claimed r-net fails the separation or coverage requirement."""
 
 
-def row_blocks(rows: int, width: int) -> list[slice]:
+def row_blocks(rows: int, width: int, budget: int) -> list[slice]:
     """Slices cutting ``rows`` rows of ``width`` entries each into blocks of
-    at most ``SUMMARY_BLOCK_ELEMENTS`` entries, one row at least."""
-    step = max(1, SUMMARY_BLOCK_ELEMENTS // max(width, 1))
+    at most ``budget`` entries, one row at least."""
+    step = max(1, budget // max(width, 1))
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def block_view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols entries of a scratch buffer as a rows x cols
+    array."""
+    return buffer[:rows * cols].reshape(rows, cols)
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_one_thread = False
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def run_on_one_thread() -> None:
+    """Run every later pass of this process on the calling thread, as a
+    worker process that shares the cores with its siblings does."""
+    global _one_thread
+    _one_thread = True
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but none of its threads, so the pool
+    # would wait forever for its first task.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="metricmass")
+        return _pool
+
+
+def stream_blocks(work, blocks, entries: int, width: int, dtypes=(np.float64,)):
+    """Yield ``work(block, buffers)`` for each block of one streamed pass of
+    ``entries`` entries in rows of at most ``width``, as the blocks finish.
+
+    ``blocks(budget)`` cuts the pass into blocks of at most ``budget``
+    entries, or of one row; ``buffers`` holds one scratch array per dtype in
+    ``dtypes``, each large enough for a block, allocated here on the calling
+    thread, for ``work`` to compute the block in.  With T > 1 cores and at
+    least ``THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS`` entries, the
+    calling thread and T - 1 threads of the process-wide pool each take the
+    next block left, with buffers of their own and a budget of
+    ``SUMMARY_BLOCK_ELEMENTS // T``, so a thread slowed by the machine takes
+    fewer; otherwise the calling thread takes every block with one set and
+    the whole budget.  So ``work`` must return nothing that aliases its
+    buffers and read nothing another block writes, and the caller must
+    combine the results in a way that does not depend on their order."""
+    small = entries < THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS
+    threads = 1 if _one_thread or small else _cores()
+    budget = max(1, SUMMARY_BLOCK_ELEMENTS // threads)
+    size = max(budget, width)
+    buffers = [[np.empty(size, dtype) for dtype in dtypes] for _ in range(threads)]
+    cut = iter(blocks(budget))
+    claim_lock = threading.Lock()
+    results = queue.SimpleQueue()
+    # Blocks the pool threads may have taken and the calling thread not yet
+    # read, which bounds the results held at once.
+    ahead = threading.Semaphore(2 * (threads - 1))
+
+    def claim():
+        with claim_lock:
+            return next(cut, None)
+
+    def run(thread):
+        try:
+            while True:
+                ahead.acquire()
+                block = claim()
+                if block is None:
+                    break
+                results.put(("result", work(block, buffers[thread])))
+        except Exception as error:  # raised again on the calling thread
+            results.put(("error", error))
+            return
+        results.put(("done", None))
+
+    runs = [_thread_pool().submit(run, thread) for thread in range(1, threads)]
+    live = len(runs)
+
+    def collect():
+        """Yield the next result a pool thread left, if it left one."""
+        nonlocal live
+        kind, value = results.get()
+        if kind == "error":
+            raise value
+        if kind == "done":
+            live -= 1
+        else:
+            ahead.release()
+            yield value
+
+    try:
+        while (block := claim()) is not None:
+            yield work(block, buffers[0])
+            while not results.empty():
+                yield from collect()
+        # No block is left, so a pool thread not yet started has none to do.
+        live -= sum(run.cancel() for run in runs)
+        while live:
+            yield from collect()
+    finally:
+        # After an error, or when the caller stops reading, every pool
+        # thread finds no block left, and none is left computing in a
+        # buffer.
+        cut = iter(())
+        ahead.release(len(runs) + 1)
+        wait(runs)
 
 
 class Sample:
@@ -129,21 +267,36 @@ class Sample:
         the ranks' buckets."""
         counts = self._bucket_counts()
         ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size and not 0 <= ranks.min() <= ranks.max() < counts.sum():
+        if not ranks.size:
+            return np.empty(0)
+        if not 0 <= ranks.min() <= ranks.max() < counts.sum():
             raise IndexError("rank out of range of the positive pair distances")
         ends = np.cumsum(counts)
         buckets = np.searchsorted(ends, ranks, side="right")
         wanted = np.unique(buckets)
-        keep = np.zeros(counts.size, dtype=bool)
-        keep[wanted] = True
         values = np.empty(int(counts[wanted].sum()))
         filled = 0
-        for _, block in self._upper_blocks():
-            found = block[keep[block.view(np.int64) >> BUCKET_SHIFT]]
-            found = found[found > 0]
+        # Runs of wanted buckets with only empty ones between them: a run's
+        # range of keys holds the same distances as its wanted buckets.
+        split = ends[wanted[1:] - 1] > ends[wanted[:-1]]
+        key_ranges = list(zip(wanted[np.append(True, split)], wanted[np.append(split, True)]))
+
+        def select(rows, buffers):
+            block = self._upper_block(rows, buffers[0])
+            keys, mask, inside, below = (block_view(b, *block.shape) for b in buffers[1:])
+            np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=keys)
+            mask.fill(False)
+            for first, last in key_ranges:
+                np.greater_equal(keys, first, out=inside)
+                np.less_equal(keys, last, out=below)
+                np.logical_and(inside, below, out=inside)
+                np.logical_or(mask, inside, out=mask)
+            found = block[mask]
+            return found[found > 0]
+
+        for found in self._upper_pass(select, (np.float64, np.int64, bool, bool, bool)):
             values[filled:filled + found.size] = found
             filled += found.size
-            del block
         values.sort()
         # Each wanted bucket's values are a run of ``values``; a rank's
         # position is its offset in its bucket plus the runs before it.
@@ -156,43 +309,66 @@ class Sample:
             self._summarize(histogram=True)
         return self._buckets
 
-    def _upper_blocks(self):
-        """(start, block) per row block of the upper triangle: the
-        distances from the rows start:start + len(block) to every point
-        from start on.  The diagonal of the block's leading square and the
-        entries below it, which pair a point with itself or repeat a pair
-        read above, are set to zero."""
+    def _upper_pass(self, work, dtypes):
+        """:func:`stream_blocks` over the row blocks of the upper triangle,
+        each block a slice of at most ``SUMMARY_BLOCK_ROWS`` rows."""
         n = self.n
-        step = max(1, min(SUMMARY_BLOCK_ROWS, SUMMARY_BLOCK_ELEMENTS // max(n, 1)))
-        for start in range(0, n, step):
-            block = self.distance_rows(slice(start, min(start + step, n)), slice(start, None))
-            height = block.shape[0]
-            block[:, :height][np.tri(height, dtype=bool)] = 0.0
-            yield start, block
-            # Freed before the next block is computed.
-            del block
+
+        def blocks(budget):
+            step = max(1, min(SUMMARY_BLOCK_ROWS, budget // max(n, 1)))
+            return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+        return stream_blocks(work, blocks, n * (n + 1) // 2, n, dtypes)
+
+    def _upper_block(self, rows: slice, buffer: np.ndarray) -> np.ndarray:
+        """The distances from ``rows`` to every point from ``rows.start``
+        on, computed in ``buffer``.  The diagonal of the block's leading
+        square and the entries below it, which pair a point with itself or
+        repeat a pair read above, are set to zero."""
+        height = rows.stop - rows.start
+        block = block_view(buffer, height, self.n - rows.start)
+        self.space.kernel(self.points[rows], self.points[rows.start:], out=block)
+        block[:, :height][np.tri(height, dtype=bool)] = 0.0
+        return block
 
     def _summarize(self, histogram: bool = False) -> None:
         n = self.n
-        row_min = np.empty(n)
-        earlier = np.full(n, np.inf)
-        diameter = 0.0
-        counts = np.zeros(1 << (63 - BUCKET_SHIFT), dtype=np.int64) if histogram else None
-        for start, block in self._upper_blocks():
+        buckets = 1 << (63 - BUCKET_SHIFT)
+
+        def reduce(rows, buffers):
+            block = self._upper_block(rows, buffers[0])
+            height = block.shape[0]
             top = float(block.max())
             if not np.isfinite(top):
                 raise ValueError("pairwise distances must be finite")
-            diameter = max(diameter, top)
+            counts = None
             if histogram:
-                counts += np.bincount((block.view(np.int64) >> BUCKET_SHIFT).ravel(),
-                                      minlength=counts.size)
-                # Zeros land in bucket 0 with the smallest subnormals.
-                counts[0] -= block.size - np.count_nonzero(block)
-            height = block.shape[0]
+                keys = block_view(buffers[1], *block.shape)
+                np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=keys)
+                counts = np.bincount(keys.ravel(), minlength=buckets)
+                # Zeros land in bucket 0 with the smallest subnormals.  The
+                # zeroed triangle fills it alone unless some pair lies below
+                # 2^-1022, which spares counting the zeros.
+                tri = height * (height + 1) // 2
+                counts[0] -= tri if counts[0] == tri else block.size - np.count_nonzero(block)
+                # Only the buckets in use, to keep the result small.
+                used = np.flatnonzero(counts)
+                counts = used, counts[used]
             block[:, :height][np.tri(height, dtype=bool)] = np.inf
-            row_min[start:start + height] = block.min(axis=1)
-            np.minimum(earlier[start:], block.min(axis=0), out=earlier[start:])
-            del block
+            return rows, top, block.min(axis=1), block.min(axis=0), counts
+
+        row_min = np.empty(n)
+        earlier = np.full(n, np.inf)
+        diameter = 0.0
+        counts = np.zeros(buckets, dtype=np.int64) if histogram else None
+        dtypes = (np.float64, np.int64) if histogram else (np.float64,)
+        for rows, top, rows_min, cols_min, used_counts in self._upper_pass(reduce, dtypes):
+            diameter = max(diameter, top)
+            row_min[rows] = rows_min
+            np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
+            if histogram:
+                used, used_count = used_counts
+                counts[used] += used_count
         nearest = np.minimum(row_min, earlier)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
@@ -372,10 +548,19 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     cover = np.zeros(len(lengths))
     if lengths:
         starts = [0] + lengths[:-1]
-        for rows in row_blocks(sample.n, width):
-            segments = np.minimum.reduceat(sample.distance_rows(rows, idx), starts, axis=1)
+        picks = sample.points[idx]
+
+        def segment_cover(rows, buffers):
+            d = block_view(buffers[0], rows.stop - rows.start, width)
+            sample.space.kernel(sample.points[rows], picks, out=d)
+            segments = np.minimum.reduceat(d, starts, axis=1)
             np.minimum.accumulate(segments, axis=1, out=segments)
-            np.maximum(cover, segments.max(axis=0), out=cover)
+            return segments.max(axis=0)
+
+        for block_cover in stream_blocks(segment_cover,
+                                         lambda budget: row_blocks(sample.n, width, budget),
+                                         sample.n * width, width):
+            np.maximum(cover, block_cover, out=cover)
     cover_at = dict(zip(lengths, cover.tolist()))
     separation = np.minimum.accumulate(sample.subsample(idx).earlier_distances())
     errors = []

@@ -19,7 +19,10 @@ predicate (every subset of a locally separated set is locally separated).
 Candidate sets are Python-int bitsets, and each node peels colour classes
 off its candidates in index order for its bound, as in San Segundo et
 al.'s BBMC.  The clique relaxation's predicate accepts everything; h's is
-the locality test below.  Witnesses are returned sorted.
+the locality test below.  Witnesses are returned sorted.  A search that
+lists ``CLIQUE_NODE_BUDGET`` candidates stops there with a one-sided answer:
+the clique relaxation then reports the largest colour bound of the
+branches it left open, and h its witness as a lower bound.
 
 The clique value ω bounds h from above, so :func:`h_exact` given the
 :func:`h_clique_relaxed` report of the same sample and radius stops as soon
@@ -64,6 +67,11 @@ CLIQUE_RELAXATION = "clique_relaxation"
 
 DEFAULT_CAP = 8
 MEB_FEASIBILITY_RTOL = 1e-9
+# Candidates a search may list to branch on before it stops with a
+# one-sided answer.  The 2-D samples of the estimate-local benchmark list
+# at most about 2,000; 20-D normal points at n = 150, r = median pair
+# distance / 1.6, searched for 6 s without a budget and stop in 1.6 s.
+CLIQUE_NODE_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,9 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     """Largest locally separated sub-sample, searched up to size ``cap``.
 
     Returns an exact value with witness when the space admits an exact
-    locality test and the search terminates below the cap; otherwise the
-    value is a certified lower bound (the witness is still genuine).
+    locality test and the search terminates below the cap within its
+    budget; otherwise the value is a certified lower bound (the witness is
+    still genuine).
 
     ``clique``, if given, must be the :func:`h_clique_relaxed` report of
     the same sample and radius.  The search then stops once its witness
@@ -122,12 +131,12 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
         def feasible(subset: list[int]) -> bool:
             return bool((d[:, subset].max(axis=1) <= r).any())
 
-    best = _largest_clique(adj, feasible, stop)
+    best, open_bound = _largest_clique(adj, feasible, stop)
     if clique is not None and len(best) == clique.value and space.known_metric:
         return SeparationReport(len(best), EXACT, BRUTE_FORCE, witness=best)
     if len(best) >= cap:
         return SeparationReport(cap, LOWER_BOUND, BRUTE_FORCE, witness=best)
-    certified = EXACT if space.meb_locality else LOWER_BOUND
+    certified = EXACT if space.meb_locality and open_bound is None else LOWER_BOUND
     return SeparationReport(len(best), certified, BRUTE_FORCE, witness=best)
 
 
@@ -136,11 +145,13 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
 
     Dropping the shared-center requirement in favor of its pairwise
     consequence makes this an upper bound for h; the converse can fail, so
-    the certificate is one-sided.
+    the certificate is one-sided.  A search that runs out of budget reports
+    an upper bound that may exceed its witness, the largest clique it found.
     """
     _, adj = _separation_graph(sample, r)
-    clique = _largest_clique(adj, lambda subset: True, sample.n)
-    return SeparationReport(len(clique), UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
+    clique, open_bound = _largest_clique(adj, lambda subset: True, sample.n)
+    value = len(clique) if open_bound is None else open_bound
+    return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
 
 
 def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,20 +166,27 @@ def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]
     return d, adj
 
 
-def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
+def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[tuple[int, ...], int | None]:
     """Largest clique of ``adj`` whose every prefix passes the hereditary
     ``feasible``, by branch and bound over bitset candidate sets with a
     colour-class bound.
 
-    Returns the clique sorted; the search ends as soon as the clique has
-    ``stop`` vertices.
+    Returns the clique sorted, and None; or, if the search listed
+    ``CLIQUE_NODE_BUDGET`` candidates to branch on before it finished, the
+    largest clique found and an upper bound on the largest there is.  The
+    search ends as soon as the clique has ``stop`` vertices.
     """
+    budget = CLIQUE_NODE_BUDGET
     nbrs = [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(adj, axis=1, bitorder="little")]
     best = [0]
+    nodes = 0
+    # The largest len(clique) + colour over the branches the budget left
+    # open, None while the search runs within it.
+    open_bound = None
 
     def expand(clique: list[int], cands: int) -> bool:
-        nonlocal best
+        nonlocal best, nodes, open_bound
         # Colour classes peeled in index order; a clique among the
         # candidates up to a class-k vertex has at most k of them.  A
         # vertex whose colour cannot beat best is never branched on.
@@ -185,7 +203,13 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
                 uncoloured ^= low
                 if colour > skip:
                     listed.append((v, colour))
-        for v, colour in reversed(listed):
+        if listed and nodes >= budget:
+            # Every branch here stays open; the last has the highest colour.
+            open_bound = max(open_bound or 0, len(clique) + listed[-1][1])
+            return True
+        nodes += len(listed)
+        for k in range(len(listed) - 1, -1, -1):
+            v, colour = listed[k]
             if len(clique) + colour <= len(best):
                 return False
             cands ^= 1 << v
@@ -197,12 +221,15 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[int, ...]:
                 if len(best) >= stop:
                     return True
             if expand(grown, cands & nbrs[v]):
+                if open_bound is not None and k:  # the branches after v
+                    open_bound = max(open_bound, len(clique) + listed[k - 1][1])
                 return True
         return False
 
     if len(best) < stop:
         expand([], (1 << adj.shape[0]) - 1)
-    return tuple(sorted(best))
+    bound = None if open_bound is None else max(open_bound, len(best))
+    return tuple(sorted(best)), bound
 
 
 def eh_upper_from_sample(h_observed: int, delta: float) -> float:

@@ -28,6 +28,7 @@ from .oracles import (
     expected_missing_mass,
     oracle_branch,
 )
+from .samples import run_on_one_thread
 from .separation import DEFAULT_CAP, h_exact
 
 
@@ -103,7 +104,10 @@ def run_campaign(config: SimulationConfig) -> dict:
     else:
         chunk = max(1, math.ceil(reps / (config.workers * 4)))
         spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # Each worker process runs its passes on one thread, so k workers
+        # start k threads, not k times the cores.
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 initializer=run_on_one_thread) as pool:
             parts = list(pool.map(_run_range, [config] * len(spans),
                                   [s for s, _ in spans], [e for _, e in spans]))
         records = [record for part in parts for record in part]

@@ -100,21 +100,30 @@ class MetricSpace:
         b = a if same else self.as_points(b)
         return self.kernel(a, b)
 
-    def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def kernel(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """|a| x |b| distances between two batches already canonicalized by
-        :meth:`as_points`, without validating them again.  Each entry is
-        computed from its own pair only, so any block of rows or columns
-        equals the same block of the whole matrix bit for bit."""
+        :meth:`as_points`, without validating them again, written into
+        ``out`` (a C-contiguous float64 array of that shape) if given.  Each
+        entry is computed from its own pair only, so any block of rows or
+        columns equals the same block of the whole matrix bit for bit."""
+        if out is None:
+            out = np.empty((len(a), len(b)))
         if self.kind == EUCLIDEAN:
-            return cdist(a, b)
+            return cdist(a, b, out=out)
         if self.kind == LP:
-            return cdist(a, b, "minkowski", p=self.p)
+            return cdist(a, b, "minkowski", p=self.p, out=out)
         if self.kind == DISCRETE:
-            return (a[:, None] != b[None, :]).astype(float)
+            return np.not_equal(a[:, None], b[None, :], out=out)
         if self.kind == PRECOMPUTED:
-            return self.matrix[np.ix_(a, b)]
+            # The indices are in range (as_points checked them); "clip"
+            # spares take a buffered bounds check.
+            return np.take(self.matrix[a], b, axis=1, out=out, mode="clip")
         if self.kind == SCALED_INDICATOR:
-            return np.abs(a[:, None] - b[None, :]) ** (1.0 / self.p)
+            np.subtract(a[:, None], b[None, :], out=out)
+            np.abs(out, out=out)
+            # In place, as ``**``: an exponent of 0.5 takes the square root.
+            out **= 1.0 / self.p
+            return out
         raise ValueError(f"unknown space kind {self.kind!r}")
 
     def pairwise_distances(self, points) -> np.ndarray:

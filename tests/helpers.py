@@ -7,9 +7,13 @@ vectorized implementations is meaningful.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
+
+from metricmass import samples
 
 
 def brute_good_turing(points, space, r):
@@ -344,3 +348,12 @@ def transport_w1_atoms(mu_positions, mu_weights, nu_positions, nu_weights):
         f_nu = nu_weights[np.asarray(nu_positions) <= left].sum()
         total += abs(f_mu - f_nu) * (right - left)
     return total
+
+
+@contextmanager
+def pool_threads(threads):
+    """Run every streamed pass, however small, on ``threads`` pool threads
+    (the calling thread alone for 1)."""
+    with mock.patch.object(samples, "THREADED_MIN_BLOCKS", 0), \
+            mock.patch.object(samples, "_cores", lambda: threads):
+        yield

@@ -25,6 +25,8 @@ from metricmass.oracles import conditional_missing_mass
 from metricmass.samples import make_sample
 from metricmass.spaces import discrete, lp, scaled_indicator
 
+from helpers import pool_threads
+
 
 def line_sample(*xs):
     return make_sample(np.array(xs, dtype=float)[:, None])
@@ -72,9 +74,12 @@ def test_classify_batch_blocks_match_dense_rule(block, n_queries):
     gamma = 1.0
     nearest = cdist(queries, train.points).min(axis=1)
     assert (nearest == gamma).any() and (nearest > gamma).any()
+    expected = ["anomalous" if d > gamma else "normal" for d in nearest]
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
-        verdicts = classify_batch(ProximityClassifier(train, gamma), queries)
-    assert verdicts == ["anomalous" if d > gamma else "normal" for d in nearest]
+        assert classify_batch(ProximityClassifier(train, gamma), queries) == expected
+        for threads in (1, 2, 3):
+            with pool_threads(threads):
+                assert classify_batch(ProximityClassifier(train, gamma), queries) == expected
 
 
 def test_classify_batch_query_at_gamma_is_normal():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -27,13 +28,14 @@ from metricmass.oracles import (
     oracle_branch,
     smoothed_oracle_H,
 )
-from metricmass import samples
+from metricmass import oracles, samples
 from metricmass.samples import Sample
 
 from helpers import (
     brute_missing_mass_finite,
     interval_coverage_loop,
     mc_coverage_counts,
+    pool_threads,
     scalar_cdf,
     transport_w1_atoms,
 )
@@ -264,6 +266,16 @@ def test_monte_carlo_oracles_match_coverage_counts(n):
                     == float((counts == 0).mean())
                 assert smoothed_oracle_H(spec, s, r, n_test=n_test, seed=9).value \
                     == float(z.mean())
+    # On pool threads, whose blocks take a share of each budget, every
+    # nearest distance is the calling thread's, bit for bit.
+    for k in (1, 2):
+        with pool_threads(1):
+            alone = oracles._mc_nearest(spec, s, n_test, 0.01, 9, k)
+        for threads in (2, 3):
+            for block in MC_BLOCKS[1:]:
+                with pool_threads(threads), \
+                        mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+                    assert np.array_equal(oracles._mc_nearest(spec, s, n_test, 0.01, 9, k), alone)
 
 
 def test_monte_carlo_closed_ball_at_exact_radius():
@@ -272,8 +284,8 @@ def test_monte_carlo_closed_ball_at_exact_radius():
     below = float(np.nextafter(1.0, 0.0))
     one_ball = Sample(np.array([[0.0], [5.0]]), at_one.space())
     two_balls = Sample(np.array([[0.0], [2.0]]), at_one.space())
-    for block in MC_BLOCKS:
-        with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+    for block, threads in itertools.product(MC_BLOCKS, (1, 2, 3)):
+        with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), pool_threads(threads):
             assert conditional_missing_mass(at_one, one_ball, 1.0, n_test=10).value == 0.0
             assert conditional_missing_mass(at_one, one_ball, below, n_test=10).value == 1.0
             # Covered by exactly one ball: in that ball's leave-one-out region only.

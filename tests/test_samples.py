@@ -1,6 +1,13 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from metricmass import samples
 from metricmass.samples import (
     InvalidNetError,
     farthest_first_net,
@@ -12,8 +19,10 @@ from metricmass.samples import (
     sample_to_csv,
     verify_net,
 )
-from metricmass.spaces import discrete, euclidean
+from metricmass.spaces import MetricSpace, discrete, euclidean
 from metricmass.wasserstein import default_r_grid
+
+from helpers import pool_threads
 
 
 def line_sample(*xs):
@@ -191,3 +200,65 @@ def test_overflowing_distances_fail_the_summary_pass():
     for read in (s.diameter, s.nearest_distances, s.positive_pair_count):
         with pytest.raises(ValueError, match="finite"):
             read()
+
+
+def test_overflowing_distances_fail_the_threaded_pass_and_leave_no_task():
+    # The overflow sits in the first of 40 one-row blocks; the error comes
+    # out of the pool as on the calling thread, once every block sent there
+    # has ended.  Slow blocks would still be running otherwise.
+    points = np.zeros((40, 2))
+    points[:2] = [[1e200, 1e200], [-1e200, 3e200]]
+    submitted = []
+    submit, kernel = ThreadPoolExecutor.submit, MetricSpace.kernel
+
+    def spy(pool, *args):
+        submitted.append(submit(pool, *args))
+        return submitted[-1]
+
+    def slow_kernel(space, *args, **kwargs):
+        time.sleep(0.02)
+        return kernel(space, *args, **kwargs)
+
+    with pool_threads(2), mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", 40), \
+            mock.patch.object(ThreadPoolExecutor, "submit", spy), \
+            mock.patch.object(MetricSpace, "kernel", slow_kernel):
+        s = make_sample(points)
+        for read in (s.diameter, s.nearest_distances, s.positive_pair_count):
+            with pytest.raises(ValueError, match="^pairwise distances must be finite$"):
+                read()
+            assert 0 < len(submitted) < 40
+            assert all(future.done() for future in submitted)
+            submitted.clear()
+
+
+def test_streamed_passes_under_frequent_thread_switches():
+    # Four threads on fewer cores, switching every microsecond, with
+    # one-row blocks: every summary and order statistic is the calling
+    # thread's, and the passes end.
+    points = np.random.default_rng(3).integers(0, 6, size=(300, 2)).astype(float)
+    with pool_threads(1):
+        alone = make_sample(points)
+        ranks = np.arange(0, alone.positive_pair_count(), 97)
+        expected = [alone.nearest_distances(), alone.earlier_distances(),
+                    alone.pair_order_statistics(ranks)]
+    got = []
+
+    def passes():
+        for _ in range(3):
+            s = make_sample(points)
+            got.append([s.nearest_distances(), s.earlier_distances(),
+                        s.pair_order_statistics(ranks)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pool_threads(4), mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", 64):
+            runner = threading.Thread(target=passes, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(got) == 3
+    for result in got:
+        assert all(np.array_equal(a, b) for a, b in zip(result, expected))

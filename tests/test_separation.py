@@ -1,4 +1,6 @@
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,7 +352,47 @@ def test_bitset_search_matches_reference_on_random_graphs(n, density, seed):
     upper = np.triu(rng.random((n, n)) < density, k=1)
     adj = upper | upper.T
     assert separation._largest_clique(adj, lambda subset: True, n) == \
-        tuple(sorted(reference_max_clique(adj)))
+        (tuple(sorted(reference_max_clique(adj))), None)
+
+
+@given(st.sampled_from(REFERENCE_KINDS), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 7, 64]))
+@settings(max_examples=200)
+def test_searches_out_of_budget_stay_one_sided(kind, n, seed, budget):
+    # A search that runs out of budget keeps a genuine witness, bounds ω
+    # from above and h from below, and calls h exact only when it is.
+    rng = np.random.default_rng(seed)
+    sample = metric_on_tie_prone_sample(kind, n, rng)
+    values = rng.choice(sample.distance_matrix().ravel(), size=3)
+    for r in [0.0, 1.0] + [float(v) for v in values] + [float(v) / 2.0 for v in values]:
+        omega = len(reference_max_clique(window_graph(sample, r)))
+        h_ref = reference_h_exact(sample, r)[0]
+        with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", budget):
+            clique = h_clique_relaxed(sample, r)
+            h = h_exact(sample, r, clique=clique)
+        assert (clique.certified, clique.method) == ("upper_bound", "clique_relaxation")
+        assert len(clique.witness) <= omega <= clique.value
+        w = list(clique.witness)
+        pairs = sample.distance_matrix()[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
+        assert ((pairs > r) & (pairs <= 2.0 * r)).all()
+        assert h.value <= h_ref and h.value == len(h.witness)
+        if h.certified == "exact":
+            assert h.value == h_ref
+
+
+def test_clique_search_stops_at_its_budget():
+    # 20-D normal points at r = median pair distance / 1.6: without a
+    # budget the relaxation searched for over a minute at n = 200.
+    rng = np.random.default_rng(0)
+    sample = make_sample(rng.normal(size=(200, 20)))
+    d = sample.distance_matrix()
+    r = float(np.median(d[np.triu_indices(200, k=1)])) / 1.6
+    start = time.perf_counter()
+    clique = h_clique_relaxed(sample, r)
+    h = h_exact(sample, r, clique=clique)
+    assert time.perf_counter() - start < 60
+    assert clique.value > len(clique.witness)
+    assert h.certified == "lower_bound"
 
 
 def test_nan_radius_rejected():

@@ -1,7 +1,14 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import metricmass
 from metricmass.distributions import UniformIntervalSpec, discrete_uniform
 from metricmass.oracles import expected_missing_mass
 from metricmass.simulate import SimulationConfig, run_campaign
@@ -42,6 +49,47 @@ def test_worker_count_does_not_change_results():
     parallel = run_campaign(small_config(replicates=24, workers=4))
     assert serial["columns"] == parallel["columns"]
     assert serial["aggregate"] == parallel["aggregate"]
+
+
+# A large pass starts the pool's threads; a forked child inherits the pool
+# but not its threads.  The campaign's workers must still finish with the
+# serial campaign's output, and a pass in a plain forked child must run.
+AFTER_A_THREADED_PASS = textwrap.dedent("""
+    import json, os
+    import numpy as np
+    from metricmass import samples
+    from metricmass.distributions import discrete_uniform
+    from metricmass.simulate import SimulationConfig, run_campaign
+
+    samples.THREADED_MIN_BLOCKS = 0
+    samples._cores = lambda: 2
+    points = np.random.default_rng(0).normal(size=(1500, 2))
+    expected = samples.make_sample(points).nearest_distances()
+    assert samples._pool is not None
+    config = dict(spec=discrete_uniform(10), n=40, r=0.5, replicates=30, seed=7)
+    serial = run_campaign(SimulationConfig(workers=1, **config))
+    parallel = run_campaign(SimulationConfig(workers=2, **config))
+    assert json.dumps(serial) == json.dumps(parallel)
+    pid = os.fork()
+    if pid == 0:
+        same = np.array_equal(samples.make_sample(points).nearest_distances(), expected)
+        os._exit(0 if same else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_workers_after_a_threaded_pass():
+    env = dict(os.environ, PYTHONPATH=str(Path(metricmass.__file__).parents[1]))
+    # In a session of its own, so a hung worker or child is killed with it.
+    with subprocess.Popen([sys.executable, "-c", AFTER_A_THREADED_PASS], env=env,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as run:
+        try:
+            _, err = run.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            raise
+    assert run.returncode == 0, err
 
 
 def test_oracle_column_present_for_exact_specs():

@@ -29,6 +29,7 @@ from helpers import (
     dense_good_turing,
     dense_summaries,
     dense_verify_net,
+    pool_threads,
     triu_r_grid,
 )
 
@@ -108,19 +109,23 @@ def matrix_built(sample):
 
 BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
 ROWS = st.sampled_from([1, 2, 5, samples.SUMMARY_BLOCK_ROWS])
+# Pool threads every pass runs on, however small; 1 is the calling thread.
+THREADS = st.sampled_from([1, 2, 3])
 
 
 @contextmanager
-def small_blocks(block, rows):
-    """Patch the elements and the rows per block of the upper-triangle pass."""
+def small_blocks(block, rows, threads):
+    """Patch the elements and the rows per block of the upper-triangle
+    pass, and the pool threads of every pass."""
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
-            mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows):
+            mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows), pool_threads(threads):
         yield
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       BLOCKS, ROWS, THREADS)
 @settings(max_examples=150)
-def test_summaries_match_dense_reference(kind, n, seed, block, rows):
+def test_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
     # ``dense`` holds the matrix the references read; ``sample`` streams its
     # blocks from the kernel.  Small blocks split even these samples into
     # many row blocks with a partial last one.
@@ -129,7 +134,7 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows):
     sample = Sample(dense.points, dense.space)
     radii = radii_on_ties(dense, rng)
     d = dense.distance_matrix()
-    with small_blocks(block, rows):
+    with small_blocks(block, rows, threads):
         nearest, earlier = dense_summaries(dense)
         assert np.array_equal(sample.nearest_distances(), nearest)
         assert np.array_equal(sample.earlier_distances(), earlier)
@@ -158,9 +163,10 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows):
     assert not matrix_built(sample)
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       BLOCKS, ROWS, THREADS)
 @settings(max_examples=150)
-def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows):
+def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
     # The CLI's order: the radius grid's pass counts the positive distances
     # per bucket and fills the summaries on the way, so reading them costs
     # no pass.
@@ -170,7 +176,7 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
     radii = radii_on_ties(dense, rng)
     d = dense.distance_matrix()
     upper = d[np.triu_indices(n, k=1)]
-    with small_blocks(block, rows):
+    with small_blocks(block, rows, threads):
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
         with mock.patch.object(Sample, "_summarize",
                                side_effect=AssertionError("a second pass")):
@@ -203,9 +209,9 @@ def edge_sample(kind, n, scale, rng):
 
 @given(st.sampled_from(["euclidean", "lp", "scaled_indicator", "precomputed"]),
        st.integers(1, 40), st.sampled_from([1.0, 0.5, 1e-310, 1e150]),
-       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS, THREADS)
 @settings(max_examples=150)
-def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows):
+def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows, threads):
     rng = np.random.default_rng(seed)
     dense = edge_sample(kind, n, scale, rng)
     sample = Sample(dense.points, dense.space)
@@ -213,7 +219,7 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
     picked = rng.integers(positive.size, size=4) if positive.size else ranks
-    with small_blocks(block, rows):
+    with small_blocks(block, rows, threads):
         assert sample.positive_pair_count() == positive.size
         assert np.array_equal(sample.pair_order_statistics(ranks), positive)
         assert np.array_equal(sample.pair_order_statistics(picked), positive[picked])
@@ -248,9 +254,10 @@ def test_grid_endpoints_follow_numpy_percentile_and_median():
     assert integral >= 30
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 30), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@given(st.sampled_from(KINDS), st.integers(1, 30), st.integers(0, 2 ** 32 - 1),
+       BLOCKS, ROWS, THREADS)
 @settings(max_examples=60)
-def test_prefix_net_verdicts_match_dense_reference(kind, n, seed, block, rows):
+def test_prefix_net_verdicts_match_dense_reference(kind, n, seed, block, rows, threads):
     # Every prefix of a traversal order, of the order with a repeated pick,
     # and of random orders with and without repeats, at radii on ties.
     rng = np.random.default_rng(seed)
@@ -261,7 +268,7 @@ def test_prefix_net_verdicts_match_dense_reference(kind, n, seed, block, rows):
     orders = [order, order + [order[0]],
               [int(i) for i in rng.permutation(n)],
               [int(i) for i in rng.integers(n, size=int(rng.integers(1, n + 2)))]]
-    with small_blocks(block, rows):
+    with small_blocks(block, rows, threads):
         for bad in orders:
             checks = [(k, r) for k in range(len(bad) + 1) for r in radii]
             got = [None if error is None else (type(error), str(error))
@@ -300,14 +307,15 @@ def test_one_traversal_serves_every_radius(kind, n, seed, block):
     assert not matrix_built(sample)
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS)
+@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       BLOCKS, ROWS, THREADS)
 @settings(max_examples=60)
-def test_sweep_nets_match_dense_per_radius_nets(kind, n, seed, block, rows):
+def test_sweep_nets_match_dense_per_radius_nets(kind, n, seed, block, rows, threads):
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
     radii = [r for r in radii_on_ties(dense, rng) if r > 0]
-    with small_blocks(block, rows):
+    with small_blocks(block, rows, threads):
         reports = w1_report(sample, radii)
     scale = reports[0].scale
     normalized = dense.with_distances_scaled(1.0 / scale) if scale != 1.0 else dense
