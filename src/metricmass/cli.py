@@ -54,7 +54,8 @@ def _load_sample(path: str, space_arg: str | None) -> Sample:
             return sample_from_json(path, space)
         return sample_from_csv(path, space)
     except (ValueError, OSError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        message = str(exc)  # the readers name the file in some messages
+        raise UsageError(message if message.startswith(path) else f"{path}: {message}") from exc
 
 
 def _parse_spec(payload):

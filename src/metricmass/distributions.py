@@ -47,7 +47,15 @@ class _FiniteSupportMixin:
         return len(self.atom_weights())
 
     def sample_indices(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.atom_count(), size=count, p=self.atom_weights())
+        """``rng.choice(atom_count, size=count, p=weights)``: the same draws
+        from the same stream, from a CDF built once as ``choice`` builds it."""
+        def build():
+            cdf = self.atom_weights().cumsum()
+            cdf /= cdf[-1]
+            cdf.flags.writeable = False
+            return cdf
+        cdf = _cached(self, "_cdf", build)
+        return cdf.searchsorted(rng.random(count), side="right")
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.points_from_indices(self.sample_indices(count, rng))

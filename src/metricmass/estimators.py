@@ -18,6 +18,7 @@ clipped to [0, 1], vacuous when the pre-clip value is 1 or more.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,6 +112,15 @@ def all_martingale_estimates(sample: Sample, r: float) -> np.ndarray:
     return np.cumsum(e[::-1]) / m
 
 
+@functools.lru_cache(maxsize=32)
+def _window_slacks(n: int, delta: float) -> np.ndarray:
+    """The read-only slacks of :func:`sequential_bounds`, built once per
+    (n, delta): a campaign asks for the same ones every replicate."""
+    slack = np.sqrt(np.log(n / delta) / (2.0 * np.arange(1, n + 1)))
+    slack.flags.writeable = False
+    return slack
+
+
 def sequential_bounds(sample: Sample, r: float, delta: float
                       ) -> tuple[np.ndarray, np.ndarray, Estimate]:
     """The sequential estimates and their sub-Gaussian slacks sqrt(ln(n/delta)
@@ -118,7 +128,7 @@ def sequential_bounds(sample: Sample, r: float, delta: float
     the minimum over m of estimate plus slack as an upper estimate."""
     check_delta(delta)
     t = all_martingale_estimates(sample, r)
-    slack = np.sqrt(np.log(sample.n / delta) / (2.0 * np.arange(1, sample.n + 1)))
+    slack = _window_slacks(sample.n, delta)
     values = t + slack
     best = int(np.argmin(values))
     return t, slack, upper_estimate(float(values[best]), MARTINGALE_MIN, delta,

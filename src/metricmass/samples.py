@@ -27,9 +27,18 @@ counts the positive distances per bucket, the bucket being the top 16 bits
 of the float64 bit pattern; for non-negative doubles that order is the
 order of the values.  :meth:`Sample.pair_order_statistics` then finds the
 bucket of each wanted rank from the cumulative counts, and a second pass
-keeps only the distances in those buckets and sorts them.
+keeps only the distances in those buckets and sorts them.  Where ties fill
+those buckets past ``KEPT_DISTANCES_SHARE`` of n * n, it keeps each
+distinct distance once with its count.
 
-Every streamed pass runs through :func:`stream_blocks`.  A pass of at least
+A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
+such as a simulation replicate, skips the streaming: each pass over it is
+one kernel call on the calling thread, with the lower triangle masked once
+by a cached mask.  The kernel reads the space's cheapest exact input
+(:meth:`~metricmass.spaces.MetricSpace.kernel_points`), integer codes in
+place of discrete symbols.
+
+Every larger pass runs through :func:`stream_blocks`.  A pass of at least
 ``THREADED_MIN_BLOCKS`` blocks' worth of entries, in a process that may run
 on T > 1 cores, spreads its blocks over the calling thread and T - 1 threads
 of a process-wide pool; ``SUMMARY_BLOCK_ELEMENTS`` then bounds the blocks of
@@ -39,8 +48,10 @@ same for any number of cores.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import json
+import math
 import os
 import queue
 import threading
@@ -63,6 +74,14 @@ SUMMARY_BLOCK_ROWS = 64
 # A distance's bucket is its float64 bit pattern shifted right by this many
 # bits: the sign, the exponent and the four leading mantissa bits.
 BUCKET_SHIFT = 48
+# The bucket of inf, which masks the entries a block repeats.
+INF_BUCKET = int(np.float64(np.inf).view(np.int64)) >> BUCKET_SHIFT
+# The order-statistics pass keeps the distances of the wanted buckets one by
+# one while they number at most this share of n * n; past it, as (value,
+# count) pairs, which ties make few.
+KEPT_DISTANCES_SHARE = 1 / 8
+# Scratch of the order-statistics pass: keys, and the masks of wanted keys.
+SELECT_SCRATCH = (np.int64, bool, bool, bool)
 
 
 class InvalidNetError(ValueError):
@@ -80,6 +99,32 @@ def block_view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The first rows * cols entries of a scratch buffer as a rows x cols
     array."""
     return buffer[:rows * cols].reshape(rows, cols)
+
+
+# One mask serves every height, since tri(H)[:h, :h] is tri(h).  It is built
+# on first use at the largest one-block height, and so seldom rebuilt: a mask
+# kept per height, allocated mid-run, fragmented the heap (about 1.5 MB more
+# peak RSS over a 6,000-point W1 sweep).
+_triangle = np.empty((0, 0), dtype=bool)
+
+
+def _lower_triangle(height: int) -> np.ndarray:
+    """A read-only height x height mask of the diagonal and the entries
+    below it."""
+    global _triangle
+    mask = _triangle  # pool threads may replace it meanwhile
+    if height > len(mask):
+        mask = np.tri(max(height, math.isqrt(SUMMARY_BLOCK_ELEMENTS)), dtype=bool)
+        mask.flags.writeable = False
+        _triangle = mask
+    return mask[:height, :height]
+
+
+def _mask_lower(block: np.ndarray, height: int) -> None:
+    """Set the diagonal of the block's leading height x height square and the
+    entries below it, which pair a point with itself or repeat a pair read
+    above, to inf."""
+    np.copyto(block[:, :height], np.inf, where=_lower_triangle(height))
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -274,16 +319,14 @@ class Sample:
         ends = np.cumsum(counts)
         buckets = np.searchsorted(ends, ranks, side="right")
         wanted = np.unique(buckets)
-        values = np.empty(int(counts[wanted].sum()))
-        filled = 0
         # Runs of wanted buckets with only empty ones between them: a run's
         # range of keys holds the same distances as its wanted buckets.
         split = ends[wanted[1:] - 1] > ends[wanted[:-1]]
         key_ranges = list(zip(wanted[np.append(True, split)], wanted[np.append(split, True)]))
 
-        def select(rows, buffers):
-            block = self._upper_block(rows, buffers[0])
-            keys, mask, inside, below = (block_view(b, *block.shape) for b in buffers[1:])
+        def select(rows, block, scratch):
+            _mask_lower(block, rows.stop - rows.start)
+            keys, mask, inside, below = scratch
             np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=keys)
             mask.fill(False)
             for first, last in key_ranges:
@@ -294,75 +337,119 @@ class Sample:
             found = block[mask]
             return found[found > 0]
 
-        for found in self._upper_pass(select, (np.float64, np.int64, bool, bool, bool)):
+        # Each wanted bucket's values are a run of the sorted values kept; a
+        # rank's position is its offset in its bucket plus the runs before it.
+        runs = np.cumsum(counts[wanted]) - counts[wanted]
+        offsets = ranks - (ends[buckets] - counts[buckets])
+        positions = runs[np.searchsorted(wanted, buckets)] + offsets
+        kept = int(counts[wanted].sum())
+        # The buffer takes any one block's distances.
+        tied = (self._value_tallies(select, max(SUMMARY_BLOCK_ELEMENTS, self.n))
+                if kept > self.n * self.n * KEPT_DISTANCES_SHARE else None)
+        if tied is not None:
+            values, tallies = tied
+            return values[np.searchsorted(np.cumsum(tallies), positions, side="right")]
+        values = np.empty(kept)
+        filled = 0
+        for found in self._upper_pass(select, SELECT_SCRATCH):
             values[filled:filled + found.size] = found
             filled += found.size
         values.sort()
-        # Each wanted bucket's values are a run of ``values``; a rank's
-        # position is its offset in its bucket plus the runs before it.
-        runs = np.cumsum(counts[wanted]) - counts[wanted]
-        offsets = ranks - (ends[buckets] - counts[buckets])
-        return values[runs[np.searchsorted(wanted, buckets)] + offsets]
+        return values[positions]
+
+    def _value_tallies(self, select, capacity: int):
+        """The distinct values the blocks of ``select`` find, sorted, and how
+        often each occurs, or None where ties are too few to pay.  Found
+        values fill a buffer of ``capacity`` entries, squeezed into the
+        (value, count) pairs whenever it is full; once the pairs outnumber
+        half the buffer they hold more than the values would, and the pass
+        stops."""
+        buffer = np.empty(capacity)
+        filled = 0
+        tallies = collections.Counter()
+
+        def squeeze():
+            values, counts = np.unique(buffer[:filled], return_counts=True)
+            tallies.update(dict(zip(values.tolist(), counts.tolist())))
+
+        for found in self._upper_pass(select, SELECT_SCRATCH):
+            if filled + found.size > capacity:
+                squeeze()
+                filled = 0
+                if len(tallies) > capacity // 2:
+                    return None
+            buffer[filled:filled + found.size] = found
+            filled += found.size
+        squeeze()
+        values = sorted(tallies)
+        return np.array(values), np.array([tallies[v] for v in values])
 
     def _bucket_counts(self) -> np.ndarray:
         if self._buckets is None:
             self._summarize(histogram=True)
         return self._buckets
 
-    def _upper_pass(self, work, dtypes):
-        """:func:`stream_blocks` over the row blocks of the upper triangle,
-        each block a slice of at most ``SUMMARY_BLOCK_ROWS`` rows."""
+    def _upper_pass(self, work, dtypes=()):
+        """``work(rows, block, scratch)`` for each row block of the upper
+        triangle, as the blocks finish.  ``block`` holds the distances from
+        the points ``rows`` to every point from ``rows.start`` on, and
+        ``scratch`` one array of its shape per dtype in ``dtypes``.  A sample
+        whose whole square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries is one
+        block, computed by one kernel call on the calling thread; a larger
+        one streams through :func:`stream_blocks` in blocks of at most
+        ``SUMMARY_BLOCK_ROWS`` rows."""
         n = self.n
+        points = self.space.kernel_points(self.points)
+
+        def run(rows, buffers):
+            block = block_view(buffers[0], rows.stop - rows.start, n - rows.start)
+            self.space.kernel(points[rows], points[rows.start:], out=block)
+            return work(rows, block, [block_view(b, *block.shape) for b in buffers[1:]])
+
+        dtypes = (np.float64, *dtypes)
+        if n * n <= SUMMARY_BLOCK_ELEMENTS:
+            return [run(slice(0, n), [np.empty(n * n, dtype) for dtype in dtypes])] if n else []
 
         def blocks(budget):
-            step = max(1, min(SUMMARY_BLOCK_ROWS, budget // max(n, 1)))
+            step = max(1, min(SUMMARY_BLOCK_ROWS, budget // n))
             return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
-        return stream_blocks(work, blocks, n * (n + 1) // 2, n, dtypes)
-
-    def _upper_block(self, rows: slice, buffer: np.ndarray) -> np.ndarray:
-        """The distances from ``rows`` to every point from ``rows.start``
-        on, computed in ``buffer``.  The diagonal of the block's leading
-        square and the entries below it, which pair a point with itself or
-        repeat a pair read above, are set to zero."""
-        height = rows.stop - rows.start
-        block = block_view(buffer, height, self.n - rows.start)
-        self.space.kernel(self.points[rows], self.points[rows.start:], out=block)
-        block[:, :height][np.tri(height, dtype=bool)] = 0.0
-        return block
+        return stream_blocks(run, blocks, n * (n + 1) // 2, n, dtypes)
 
     def _summarize(self, histogram: bool = False) -> None:
         n = self.n
         buckets = 1 << (63 - BUCKET_SHIFT)
 
-        def reduce(rows, buffers):
-            block = self._upper_block(rows, buffers[0])
-            height = block.shape[0]
+        def reduce(rows, block, scratch):
+            height = rows.stop - rows.start
+            # A precomputed matrix's diagonal need only be close to zero.
+            # The entries below it repeat pairs above, so the maximum is the
+            # pairs' maximum or zero.
+            np.fill_diagonal(block, 0.0)
             top = float(block.max())
             if not np.isfinite(top):
                 raise ValueError("pairwise distances must be finite")
+            _mask_lower(block, height)
             counts = None
             if histogram:
-                keys = block_view(buffers[1], *block.shape)
-                np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=keys)
+                keys = np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=scratch[0])
                 counts = np.bincount(keys.ravel(), minlength=buckets)
-                # Zeros land in bucket 0 with the smallest subnormals.  The
-                # zeroed triangle fills it alone unless some pair lies below
-                # 2^-1022, which spares counting the zeros.
-                tri = height * (height + 1) // 2
-                counts[0] -= tri if counts[0] == tri else block.size - np.count_nonzero(block)
+                counts[INF_BUCKET] -= height * (height + 1) // 2
+                # Zeros land in bucket 0 with the smallest subnormals, which
+                # spares counting the zeros when the bucket is empty.
+                if counts[0]:
+                    counts[0] -= block.size - np.count_nonzero(block)
                 # Only the buckets in use, to keep the result small.
                 used = np.flatnonzero(counts)
                 counts = used, counts[used]
-            block[:, :height][np.tri(height, dtype=bool)] = np.inf
             return rows, top, block.min(axis=1), block.min(axis=0), counts
 
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
         diameter = 0.0
         counts = np.zeros(buckets, dtype=np.int64) if histogram else None
-        dtypes = (np.float64, np.int64) if histogram else (np.float64,)
-        for rows, top, rows_min, cols_min, used_counts in self._upper_pass(reduce, dtypes):
+        for rows, top, rows_min, cols_min, used_counts in self._upper_pass(
+                reduce, (np.int64,) if histogram else ()):
             diameter = max(diameter, top)
             row_min[rows] = rows_min
             np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
@@ -426,6 +513,10 @@ def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
     if len(rows) > 1 and not _looks_numeric(rows[0]) and _looks_numeric(rows[1]):
         rows = rows[1:]
     if _looks_numeric(rows[0]) and space != discrete():
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"{path}: data row {i + 1} has {len(row)} column(s) "
+                                 f"where data row 1 has {len(rows[0])}")
         pts = np.array([[float(v) for v in row] for row in rows])
         return make_sample(pts, space)
     if any(len(row) != 1 for row in rows):

@@ -8,6 +8,7 @@ stdlib encoder because the latter offers no hook for float formatting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -103,15 +104,22 @@ def csv_cell(value) -> str:
 
 def _csv_column(col) -> tuple[str, list]:
     """One printf conversion for a whole column, and the values it takes:
-    ``%d`` for an integer array, ``%.17g`` for a float array with no NaN or
-    infinity (the same digits as :func:`format_float`), else ``%s`` over
-    :func:`csv_cell`."""
+    ``%d`` for integers, ``%.17g`` for floats with no NaN or infinity (the
+    same digits as :func:`format_float`), else ``%s`` over :func:`csv_cell`.
+    A column is an array, or a sequence of Python values all of one type."""
     if isinstance(col, np.ndarray):
-        if col.dtype.kind in "iu":
-            return "%d", col.tolist()
-        if col.dtype.kind == "f" and np.isfinite(col).all():
-            return "%.17g", col.tolist()
-    return "%s", [csv_cell(v) for v in col]
+        kind, values = col.dtype.kind, col.tolist()
+        finite = kind == "f" and np.isfinite(col).all()
+    else:
+        values = list(col)
+        types = set(map(type, values))
+        kind = "i" if types == {int} else "f" if types == {float} else "O"
+        finite = kind == "f" and all(map(math.isfinite, values))
+    if kind in "iu":
+        return "%d", values
+    if finite:
+        return "%.17g", values
+    return "%s", [csv_cell(v) for v in values]
 
 
 def write_csv(path, columns: dict, config: dict | None = None) -> None:

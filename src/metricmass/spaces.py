@@ -21,10 +21,11 @@ read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
 are the same float, so a pass over the upper triangle reads every distance.
 
 Every decision that depends on the kind is made here: the points, the
-kernel, ``scaled``, ``ball_halfwidth`` on a line, ``packing_cap``,
-``meb_locality``, ``known_metric``, and the dict and ``kind[:a,b]`` forms
-of the kinds that persist, read from one :data:`GRAMMAR` table.  Other
-modules compare spaces by value instead, as in ``space == euclidean(1)``.
+kernel and its cheapest input, ``scaled``, ``ball_halfwidth`` on a line,
+``packing_cap``, ``meb_locality``, ``known_metric``, and the dict and
+``kind[:a,b]`` forms of the kinds that persist, read from one
+:data:`GRAMMAR` table.  Other modules compare spaces by value instead, as
+in ``space == euclidean(1)``.
 """
 from __future__ import annotations
 
@@ -125,6 +126,15 @@ class MetricSpace:
             out **= 1.0 / self.p
             return out
         raise ValueError(f"unknown space kind {self.kind!r}")
+
+    def kernel_points(self, points: np.ndarray) -> np.ndarray:
+        """The cheapest input on which :meth:`kernel` gives the same
+        distances as on the canonical ``points``: integer codes for discrete
+        string symbols, equal exactly where the symbols are, and the points
+        themselves for every other kind."""
+        if self.kind == DISCRETE and points.dtype.kind in "US":
+            return np.unique(points, return_inverse=True)[1]
+        return points
 
     def pairwise_distances(self, points) -> np.ndarray:
         return self.cross_distances(points, points)

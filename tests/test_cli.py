@@ -111,6 +111,17 @@ def test_estimate_nan_coordinate_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_ragged_csv_names_the_row(tmp_path, capsys):
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [["x", "y"], [1, 2], [3, 4], [5]])
+    out = tmp_path / "report"
+    code = main(["estimate", "--input", str(sample), "--r", "1.0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {sample}: data row 3 has 1 column(s) where data row 1 has 2\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 def test_hypothesis_strict_aborts(command, tmp_path):
     sample = tmp_path / "pts.csv"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricmass.distributions import (
     BasisUniformSpec,
@@ -66,6 +67,29 @@ def test_sphere_atom_weights_and_frequency():
     idx = spec.sample_indices(200_000, np.random.default_rng(0))
     freq = (idx == 0).mean()
     assert freq == pytest.approx(w[0], abs=3 * math.sqrt(0.083 * 0.917 / 200_000))
+
+
+FINITE_SPECS = [
+    discrete_zipf(500),
+    discrete_uniform(3),
+    DiscreteSpec(("a", "b", "c", "d"), (0.5, 0.0, 0.25, 0.25)),
+    PointMassSpec(((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)), (0.2, 0.3, 0.5)),
+    PointMassSpec(((1.0,),), (1.0,)),
+    SphereAtomSpec(dim=40, n_design=7),
+    BasisUniformSpec(dim=9),
+]
+
+
+@given(st.sampled_from(FINITE_SPECS), st.integers(1, 300), st.integers(0, 2 ** 63))
+@settings(max_examples=300)
+def test_sample_indices_equal_generator_choice(spec, count, seed):
+    # The same indices from the same stream, which is left in the same state.
+    drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+    idx = spec.sample_indices(count, drawn)
+    expected = chosen.choice(spec.atom_count(), size=count, p=spec.atom_weights())
+    assert idx.dtype == expected.dtype
+    assert np.array_equal(idx, expected)
+    assert drawn.random() == chosen.random()
 
 
 def test_sphere_atom_no_atom_probability_half():

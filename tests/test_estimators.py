@@ -200,6 +200,10 @@ def test_sequential_bounds_per_window():
     assert est == martingale_upper_bound(s, 0.05, delta)
     assert est.value == min(1.0, t[est.m - 1] + slack[est.m - 1])
     assert est.radius == slack[est.m - 1]
+    # Built once per (n, delta) and shared, so no caller may write to it.
+    assert sequential_bounds(s, 0.5, delta)[1] is slack
+    with pytest.raises(ValueError):
+        slack[0] = 0.0
 
 
 def test_gt_interval_formula():

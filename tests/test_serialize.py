@@ -23,9 +23,15 @@ CELLS = st.one_of(FLOATS, st.integers(-2**70, 2**70), st.none(), st.booleans(),
 
 
 def column(length: int):
-    """A list of mixed cells, or a float, integer or boolean array."""
+    """A list of mixed cells, or of integers, floats or booleans alone, or a
+    float, integer or boolean array."""
     return st.one_of(
         st.lists(CELLS, min_size=length, max_size=length),
+        st.lists(st.integers(-2**70, 2**70), min_size=length, max_size=length),
+        st.lists(FLOATS, min_size=length, max_size=length),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=length,
+                 max_size=length),
+        st.lists(st.booleans(), min_size=length, max_size=length),
         st.lists(FLOATS, min_size=length, max_size=length).map(np.array),
         st.lists(st.integers(-2**62, 2**62), min_size=length, max_size=length).map(
             lambda v: np.array(v, dtype=np.int64)),
@@ -52,7 +58,8 @@ def tables(draw):
                   "finite": np.array([-0.0, 5e-324]), "none": [None, 0.5],
                   "bool": np.array([True, False]), "flags": [False, True],
                   "int32": np.array([-3, 7], dtype=np.int32), "npint": [np.int64(4), np.int16(-2)],
-                  "str": ["a b", "x-+."], "range": range(2)},
+                  "str": ["a b", "x-+."], "range": range(2), "ints": [2**70, -1],
+                  "floats": [-0.0, 1e308], "mixed": [1, 0.5], "npfloats": [np.float64(0.1), 0.2]},
          config=None)
 def test_write_csv_lines_are_the_transposed_columns(columns, config, tmp_path):
     path = tmp_path / "table.csv"

@@ -112,6 +112,30 @@ def test_symmetry_and_self_distance(xs, ys):
     assert space.distance(x, y) == pytest.approx(space.distance(y, x))
 
 
+SYMBOLS = st.lists(st.text(alphabet="ab\u00e9 ", max_size=3), min_size=0, max_size=30)
+
+
+@given(st.one_of(SYMBOLS.map(np.array),
+                 SYMBOLS.map(lambda v: np.array([x.encode() for x in v], dtype=bytes)),
+                 st.lists(st.integers(-3, 3), max_size=30).map(np.array)))
+def test_discrete_kernel_points_give_the_symbol_kernel(symbols):
+    space = discrete()
+    points = space.as_points(symbols)
+    codes = space.kernel_points(points)
+    if points.dtype.kind in "US":
+        assert codes.dtype.kind == "i"
+    else:
+        assert codes is points
+    assert np.array_equal(space.kernel(codes, codes), space.kernel(points, points))
+
+
+@pytest.mark.parametrize("space", [euclidean(2), lp(2, 1.0), scaled_indicator(2.0),
+                                   precomputed([[0.0, 1.0], [1.0, 0.0]])])
+def test_kernel_points_are_the_points_off_discrete(space):
+    points = space.as_points([[0.0, 1.0], [1.0, 1.0]] if space.dim == 2 else [0, 1])
+    assert space.kernel_points(points) is points
+
+
 @given(st.floats(0, 10), st.floats(0, 10), st.floats(0.01, 5), st.floats(1.1, 4))
 def test_ball_membership_is_symmetric(a, b, r, p):
     space = scaled_indicator(p)

@@ -20,7 +20,7 @@ from metricmass.samples import (
     prefix_net_errors,
     verify_net,
 )
-from metricmass.spaces import discrete, lp, precomputed, scaled_indicator
+from metricmass.spaces import MetricSpace, discrete, lp, precomputed, scaled_indicator
 from metricmass.wasserstein import default_r_grid, grid_endpoints, w1_report
 
 from helpers import (
@@ -60,8 +60,10 @@ def tie_prone_sample(kind, n, rng):
 
 
 def radii_on_ties(sample, rng, count=4):
+    """Radii at d == r and d == 2r for distances d of the sample."""
     d = sample.distance_matrix()
-    return [0.0, 0.5, 1.0] + [float(v) for v in rng.choice(d.ravel(), size=count)]
+    picked = [float(v) for v in rng.choice(d.ravel(), size=count)]
+    return [0.0, 0.5, 1.0] + picked + [v / 2 for v in picked]
 
 
 def assert_matches_dense(sample, radii, dense=None):
@@ -111,14 +113,18 @@ BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
 ROWS = st.sampled_from([1, 2, 5, samples.SUMMARY_BLOCK_ROWS])
 # Pool threads every pass runs on, however small; 1 is the calling thread.
 THREADS = st.sampled_from([1, 2, 3])
+# 0 keeps the order statistics' distances as (value, count) pairs always.
+SHARES = st.sampled_from([samples.KEPT_DISTANCES_SHARE, 0.0])
 
 
 @contextmanager
-def small_blocks(block, rows, threads):
+def small_blocks(block, rows, threads, share=samples.KEPT_DISTANCES_SHARE):
     """Patch the elements and the rows per block of the upper-triangle
-    pass, and the pool threads of every pass."""
+    pass, the pool threads of every pass, and the share of n * n past which
+    the order statistics' distances are kept as pairs."""
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
-            mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows), pool_threads(threads):
+            mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows), pool_threads(threads), \
+            mock.patch.object(samples, "KEPT_DISTANCES_SHARE", share):
         yield
 
 
@@ -164,9 +170,10 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       BLOCKS, ROWS, THREADS)
+       BLOCKS, ROWS, THREADS, SHARES)
 @settings(max_examples=150)
-def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
+def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows, threads,
+                                                         share):
     # The CLI's order: the radius grid's pass counts the positive distances
     # per bucket and fills the summaries on the way, so reading them costs
     # no pass.
@@ -176,7 +183,7 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
     radii = radii_on_ties(dense, rng)
     d = dense.distance_matrix()
     upper = d[np.triu_indices(n, k=1)]
-    with small_blocks(block, rows, threads):
+    with small_blocks(block, rows, threads, share):
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
         with mock.patch.object(Sample, "_summarize",
                                side_effect=AssertionError("a second pass")):
@@ -209,9 +216,9 @@ def edge_sample(kind, n, scale, rng):
 
 @given(st.sampled_from(["euclidean", "lp", "scaled_indicator", "precomputed"]),
        st.integers(1, 40), st.sampled_from([1.0, 0.5, 1e-310, 1e150]),
-       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS, THREADS)
+       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS, THREADS, SHARES)
 @settings(max_examples=150)
-def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows, threads):
+def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows, threads, share):
     rng = np.random.default_rng(seed)
     dense = edge_sample(kind, n, scale, rng)
     sample = Sample(dense.points, dense.space)
@@ -219,12 +226,68 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
     picked = rng.integers(positive.size, size=4) if positive.size else ranks
-    with small_blocks(block, rows, threads):
+    with small_blocks(block, rows, threads, share):
         assert sample.positive_pair_count() == positive.size
         assert np.array_equal(sample.pair_order_statistics(ranks), positive)
         assert np.array_equal(sample.pair_order_statistics(picked), positive[picked])
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
     assert not matrix_built(sample)
+
+
+@given(st.sampled_from(KINDS), st.sampled_from([0, 1, 2, 3, 17]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1), THREADS, SHARES)
+@settings(max_examples=100)
+def test_one_block_threshold(kind, n, fits, seed, threads, share):
+    # A sample whose n x n square fits the block budget, exactly or with
+    # room, is one kernel call per pass with no streaming; one entry less
+    # and the pass streams.  Both match the dense reference.
+    rng = np.random.default_rng(seed)
+    dense = tie_prone_sample(kind, n, rng)
+    nearest, earlier = dense_summaries(dense) if n else (np.empty(0), np.empty(0))
+    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    positive = np.sort(upper[upper > 0])
+    diameter = float(upper.max(initial=0.0))
+    plain, counted = (Sample(dense.points, dense.space) for _ in range(2))
+    budget = n * n if fits else n * n - 1
+    with small_blocks(max(budget, 0), samples.SUMMARY_BLOCK_ROWS, threads, share), \
+            mock.patch.object(samples, "stream_blocks", wraps=samples.stream_blocks) as streams, \
+            mock.patch.object(MetricSpace, "kernel", autospec=True,
+                              side_effect=MetricSpace.kernel) as kernel:
+        assert np.array_equal(plain.nearest_distances(), nearest)
+        assert np.array_equal(plain.earlier_distances(), earlier)
+        assert plain.diameter() == diameter
+        assert counted.positive_pair_count() == positive.size
+        assert np.array_equal(counted.pair_order_statistics(np.arange(positive.size)), positive)
+        assert np.array_equal(counted.nearest_distances(), nearest)
+    one_block = n * n <= budget
+    assert streams.called == (not one_block and n > 0)
+    if one_block:
+        # The summary, the histogram and the order statistics, without
+        # the last when there are no positive distances.
+        assert kernel.call_count == (2 + bool(positive.size)) * (n > 0)
+    assert not matrix_built(plain) and not matrix_built(counted)
+
+
+@pytest.mark.parametrize("bad", ["nan", "overflow"])
+@pytest.mark.parametrize("histogram", [False, True])
+@pytest.mark.parametrize("spare", [0, 1])
+def test_non_finite_distances_raise_on_both_paths(bad, histogram, spare):
+    # spare 0: the square fills the budget, one kernel call; spare 1: one
+    # entry less, so the pass streams two row blocks.
+    n = 12
+    if bad == "nan":
+        space = precomputed(1.0 - np.eye(n))
+        space.matrix[3, 7] = space.matrix[7, 3] = np.nan
+        sample = Sample(np.arange(n), space)
+    else:
+        # Finite points whose squared differences overflow.
+        sample = make_sample(np.arange(n, dtype=float)[:, None] * 1e200)
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", n * n - spare), \
+            pytest.raises(ValueError, match="pairwise distances must be finite"):
+        if histogram:
+            sample.positive_pair_count()
+        else:
+            sample.nearest_distances()
 
 
 def test_pair_order_statistics_reject_ranks_out_of_range():
