@@ -31,7 +31,7 @@ from .estimators import (
     net_missing_mass_bound,
     upper_estimate,
 )
-from .samples import Sample, block_view, farthest_first_net, row_blocks, stream_blocks
+from .samples import Sample, farthest_first_net
 from .serialize import Record
 from .spaces import space_from_dict
 
@@ -61,18 +61,7 @@ def classify(classifier: ProximityClassifier, y) -> str:
 def classify_batch(classifier: ProximityClassifier, queries) -> list[str]:
     """Verdicts from each query's nearest training distance, taken over
     row blocks of queries, so no |queries| x n matrix is held."""
-    training = classifier.training
-    queries = training.space.as_points(queries)
-
-    nearest = np.empty(len(queries))
-
-    def nearest_of(rows, buffers):
-        d = block_view(buffers[0], rows.stop - rows.start, training.n)
-        training.space.kernel(queries[rows], training.points, out=d).min(axis=1, out=nearest[rows])
-
-    for _ in stream_blocks(nearest_of, lambda budget: row_blocks(len(queries), training.n, budget),
-                           len(queries) * training.n, training.n):
-        pass
+    nearest = classifier.training.nearest_to(queries)[:, 0]
     return [ANOMALOUS if d > classifier.gamma else NORMAL for d in nearest]
 
 

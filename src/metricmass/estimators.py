@@ -76,7 +76,7 @@ def upper_estimate(raw: float, method: str, delta: float, radius: float | None =
                     radius=radius, m=m, vacuous=raw >= 1.0)
 
 
-def _check_sample(sample: Sample, r: float) -> None:
+def check_sample(sample: Sample, r: float) -> None:
     if not r >= 0:
         raise ValueError("radius must be non-negative")
     if sample.n < 1:
@@ -85,7 +85,7 @@ def _check_sample(sample: Sample, r: float) -> None:
 
 def good_turing(sample: Sample, r: float) -> float:
     """Fraction of sample points farther than r from all other sample points."""
-    _check_sample(sample, r)
+    check_sample(sample, r)
     if sample.n == 1:
         return 1.0
     return float(np.mean(sample.nearest_distances() > r))
@@ -93,7 +93,7 @@ def good_turing(sample: Sample, r: float) -> float:
 
 def escape_indicators(sample: Sample, r: float) -> np.ndarray:
     """Indicator, per point in sample order, of escaping all earlier balls."""
-    _check_sample(sample, r)
+    check_sample(sample, r)
     return (sample.earlier_distances() > r).astype(float)
 
 

@@ -15,11 +15,10 @@ picks a spec's branch, from what the spec provides:
   intervals (:meth:`~metricmass.spaces.MetricSpace.ball_halfwidth`), so
   masses reduce to exact sweeps over merged intervals;
 * ``monte_carlo``, everything else: fresh test points with a Hoeffding
-  confidence half-width sqrt(ln(2/alpha) / (2N)).  Their distances to the
-  sample are streamed in row blocks by
-  :func:`~metricmass.samples.stream_blocks` (at most
-  ``SUMMARY_BLOCK_ELEMENTS`` = 2^18 entries alive at once), and only the
-  nearest one or two are kept.
+  confidence half-width sqrt(ln(2/alpha) / (2N)).  Only each test point's
+  nearest one or two distances to the sample are kept, from
+  :meth:`~metricmass.samples.Sample.nearest_to`, which streams them in row
+  blocks (at most ``SUMMARY_BLOCK_ELEMENTS`` = 2^18 entries alive at once).
 
 Exact W1 (:func:`has_exact_w1`) takes the finite branch's atoms, or the
 uniform interval, the one ``interval`` spec on ``euclidean(1)``.
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_sample
-from .samples import Sample, block_view, row_blocks, stream_blocks
+from .samples import Sample
 from .serialize import Record
 from .spaces import euclidean
 
@@ -137,41 +136,20 @@ def _mc_nearest(spec, sample: Sample, n_test: int, alpha: float, seed,
     column for a one-point sample).
 
     Draws come ``_MC_CHUNK`` at a time, because the rng stream, and so every
-    value, depends on the draw size; each chunk is canonicalized once, on
-    the calling thread, and its distances are computed and reduced in one
-    :func:`~metricmass.samples.stream_blocks` pass.  Under the closed-ball
-    convention a draw is covered by no sample ball iff d1 > r, and by
-    exactly one iff d1 <= r < d2.
+    value, depends on the draw size; each chunk's distances are reduced by
+    one :meth:`~metricmass.samples.Sample.nearest_to` pass.  Under the
+    closed-ball convention a draw is covered by no sample ball iff d1 > r,
+    and by exactly one iff d1 <= r < d2.
     """
     if n_test < 1:
         raise ValueError("n_test must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    space = sample.space
-    kept = min(k, sample.n)
-    nearest = np.full((n_test, k), np.inf)
-
-    def reduce(block, buffers):
-        # Each block writes its own rows of ``nearest``.
-        draws, out = block
-        d = space.kernel(draws, sample.points,
-                         out=block_view(buffers[0], len(draws), sample.n))
-        if kept == 2:
-            d.partition(1, axis=1)  # in place: no second block-sized array
-            out[:] = d[:, :2]
-        else:
-            out[:, 0] = d.min(axis=1)
-
+    nearest = np.empty((n_test, k))
     for start in range(0, n_test, _MC_CHUNK):
-        draws = space.as_points(spec.sample(min(_MC_CHUNK, n_test - start), rng))
-        out = nearest[start:start + len(draws)]
-
-        def blocks(budget, draws=draws, out=out):
-            return [(draws[rows], out[rows]) for rows in row_blocks(len(draws), sample.n, budget)]
-
-        for _ in stream_blocks(reduce, blocks, len(draws) * sample.n, sample.n):
-            pass
+        stop = min(start + _MC_CHUNK, n_test)
+        nearest[start:stop] = sample.nearest_to(spec.sample(stop - start, rng), k)
     return nearest
 
 

@@ -38,13 +38,18 @@ by a cached mask.  The kernel reads the space's cheapest exact input
 (:meth:`~metricmass.spaces.MetricSpace.kernel_points`), integer codes in
 place of discrete symbols.
 
-Every larger pass runs through :func:`stream_blocks`.  A pass of at least
-``THREADED_MIN_BLOCKS`` blocks' worth of entries, in a process that may run
-on T > 1 cores, spreads its blocks over the calling thread and T - 1 threads
-of a process-wide pool; ``SUMMARY_BLOCK_ELEMENTS`` then bounds the blocks of
-all threads together.  Every step that combines block results is a
-minimum, a maximum, an integer sum or a final sort, so every result is the
-same for any number of cores.
+Every larger pass runs through :func:`stream_blocks`, and only this module
+cuts passes into blocks: the upper-triangle passes, the net checks, and
+:meth:`Sample.nearest_to`, which serves the classifier and the Monte Carlo
+oracle.  A pass of at least ``THREADED_MIN_BLOCKS`` blocks' worth of
+entries, in a process that may run on T > 1 cores and is not a worker
+process, spreads its blocks over the calling thread and T - 1 threads of a
+process-wide pool; ``SUMMARY_BLOCK_ELEMENTS`` then bounds the blocks of all
+threads together.  Each thread computes its block unlocked and folds the
+result into the pass's totals under the lock that hands out the blocks.
+Every fold is a minimum, a maximum, an integer sum, a write of the block's
+own rows or an append before a final sort, so every result is the same for
+any number of cores.
 """
 from __future__ import annotations
 
@@ -52,8 +57,8 @@ import collections
 import csv
 import json
 import math
+import multiprocessing
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -88,14 +93,14 @@ class InvalidNetError(ValueError):
     """A claimed r-net fails the separation or coverage requirement."""
 
 
-def row_blocks(rows: int, width: int, budget: int) -> list[slice]:
-    """Slices cutting ``rows`` rows of ``width`` entries each into blocks of
-    at most ``budget`` entries, one row at least."""
-    step = max(1, budget // max(width, 1))
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+def _row_blocks(rows: int, step: int):
+    """Slices cutting ``rows`` rows into blocks of ``step`` rows, one at
+    least."""
+    step = max(1, step)
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
-def block_view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def _block_view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The first rows * cols entries of a scratch buffer as a rows x cols
     array."""
     return buffer[:rows * cols].reshape(rows, cols)
@@ -129,7 +134,6 @@ def _mask_lower(block: np.ndarray, height: int) -> None:
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_one_thread = False
 
 
 def _cores() -> int:
@@ -138,13 +142,6 @@ def _cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         return os.cpu_count() or 1
-
-
-def run_on_one_thread() -> None:
-    """Run every later pass of this process on the calling thread, as a
-    worker process that shares the cores with its siblings does."""
-    global _one_thread
-    _one_thread = True
 
 
 def _forget_pool() -> None:
@@ -166,82 +163,85 @@ def _thread_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def stream_blocks(work, blocks, entries: int, width: int, dtypes=(np.float64,)):
-    """Yield ``work(block, buffers)`` for each block of one streamed pass of
-    ``entries`` entries in rows of at most ``width``, as the blocks finish.
+def stream_blocks(work, blocks, entries: int, width: int, fold=None,
+                  dtypes=(np.float64,)) -> None:
+    """Run one streamed pass of ``entries`` entries in rows of at most
+    ``width``: ``work(block, buffers)`` for each block, then ``fold`` of its
+    result, if given.
 
     ``blocks(budget)`` cuts the pass into blocks of at most ``budget``
     entries, or of one row; ``buffers`` holds one scratch array per dtype in
     ``dtypes``, each large enough for a block, allocated here on the calling
-    thread, for ``work`` to compute the block in.  With T > 1 cores and at
-    least ``THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS`` entries, the
+    thread, for ``work`` to compute the block in.  With T > 1 cores, in a
+    process that is not itself a worker sharing them with its siblings, and
+    at least ``THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS`` entries, the
     calling thread and T - 1 threads of the process-wide pool each take the
     next block left, with buffers of their own and a budget of
     ``SUMMARY_BLOCK_ELEMENTS // T``, so a thread slowed by the machine takes
     fewer; otherwise the calling thread takes every block with one set and
-    the whole budget.  So ``work`` must return nothing that aliases its
-    buffers and read nothing another block writes, and the caller must
-    combine the results in a way that does not depend on their order."""
+    the whole budget.  ``work`` runs unlocked, so it must read nothing
+    another block writes and write only what no other block touches.
+    ``fold`` runs under the lock that hands out the blocks, one result at a
+    time in the order the blocks finish, so it must combine them in a way
+    that does not depend on that order; a ``fold`` that returns True ends
+    the pass, and no result is folded after it.  The first error from
+    ``work`` or ``fold`` also ends the pass, and is raised here once no
+    thread is left computing in a buffer."""
     small = entries < THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS
-    threads = 1 if _one_thread or small else _cores()
+    threads = 1 if small or multiprocessing.parent_process() is not None else _cores()
     budget = max(1, SUMMARY_BLOCK_ELEMENTS // threads)
     size = max(budget, width)
     buffers = [[np.empty(size, dtype) for dtype in dtypes] for _ in range(threads)]
     cut = iter(blocks(budget))
-    claim_lock = threading.Lock()
-    results = queue.SimpleQueue()
-    # Blocks the pool threads may have taken and the calling thread not yet
-    # read, which bounds the results held at once.
-    ahead = threading.Semaphore(2 * (threads - 1))
+    lock = threading.Lock()
+    ended = False
+    errors = []
 
-    def claim():
-        with claim_lock:
-            return next(cut, None)
-
-    def run(thread):
+    def run(scratch):
+        nonlocal ended
         try:
-            while True:
-                ahead.acquire()
-                block = claim()
-                if block is None:
-                    break
-                results.put(("result", work(block, buffers[thread])))
+            with lock:
+                block = None if ended else next(cut, None)
+            while block is not None:
+                result = work(block, scratch)
+                with lock:
+                    if not ended and fold is not None:
+                        ended = bool(fold(result))
+                    block = None if ended else next(cut, None)
         except Exception as error:  # raised again on the calling thread
-            results.put(("error", error))
-            return
-        results.put(("done", None))
+            with lock:
+                errors.append(error)
+                ended = True
 
-    runs = [_thread_pool().submit(run, thread) for thread in range(1, threads)]
-    live = len(runs)
-
-    def collect():
-        """Yield the next result a pool thread left, if it left one."""
-        nonlocal live
-        kind, value = results.get()
-        if kind == "error":
-            raise value
-        if kind == "done":
-            live -= 1
-        else:
-            ahead.release()
-            yield value
-
+    runs = [_thread_pool().submit(run, scratch) for scratch in buffers[1:]]
     try:
-        while (block := claim()) is not None:
-            yield work(block, buffers[0])
-            while not results.empty():
-                yield from collect()
-        # No block is left, so a pool thread not yet started has none to do.
-        live -= sum(run.cancel() for run in runs)
-        while live:
-            yield from collect()
+        run(buffers[0])
+    except BaseException:  # an interrupt: the pool threads take no more blocks
+        with lock:
+            ended = True
+        raise
     finally:
-        # After an error, or when the caller stops reading, every pool
-        # thread finds no block left, and none is left computing in a
-        # buffer.
-        cut = iter(())
-        ahead.release(len(runs) + 1)
+        # No block is left, so a pool thread not yet started has none to do.
+        for future in runs:
+            future.cancel()
         wait(runs)
+    if errors:
+        raise errors[0]
+
+
+def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
+                work, fold=None) -> None:
+    """``work(rows, block)`` for each row block of the distances from
+    ``queries`` to ``points``, ``block`` holding those from the queries
+    ``rows``, through :func:`stream_blocks` with ``fold``."""
+    width = len(points)
+
+    def run(rows, buffers):
+        block = _block_view(buffers[0], rows.stop - rows.start, width)
+        return work(rows, space.kernel(queries[rows], points, out=block))
+
+    stream_blocks(run, lambda budget: _row_blocks(len(queries), budget // max(width, 1)),
+                  len(queries) * width, width, fold)
 
 
 class Sample:
@@ -302,6 +302,27 @@ class Sample:
             self._summarize()
         return self._earlier
 
+    def nearest_to(self, queries, k: int = 1) -> np.ndarray:
+        """A len(queries) x k array: per query, the distance to its nearest
+        sample point (k = 1), and to its second-nearest too (k = 2, inf for
+        a one-point sample).  The distances stream in row blocks of
+        queries, so no len(queries) x n matrix is held."""
+        if k not in (1, 2):
+            raise ValueError("k must be 1 or 2")
+        queries = self.space.as_points(queries)
+        nearest = np.full((len(queries), k), np.inf)
+
+        def reduce(rows, d):
+            # Each block writes its own rows of ``nearest``.
+            if k == 2 and self.n > 1:
+                d.partition(1, axis=1)  # in place: no second block-sized array
+                nearest[rows] = d[:, :2]
+            else:
+                d.min(axis=1, out=nearest[rows, 0])
+
+        _cross_pass(self.space, queries, self.points, reduce)
+        return nearest
+
     def positive_pair_count(self) -> int:
         """The number of pairs i < j at a positive distance."""
         return int(self._bucket_counts().sum())
@@ -351,9 +372,13 @@ class Sample:
             return values[np.searchsorted(np.cumsum(tallies), positions, side="right")]
         values = np.empty(kept)
         filled = 0
-        for found in self._upper_pass(select, SELECT_SCRATCH):
+
+        def fold(found):
+            nonlocal filled
             values[filled:filled + found.size] = found
             filled += found.size
+
+        self._upper_pass(select, fold, SELECT_SCRATCH)
         values.sort()
         return values[positions]
 
@@ -372,14 +397,20 @@ class Sample:
             values, counts = np.unique(buffer[:filled], return_counts=True)
             tallies.update(dict(zip(values.tolist(), counts.tolist())))
 
-        for found in self._upper_pass(select, SELECT_SCRATCH):
+        def fold(found):
+            nonlocal filled
             if filled + found.size > capacity:
                 squeeze()
                 filled = 0
                 if len(tallies) > capacity // 2:
-                    return None
+                    return True
             buffer[filled:filled + found.size] = found
             filled += found.size
+
+        self._upper_pass(select, fold, SELECT_SCRATCH)
+        # Every squeeze but the one that gave up left at most half.
+        if len(tallies) > capacity // 2:
+            return None
         squeeze()
         values = sorted(tallies)
         return np.array(values), np.array([tallies[v] for v in values])
@@ -389,32 +420,31 @@ class Sample:
             self._summarize(histogram=True)
         return self._buckets
 
-    def _upper_pass(self, work, dtypes=()):
+    def _upper_pass(self, work, fold, dtypes=()) -> None:
         """``work(rows, block, scratch)`` for each row block of the upper
-        triangle, as the blocks finish.  ``block`` holds the distances from
-        the points ``rows`` to every point from ``rows.start`` on, and
-        ``scratch`` one array of its shape per dtype in ``dtypes``.  A sample
-        whose whole square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries is one
-        block, computed by one kernel call on the calling thread; a larger
-        one streams through :func:`stream_blocks` in blocks of at most
-        ``SUMMARY_BLOCK_ROWS`` rows."""
+        triangle, each result handed to ``fold``.  ``block`` holds the
+        distances from the points ``rows`` to every point from
+        ``rows.start`` on, and ``scratch`` one array of its shape per dtype
+        in ``dtypes``.  A sample whose whole square fits in
+        ``SUMMARY_BLOCK_ELEMENTS`` entries is one block, computed by one
+        kernel call on the calling thread; a larger one streams through
+        :func:`stream_blocks` in blocks of at most ``SUMMARY_BLOCK_ROWS``
+        rows."""
         n = self.n
         points = self.space.kernel_points(self.points)
 
         def run(rows, buffers):
-            block = block_view(buffers[0], rows.stop - rows.start, n - rows.start)
+            block = _block_view(buffers[0], rows.stop - rows.start, n - rows.start)
             self.space.kernel(points[rows], points[rows.start:], out=block)
-            return work(rows, block, [block_view(b, *block.shape) for b in buffers[1:]])
+            return work(rows, block, [_block_view(b, *block.shape) for b in buffers[1:]])
 
         dtypes = (np.float64, *dtypes)
         if n * n <= SUMMARY_BLOCK_ELEMENTS:
-            return [run(slice(0, n), [np.empty(n * n, dtype) for dtype in dtypes])] if n else []
-
-        def blocks(budget):
-            step = max(1, min(SUMMARY_BLOCK_ROWS, budget // n))
-            return (slice(start, min(start + step, n)) for start in range(0, n, step))
-
-        return stream_blocks(run, blocks, n * (n + 1) // 2, n, dtypes)
+            if n:
+                fold(run(slice(0, n), [np.empty(n * n, dtype) for dtype in dtypes]))
+            return
+        stream_blocks(run, lambda budget: _row_blocks(n, min(SUMMARY_BLOCK_ROWS, budget // n)),
+                      n * (n + 1) // 2, n, fold, dtypes)
 
     def _summarize(self, histogram: bool = False) -> None:
         n = self.n
@@ -448,14 +478,18 @@ class Sample:
         earlier = np.full(n, np.inf)
         diameter = 0.0
         counts = np.zeros(buckets, dtype=np.int64) if histogram else None
-        for rows, top, rows_min, cols_min, used_counts in self._upper_pass(
-                reduce, (np.int64,) if histogram else ()):
+
+        def fold(result):
+            nonlocal diameter
+            rows, top, rows_min, cols_min, used_counts = result
             diameter = max(diameter, top)
             row_min[rows] = rows_min
             np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
             if histogram:
                 used, used_count = used_counts
                 counts[used] += used_count
+
+        self._upper_pass(reduce, fold, (np.int64,) if histogram else ())
         nearest = np.minimum(row_min, earlier)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
@@ -639,19 +673,16 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     cover = np.zeros(len(lengths))
     if lengths:
         starts = [0] + lengths[:-1]
-        picks = sample.points[idx]
 
-        def segment_cover(rows, buffers):
-            d = block_view(buffers[0], rows.stop - rows.start, width)
-            sample.space.kernel(sample.points[rows], picks, out=d)
+        def segment_cover(rows, d):
             segments = np.minimum.reduceat(d, starts, axis=1)
             np.minimum.accumulate(segments, axis=1, out=segments)
             return segments.max(axis=0)
 
-        for block_cover in stream_blocks(segment_cover,
-                                         lambda budget: row_blocks(sample.n, width, budget),
-                                         sample.n * width, width):
+        def fold(block_cover):
             np.maximum(cover, block_cover, out=cover)
+
+        _cross_pass(sample.space, sample.points, sample.points[idx], segment_cover, fold)
     cover_at = dict(zip(lengths, cover.tolist()))
     separation = np.minimum.accumulate(sample.subsample(idx).earlier_distances())
     errors = []

@@ -53,7 +53,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .estimators import check_delta
+from .estimators import check_delta, check_sample
 from .meb import meb_radius, three_point_radius
 from .samples import Sample
 from .serialize import Record
@@ -97,7 +97,7 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     full search, and a witness of size ω is reported exact unless the
     space's triangle inequality is unverified (a precomputed matrix).
     """
-    d, adj = _separation_graph(sample, r)
+    check_sample(sample, r)
     if cap < 1:
         raise ValueError("cap must be at least 1")
     stop = cap
@@ -108,6 +108,7 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     space = sample.space
     if space.packing_cap == 1:
         return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
+    d, adj = _separation_graph(sample, r)
 
     if space.meb_locality:
         pts = sample.points
@@ -148,6 +149,7 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
     the certificate is one-sided.  A search that runs out of budget reports
     an upper bound that may exceed its witness, the largest clique it found.
     """
+    check_sample(sample, r)
     _, adj = _separation_graph(sample, r)
     clique, open_bound = _largest_clique(adj, lambda subset: True, sample.n)
     value = len(clique) if open_bound is None else open_bound
@@ -156,10 +158,6 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
 
 def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Distance matrix and the adjacency of r < d <= 2r, closed at 2r."""
-    if sample.n < 1:
-        raise ValueError("sample must be non-empty")
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
     d = sample.distance_matrix()
     adj = (d > r) & (d <= 2.0 * r)
     np.fill_diagonal(adj, False)

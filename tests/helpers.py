@@ -165,6 +165,13 @@ def mc_coverage_counts(spec, sample, r, n_test, seed):
     return np.concatenate(counts)
 
 
+def dense_nearest(sample, queries, k):
+    """The dense reference for :meth:`Sample.nearest_to`: each query's k
+    smallest distances to the sample from the whole matrix, inf past n."""
+    d = np.sort(sample.space.cross_distances(queries, sample.points), axis=1)
+    return np.pad(d[:, :k], ((0, 0), (0, max(0, k - sample.n))), constant_values=np.inf)
+
+
 def h_grid_oracle(points, r, cap=8, pitch_rel=0.01, accept_tol=None):
     """Exhaustive local-separation search with a fine-grid center scan.
 

@@ -25,7 +25,7 @@ from metricmass.oracles import conditional_missing_mass
 from metricmass.samples import make_sample
 from metricmass.spaces import discrete, lp, scaled_indicator
 
-from helpers import pool_threads
+from helpers import dense_nearest, pool_threads
 
 
 def line_sample(*xs):
@@ -75,11 +75,14 @@ def test_classify_batch_blocks_match_dense_rule(block, n_queries):
     nearest = cdist(queries, train.points).min(axis=1)
     assert (nearest == gamma).any() and (nearest > gamma).any()
     expected = ["anomalous" if d > gamma else "normal" for d in nearest]
+    dense = {k: dense_nearest(train, queries, k) for k in (1, 2)}
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
         assert classify_batch(ProximityClassifier(train, gamma), queries) == expected
         for threads in (1, 2, 3):
             with pool_threads(threads):
                 assert classify_batch(ProximityClassifier(train, gamma), queries) == expected
+                for k in (1, 2):
+                    assert np.array_equal(train.nearest_to(queries, k), dense[k])
 
 
 def test_classify_batch_query_at_gamma_is_normal():

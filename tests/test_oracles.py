@@ -33,6 +33,7 @@ from metricmass.samples import Sample
 
 from helpers import (
     brute_missing_mass_finite,
+    dense_nearest,
     interval_coverage_loop,
     mc_coverage_counts,
     pool_threads,
@@ -276,6 +277,16 @@ def test_monte_carlo_oracles_match_coverage_counts(n):
                 with pool_threads(threads), \
                         mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
                     assert np.array_equal(oracles._mc_nearest(spec, s, n_test, 0.01, 9, k), alone)
+    # The nearest distances themselves, on lattice points at many tied
+    # distances, are the dense matrix's smallest ones.
+    rng = np.random.default_rng(n)
+    lattice = Sample(rng.integers(0, 3, size=(n, 3)).astype(float), s.space)
+    queries = rng.integers(-1, 4, size=(50, 3)).astype(float)
+    for k, threads, block in itertools.product((1, 2), (1, 2, 3), MC_BLOCKS):
+        with pool_threads(threads), mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+            assert np.array_equal(lattice.nearest_to(queries, k), dense_nearest(lattice, queries, k))
+    with pytest.raises(ValueError, match="k must be"):
+        lattice.nearest_to(queries, 3)
 
 
 def test_monte_carlo_closed_ball_at_exact_radius():

@@ -28,6 +28,12 @@ def line_sample(*xs):
 
 def test_discrete_always_one():
     s = make_sample(np.array(["a", "b", "c", "a"]), discrete())
+    # The packing cap settles h = 1 before any n x n matrix is built, and a
+    # bad cap fails before one is built too.
+    with pytest.raises(ValueError, match="cap"):
+        h_exact(s, 0.5, cap=0)
+    assert h_exact(s, 0.5).value == 1
+    assert s._distances is None
     for r in (0.2, 0.5, 1.0, 3.0):
         for rep in (h_exact(s, r), h_exact(s, r, clique=h_clique_relaxed(s, r))):
             assert rep.value == 1 and rep.certified == "exact"

@@ -53,9 +53,12 @@ def test_worker_count_does_not_change_results():
 
 # A large pass starts the pool's threads; a forked child inherits the pool
 # but not its threads.  The campaign's workers must still finish with the
-# serial campaign's output, and a pass in a plain forked child must run.
+# serial campaign's output, and a pass in a plain forked child must run.  A
+# worker process of a pool runs even a large pass on one thread, starting
+# no pool of its own.
 AFTER_A_THREADED_PASS = textwrap.dedent("""
-    import json, os
+    import json, multiprocessing, os
+    from concurrent.futures import ProcessPoolExecutor
     import numpy as np
     from metricmass import samples
     from metricmass.distributions import discrete_uniform
@@ -66,6 +69,13 @@ AFTER_A_THREADED_PASS = textwrap.dedent("""
     points = np.random.default_rng(0).normal(size=(1500, 2))
     expected = samples.make_sample(points).nearest_distances()
     assert samples._pool is not None
+
+    def pass_in_a_worker():
+        same = np.array_equal(samples.make_sample(points).nearest_distances(), expected)
+        return same, samples._pool is None
+
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as workers:
+        assert workers.submit(pass_in_a_worker).result() == (True, True)
     config = dict(spec=discrete_uniform(10), n=40, r=0.5, replicates=30, seed=7)
     serial = run_campaign(SimulationConfig(workers=1, **config))
     parallel = run_campaign(SimulationConfig(workers=2, **config))
