@@ -287,8 +287,12 @@ class ScaledIndicatorSpec:
         element: np.exp can differ from it in the last bit, and the oracles'
         masses are pinned bit-for-bit."""
         x = np.asarray(x, dtype=float)
-        values = [0.0 if v < 0 else 1.0 - math.exp(-self.rate * v) for v in x.ravel().tolist()]
-        return np.array(values).reshape(x.shape)
+        cdf = np.zeros(x.shape)
+        # NaN is not below zero, and stays NaN, as 1 - exp(NaN).
+        inside = ~(x < 0)
+        exponents = (-self.rate * x[inside]).tolist()
+        cdf[inside] = 1.0 - np.fromiter(map(math.exp, exponents), float, len(exponents))
+        return cdf
 
 
 @dataclass(frozen=True)

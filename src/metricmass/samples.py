@@ -20,16 +20,25 @@ own row.  So the diameter, the Good-Turing estimate and the escape
 indicators at every radius share one pass over half the pairs, and each
 further radius costs O(n).
 
-Order statistics of the positive distances d(i, j), i < j, such as the
-default radius grid's percentile and median, take two passes and hold no
-n(n - 1)/2 buffer.  The summary pass, run with ``histogram=True``, also
-counts the positive distances per bucket, the bucket being the top 16 bits
-of the float64 bit pattern; for non-negative doubles that order is the
-order of the values.  :meth:`Sample.pair_order_statistics` then finds the
-bucket of each wanted rank from the cumulative counts, and a second pass
-keeps only the distances in those buckets and sorts them.  Where ties fill
-those buckets past ``KEPT_DISTANCES_SHARE`` of n * n, it keeps each
-distinct distance once with its count.
+Order statistics of the positive distances d(i, j), i < j, hold no
+n(n - 1)/2 buffer.  Those near given fractions of them, such as the default
+radius grid's percentile and median, take the summary pass alone
+(:meth:`Sample.pair_rank_selector`).  A pilot of every ceil(n / 1024)-th
+point sets a window of values around each fraction, its quantile plus and
+minus four standard errors; the summary pass also counts the positive
+distances below each window and keeps those inside it, and a rank inside
+is an offset into the kept values, sorted.  A sample of at most 1,024
+points is its own pilot: its summary pass keeps every positive distance.
+Kept values past the buffer the pilot sized cost one more keeping pass.
+A rank outside its window falls back to the bucketed two-pass
+:meth:`Sample.pair_order_statistics`: the summary pass, run with
+``histogram=True``, also counts the positive distances per bucket, the
+bucket being the top 16 bits of the float64 bit pattern, whose order for
+non-negative doubles is the order of the values; a second pass keeps only
+the distances in the wanted ranks' buckets and sorts them.  Both keep a
+block's distances in value ranges by one routine, and where ties fill
+those ranges past ``KEPT_DISTANCES_SHARE`` of n * n, keep each distinct
+distance once with its count.
 
 A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
 such as a simulation replicate, skips the streaming: each pass over it is
@@ -81,12 +90,23 @@ SUMMARY_BLOCK_ROWS = 64
 BUCKET_SHIFT = 48
 # The bucket of inf, which masks the entries a block repeats.
 INF_BUCKET = int(np.float64(np.inf).view(np.int64)) >> BUCKET_SHIFT
-# The order-statistics pass keeps the distances of the wanted buckets one by
-# one while they number at most this share of n * n; past it, as (value,
-# count) pairs, which ties make few.
+# The order-statistics passes keep the distances of the wanted buckets or
+# windows one by one while they number at most this share of n * n; past
+# it, as (value, count) pairs, which ties make few.
 KEPT_DISTANCES_SHARE = 1 / 8
-# Scratch of the order-statistics pass: keys, and the masks of wanted keys.
-SELECT_SCRATCH = (np.int64, bool, bool, bool)
+# Scratch of a pass that keeps the distances in value ranges: the two masks
+# of one range.
+SELECT_SCRATCH = (bool, bool)
+# Every positive double, the value range of a pass that keeps them all.
+ALL_POSITIVE = (float(np.nextafter(0.0, 1.0)), np.inf)
+# The pilot of the windowed order statistics has at most this many points.
+PILOT_POINTS = 1024
+# A window spans the pilot's quantile plus and minus this many standard
+# errors of it.
+WINDOW_ERRORS = 4
+# Room for this share more distances than the pilot predicts the windows
+# hold.
+WINDOW_SLACK = 1 / 16
 
 
 class InvalidNetError(ValueError):
@@ -130,6 +150,30 @@ def _mask_lower(block: np.ndarray, height: int) -> None:
     entries below it, which pair a point with itself or repeat a pair read
     above, to inf."""
     np.copyto(block[:, :height], np.inf, where=_lower_triangle(height))
+
+
+def _bucket_values(first: int, last: int) -> tuple[float, float]:
+    """The positive values [lo, hi) of the buckets ``first`` to ``last``:
+    for non-negative doubles the order of the bit patterns is the order of
+    the values, so each bucket holds an interval of them."""
+    lo, hi = np.array([first, last + 1], dtype=np.int64) << BUCKET_SHIFT
+    return max(float(lo.view(np.float64)), ALL_POSITIVE[0]), float(hi.view(np.float64))
+
+
+def _keep(block: np.ndarray, ranges, scratch) -> tuple[np.ndarray, list[int]]:
+    """The entries of ``block`` in the value ranges [lo, hi), disjoint and
+    in increasing order, and per range the number of entries below lo and
+    below hi.  ``scratch`` holds two boolean arrays of the block's shape."""
+    at_least, below = scratch
+    found, counts = [], []
+    for lo, hi in ranges:
+        np.greater_equal(block, lo, out=at_least)
+        np.less(block, hi, out=below)
+        counts += [block.size - np.count_nonzero(at_least), np.count_nonzero(below)]
+        # compress gathers a sparse mask's entries faster than indexing.
+        found.append(np.compress(np.logical_and(at_least, below, out=below).ravel(),
+                                 block.ravel()))
+    return found[0] if len(found) == 1 else np.concatenate(found), counts
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -262,6 +306,7 @@ class Sample:
         self._nearest: np.ndarray | None = None
         self._earlier: np.ndarray | None = None
         self._diameter: float | None = None
+        self._zeros: int | None = None
         self._buckets: np.ndarray | None = None
 
     @property
@@ -323,9 +368,131 @@ class Sample:
         _cross_pass(self.space, queries, self.points, reduce)
         return nearest
 
+    def distance_band(self, low: float, high: float) -> np.ndarray:
+        """The n x n boolean matrix of low < d(i, j) <= high, from streamed
+        row blocks of distances: no n x n distance matrix is held."""
+        band = np.empty((self.n, self.n), dtype=bool)
+        points = self.space.kernel_points(self.points)
+
+        def mark(rows, d):
+            # Each block writes its own rows of ``band``.
+            np.logical_and(d > low, d <= high, out=band[rows])
+
+        _cross_pass(self.space, points, points, mark)
+        return band
+
     def positive_pair_count(self) -> int:
         """The number of pairs i < j at a positive distance."""
-        return int(self._bucket_counts().sum())
+        if self._zeros is None:
+            self._summarize()
+        return self.n * (self.n - 1) // 2 - self._zeros
+
+    def pair_rank_selector(self, fractions):
+        """(count, select): the number of positive distances d(i, j), i < j,
+        and ``select(ranks)``, which returns those at the given ranks as
+        :meth:`pair_order_statistics` does.
+
+        Ranks near the given fractions of the count take one pass: the
+        summary pass also keeps the distances in a window around each
+        fraction (:meth:`_pilot_windows`), in a buffer the pilot sizes, and
+        counts those below it.  A sample of at most ``PILOT_POINTS`` points
+        is its own pilot and keeps every positive distance.  Kept distances
+        past the buffer cost one more keeping pass.  A rank outside every
+        window, and every rank where the pilot finds no window or ties that
+        would fill them, fall back to :meth:`pair_order_statistics`."""
+        n = self.n
+        pairs = n * (n - 1) // 2
+        if n <= PILOT_POINTS:
+            ranges, capacity = [ALL_POSITIVE], pairs
+        else:
+            pilot = self.subsample(np.arange(0, n, -(-n // PILOT_POINTS)))
+            ranges, share = pilot._pilot_windows(np.asarray(fractions, dtype=float), n)
+            capacity = math.ceil(share * pairs * (1 + WINDOW_SLACK))
+            if not ranges or capacity > n * n * KEPT_DISTANCES_SHARE:
+                self._bucket_counts()  # the fallback's pass, which fills the summaries too
+                return self.positive_pair_count(), self.pair_order_statistics
+        edges, values = self._summarize(ranges=ranges, capacity=capacity)
+        if values is not None:
+            values.sort()
+        # The kept distances of each range follow those of the ranges below.
+        kept = edges[1::2] - edges[::2]
+        starts = np.cumsum(kept) - kept
+
+        def select(ranks):
+            ranks = np.asarray(ranks, dtype=np.int64)
+            # The range whose counts below lo and below hi bracket each rank.
+            edge = np.searchsorted(edges, ranks, side="right") - 1
+            if (edge % 2).any():  # -1 is odd too
+                return self.pair_order_statistics(ranks)
+            positions = starts[edge // 2] + ranks - edges[edge]
+            if values is None:
+                return self._ranked_values(ranges, int(kept.sum()), positions)
+            return values[positions]
+
+        return self.positive_pair_count(), select
+
+    def _pilot_windows(self, fractions: np.ndarray, sample_size: int) -> tuple[list, float]:
+        """Disjoint value ranges [lo, hi), in increasing order, around the
+        given fractions of this pilot's positive distances, and the share
+        of those distances the ranges hold; no range where there is none.
+
+        The pilot is a subsample of m of a sample's ``sample_size`` points.
+        Each range spans the pilot's quantile plus and minus
+        ``WINDOW_ERRORS`` standard errors of it, read off the pilot's own
+        sorted distances.  The fraction of the pilot's distances at or
+        below the quantile q is a U-statistic (Hoeffding 1948): it differs
+        from the whole sample's fraction by a standard error of
+        2 std(F_i) sqrt(1/m - 1/sample_size), F_i being the share of pilot
+        point i's m - 1 distances at or below q.  Two passes over the
+        pilot's pairs compute it: one keeps the distances, one counts each
+        point's distances at or below each quantile."""
+        m = self.n
+        values = self._summarize(ranges=[ALL_POSITIVE], capacity=m * (m - 1) // 2)[1]
+        count = values.size
+        if not count:
+            return [], 0.0
+        values.sort()
+        last = count - 1
+        quantiles = values[np.floor(fractions * last).astype(np.int64)]
+        within = self._within_counts(quantiles) / (m - 1)
+        errors = WINDOW_ERRORS * 2 * within.std(axis=1) * math.sqrt(1 / m - 1 / sample_size)
+        lows = np.floor((fractions - errors) * last).astype(np.int64)
+        # Each window takes the values tied with its last one, which a
+        # wanted rank may sit among.
+        ends = values[np.minimum(np.ceil((fractions + errors) * last).astype(np.int64), last)]
+        highs = np.searchsorted(values, ends, side="right")
+        windows = sorted(
+            (float(values[lo]) if lo > 0 else ALL_POSITIVE[0],
+             float(values[hi]) if hi < count else np.inf)
+            for lo, hi in zip(lows, highs))
+        ranges = [windows[0]]
+        for lo, hi in windows[1:]:
+            if lo <= ranges[-1][1]:
+                ranges[-1] = (ranges[-1][0], max(hi, ranges[-1][1]))
+            else:
+                ranges.append((lo, hi))
+        inside = sum(np.searchsorted(values, hi) - np.searchsorted(values, lo)
+                     for lo, hi in ranges)
+        return ranges, int(inside) / count
+
+    def _within_counts(self, thresholds: np.ndarray) -> np.ndarray:
+        """Per threshold t and point i, how many other points lie within t
+        of point i, by one upper-triangle pass."""
+        counts = np.zeros((len(thresholds), self.n), dtype=np.int64)
+        limits = thresholds[:, None, None]
+
+        def reduce(rows, block, scratch):
+            _mask_lower(block, rows.stop - rows.start)
+            within = block[None] <= limits
+            return rows, within.sum(axis=2), within.sum(axis=1)
+
+        def fold(result):
+            rows, by_row, by_column = result
+            counts[:, rows] += by_row
+            counts[:, rows.start:] += by_column
+
+        self._upper_pass(reduce, fold)
+        return counts
 
     def pair_order_statistics(self, ranks) -> np.ndarray:
         """The positive distances d(i, j), i < j, at the given ranks (0 the
@@ -341,29 +508,26 @@ class Sample:
         buckets = np.searchsorted(ends, ranks, side="right")
         wanted = np.unique(buckets)
         # Runs of wanted buckets with only empty ones between them: a run's
-        # range of keys holds the same distances as its wanted buckets.
+        # range of values holds the same distances as its wanted buckets.
         split = ends[wanted[1:] - 1] > ends[wanted[:-1]]
-        key_ranges = list(zip(wanted[np.append(True, split)], wanted[np.append(split, True)]))
-
-        def select(rows, block, scratch):
-            _mask_lower(block, rows.stop - rows.start)
-            keys, mask, inside, below = scratch
-            np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=keys)
-            mask.fill(False)
-            for first, last in key_ranges:
-                np.greater_equal(keys, first, out=inside)
-                np.less_equal(keys, last, out=below)
-                np.logical_and(inside, below, out=inside)
-                np.logical_or(mask, inside, out=mask)
-            found = block[mask]
-            return found[found > 0]
-
+        ranges = [_bucket_values(first, last) for first, last in
+                  zip(wanted[np.append(True, split)], wanted[np.append(split, True)])]
         # Each wanted bucket's values are a run of the sorted values kept; a
         # rank's position is its offset in its bucket plus the runs before it.
         runs = np.cumsum(counts[wanted]) - counts[wanted]
         offsets = ranks - (ends[buckets] - counts[buckets])
         positions = runs[np.searchsorted(wanted, buckets)] + offsets
-        kept = int(counts[wanted].sum())
+        return self._ranked_values(ranges, int(counts[wanted].sum()), positions)
+
+    def _ranked_values(self, ranges, kept: int, positions) -> np.ndarray:
+        """The values at ``positions`` of the sorted positive distances
+        d(i, j), i < j, in the value ranges [lo, hi), disjoint and in
+        increasing order, which hold ``kept`` of them, by one pass."""
+
+        def select(rows, block, scratch):
+            _mask_lower(block, rows.stop - rows.start)
+            return _keep(block, ranges, scratch)[0]
+
         # The buffer takes any one block's distances.
         tied = (self._value_tallies(select, max(SUMMARY_BLOCK_ELEMENTS, self.n))
                 if kept > self.n * self.n * KEPT_DISTANCES_SHARE else None)
@@ -446,7 +610,16 @@ class Sample:
         stream_blocks(run, lambda budget: _row_blocks(n, min(SUMMARY_BLOCK_ROWS, budget // n)),
                       n * (n + 1) // 2, n, fold, dtypes)
 
-    def _summarize(self, histogram: bool = False) -> None:
+    def _summarize(self, histogram: bool = False, ranges=(), capacity: int = 0):
+        """Fill the nearest and earlier distances, the diameter and the
+        number of zero distances d(i, j), i < j, by one upper-triangle pass.
+
+        With ``histogram``, also count the positive distances per bucket.
+        With ``ranges``, disjoint value ranges [lo, hi) in increasing
+        order, return the numbers of positive distances below each range's
+        lo and below its hi, in that order, and the distances in the ranges,
+        unsorted, in a buffer of ``capacity`` entries, or None where they
+        overflow it."""
         n = self.n
         buckets = 1 << (63 - BUCKET_SHIFT)
 
@@ -460,43 +633,62 @@ class Sample:
             if not np.isfinite(top):
                 raise ValueError("pairwise distances must be finite")
             _mask_lower(block, height)
-            counts = None
+            rows_min = block.min(axis=1)
+            zeros = block.size - np.count_nonzero(block) if rows_min.min() == 0 else 0
+            counts = found = below = None
             if histogram:
                 keys = np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=scratch[0])
                 counts = np.bincount(keys.ravel(), minlength=buckets)
                 counts[INF_BUCKET] -= height * (height + 1) // 2
-                # Zeros land in bucket 0 with the smallest subnormals, which
-                # spares counting the zeros when the bucket is empty.
-                if counts[0]:
-                    counts[0] -= block.size - np.count_nonzero(block)
+                # Zeros land in bucket 0 with the smallest subnormals.
+                counts[0] -= zeros
                 # Only the buckets in use, to keep the result small.
                 used = np.flatnonzero(counts)
                 counts = used, counts[used]
-            return rows, top, block.min(axis=1), block.min(axis=0), counts
+            if ranges:
+                found, below = _keep(block, ranges, scratch)
+            return rows, top, rows_min, block.min(axis=0), zeros, counts, found, below
 
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
         diameter = 0.0
+        zeros = 0
         counts = np.zeros(buckets, dtype=np.int64) if histogram else None
+        edges = np.zeros(2 * len(ranges), dtype=np.int64)
+        values = np.empty(capacity) if ranges else None
+        filled = 0
 
         def fold(result):
-            nonlocal diameter
-            rows, top, rows_min, cols_min, used_counts = result
+            nonlocal diameter, zeros, values, filled
+            rows, top, rows_min, cols_min, block_zeros, used_counts, found, below = result
             diameter = max(diameter, top)
             row_min[rows] = rows_min
             np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
+            zeros += block_zeros
             if histogram:
                 used, used_count = used_counts
                 counts[used] += used_count
+            if ranges:
+                edges[:] += below
+                edges[:] -= block_zeros  # zeros lie below every range
+                if values is not None and filled + found.size > capacity:
+                    values = None  # the summaries still need the whole pass
+                if values is not None:
+                    values[filled:filled + found.size] = found
+                    filled += found.size
 
-        self._upper_pass(reduce, fold, (np.int64,) if histogram else ())
+        scratch = (np.int64,) if histogram else SELECT_SCRATCH if ranges else ()
+        self._upper_pass(reduce, fold, scratch)
         nearest = np.minimum(row_min, earlier)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
         self._nearest, self._earlier, self._diameter = nearest, earlier, diameter
+        self._zeros = zeros
         if histogram:
             counts.flags.writeable = False
             self._buckets = counts
+        if ranges:
+            return edges, None if values is None else values[:filled]
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""

@@ -150,7 +150,12 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
     an upper bound that may exceed its witness, the largest clique it found.
     """
     check_sample(sample, r)
-    _, adj = _separation_graph(sample, r)
+    if sample.space.packing_cap == 1:
+        # h_exact settles h from the cap, so nothing needs the matrix.
+        adj = sample.distance_band(r, 2.0 * r)
+        np.fill_diagonal(adj, False)
+    else:
+        _, adj = _separation_graph(sample, r)
     clique, open_bound = _largest_clique(adj, lambda subset: True, sample.n)
     value = len(clique) if open_bound is None else open_bound
     return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)

@@ -36,6 +36,9 @@ from .spaces import discrete
 
 DIAMETER_MARGIN = 1.05
 DIAMETER_ERROR = "upper bounds need diameter <= 1; rescale the sample"
+# The fractions of the positive pairwise distances at the default grid's
+# ends: the 1st percentile and the median.
+GRID_FRACTIONS = (0.01, 0.5)
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,20 @@ def _net_upper_bounds(n: int, m: int, r: float, delta: float,
 
 def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     """Logarithmic grid between the 1st percentile and the median of the
-    positive pairwise distances."""
-    count = sample.positive_pair_count()
+    positive pairwise distances.
+
+    One pass over the pairs finds both and fills the sample's summaries on
+    the way: it keeps only the distances in a window around each of the
+    two fractions, the windows chosen from a pilot of at most 1,024 points
+    (:meth:`Sample.pair_rank_selector`).  Where a wanted rank falls outside
+    its window, or the pilot finds ties that would fill the windows, the
+    bucketed two-pass :meth:`Sample.pair_order_statistics` answers instead.
+    Either way the endpoints equal ``np.percentile`` and ``np.median`` of
+    the positive distances bit for bit."""
+    count, select = sample.pair_rank_selector(GRID_FRACTIONS)
     if count == 0:
         raise ValueError("sample has no positive pairwise distance; supply a grid")
-    lo, hi = grid_endpoints(count, sample.pair_order_statistics)
+    lo, hi = grid_endpoints(count, select)
     if lo <= 0 or hi <= lo:
         raise ValueError("degenerate pairwise distances; supply a grid")
     return list(np.geomspace(lo, hi, size))

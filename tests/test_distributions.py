@@ -140,6 +140,28 @@ def test_scaled_indicator_metric_identity():
     assert len(indicator_process(2.0, 1, seed=1)) == 1
 
 
+# Inputs where exp underflows (-rate * x below about -745), subnormals, both
+# zeros, negatives down to -inf, and NaN.
+CDF_INPUTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 700.0, 745.2,
+                                        800.0, -800.0, 1e308, -1e308]))
+
+
+@given(st.lists(CDF_INPUTS, max_size=40), st.floats(1e-3, 1e3), st.booleans())
+@settings(max_examples=200)
+def test_scaled_indicator_cdf_matches_the_elementwise_rule(xs, rate, scalar):
+    # The rule the CDF was written as, one math.exp per element.
+    spec = ScaledIndicatorSpec(p=2.0, rate=rate)
+    x = np.array(xs[:1] if scalar and xs else xs, dtype=float)
+    if scalar and xs:
+        x = x.reshape(())
+    expected = np.array([0.0 if v < 0 else 1.0 - math.exp(-rate * v)
+                         for v in x.ravel().tolist()]).reshape(x.shape)
+    got = spec.cdf(x)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_scaled_indicator_requires_p_above_one():
     with pytest.raises(ValueError):
         ScaledIndicatorSpec(p=1.0)

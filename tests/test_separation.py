@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricmass import separation
+from metricmass import samples, separation
 from metricmass.distributions import ScaledIndicatorSpec, draw_sample
 from metricmass.meb import meb_radius
 from metricmass.samples import Sample, make_sample
@@ -37,6 +37,26 @@ def test_discrete_always_one():
     for r in (0.2, 0.5, 1.0, 3.0):
         for rep in (h_exact(s, r), h_exact(s, r, clique=h_clique_relaxed(s, r))):
             assert rep.value == 1 and rep.certified == "exact"
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_discrete_clique_graph_streams_its_rows(r):
+    # The clique relaxation of a discrete sample reads its graph from row
+    # blocks of distances, never the n x n matrix, and reports what the
+    # dense graph gives: for 1/2 <= r < 1 a clique with one draw of each
+    # symbol, and no edge otherwise.
+    symbols = np.random.default_rng(0).choice([f"s{i}" for i in range(60)], size=700)
+    s = make_sample(symbols, discrete())
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", 7000):
+        streamed = h_clique_relaxed(s, r)
+    assert s._distances is None
+    _, adj = separation._separation_graph(s, r)
+    clique, open_bound = separation._largest_clique(adj, lambda subset: True, s.n)
+    dense = separation.SeparationReport(len(clique) if open_bound is None else open_bound,
+                                        separation.UPPER_BOUND,
+                                        separation.CLIQUE_RELAXATION, witness=clique)
+    assert streamed == dense
+    assert streamed.value == (len(set(symbols)) if 0.5 <= r < 1 else 1)
 
 
 def test_single_point():

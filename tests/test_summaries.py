@@ -2,7 +2,7 @@
 cached nearest and earlier-nearest distances, the estimators read from
 them, the diameter, the radius grid, farthest-first nets and net checks)
 against dense references read from the whole matrix."""
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -21,7 +21,7 @@ from metricmass.samples import (
     verify_net,
 )
 from metricmass.spaces import MetricSpace, discrete, lp, precomputed, scaled_indicator
-from metricmass.wasserstein import default_r_grid, grid_endpoints, w1_report
+from metricmass.wasserstein import GRID_FRACTIONS, default_r_grid, grid_endpoints, w1_report
 
 from helpers import (
     dense_escape_indicators,
@@ -128,6 +128,45 @@ def small_blocks(block, rows, threads, share=samples.KEPT_DISTANCES_SHARE):
         yield
 
 
+# How the windowed order statistics of a sample larger than its pilot end:
+# "pilot" runs the pilot's own windows; "hit" keeps every positive distance
+# in one window with room for them; "split" in two windows, split at the
+# pilot's median distance, so a rank in the second one is an offset past
+# the first one's values; "overflow" keeps them in one window with no
+# room, so a second pass keeps them; "miss" has one empty window, which no
+# rank falls in, and "none" no window, both answered by the bucketed
+# pair_order_statistics.
+OUTCOMES = st.sampled_from(["pilot", "hit", "split", "overflow", "miss", "none"])
+# Points of the pilot: a sample of at most this many is its own pilot.
+PILOTS = st.integers(1, 8)
+
+
+def split_windows(pilot, fractions, sample_size):
+    d = pilot.distance_matrix()
+    if not (d > 0).any():  # one window, as "hit"
+        return [samples.ALL_POSITIVE], 1.0
+    middle = float(np.median(d[d > 0]))
+    return [(samples.ALL_POSITIVE[0], middle), (middle, np.inf)], 1.0
+
+
+@contextmanager
+def pilot_outcome(outcome, pilot):
+    """Patch the pilot's size and, but for "pilot", the windows it finds."""
+    tiny = samples.ALL_POSITIVE[0]
+    windows = {"hit": lambda *args: ([samples.ALL_POSITIVE], 1.0), "split": split_windows,
+               "overflow": lambda *args: ([samples.ALL_POSITIVE], 1.0),
+               "miss": lambda *args: ([(tiny, tiny)], 0.0), "none": lambda *args: ([], 0.0)}
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(samples, "PILOT_POINTS", pilot))
+        if outcome in windows:
+            stack.enter_context(mock.patch.object(Sample, "_pilot_windows", windows[outcome]))
+        if outcome in ("hit", "split"):  # room for every pair
+            stack.enter_context(mock.patch.object(samples, "KEPT_DISTANCES_SHARE", 1.0))
+        if outcome == "overflow":  # room for none
+            stack.enter_context(mock.patch.object(samples, "WINDOW_SLACK", -1.0))
+        yield
+
+
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
        BLOCKS, ROWS, THREADS)
 @settings(max_examples=150)
@@ -170,28 +209,42 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       BLOCKS, ROWS, THREADS, SHARES)
-@settings(max_examples=150)
+       BLOCKS, ROWS, THREADS, SHARES, OUTCOMES, PILOTS)
+@settings(max_examples=200)
 def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows, threads,
-                                                         share):
-    # The CLI's order: the radius grid's pass counts the positive distances
-    # per bucket and fills the summaries on the way, so reading them costs
-    # no pass.
+                                                         share, outcome, pilot):
+    # The CLI's order: the radius grid's pass keeps the distances of its
+    # windows and fills the summaries on the way, so reading them costs no
+    # pass.  Every pilot outcome gives the dense reference's grid and order
+    # statistics, also at ranks far from the grid's, which its windows miss.
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
     radii = radii_on_ties(dense, rng)
     d = dense.distance_matrix()
     upper = d[np.triu_indices(n, k=1)]
-    with small_blocks(block, rows, threads, share):
+    positive = np.sort(upper[upper > 0])
+    ranks = np.arange(positive.size)
+    with small_blocks(block, rows, threads, share), pilot_outcome(outcome, pilot), \
+            mock.patch.object(Sample, "_bucket_counts", autospec=True,
+                              side_effect=Sample._bucket_counts) as bucketed, \
+            mock.patch.object(Sample, "_ranked_values", autospec=True,
+                              side_effect=Sample._ranked_values) as kept_again:
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+        if n > pilot and positive.size:
+            # The windows' path, a second keeping pass, or the buckets'.
+            assert (bucketed.called, kept_again.called) == {
+                "hit": (False, False), "split": (False, False), "overflow": (False, True),
+                "miss": (True, True), "none": (True, True)}.get(outcome, (bucketed.called,
+                                                                          kept_again.called))
         with mock.patch.object(Sample, "_summarize",
                                side_effect=AssertionError("a second pass")):
             assert_matches_dense(sample, radii, dense)
             assert sample.diameter() == float(d.max())
-        positive = np.sort(upper[upper > 0])
-        ranks = np.arange(positive.size)
         assert sample.positive_pair_count() == positive.size
+        count, select = sample.pair_rank_selector(GRID_FRACTIONS)
+        assert count == positive.size
+        assert np.array_equal(select(ranks), positive)
         assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
     assert not matrix_built(sample)
 
@@ -216,9 +269,10 @@ def edge_sample(kind, n, scale, rng):
 
 @given(st.sampled_from(["euclidean", "lp", "scaled_indicator", "precomputed"]),
        st.integers(1, 40), st.sampled_from([1.0, 0.5, 1e-310, 1e150]),
-       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS, THREADS, SHARES)
+       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS, THREADS, SHARES, OUTCOMES, PILOTS)
 @settings(max_examples=150)
-def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows, threads, share):
+def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows, threads, share,
+                                               outcome, pilot):
     rng = np.random.default_rng(seed)
     dense = edge_sample(kind, n, scale, rng)
     sample = Sample(dense.points, dense.space)
@@ -226,11 +280,13 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
     picked = rng.integers(positive.size, size=4) if positive.size else ranks
-    with small_blocks(block, rows, threads, share):
+    with small_blocks(block, rows, threads, share), pilot_outcome(outcome, pilot):
         assert sample.positive_pair_count() == positive.size
         assert np.array_equal(sample.pair_order_statistics(ranks), positive)
         assert np.array_equal(sample.pair_order_statistics(picked), positive[picked])
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+        assert np.array_equal(sample.pair_rank_selector(GRID_FRACTIONS)[1](picked),
+                              positive[picked])
     assert not matrix_built(sample)
 
 
@@ -247,7 +303,7 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
     upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     diameter = float(upper.max(initial=0.0))
-    plain, counted = (Sample(dense.points, dense.space) for _ in range(2))
+    plain, counted, bucketed = (Sample(dense.points, dense.space) for _ in range(3))
     budget = n * n if fits else n * n - 1
     with small_blocks(max(budget, 0), samples.SUMMARY_BLOCK_ROWS, threads, share), \
             mock.patch.object(samples, "stream_blocks", wraps=samples.stream_blocks) as streams, \
@@ -256,16 +312,21 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
         assert np.array_equal(plain.nearest_distances(), nearest)
         assert np.array_equal(plain.earlier_distances(), earlier)
         assert plain.diameter() == diameter
-        assert counted.positive_pair_count() == positive.size
-        assert np.array_equal(counted.pair_order_statistics(np.arange(positive.size)), positive)
+        count, select = counted.pair_rank_selector(GRID_FRACTIONS)
+        assert count == positive.size
+        assert np.array_equal(select(np.arange(positive.size)), positive)
         assert np.array_equal(counted.nearest_distances(), nearest)
+        assert np.array_equal(bucketed.pair_order_statistics(np.arange(positive.size)), positive)
+        assert bucketed.positive_pair_count() == positive.size
     one_block = n * n <= budget
     assert streams.called == (not one_block and n > 0)
     if one_block:
-        # The summary, the histogram and the order statistics, without
-        # the last when there are no positive distances.
-        assert kernel.call_count == (2 + bool(positive.size)) * (n > 0)
-    assert not matrix_built(plain) and not matrix_built(counted)
+        # The plain summary; the windowed one, which keeps every positive
+        # distance of a sample this small; the histogram and the bucketed
+        # order statistics, without the last when there are no positive
+        # distances.
+        assert kernel.call_count == (3 + bool(positive.size)) * (n > 0)
+    assert not any(matrix_built(s) for s in (plain, counted, bucketed))
 
 
 @pytest.mark.parametrize("bad", ["nan", "overflow"])
