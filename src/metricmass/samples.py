@@ -21,24 +21,24 @@ indicators at every radius share one pass over half the pairs, and each
 further radius costs O(n).
 
 Order statistics of the positive distances d(i, j), i < j, hold no
-n(n - 1)/2 buffer.  Those near given fractions of them, such as the default
-radius grid's percentile and median, take the summary pass alone
+n(n - 1)/2 buffer; one loop of summary passes answers them
 (:meth:`Sample.pair_rank_selector`).  A pilot of every ceil(n / 1024)-th
-point sets a window of values around each fraction, its quantile plus and
-minus four standard errors; the summary pass also counts the positive
-distances below each window and keeps those inside it, and a rank inside
-is an offset into the kept values, sorted.  A sample of at most 1,024
-points is its own pilot: its summary pass keeps every positive distance.
-Kept values past the buffer the pilot sized cost one more keeping pass.
-A rank outside its window falls back to the bucketed two-pass
-:meth:`Sample.pair_order_statistics`: the summary pass, run with
-``histogram=True``, also counts the positive distances per bucket, the
-bucket being the top 16 bits of the float64 bit pattern, whose order for
-non-negative doubles is the order of the values; a second pass keeps only
-the distances in the wanted ranks' buckets and sorts them.  Both keep a
-block's distances in value ranges by one routine, and where ties fill
-those ranges past ``KEPT_DISTANCES_SHARE`` of n * n, keep each distinct
-distance once with its count.
+point sets a window of values around each wanted fraction, its quantile
+plus and minus four standard errors, so the default radius grid's
+percentile and median take the summary pass alone: it counts the positive
+distances below each window's ends and keeps those inside, and a rank
+inside is an offset into the kept values, sorted.  A window whose pilot
+distances are all one value v, such as a tie on a lattice, keeps nothing:
+the pass counts the distances below v and below v's next double up, and a
+rank between the two counts is v.  A sample of at most 1,024 points is its
+own pilot: its summary pass keeps every positive distance.  Every count is
+exact, so a rank left over, past the buffer the pilot sized or outside its
+window, lies in a bracket of known count.  The next pass keeps that bracket
+whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise
+counts the distances below cuts inside it: at pilot distances, or at the
+midpoint of its float64 bit patterns, whose order for non-negative doubles
+is the order of the values.  Windows the pilot predicts past that budget
+are cut so in the summary pass itself.
 
 A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
 such as a simulation replicate, skips the streaming: each pass over it is
@@ -62,7 +62,6 @@ any number of cores.
 """
 from __future__ import annotations
 
-import collections
 import csv
 import json
 import math
@@ -85,14 +84,9 @@ THREADED_MIN_BLOCKS = 2
 # square below its part of the diagonal and discards it; short blocks keep
 # that waste near n * SUMMARY_BLOCK_ROWS / 2 entries in all.
 SUMMARY_BLOCK_ROWS = 64
-# A distance's bucket is its float64 bit pattern shifted right by this many
-# bits: the sign, the exponent and the four leading mantissa bits.
-BUCKET_SHIFT = 48
-# The bucket of inf, which masks the entries a block repeats.
-INF_BUCKET = int(np.float64(np.inf).view(np.int64)) >> BUCKET_SHIFT
-# The order-statistics passes keep the distances of the wanted buckets or
-# windows one by one while they number at most this share of n * n; past
-# it, as (value, count) pairs, which ties make few.
+# A pass of the order statistics keeps at most this share of n * n
+# distances, or as many as there are ranks asked if that is more; a bracket
+# of more is cut.
 KEPT_DISTANCES_SHARE = 1 / 8
 # Scratch of a pass that keeps the distances in value ranges: the two masks
 # of one range.
@@ -152,28 +146,56 @@ def _mask_lower(block: np.ndarray, height: int) -> None:
     np.copyto(block[:, :height], np.inf, where=_lower_triangle(height))
 
 
-def _bucket_values(first: int, last: int) -> tuple[float, float]:
-    """The positive values [lo, hi) of the buckets ``first`` to ``last``:
-    for non-negative doubles the order of the bit patterns is the order of
-    the values, so each bucket holds an interval of them."""
-    lo, hi = np.array([first, last + 1], dtype=np.int64) << BUCKET_SHIFT
-    return max(float(lo.view(np.float64)), ALL_POSITIVE[0]), float(hi.view(np.float64))
-
-
 def _keep(block: np.ndarray, ranges, scratch) -> tuple[np.ndarray, list[int]]:
     """The entries of ``block`` in the value ranges [lo, hi), disjoint and
     in increasing order, and per range the number of entries below lo and
-    below hi.  ``scratch`` holds two boolean arrays of the block's shape."""
+    below hi; an empty range [v, v) only counts.  ``scratch`` holds two
+    boolean arrays of the block's shape."""
     at_least, below = scratch
     found, counts = [], []
     for lo, hi in ranges:
-        np.greater_equal(block, lo, out=at_least)
         np.less(block, hi, out=below)
+        if lo == hi:  # an empty range only counts
+            counts += [np.count_nonzero(below)] * 2
+            continue
+        np.greater_equal(block, lo, out=at_least)
         counts += [block.size - np.count_nonzero(at_least), np.count_nonzero(below)]
         # compress gathers a sparse mask's entries faster than indexing.
         found.append(np.compress(np.logical_and(at_least, below, out=below).ravel(),
                                  block.ravel()))
-    return found[0] if len(found) == 1 else np.concatenate(found), counts
+    return (found[0] if len(found) == 1 else np.concatenate([np.empty(0), *found])), counts
+
+
+def _plan(brackets, budget: int, guide: np.ndarray) -> tuple[list, int]:
+    """The value ranges and the buffer size of a pass over the brackets
+    (lo, hi, count), disjoint and in increasing order, each holding
+    ``count`` distances: it keeps a bracket whole while the counts it keeps
+    fit the budget, and counts the distances below cuts inside the rest.
+
+    Where some of the sorted ``guide`` distances fall in a bracket, its
+    cuts are every k-th of them, k such that the guide predicts pieces of
+    half the budget, each with its next double up, so a value the guide
+    finds tied becomes a one-value bracket of its own.  Otherwise the cut
+    is the midpoint of the bracket's bit patterns, whose order for
+    non-negative doubles is the order of the values.  Either way a bracket
+    that is not one value has a cut above its lo."""
+    ranges, capacity = [], 0
+    for lo, hi, count in brackets:
+        if capacity + count <= budget:
+            ranges.append((lo, hi))
+            capacity += count
+            continue
+        inside = guide[np.searchsorted(guide, lo):np.searchsorted(guide, hi)]
+        if inside.size:
+            step = max(1, budget * inside.size // (2 * count))
+            picked = np.unique(inside[step // 2::step])
+            cuts = np.union1d(picked, np.nextafter(picked, np.inf))
+            cuts = cuts[cuts < hi].tolist()
+        else:
+            first, last = (int(v) for v in np.array([lo, hi]).view(np.int64))
+            cuts = [float(np.array(first + (last - first) // 2).view(np.float64))]
+        ranges += [(cut, cut) for cut in cuts]
+    return ranges, capacity
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -227,10 +249,9 @@ def stream_blocks(work, blocks, entries: int, width: int, fold=None,
     another block writes and write only what no other block touches.
     ``fold`` runs under the lock that hands out the blocks, one result at a
     time in the order the blocks finish, so it must combine them in a way
-    that does not depend on that order; a ``fold`` that returns True ends
-    the pass, and no result is folded after it.  The first error from
-    ``work`` or ``fold`` also ends the pass, and is raised here once no
-    thread is left computing in a buffer."""
+    that does not depend on that order.  The first error from ``work`` or
+    ``fold`` ends the pass, and is raised here once no thread is left
+    computing in a buffer."""
     small = entries < THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS
     threads = 1 if small or multiprocessing.parent_process() is not None else _cores()
     budget = max(1, SUMMARY_BLOCK_ELEMENTS // threads)
@@ -250,7 +271,7 @@ def stream_blocks(work, blocks, entries: int, width: int, fold=None,
                 result = work(block, scratch)
                 with lock:
                     if not ended and fold is not None:
-                        ended = bool(fold(result))
+                        fold(result)
                     block = None if ended else next(cut, None)
         except Exception as error:  # raised again on the calling thread
             with lock:
@@ -307,7 +328,6 @@ class Sample:
         self._earlier: np.ndarray | None = None
         self._diameter: float | None = None
         self._zeros: int | None = None
-        self._buckets: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -389,55 +409,84 @@ class Sample:
 
     def pair_rank_selector(self, fractions):
         """(count, select): the number of positive distances d(i, j), i < j,
-        and ``select(ranks)``, which returns those at the given ranks as
-        :meth:`pair_order_statistics` does.
+        and ``select(ranks)``, which returns those at the given ranks (0 the
+        smallest), one per rank.
 
-        Ranks near the given fractions of the count take one pass: the
-        summary pass also keeps the distances in a window around each
-        fraction (:meth:`_pilot_windows`), in a buffer the pilot sizes, and
-        counts those below it.  A sample of at most ``PILOT_POINTS`` points
-        is its own pilot and keeps every positive distance.  Kept distances
-        past the buffer cost one more keeping pass.  A rank outside every
-        window, and every rank where the pilot finds no window or ties that
-        would fill them, fall back to :meth:`pair_order_statistics`."""
+        The summary pass also counts the distances below the ends of a
+        window around each fraction (:meth:`_pilot_windows`) and keeps
+        those inside, in a buffer the pilot sizes.  A sample of at most
+        ``PILOT_POINTS`` points is its own pilot and keeps every positive
+        distance.  ``select`` answers a rank from the sorted kept values,
+        or by v when the counts put it in a one-value bracket [v, v's next
+        double up).  Every pass counts exactly the distances below each
+        edge, so a rank left over lies in a bracket of known count, which
+        the next pass keeps or cuts (:func:`_plan`); the budget is
+        ``KEPT_DISTANCES_SHARE`` * n * n distances, or as many as the ranks
+        asked if that is more.  Each pass narrows every bracket a rank is
+        left in, so the passes end."""
         n = self.n
-        pairs = n * (n - 1) // 2
+        fractions = np.asarray(fractions, dtype=float)
+        budget = int(n * n * KEPT_DISTANCES_SHARE)
         if n <= PILOT_POINTS:
-            ranges, capacity = [ALL_POSITIVE], pairs
+            ranges, capacity, guide = [ALL_POSITIVE], n * (n - 1) // 2, np.empty(0)
         else:
             pilot = self.subsample(np.arange(0, n, -(-n // PILOT_POINTS)))
-            ranges, share = pilot._pilot_windows(np.asarray(fractions, dtype=float), n)
-            capacity = math.ceil(share * pairs * (1 + WINDOW_SLACK))
-            if not ranges or capacity > n * n * KEPT_DISTANCES_SHARE:
-                self._bucket_counts()  # the fallback's pass, which fills the summaries too
-                return self.positive_pair_count(), self.pair_order_statistics
-        edges, values = self._summarize(ranges=ranges, capacity=capacity)
-        if values is not None:
-            values.sort()
-        # The kept distances of each range follow those of the ranges below.
-        kept = edges[1::2] - edges[::2]
-        starts = np.cumsum(kept) - kept
+            windows, guide = pilot._pilot_windows(fractions, n)
+            ranges, capacity = _plan(windows, max(budget, fractions.size), guide)
+        # The known edges, increasing, the number of positive distances
+        # below each, and the sorted distances of each kept bracket, by the
+        # edge it starts at.
+        edges, below, kept = np.empty(0), np.empty(0, dtype=np.int64), {}
+
+        def count_pass(ranges, capacity):
+            nonlocal edges, below
+            counts, values = self._summarize(ranges=ranges, capacity=capacity)
+            ends = np.concatenate([edges, ALL_POSITIVE, np.ravel(ranges)])
+            edges, first = np.unique(ends, return_index=True)
+            below = np.concatenate([below, [0, self.positive_pair_count()], counts])[first]
+            if values is not None:
+                values.sort()
+                # The kept distances of each range follow those of the ranges below.
+                sizes = counts[1::2] - counts[::2]
+                for (lo, hi), stop, size in zip(ranges, np.cumsum(sizes), sizes):
+                    if lo < hi:
+                        kept[lo] = values[stop - size:stop]
+
+        count_pass(ranges, capacity)
 
         def select(ranks):
             ranks = np.asarray(ranks, dtype=np.int64)
-            # The range whose counts below lo and below hi bracket each rank.
-            edge = np.searchsorted(edges, ranks, side="right") - 1
-            if (edge % 2).any():  # -1 is odd too
-                return self.pair_order_statistics(ranks)
-            positions = starts[edge // 2] + ranks - edges[edge]
-            if values is None:
-                return self._ranked_values(ranges, int(kept.sum()), positions)
-            return values[positions]
+            if ranks.size and not 0 <= ranks.min() <= ranks.max() < below[-1]:
+                raise IndexError("rank out of range of the positive pair distances")
+            found = np.empty(ranks.shape)
+            while True:
+                # The bracket [edges[i], edges[i + 1]) whose counts hold each rank.
+                bracket = np.searchsorted(below, ranks, side="right") - 1
+                left = []
+                for i in np.unique(bracket):
+                    at = bracket == i
+                    lo, hi = edges[i], edges[i + 1]
+                    if lo in kept:
+                        found[at] = kept[lo][ranks[at] - below[i]]
+                    elif hi == np.nextafter(lo, np.inf):
+                        found[at] = lo
+                    else:
+                        left.append((lo, hi, below[i + 1] - below[i]))
+                if not left:
+                    return found
+                count_pass(*_plan(left, max(budget, ranks.size), guide))
 
         return self.positive_pair_count(), select
 
-    def _pilot_windows(self, fractions: np.ndarray, sample_size: int) -> tuple[list, float]:
-        """Disjoint value ranges [lo, hi), in increasing order, around the
-        given fractions of this pilot's positive distances, and the share
-        of those distances the ranges hold; no range where there is none.
+    def _pilot_windows(self, fractions: np.ndarray, sample_size: int) -> tuple[list, np.ndarray]:
+        """Disjoint brackets (lo, hi, count), in increasing order, around the
+        given fractions of this pilot's positive distances, count being how
+        many of a sample's distances the pilot predicts in [lo, hi), and
+        every k-th of the pilot's distances, sorted, at most
+        ``PILOT_POINTS`` of them; no bracket where there is no distance.
 
         The pilot is a subsample of m of a sample's ``sample_size`` points.
-        Each range spans the pilot's quantile plus and minus
+        Each window spans the pilot's quantile plus and minus
         ``WINDOW_ERRORS`` standard errors of it, read off the pilot's own
         sorted distances.  The fraction of the pilot's distances at or
         below the quantile q is a U-statistic (Hoeffding 1948): it differs
@@ -445,13 +494,18 @@ class Sample:
         2 std(F_i) sqrt(1/m - 1/sample_size), F_i being the share of pilot
         point i's m - 1 distances at or below q.  Two passes over the
         pilot's pairs compute it: one keeps the distances, one counts each
-        point's distances at or below each quantile."""
+        point's distances at or below each quantile.  Windows that overlap
+        are merged, and the predicted counts have ``WINDOW_SLACK`` to
+        spare.  A window whose pilot distances are all one value v becomes
+        the empty brackets at v and at v's next double up, which keep
+        nothing and count the distances equal to v."""
         m = self.n
         values = self._summarize(ranges=[ALL_POSITIVE], capacity=m * (m - 1) // 2)[1]
-        count = values.size
-        if not count:
-            return [], 0.0
         values.sort()
+        count = values.size
+        guide = values[::max(1, -(-count // PILOT_POINTS))].copy()
+        if not count or not fractions.size:
+            return [], guide
         last = count - 1
         quantiles = values[np.floor(fractions * last).astype(np.int64)]
         within = self._within_counts(quantiles) / (m - 1)
@@ -465,15 +519,24 @@ class Sample:
             (float(values[lo]) if lo > 0 else ALL_POSITIVE[0],
              float(values[hi]) if hi < count else np.inf)
             for lo, hi in zip(lows, highs))
-        ranges = [windows[0]]
+        merged = [windows[0]]
         for lo, hi in windows[1:]:
-            if lo <= ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], max(hi, ranges[-1][1]))
+            if lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
             else:
-                ranges.append((lo, hi))
-        inside = sum(np.searchsorted(values, hi) - np.searchsorted(values, lo)
-                     for lo, hi in ranges)
-        return ranges, int(inside) / count
+                merged.append((lo, hi))
+        # The sample's distances per pilot distance, with the slack.
+        scale = sample_size * (sample_size - 1) / 2 * (1 + WINDOW_SLACK) / count
+        brackets = []
+        for lo, hi in merged:
+            first, stop = np.searchsorted(values, [lo, hi])
+            if values[first] == values[stop - 1]:
+                tie = float(values[first])
+                up = float(np.nextafter(tie, np.inf))
+                brackets += [(tie, tie, 0), (up, up, 0)]
+            else:
+                brackets.append((lo, hi, math.ceil((stop - first) * scale)))
+        return brackets, guide
 
     def _within_counts(self, thresholds: np.ndarray) -> np.ndarray:
         """Per threshold t and point i, how many other points lie within t
@@ -496,93 +559,9 @@ class Sample:
 
     def pair_order_statistics(self, ranks) -> np.ndarray:
         """The positive distances d(i, j), i < j, at the given ranks (0 the
-        smallest), one per rank, by a pass that keeps only the distances in
-        the ranks' buckets."""
-        counts = self._bucket_counts()
-        ranks = np.asarray(ranks, dtype=np.int64)
-        if not ranks.size:
-            return np.empty(0)
-        if not 0 <= ranks.min() <= ranks.max() < counts.sum():
-            raise IndexError("rank out of range of the positive pair distances")
-        ends = np.cumsum(counts)
-        buckets = np.searchsorted(ends, ranks, side="right")
-        wanted = np.unique(buckets)
-        # Runs of wanted buckets with only empty ones between them: a run's
-        # range of values holds the same distances as its wanted buckets.
-        split = ends[wanted[1:] - 1] > ends[wanted[:-1]]
-        ranges = [_bucket_values(first, last) for first, last in
-                  zip(wanted[np.append(True, split)], wanted[np.append(split, True)])]
-        # Each wanted bucket's values are a run of the sorted values kept; a
-        # rank's position is its offset in its bucket plus the runs before it.
-        runs = np.cumsum(counts[wanted]) - counts[wanted]
-        offsets = ranks - (ends[buckets] - counts[buckets])
-        positions = runs[np.searchsorted(wanted, buckets)] + offsets
-        return self._ranked_values(ranges, int(counts[wanted].sum()), positions)
-
-    def _ranked_values(self, ranges, kept: int, positions) -> np.ndarray:
-        """The values at ``positions`` of the sorted positive distances
-        d(i, j), i < j, in the value ranges [lo, hi), disjoint and in
-        increasing order, which hold ``kept`` of them, by one pass."""
-
-        def select(rows, block, scratch):
-            _mask_lower(block, rows.stop - rows.start)
-            return _keep(block, ranges, scratch)[0]
-
-        # The buffer takes any one block's distances.
-        tied = (self._value_tallies(select, max(SUMMARY_BLOCK_ELEMENTS, self.n))
-                if kept > self.n * self.n * KEPT_DISTANCES_SHARE else None)
-        if tied is not None:
-            values, tallies = tied
-            return values[np.searchsorted(np.cumsum(tallies), positions, side="right")]
-        values = np.empty(kept)
-        filled = 0
-
-        def fold(found):
-            nonlocal filled
-            values[filled:filled + found.size] = found
-            filled += found.size
-
-        self._upper_pass(select, fold, SELECT_SCRATCH)
-        values.sort()
-        return values[positions]
-
-    def _value_tallies(self, select, capacity: int):
-        """The distinct values the blocks of ``select`` find, sorted, and how
-        often each occurs, or None where ties are too few to pay.  Found
-        values fill a buffer of ``capacity`` entries, squeezed into the
-        (value, count) pairs whenever it is full; once the pairs outnumber
-        half the buffer they hold more than the values would, and the pass
-        stops."""
-        buffer = np.empty(capacity)
-        filled = 0
-        tallies = collections.Counter()
-
-        def squeeze():
-            values, counts = np.unique(buffer[:filled], return_counts=True)
-            tallies.update(dict(zip(values.tolist(), counts.tolist())))
-
-        def fold(found):
-            nonlocal filled
-            if filled + found.size > capacity:
-                squeeze()
-                filled = 0
-                if len(tallies) > capacity // 2:
-                    return True
-            buffer[filled:filled + found.size] = found
-            filled += found.size
-
-        self._upper_pass(select, fold, SELECT_SCRATCH)
-        # Every squeeze but the one that gave up left at most half.
-        if len(tallies) > capacity // 2:
-            return None
-        squeeze()
-        values = sorted(tallies)
-        return np.array(values), np.array([tallies[v] for v in values])
-
-    def _bucket_counts(self) -> np.ndarray:
-        if self._buckets is None:
-            self._summarize(histogram=True)
-        return self._buckets
+        smallest), one per rank, by the passes of :meth:`pair_rank_selector`
+        with no window."""
+        return self.pair_rank_selector(())[1](ranks)
 
     def _upper_pass(self, work, fold, dtypes=()) -> None:
         """``work(rows, block, scratch)`` for each row block of the upper
@@ -610,18 +589,16 @@ class Sample:
         stream_blocks(run, lambda budget: _row_blocks(n, min(SUMMARY_BLOCK_ROWS, budget // n)),
                       n * (n + 1) // 2, n, fold, dtypes)
 
-    def _summarize(self, histogram: bool = False, ranges=(), capacity: int = 0):
+    def _summarize(self, ranges=(), capacity: int = 0):
         """Fill the nearest and earlier distances, the diameter and the
         number of zero distances d(i, j), i < j, by one upper-triangle pass.
 
-        With ``histogram``, also count the positive distances per bucket.
-        With ``ranges``, disjoint value ranges [lo, hi) in increasing
-        order, return the numbers of positive distances below each range's
-        lo and below its hi, in that order, and the distances in the ranges,
-        unsorted, in a buffer of ``capacity`` entries, or None where they
-        overflow it."""
+        Return the numbers of positive distances below each of ``ranges``'
+        lo and hi, in that order, and the distances in the ranges, unsorted,
+        in a buffer of ``capacity`` entries, or None where they overflow it.
+        ``ranges`` are disjoint value ranges [lo, hi) in increasing order;
+        an empty one [v, v) keeps nothing."""
         n = self.n
-        buckets = 1 << (63 - BUCKET_SHIFT)
 
         def reduce(rows, block, scratch):
             height = rows.stop - rows.start
@@ -635,39 +612,24 @@ class Sample:
             _mask_lower(block, height)
             rows_min = block.min(axis=1)
             zeros = block.size - np.count_nonzero(block) if rows_min.min() == 0 else 0
-            counts = found = below = None
-            if histogram:
-                keys = np.right_shift(block.view(np.int64), BUCKET_SHIFT, out=scratch[0])
-                counts = np.bincount(keys.ravel(), minlength=buckets)
-                counts[INF_BUCKET] -= height * (height + 1) // 2
-                # Zeros land in bucket 0 with the smallest subnormals.
-                counts[0] -= zeros
-                # Only the buckets in use, to keep the result small.
-                used = np.flatnonzero(counts)
-                counts = used, counts[used]
-            if ranges:
-                found, below = _keep(block, ranges, scratch)
-            return rows, top, rows_min, block.min(axis=0), zeros, counts, found, below
+            found, below = _keep(block, ranges, scratch) if ranges else (None, None)
+            return rows, top, rows_min, block.min(axis=0), zeros, found, below
 
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
         diameter = 0.0
         zeros = 0
-        counts = np.zeros(buckets, dtype=np.int64) if histogram else None
         edges = np.zeros(2 * len(ranges), dtype=np.int64)
-        values = np.empty(capacity) if ranges else None
+        values = np.empty(capacity)
         filled = 0
 
         def fold(result):
             nonlocal diameter, zeros, values, filled
-            rows, top, rows_min, cols_min, block_zeros, used_counts, found, below = result
+            rows, top, rows_min, cols_min, block_zeros, found, below = result
             diameter = max(diameter, top)
             row_min[rows] = rows_min
             np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
             zeros += block_zeros
-            if histogram:
-                used, used_count = used_counts
-                counts[used] += used_count
             if ranges:
                 edges[:] += below
                 edges[:] -= block_zeros  # zeros lie below every range
@@ -677,18 +639,13 @@ class Sample:
                     values[filled:filled + found.size] = found
                     filled += found.size
 
-        scratch = (np.int64,) if histogram else SELECT_SCRATCH if ranges else ()
-        self._upper_pass(reduce, fold, scratch)
+        self._upper_pass(reduce, fold, SELECT_SCRATCH if ranges else ())
         nearest = np.minimum(row_min, earlier)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
         self._nearest, self._earlier, self._diameter = nearest, earlier, diameter
         self._zeros = zeros
-        if histogram:
-            counts.flags.writeable = False
-            self._buckets = counts
-        if ranges:
-            return edges, None if values is None else values[:filled]
+        return edges, None if values is None else values[:filled]
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""

@@ -114,13 +114,14 @@ def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     positive pairwise distances.
 
     One pass over the pairs finds both and fills the sample's summaries on
-    the way: it keeps only the distances in a window around each of the
-    two fractions, the windows chosen from a pilot of at most 1,024 points
+    the way: it counts the distances below a window around each of the two
+    fractions and keeps those inside, the windows chosen from a pilot of at
+    most 1,024 points, and a window of one tied value only counts
     (:meth:`Sample.pair_rank_selector`).  Where a wanted rank falls outside
-    its window, or the pilot finds ties that would fill the windows, the
-    bucketed two-pass :meth:`Sample.pair_order_statistics` answers instead.
-    Either way the endpoints equal ``np.percentile`` and ``np.median`` of
-    the positive distances bit for bit."""
+    its window or past the buffer, the exact counts leave it in a bracket
+    that the next pass keeps or cuts.  Either way the endpoints equal
+    ``np.percentile`` and ``np.median`` of the positive distances bit for
+    bit."""
     count, select = sample.pair_rank_selector(GRID_FRACTIONS)
     if count == 0:
         raise ValueError("sample has no positive pairwise distance; supply a grid")

@@ -38,19 +38,18 @@ def train(tmp_path):
 def test_wasserstein_kernel_work(train, tmp_path, monkeypatch):
     # The pass, plus the pilot's two passes over its 1,000 points, the
     # farthest-first traversal and the net checks.  The grid's windows hold
-    # its ranks, so neither the bucketed order statistics nor a second
-    # keeping pass runs.
-    for fallback in ("_bucket_counts", "_ranked_values"):
-        monkeypatch.setattr(Sample, fallback, fail_on_call(fallback))
+    # its ranks, so no second pass over the sample keeps or counts them.
+    summarize, sizes = Sample._summarize, []
+
+    def counting(self, *args, **kwargs):
+        sizes.append(self.n)
+        return summarize(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sample, "_summarize", counting)
     entries = kernel_entries(["wasserstein", "--input", train,
                               "--out", str(tmp_path / "out")], monkeypatch)
     assert entries < N * N
-
-
-def fail_on_call(name):
-    def fail(*args):
-        raise AssertionError(f"{name} ran on the common path")
-    return fail
+    assert sizes.count(N) == 1
 
 
 def test_certificate_kernel_work(train, tmp_path, monkeypatch):

@@ -9,7 +9,8 @@ import pytest
 from metricmass import oracles, samples
 from metricmass.cli import main
 from metricmass.distributions import LowdimEmbeddingSpec, draw_sample
-from metricmass.samples import Sample
+from metricmass.samples import Sample, make_sample
+from metricmass.wasserstein import default_r_grid
 
 N = 3000
 
@@ -35,22 +36,42 @@ def test_command_never_builds_the_matrix(command, tmp_path, monkeypatch):
         assert peak < 0.25 * N * N * 8
 
 
-def test_radius_grid_on_tied_distances(tmp_path, monkeypatch):
-    # On the lattice {0..3}^2 a few distances are shared by most pairs, so
-    # the buckets of the percentile and the median hold many of them.
-    train = tmp_path / "lattice.csv"
-    np.savetxt(train, np.random.default_rng(0).integers(0, 4, size=(N, 2)), delimiter=",")
-    argv = ["wasserstein", "--input", str(train), "--out", str(tmp_path / "out")]
-    assert matrix_free_peak(argv, monkeypatch) < 0.25 * N * N * 8
+def test_radius_grid_on_tied_distances(monkeypatch):
+    # On the lattice {0..3}^2 a few distances are shared by most pairs, and
+    # each window of the grid holds one or two of them.  The pass counts the
+    # distances equal to each instead of keeping them, so the traced peak is
+    # the pilot's distances and the blocks of a pass (the block, its masks
+    # and the distances it keeps): keeping the ties adds megabytes.  The
+    # counts answer the grid's ranks, so the sample takes one pass.
+    sample = make_sample(np.random.default_rng(0).integers(0, 4, size=(N, 2)).astype(float))
+    summarize, passes = Sample._summarize, []
+
+    def counting(self, *args, **kwargs):
+        passes.append(self is sample)
+        return summarize(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sample, "_summarize", counting)
+    monkeypatch.setattr(Sample, "distance_matrix", refuse_matrix)
+    tracemalloc.start()
+    try:
+        default_r_grid(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(range(0, N, -(-N // samples.PILOT_POINTS)))
+    pilot = m * (m - 1) // 2 * 8
+    block = samples.SUMMARY_BLOCK_ELEMENTS * 8
+    assert peak < pilot + 3 * block
+    assert sum(passes) == 1
+
+
+def refuse_matrix(self):
+    raise AssertionError("the n x n distance matrix was requested")
 
 
 def matrix_free_peak(argv, monkeypatch) -> int:
     """The traced peak of a CLI run that must succeed without the matrix."""
-
-    def refuse(self):
-        raise AssertionError("the n x n distance matrix was requested")
-
-    monkeypatch.setattr(Sample, "distance_matrix", refuse)
+    monkeypatch.setattr(Sample, "distance_matrix", refuse_matrix)
     tracemalloc.start()
     try:
         assert main(argv) == 0

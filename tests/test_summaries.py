@@ -45,8 +45,9 @@ def near_symmetric(rng, size):
 
 
 def tie_prone_sample(kind, n, rng):
-    """Points on small integer lattices, so many pairs sit at equal
-    distances and radii read off the matrix fall exactly on d == r."""
+    """Points on small integer lattices, or repeated rows, so many pairs sit
+    at equal distances and radii read off the matrix fall exactly on
+    d == r."""
     if kind == "euclidean":
         return make_sample(rng.integers(-2, 3, size=(n, 2)).astype(float))
     if kind == "lp":
@@ -56,6 +57,11 @@ def tie_prone_sample(kind, n, rng):
     if kind == "precomputed":
         size = int(rng.integers(1, 8))
         return Sample(rng.integers(0, size, size=n), precomputed(near_symmetric(rng, size)))
+    if kind == "lattice":  # the {0..3}^2 lattice, whose grid windows are ties
+        return make_sample(rng.integers(0, 4, size=(n, 2)).astype(float))
+    if kind == "duplicated":  # a few distinct rows, each repeated
+        rows = rng.normal(size=(int(rng.integers(1, 6)), 2))
+        return make_sample(rows[rng.integers(len(rows), size=n)])
     return Sample(rng.integers(0, 5, size=n).astype(float), scaled_indicator(2.0))
 
 
@@ -113,58 +119,70 @@ BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
 ROWS = st.sampled_from([1, 2, 5, samples.SUMMARY_BLOCK_ROWS])
 # Pool threads every pass runs on, however small; 1 is the calling thread.
 THREADS = st.sampled_from([1, 2, 3])
-# 0 keeps the order statistics' distances as (value, count) pairs always.
+# 0 lets a pass of the order statistics keep only as many distances as
+# there are ranks asked, so a pilot's windows overflow and every bracket
+# left over is cut.
 SHARES = st.sampled_from([samples.KEPT_DISTANCES_SHARE, 0.0])
 
 
 @contextmanager
 def small_blocks(block, rows, threads, share=samples.KEPT_DISTANCES_SHARE):
     """Patch the elements and the rows per block of the upper-triangle
-    pass, the pool threads of every pass, and the share of n * n past which
-    the order statistics' distances are kept as pairs."""
+    pass, the pool threads of every pass, and the share of n * n distances
+    a pass of the order statistics keeps."""
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
             mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows), pool_threads(threads), \
             mock.patch.object(samples, "KEPT_DISTANCES_SHARE", share):
         yield
 
 
-# How the windowed order statistics of a sample larger than its pilot end:
-# "pilot" runs the pilot's own windows; "hit" keeps every positive distance
-# in one window with room for them; "split" in two windows, split at the
-# pilot's median distance, so a rank in the second one is an offset past
-# the first one's values; "overflow" keeps them in one window with no
-# room, so a second pass keeps them; "miss" has one empty window, which no
-# rank falls in, and "none" no window, both answered by the bucketed
-# pair_order_statistics.
+# How the windowed order statistics of a sample larger than its pilot end,
+# with the full sample's passes each takes: "pilot" runs the pilot's own
+# windows; "hit" keeps every positive distance in one window with room for
+# them (1 pass); "split" in two windows, split at the pilot's median
+# distance, so a rank in the second one is an offset past the first one's
+# values (1 pass); "overflow" keeps them in one window with no room, so a
+# second pass keeps them (2); "miss" counts below one empty window, which
+# no rank falls in, and "none" has no window, so a second pass keeps the
+# bracket the counts leave (2).  Each but "pilot" has room for every
+# distance in the second pass.
 OUTCOMES = st.sampled_from(["pilot", "hit", "split", "overflow", "miss", "none"])
+OUTCOME_PASSES = {"hit": 1, "split": 1, "overflow": 2, "miss": 2, "none": 2}
 # Points of the pilot: a sample of at most this many is its own pilot.
 PILOTS = st.integers(1, 8)
 
 
-def split_windows(pilot, fractions, sample_size):
+def split_windows(pilot, pairs):
     d = pilot.distance_matrix()
     if not (d > 0).any():  # one window, as "hit"
-        return [samples.ALL_POSITIVE], 1.0
+        return [(*samples.ALL_POSITIVE, pairs)]
     middle = float(np.median(d[d > 0]))
-    return [(samples.ALL_POSITIVE[0], middle), (middle, np.inf)], 1.0
+    return [(samples.ALL_POSITIVE[0], middle, pairs), (middle, np.inf, pairs)]
 
 
 @contextmanager
 def pilot_outcome(outcome, pilot):
     """Patch the pilot's size and, but for "pilot", the windows it finds."""
     tiny = samples.ALL_POSITIVE[0]
-    windows = {"hit": lambda *args: ([samples.ALL_POSITIVE], 1.0), "split": split_windows,
-               "overflow": lambda *args: ([samples.ALL_POSITIVE], 1.0),
-               "miss": lambda *args: ([(tiny, tiny)], 0.0), "none": lambda *args: ([], 0.0)}
+    windows = {"hit": lambda pilot, pairs: [(*samples.ALL_POSITIVE, pairs)],
+               "split": split_windows, "overflow": lambda *args: [(*samples.ALL_POSITIVE, 0)],
+               "miss": lambda *args: [(tiny, tiny, 0)], "none": lambda *args: []}
+    real = Sample._pilot_windows
+
+    def found(self, fractions, size):
+        return windows[outcome](self, size * (size - 1) // 2), real(self, fractions, size)[1]
+
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(samples, "PILOT_POINTS", pilot))
         if outcome in windows:
-            stack.enter_context(mock.patch.object(Sample, "_pilot_windows", windows[outcome]))
-        if outcome in ("hit", "split"):  # room for every pair
+            stack.enter_context(mock.patch.object(Sample, "_pilot_windows", found))
             stack.enter_context(mock.patch.object(samples, "KEPT_DISTANCES_SHARE", 1.0))
-        if outcome == "overflow":  # room for none
-            stack.enter_context(mock.patch.object(samples, "WINDOW_SLACK", -1.0))
         yield
+
+
+def full_passes(spy, sample) -> int:
+    """The summary passes over ``sample`` a spy on ``Sample._summarize`` saw."""
+    return sum(call.args[0] is sample for call in spy.call_args_list)
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
@@ -208,8 +226,8 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
     assert not matrix_built(sample)
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       BLOCKS, ROWS, THREADS, SHARES, OUTCOMES, PILOTS)
+@given(st.sampled_from(KINDS + ("lattice", "duplicated")), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1), BLOCKS, ROWS, THREADS, SHARES, OUTCOMES, PILOTS)
 @settings(max_examples=200)
 def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, rows, threads,
                                                          share, outcome, pilot):
@@ -226,21 +244,15 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
     with small_blocks(block, rows, threads, share), pilot_outcome(outcome, pilot), \
-            mock.patch.object(Sample, "_bucket_counts", autospec=True,
-                              side_effect=Sample._bucket_counts) as bucketed, \
-            mock.patch.object(Sample, "_ranked_values", autospec=True,
-                              side_effect=Sample._ranked_values) as kept_again:
+            mock.patch.object(Sample, "_summarize", autospec=True,
+                              side_effect=Sample._summarize) as passes:
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
-        if n > pilot and positive.size:
-            # The windows' path, a second keeping pass, or the buckets'.
-            assert (bucketed.called, kept_again.called) == {
-                "hit": (False, False), "split": (False, False), "overflow": (False, True),
-                "miss": (True, True), "none": (True, True)}.get(outcome, (bucketed.called,
-                                                                          kept_again.called))
-        with mock.patch.object(Sample, "_summarize",
-                               side_effect=AssertionError("a second pass")):
-            assert_matches_dense(sample, radii, dense)
-            assert sample.diameter() == float(d.max())
+        if n > pilot and positive.size and outcome in OUTCOME_PASSES:
+            assert full_passes(passes, sample) == OUTCOME_PASSES[outcome]
+        passes.reset_mock()
+        assert_matches_dense(sample, radii, dense)
+        assert sample.diameter() == float(d.max())
+        assert not passes.called
         assert sample.positive_pair_count() == positive.size
         count, select = sample.pair_rank_selector(GRID_FRACTIONS)
         assert count == positive.size
@@ -251,7 +263,7 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
 
 def edge_sample(kind, n, scale, rng):
     """Repeated points whose distances include 1, 2, 4 and 8, each the first
-    value of its bucket, at a coordinate scale (1e-310 makes the distances
+    double of its binade, at a coordinate scale (1e-310 makes the distances
     subnormal; for precomputed matrices, the scale of the entries, whose
     zeros are -0.0)."""
     coords = rng.choice([0.0, 1.0, 2.0, 3.0, 4.0, 8.0], size=n) * scale
@@ -303,7 +315,7 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
     upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     diameter = float(upper.max(initial=0.0))
-    plain, counted, bucketed = (Sample(dense.points, dense.space) for _ in range(3))
+    plain, counted, ranked = (Sample(dense.points, dense.space) for _ in range(3))
     budget = n * n if fits else n * n - 1
     with small_blocks(max(budget, 0), samples.SUMMARY_BLOCK_ROWS, threads, share), \
             mock.patch.object(samples, "stream_blocks", wraps=samples.stream_blocks) as streams, \
@@ -316,23 +328,21 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
         assert count == positive.size
         assert np.array_equal(select(np.arange(positive.size)), positive)
         assert np.array_equal(counted.nearest_distances(), nearest)
-        assert np.array_equal(bucketed.pair_order_statistics(np.arange(positive.size)), positive)
-        assert bucketed.positive_pair_count() == positive.size
+        assert np.array_equal(ranked.pair_order_statistics(np.arange(positive.size)), positive)
+        assert ranked.positive_pair_count() == positive.size
     one_block = n * n <= budget
     assert streams.called == (not one_block and n > 0)
     if one_block:
-        # The plain summary; the windowed one, which keeps every positive
-        # distance of a sample this small; the histogram and the bucketed
-        # order statistics, without the last when there are no positive
-        # distances.
-        assert kernel.call_count == (3 + bool(positive.size)) * (n > 0)
-    assert not any(matrix_built(s) for s in (plain, counted, bucketed))
+        # The plain summary and two windowed ones, each of which keeps every
+        # positive distance of a sample this small.
+        assert kernel.call_count == 3 * (n > 0)
+    assert not any(matrix_built(s) for s in (plain, counted, ranked))
 
 
 @pytest.mark.parametrize("bad", ["nan", "overflow"])
-@pytest.mark.parametrize("histogram", [False, True])
+@pytest.mark.parametrize("ranked", [False, True])
 @pytest.mark.parametrize("spare", [0, 1])
-def test_non_finite_distances_raise_on_both_paths(bad, histogram, spare):
+def test_non_finite_distances_raise_on_both_paths(bad, ranked, spare):
     # spare 0: the square fills the budget, one kernel call; spare 1: one
     # entry less, so the pass streams two row blocks.
     n = 12
@@ -345,8 +355,8 @@ def test_non_finite_distances_raise_on_both_paths(bad, histogram, spare):
         sample = make_sample(np.arange(n, dtype=float)[:, None] * 1e200)
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", n * n - spare), \
             pytest.raises(ValueError, match="pairwise distances must be finite"):
-        if histogram:
-            sample.positive_pair_count()
+        if ranked:  # the pass that keeps the distances in ranges
+            sample.pair_rank_selector(GRID_FRACTIONS)
         else:
             sample.nearest_distances()
 
