@@ -59,10 +59,11 @@ def classify(classifier: ProximityClassifier, y) -> str:
 
 
 def classify_batch(classifier: ProximityClassifier, queries) -> list[str]:
-    """Verdicts from each query's nearest training distance, taken over
-    row blocks of queries, so no |queries| x n matrix is held."""
-    nearest = classifier.training.nearest_to(queries)[:, 0]
-    return [ANOMALOUS if d > classifier.gamma else NORMAL for d in nearest]
+    """Verdicts from whether a training point lies within gamma of each
+    query (:meth:`~metricmass.samples.Sample.covers`), so no
+    |queries| x n matrix is held."""
+    covered = classifier.training.covers(queries, classifier.gamma)
+    return [NORMAL if c else ANOMALOUS for c in covered.tolist()]
 
 
 def false_alarm_certificate(classifier: ProximityClassifier, delta: float,

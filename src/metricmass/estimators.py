@@ -88,13 +88,13 @@ def good_turing(sample: Sample, r: float) -> float:
     check_sample(sample, r)
     if sample.n == 1:
         return 1.0
-    return float(np.mean(sample.nearest_distances() > r))
+    return float(np.mean(~sample.within(r)[1]))
 
 
 def escape_indicators(sample: Sample, r: float) -> np.ndarray:
     """Indicator, per point in sample order, of escaping all earlier balls."""
     check_sample(sample, r)
-    return (sample.earlier_distances() > r).astype(float)
+    return (~sample.within(r)[0]).astype(float)
 
 
 def martingale_estimate(sample: Sample, r: float, m: int) -> float:

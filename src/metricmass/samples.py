@@ -37,8 +37,27 @@ window, lies in a bracket of known count.  The next pass keeps that bracket
 whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise
 counts the distances below cuts inside it: at pilot distances, or at the
 midpoint of its float64 bit patterns, whose order for non-negative doubles
-is the order of the values.  Windows the pilot predicts past that budget
-are cut so in the summary pass itself.
+is the order of the values; that pass also finds the smallest and largest
+distance of each piece, which shrinks the piece to them.  Windows the pilot
+predicts past that budget are cut so in the summary pass itself.
+
+Three questions read one radius r only: per point, whether an earlier
+point, and whether any other point, lies within r (:meth:`Sample.within`,
+which serves the escape indicators, Good-Turing isolation, separation
+and net checks), and per query, whether a sample point does
+(:meth:`Sample.covers`, which serves net cover checks and the
+classifier).  The cached summaries answer where they exist.  Otherwise a
+sample of more than ``SUMMARY_BLOCK_ELEMENTS`` pairs n * n, in a space with
+a neighbour index at r (a k-d tree, for ``euclidean`` and ``lp``:
+:meth:`~metricmass.spaces.MetricSpace.neighbour_index`), asks the index
+for each point's ``NEIGHBOURS`` nearest candidates within
+r (1 + ``NEIGHBOUR_SLACK``), rows of points at a time, so the memory is
+O(n * NEIGHBOURS).  A candidate within r (1 - ``NEIGHBOUR_SLACK``)
+answers yes and no candidate answers no; a point with a candidate between
+the two radii, or with every slot filled, is decided by the kernel over its
+row, or its earlier points only.  Every d <= r decision is thus the
+kernel's, and no result depends on whether the index was used.  Any other
+sample runs the summary pass, or :meth:`Sample.nearest_to` for queries.
 
 A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
 such as a simulation replicate, skips the streaming: each pass over it is
@@ -48,17 +67,19 @@ by a cached mask.  The kernel reads the space's cheapest exact input
 place of discrete symbols.
 
 Every larger pass runs through :func:`stream_blocks`, and only this module
-cuts passes into blocks: the upper-triangle passes, the net checks, and
-:meth:`Sample.nearest_to`, which serves the classifier and the Monte Carlo
-oracle.  A pass of at least ``THREADED_MIN_BLOCKS`` blocks' worth of
-entries, in a process that may run on T > 1 cores and is not a worker
-process, spreads its blocks over the calling thread and T - 1 threads of a
-process-wide pool; ``SUMMARY_BLOCK_ELEMENTS`` then bounds the blocks of all
-threads together.  Each thread computes its block unlocked and folds the
-result into the pass's totals under the lock that hands out the blocks.
-Every fold is a minimum, a maximum, an integer sum, a write of the block's
-own rows or an append before a final sort, so every result is the same for
-any number of cores.
+cuts passes into blocks: the upper-triangle passes, the net checks, the
+rows a neighbour index leaves to the kernel, and :meth:`Sample.nearest_to`,
+which serves the classifier and the Monte Carlo oracle.  A pass of at least
+``THREADED_MIN_BLOCKS`` blocks' worth of entries, in a process that may run
+on T > 1 cores and is not a worker process, spreads its blocks over the
+calling thread and T - 1 threads of a process-wide pool;
+``SUMMARY_BLOCK_ELEMENTS`` then bounds the blocks of all threads together.
+Each thread computes its block unlocked and folds the result into the
+pass's totals under the lock that hands out the blocks.  Every fold is a
+minimum, a maximum, an integer sum, a write of the block's own rows or an
+append before a final sort, so every result is the same for any number of
+cores.  A neighbour index answers each point on its own, on T threads of
+its own.
 """
 from __future__ import annotations
 
@@ -77,6 +98,13 @@ from .spaces import MetricSpace, discrete, euclidean, precomputed
 # Elements in the row blocks of distances alive at once, which bounds the
 # temporaries of every blocked pass.
 SUMMARY_BLOCK_ELEMENTS = 1 << 18
+# A neighbour index finds this many nearest candidates of each point.
+NEIGHBOURS = 8
+# Candidates come from r (1 + NEIGHBOUR_SLACK); one within r (1 -
+# NEIGHBOUR_SLACK) lies within r by the kernel too.  The tree's and the
+# kernel's sums of D powers each err by about D units in the last place,
+# far below this slack short of 2^23 dimensions.
+NEIGHBOUR_SLACK = 2.0 ** -30
 # A pass of fewer entries than this many blocks runs on the calling thread,
 # where handing blocks to other threads would cost more than it saves.
 THREADED_MIN_BLOCKS = 2
@@ -166,20 +194,24 @@ def _keep(block: np.ndarray, ranges, scratch) -> tuple[np.ndarray, list[int]]:
     return (found[0] if len(found) == 1 else np.concatenate([np.empty(0), *found])), counts
 
 
-def _plan(brackets, budget: int, guide: np.ndarray) -> tuple[list, int]:
-    """The value ranges and the buffer size of a pass over the brackets
-    (lo, hi, count), disjoint and in increasing order, each holding
-    ``count`` distances: it keeps a bracket whole while the counts it keeps
-    fit the budget, and counts the distances below cuts inside the rest.
+def _plan(brackets, budget: int, guide: np.ndarray) -> tuple[list, int, list]:
+    """The value ranges, the buffer size and the spans of a pass over the
+    brackets (lo, hi, count), disjoint and in increasing order, each
+    holding ``count`` distances: it keeps a bracket whole while the counts
+    it keeps fit the budget, and counts the distances below cuts inside the
+    rest.
 
     Where some of the sorted ``guide`` distances fall in a bracket, its
     cuts are every k-th of them, k such that the guide predicts pieces of
     half the budget, each with its next double up, so a value the guide
     finds tied becomes a one-value bracket of its own.  Otherwise the cut
     is the midpoint of the bracket's bit patterns, whose order for
-    non-negative doubles is the order of the values.  Either way a bracket
-    that is not one value has a cut above its lo."""
-    ranges, capacity = [], 0
+    non-negative doubles is the order of the values, and the two pieces
+    are spans, whose smallest and largest distances the pass finds, so a
+    piece of one value, such as a tie the guide misses, becomes a
+    one-value bracket after that pass.  Either way a bracket that is not
+    one value has a cut above its lo."""
+    ranges, capacity, spans = [], 0, []
     for lo, hi, count in brackets:
         if capacity + count <= budget:
             ranges.append((lo, hi))
@@ -194,8 +226,9 @@ def _plan(brackets, budget: int, guide: np.ndarray) -> tuple[list, int]:
         else:
             first, last = (int(v) for v in np.array([lo, hi]).view(np.int64))
             cuts = [float(np.array(first + (last - first) // 2).view(np.float64))]
+            spans += [(lo, cuts[0]), (cuts[0], hi)]
         ranges += [(cut, cut) for cut in cuts]
-    return ranges, capacity
+    return ranges, capacity, spans
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -208,6 +241,12 @@ def _cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         return os.cpu_count() or 1
+
+
+def _threads() -> int:
+    """The threads a large pass runs on: every core, or one in a worker
+    process, which shares the cores with its siblings."""
+    return 1 if multiprocessing.parent_process() is not None else _cores()
 
 
 def _forget_pool() -> None:
@@ -252,8 +291,7 @@ def stream_blocks(work, blocks, entries: int, width: int, fold=None,
     that does not depend on that order.  The first error from ``work`` or
     ``fold`` ends the pass, and is raised here once no thread is left
     computing in a buffer."""
-    small = entries < THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS
-    threads = 1 if small or multiprocessing.parent_process() is not None else _cores()
+    threads = 1 if entries < THREADED_MIN_BLOCKS * SUMMARY_BLOCK_ELEMENTS else _threads()
     budget = max(1, SUMMARY_BLOCK_ELEMENTS // threads)
     size = max(budget, width)
     buffers = [[np.empty(size, dtype) for dtype in dtypes] for _ in range(threads)]
@@ -294,19 +332,41 @@ def stream_blocks(work, blocks, entries: int, width: int, fold=None,
         raise errors[0]
 
 
+def _stop_blocks(stops: np.ndarray, budget: int):
+    """Slices cutting rows whose ``stops`` never decrease into blocks of at
+    most ``budget`` entries, a block's rows times its last row's stop, or
+    of one row."""
+    start = 0
+    while start < len(stops):
+        # No block starting here holds more rows than this.
+        most = budget // max(int(stops[start]), 1)
+        if stops[start] == stops[-1]:  # every row left has this stop
+            rows = min(most, len(stops) - start)
+        else:
+            ahead = stops[start:start + most + 1]
+            rows = int(np.count_nonzero(np.arange(1, len(ahead) + 1) * ahead <= budget))
+        rows = max(1, rows)
+        yield slice(start, start + rows)
+        start += rows
+
+
 def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
-                work, fold=None) -> None:
+                work, fold=None, stops=None) -> None:
     """``work(rows, block)`` for each row block of the distances from
     ``queries`` to ``points``, ``block`` holding those from the queries
-    ``rows``, through :func:`stream_blocks` with ``fold``."""
-    width = len(points)
+    ``rows``, through :func:`stream_blocks` with ``fold``.  With ``stops``,
+    which never decrease, query q needs only the points before stops[q],
+    and a block holds its queries' distances to the points before its last
+    query's stop."""
+    if stops is None:
+        stops = np.full(len(queries), len(points))
 
     def run(rows, buffers):
-        block = _block_view(buffers[0], rows.stop - rows.start, width)
-        return work(rows, space.kernel(queries[rows], points, out=block))
+        block = _block_view(buffers[0], rows.stop - rows.start, stops[rows.stop - 1])
+        return work(rows, space.kernel(queries[rows], points[:block.shape[1]], out=block))
 
-    stream_blocks(run, lambda budget: _row_blocks(len(queries), budget // max(width, 1)),
-                  len(queries) * width, width, fold)
+    stream_blocks(run, lambda budget: _stop_blocks(stops, budget), int(stops.sum()),
+                  int(stops[-1]) if len(stops) else 0, fold)
 
 
 class Sample:
@@ -388,6 +448,97 @@ class Sample:
         _cross_pass(self.space, queries, self.points, reduce)
         return nearest
 
+    def within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Two boolean arrays: per point, whether a strictly earlier point
+        in sample order lies within r of it (d <= r), and whether any other
+        point does.
+
+        The cached summaries answer where they exist, and otherwise the
+        neighbour index (:meth:`_neighbour_index`), asked for each point's
+        ``NEIGHBOURS`` nearest candidates, or the summary pass."""
+        index = self._neighbour_index(r) if self._earlier is None else None
+        if index is None:
+            return self.earlier_distances() <= r, self.nearest_distances() <= r
+        (earlier, other), (late, lone) = self._index_answers(
+            index, self.points, r, NEIGHBOURS, (np.less, np.not_equal))
+        del index  # free the tree before the kernel's rows take their blocks
+        earlier[late] = self._rows_within(late, r, earlier=True)
+        other[lone] = self._rows_within(lone, r, earlier=False)
+        return earlier, other
+
+    def covers(self, queries, r: float) -> np.ndarray:
+        """Per query, whether a sample point lies within r of it (d <= r),
+        from the neighbour index (:meth:`_neighbour_index`), asked for each
+        query's nearest candidate, or from the queries' nearest distances
+        (:meth:`nearest_to`)."""
+        queries = self.space.as_points(queries)
+        index = self._neighbour_index(r)
+        if index is None:
+            return self.nearest_to(queries)[:, 0] <= r
+        # The nearest candidate is the smallest, so it alone decides.
+        (found,), (unsure,) = self._index_answers(index, queries, r, 1, (lambda j, own: True,))
+        found[unsure] = self.nearest_to(queries[unsure])[:, 0] <= r
+        return found
+
+    def _neighbour_index(self, r: float):
+        """The space's neighbour index over the sample at r, for a sample of
+        more than ``SUMMARY_BLOCK_ELEMENTS`` pairs n * n; a smaller one
+        takes one kernel call per pass instead.  Else None."""
+        if self.n * self.n <= SUMMARY_BLOCK_ELEMENTS:
+            return None
+        return self.space.neighbour_index(self.points, r)
+
+    def _index_answers(self, index, queries, r: float, k: int, questions):
+        """Per question, the answers the index gives for each query and
+        the queries it leaves to the kernel.
+
+        ``index`` (:meth:`~metricmass.spaces.MetricSpace.neighbour_index`)
+        finds each query's k nearest sample points within
+        r (1 + ``NEIGHBOUR_SLACK``), rows of queries at a time, so the
+        candidates of a chunk take less memory than a block of distances.
+        A question ``question(j, own)`` marks the candidates j it counts for
+        the query at index ``own``.  The index's distances may differ from
+        the kernel's in the last bits, so a counted candidate within
+        r (1 - ``NEIGHBOUR_SLACK``) answers yes, and no counted candidate
+        answers no unless the k slots are full; a query with only counted
+        candidates between the two radii, or with full slots, is left to
+        the kernel.  Every answer is thus the kernel's d <= r."""
+        low, high = r * (1 - NEIGHBOUR_SLACK), r * (1 + NEIGHBOUR_SLACK)
+        answers = [np.zeros(len(queries), dtype=bool) for _ in questions]
+        unsure = [[np.empty(0, dtype=np.intp)] for _ in questions]
+        for rows in _row_blocks(len(queries), SUMMARY_BLOCK_ELEMENTS // (4 * k)):
+            # An empty slot has distance inf and index n.
+            d, j = (a.reshape(rows.stop - rows.start, k) for a in index(
+                queries[rows], k=k, distance_upper_bound=high, workers=_threads()))
+            own = np.arange(rows.start, rows.stop)[:, None]
+            filled, near = np.isfinite(d), d <= low
+            full = filled[:, -1]
+            for question, answer, left in zip(questions, answers, unsure):
+                counted = question(j, own) & filled
+                yes = answer[rows] = (counted & near).any(axis=1)
+                left.append(rows.start + np.flatnonzero(~yes & (full | counted.any(axis=1))))
+        return answers, [np.concatenate(left) for left in unsure]
+
+    def _rows_within(self, rows: np.ndarray, r: float, earlier: bool) -> np.ndarray:
+        """Per point of ``rows`` (increasing), whether a strictly earlier
+        point (``earlier``) or any other point lies within r of it, by the
+        kernel over its row, or over the points before it."""
+        found = np.empty(len(rows), dtype=bool)
+
+        def check(block_rows, d):
+            # Each block writes its own rows of ``found``.
+            own = rows[block_rows]
+            if earlier:  # the block reaches the points before its last row
+                for q, stop in enumerate(own.tolist()):
+                    d[q, stop:] = np.inf
+            else:
+                d[np.arange(len(own)), own] = np.inf
+            np.less_equal(d.min(axis=1, initial=np.inf), r, out=found[block_rows])
+
+        _cross_pass(self.space, self.points[rows], self.points, check,
+                    stops=rows if earlier else None)
+        return found
+
     def distance_band(self, low: float, high: float) -> np.ndarray:
         """The n x n boolean matrix of low < d(i, j) <= high, from streamed
         row blocks of distances: no n x n distance matrix is held."""
@@ -428,22 +579,34 @@ class Sample:
         fractions = np.asarray(fractions, dtype=float)
         budget = int(n * n * KEPT_DISTANCES_SHARE)
         if n <= PILOT_POINTS:
-            ranges, capacity, guide = [ALL_POSITIVE], n * (n - 1) // 2, np.empty(0)
+            ranges, capacity, spans, guide = [ALL_POSITIVE], n * (n - 1) // 2, [], np.empty(0)
         else:
             pilot = self.subsample(np.arange(0, n, -(-n // PILOT_POINTS)))
             windows, guide = pilot._pilot_windows(fractions, n)
-            ranges, capacity = _plan(windows, max(budget, fractions.size), guide)
+            ranges, capacity, spans = _plan(windows, max(budget, fractions.size), guide)
         # The known edges, increasing, the number of positive distances
         # below each, and the sorted distances of each kept bracket, by the
         # edge it starts at.
         edges, below, kept = np.empty(0), np.empty(0, dtype=np.int64), {}
 
-        def count_pass(ranges, capacity):
+        def count_pass(ranges, capacity, spans):
             nonlocal edges, below
-            counts, values = self._summarize(ranges=ranges, capacity=capacity)
+            counts, values, extents = self._summarize(ranges=ranges, capacity=capacity,
+                                                      spans=spans)
+            extents = np.array(extents).reshape(-1, 2)
             ends = np.concatenate([edges, ALL_POSITIVE, np.ravel(ranges)])
             edges, first = np.unique(ends, return_index=True)
             below = np.concatenate([below, [0, self.positive_pair_count()], counts])[first]
+            # A span's distances lie from its smallest to its largest, so as
+            # many lie below the smallest as below the span's lo, and below
+            # the largest's next double up as below its hi.
+            seen = extents[:, 0] <= extents[:, 1]
+            if seen.any():
+                bounds = np.searchsorted(edges, np.array(spans)[seen])
+                ends = np.concatenate([edges, extents[seen, 0],
+                                       np.nextafter(extents[seen, 1], np.inf)])
+                edges, first = np.unique(ends, return_index=True)
+                below = np.concatenate([below, below[bounds[:, 0]], below[bounds[:, 1]]])[first]
             if values is not None:
                 values.sort()
                 # The kept distances of each range follow those of the ranges below.
@@ -452,7 +615,7 @@ class Sample:
                     if lo < hi:
                         kept[lo] = values[stop - size:stop]
 
-        count_pass(ranges, capacity)
+        count_pass(ranges, capacity, spans)
 
         def select(ranks):
             ranks = np.asarray(ranks, dtype=np.int64)
@@ -589,16 +752,25 @@ class Sample:
         stream_blocks(run, lambda budget: _row_blocks(n, min(SUMMARY_BLOCK_ROWS, budget // n)),
                       n * (n + 1) // 2, n, fold, dtypes)
 
-    def _summarize(self, ranges=(), capacity: int = 0):
+    def _summarize(self, ranges=(), capacity: int = 0, spans=()):
         """Fill the nearest and earlier distances, the diameter and the
         number of zero distances d(i, j), i < j, by one upper-triangle pass.
 
         Return the numbers of positive distances below each of ``ranges``'
-        lo and hi, in that order, and the distances in the ranges, unsorted,
-        in a buffer of ``capacity`` entries, or None where they overflow it.
-        ``ranges`` are disjoint value ranges [lo, hi) in increasing order;
-        an empty one [v, v) keeps nothing."""
+        lo and hi, in that order, the distances in the ranges, unsorted,
+        in a buffer of ``capacity`` entries, or None where they overflow it,
+        and per span the smallest and the largest distance in it (inf and
+        -inf where it has none).  ``ranges`` are disjoint value ranges
+        [lo, hi) in increasing order; an empty one [v, v) keeps nothing.
+        ``spans`` are value ranges [lo, hi) of positive distances, which
+        need ``ranges``' scratch."""
         n = self.n
+
+        def span_extent(block, lo, hi, scratch):
+            inside = np.logical_and(np.greater_equal(block, lo, out=scratch[0]),
+                                    np.less(block, hi, out=scratch[1]), out=scratch[0])
+            return (float(block.min(where=inside, initial=np.inf)),
+                    float(block.max(where=inside, initial=-np.inf)))
 
         def reduce(rows, block, scratch):
             height = rows.stop - rows.start
@@ -613,7 +785,8 @@ class Sample:
             rows_min = block.min(axis=1)
             zeros = block.size - np.count_nonzero(block) if rows_min.min() == 0 else 0
             found, below = _keep(block, ranges, scratch) if ranges else (None, None)
-            return rows, top, rows_min, block.min(axis=0), zeros, found, below
+            seen = [span_extent(block, lo, hi, scratch) for lo, hi in spans]
+            return rows, top, rows_min, block.min(axis=0), zeros, found, below, seen
 
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
@@ -622,10 +795,13 @@ class Sample:
         edges = np.zeros(2 * len(ranges), dtype=np.int64)
         values = np.empty(capacity)
         filled = 0
+        extents = [[math.inf, -math.inf] for _ in spans]
 
         def fold(result):
             nonlocal diameter, zeros, values, filled
-            rows, top, rows_min, cols_min, block_zeros, found, below = result
+            rows, top, rows_min, cols_min, block_zeros, found, below, seen = result
+            for extent, (small, large) in zip(extents, seen):
+                extent[:] = min(extent[0], small), max(extent[1], large)
             diameter = max(diameter, top)
             row_min[rows] = rows_min
             np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
@@ -645,7 +821,7 @@ class Sample:
         earlier.flags.writeable = False
         self._nearest, self._earlier, self._diameter = nearest, earlier, diameter
         self._zeros = zeros
-        return edges, None if values is None else values[:filled]
+        return edges, None if values is None else values[:filled], extents
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""
@@ -700,8 +876,8 @@ def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
             if len(row) != len(rows[0]):
                 raise ValueError(f"{path}: data row {i + 1} has {len(row)} column(s) "
                                  f"where data row 1 has {len(rows[0])}")
-        pts = np.array([[float(v) for v in row] for row in rows])
-        return make_sample(pts, space)
+        # numpy parses each cell by float()'s rules, in one call.
+        return make_sample(np.array(rows, dtype=float), space)
     if any(len(row) != 1 for row in rows):
         raise ValueError(f"{path}: categorical samples need exactly one symbol per row")
     return make_sample(np.array([row[0] for row in rows]), space or discrete())
@@ -740,10 +916,12 @@ def sample_to_csv(sample: Sample, path) -> None:
 def is_r_separated(sample: Sample, indices, r: float) -> bool:
     """True iff every distinct pair of the sub-sample is at distance
     strictly greater than r.  A single index is vacuously separated."""
+    if not r >= 0:
+        raise ValueError("radius must be non-negative")
     idx = np.asarray(indices, dtype=int)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    return bool((sample.subsample(idx).earlier_distances()[1:] > r).all())
+    return not sample.subsample(idx).within(r)[0].any()
 
 
 def farthest_first_traversal(sample: Sample, r: float,
@@ -790,10 +968,21 @@ def farthest_first_net(sample: Sample, r: float, seed_index: int = 0) -> list[in
 
 
 def verify_net(sample: Sample, net, r: float) -> None:
-    """Raise InvalidNetError unless ``net`` is r-separated and covers the sample."""
-    error = prefix_net_errors(sample, net, [(len(net), r)])[0]
-    if error is not None:
-        raise error
+    """Raise InvalidNetError unless ``net`` is r-separated and covers the
+    sample, by :meth:`Sample.within` over the net and :meth:`Sample.covers`
+    of the sample points."""
+    if not r >= 0:
+        raise ValueError("radius must be non-negative")
+    idx = np.asarray(net, dtype=int)
+    if idx.size == 0:
+        raise InvalidNetError("net is empty")
+    if len(np.unique(idx)) != len(idx):
+        raise ValueError("indices must be distinct")
+    picks = sample.subsample(idx)
+    if picks.within(r)[0].any():
+        raise InvalidNetError("net is not r-separated")
+    if not picks.covers(sample.points, r).all():
+        raise InvalidNetError("net does not cover the sample at radius r")
 
 
 def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:

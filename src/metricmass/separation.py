@@ -231,6 +231,9 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[tuple[int, ..
 
     if len(best) < stop:
         expand([], (1 << adj.shape[0]) - 1)
+    # ``expand`` refers to itself, a cycle that would keep ``feasible``, and
+    # the distance matrix it reads, alive until the next garbage collection.
+    del expand
     bound = None if open_bound is None else max(open_bound, len(best))
     return tuple(sorted(best)), bound
 

@@ -21,19 +21,33 @@ read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
 are the same float, so a pass over the upper triangle reads every distance.
 
 Every decision that depends on the kind is made here: the points, the
-kernel and its cheapest input, ``scaled``, ``ball_halfwidth`` on a line,
-``packing_cap``, ``meb_locality``, ``known_metric``, and the dict and
-``kind[:a,b]`` forms of the kinds that persist, read from one
-:data:`GRAMMAR` table.  Other modules compare spaces by value instead, as
-in ``space == euclidean(1)``.
+kernel and its cheapest input, the neighbour index, ``scaled``,
+``ball_halfwidth`` on a line, ``packing_cap``, ``meb_locality``,
+``known_metric``, and the dict and ``kind[:a,b]`` forms of the kinds that
+persist, read from one :data:`GRAMMAR` table.  Other modules compare spaces
+by value instead, as in ``space == euclidean(1)``.
+
+Only ``euclidean`` and ``lp`` have a neighbour index, a k-d tree (Bentley
+1975) under the space's p-norm, and only for a radius r where r^p and the
+points' coordinate extent^p lie in [2^-900, 2^900], so the tree's sums of
+powers neither overflow nor lose precision to underflow.  A sample of more
+than 512 points asks it whether points lie within r
+(:meth:`metricmass.samples.Sample.within` and ``covers``).  Its distances
+may differ from the kernel's in the last bits, so it only supplies
+candidates within r (1 + 2^-30): one within r (1 - 2^-30) answers yes, none
+answers no, and a point with a candidate between the two, or with every
+candidate slot filled, is decided by the kernel.  No result depends on
+whether the index was used.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 EUCLIDEAN = "euclidean"
@@ -135,6 +149,20 @@ class MetricSpace:
         if self.kind == DISCRETE and points.dtype.kind in "US":
             return np.unique(points, return_inverse=True)[1]
         return points
+
+    def neighbour_index(self, points: np.ndarray, r: float):
+        """The ``query`` of a k-d tree over the canonical ``points`` under
+        this space's norm, for candidates near the radius r; None for a kind
+        without one, or where r^p or the points' largest coordinate range
+        raised to p leaves [2^-900, 2^900]."""
+        if self.kind not in (EUCLIDEAN, LP) or not len(points):
+            return None
+        p = 2.0 if self.kind == EUCLIDEAN else self.p
+        power = 1.0 if p == math.inf else p  # the tree takes maxima for p = inf
+        extent = float(np.ptp(points, axis=0).max())
+        if not all(x > 0 and abs(power * math.log2(x)) <= 900 for x in (r, extent)):
+            return None
+        return functools.partial(cKDTree(points).query, p=p)
 
     def pairwise_distances(self, points) -> np.ndarray:
         return self.cross_distances(points, points)

@@ -14,6 +14,7 @@ from unittest import mock
 import numpy as np
 
 from metricmass import samples
+from metricmass.spaces import MetricSpace, euclidean, lp
 
 
 def brute_good_turing(points, space, r):
@@ -355,6 +356,42 @@ def transport_w1_atoms(mu_positions, mu_weights, nu_positions, nu_weights):
         f_nu = nu_weights[np.asarray(nu_positions) <= left].sum()
         total += abs(f_mu - f_nu) * (right - left)
     return total
+
+
+def vector_sample(shape, p, n, rng, dim=2):
+    """A sample of the shape "lattice" (small integer points, ties at many
+    distances), "duplicated" (a few rows, each repeated) or "normal", under
+    the euclidean norm (p None) or the p-norm."""
+    if shape == "lattice":
+        points = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    elif shape == "duplicated":
+        rows = rng.normal(size=(int(rng.integers(1, 6)), dim))
+        points = rows[rng.integers(len(rows), size=n)]
+    else:
+        points = rng.normal(size=(n, dim))
+    return samples.Sample(points, euclidean(dim) if p is None else lp(dim, p))
+
+
+def dense_within(sample, r):
+    """The dense reference for :meth:`Sample.within`, from
+    :func:`dense_summaries`."""
+    nearest, earlier = dense_summaries(sample)
+    return earlier <= r, nearest <= r
+
+
+@contextmanager
+def index_spy():
+    """Record, per call of ``MetricSpace.neighbour_index``, whether it
+    returned an index."""
+    real, built = MetricSpace.neighbour_index, []
+
+    def spy(self, points, r):
+        index = real(self, points, r)
+        built.append(index is not None)
+        return index
+
+    with mock.patch.object(MetricSpace, "neighbour_index", spy):
+        yield built
 
 
 @contextmanager

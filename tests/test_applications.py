@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from metricmass import samples
@@ -22,10 +23,10 @@ from metricmass.applications import (
 from metricmass.distributions import UniformIntervalSpec, draw_sample
 from metricmass.estimators import good_turing
 from metricmass.oracles import conditional_missing_mass
-from metricmass.samples import make_sample
+from metricmass.samples import Sample, make_sample
 from metricmass.spaces import discrete, lp, scaled_indicator
 
-from helpers import dense_nearest, pool_threads
+from helpers import dense_nearest, index_spy, pool_threads, vector_sample
 
 
 def line_sample(*xs):
@@ -83,6 +84,29 @@ def test_classify_batch_blocks_match_dense_rule(block, n_queries):
                 assert classify_batch(ProximityClassifier(train, gamma), queries) == expected
                 for k in (1, 2):
                     assert np.array_equal(train.nearest_to(queries, k), dense[k])
+
+
+@given(st.sampled_from([None, 1.0, 1.5, 2.0, math.inf]), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([7, 64]),
+       st.sampled_from([1, 2, samples.NEIGHBOURS]), st.sampled_from([1, 2, 3]))
+@settings(max_examples=100)
+def test_classify_batch_on_the_index_matches_dense_rule(p, n, seed, block, k, threads):
+    # Lattice training points and queries on the lattice and half way
+    # between, with gamma at d == gamma ties: a block of 64 entries keeps
+    # up to 8 training points off the index, 1 or 2 candidates per query
+    # send rows to the kernel.
+    rng = np.random.default_rng(seed)
+    train = vector_sample("lattice", p, n, rng)
+    queries = rng.integers(-6, 7, size=(30, 2)) / 2
+    nearest = dense_nearest(train, queries, 1)[:, 0]
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
+            mock.patch.object(samples, "NEIGHBOURS", k), pool_threads(threads), \
+            index_spy() as built:
+        for gamma in [0.5, 1.0] + [float(v) for v in rng.choice(nearest, size=3)]:
+            expected = ["anomalous" if d > gamma else "normal" for d in nearest]
+            classifier = ProximityClassifier(Sample(train.points, train.space), gamma)
+            assert classify_batch(classifier, queries) == expected
+    assert any(built) == (n * n > block and np.ptp(train.points, axis=0).max() > 0)
 
 
 def test_classify_batch_query_at_gamma_is_normal():

@@ -122,6 +122,19 @@ def test_ragged_csv_names_the_row(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_bad_csv_cell_past_the_header_check_names_the_cell(tmp_path, capsys):
+    # The header rule reads the first two rows cell by cell; later rows are
+    # parsed in one call, which names the cell as float() does.
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [["x", "y"], [1, 2], [3, 4], [5, "1e3x"], [7, 8]])
+    out = tmp_path / "report"
+    code = main(["estimate", "--input", str(sample), "--r", "1.0", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {sample}: could not convert string to float: '1e3x'\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 def test_hypothesis_strict_aborts(command, tmp_path):
     sample = tmp_path / "pts.csv"

@@ -1,6 +1,9 @@
 """Kernel work of the sample-only commands, counted in distance entries.
 One pass over the upper triangle, about n^2 / 2 entries, serves the radius
-grid, the diameter and the estimators' summaries."""
+grid, the diameter and the estimators' summaries; the certificates at one
+radius ask the neighbour index instead."""
+import json
+
 import numpy as np
 import pytest
 
@@ -53,9 +56,22 @@ def test_wasserstein_kernel_work(train, tmp_path, monkeypatch):
 
 
 def test_certificate_kernel_work(train, tmp_path, monkeypatch):
-    # The pass alone: half the matrix plus the squares below the diagonal
-    # that its row blocks compute and discard.
+    # The neighbour index answers the escape indicators; the kernel sees
+    # only the rows whose candidates leave them open, mostly early points
+    # whose nearest candidates are all later ones.  The summary pass would
+    # compute half the matrix.
     entries = kernel_entries(["classify", "--train", train, "--gamma", "0.3",
                               "--certificate-delta", "0.05",
                               "--out", str(tmp_path / "out")], monkeypatch)
-    assert entries <= 0.52 * N * N
+    assert entries <= 0.05 * N * N
+
+
+def test_code_net_check_kernel_work(train, tmp_path, monkeypatch):
+    # The farthest-first traversal computes one row of N distances per net
+    # point.  The net check asks the neighbour index over the net, so it
+    # adds no N x |net| block of its own.
+    out = tmp_path / "out"
+    entries = kernel_entries(["code", "--input", train, "--epsilon", "0.4", "--use-net",
+                              "--out", str(out)], monkeypatch)
+    net = len(json.loads((tmp_path / "out.json").read_text())["report"]["codebook"])
+    assert entries - N * net <= 0.05 * N * net

@@ -2,15 +2,20 @@
 n x n distance matrix, and none holds even most of one.  The Monte Carlo
 oracle streams its test points' distances in the same blocks."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from metricmass import oracles, samples
+from metricmass.applications import ProximityClassifier, false_alarm_certificate
 from metricmass.cli import main
 from metricmass.distributions import LowdimEmbeddingSpec, draw_sample
 from metricmass.samples import Sample, make_sample
+from metricmass.spaces import MetricSpace
 from metricmass.wasserstein import default_r_grid
+
+from helpers import index_spy
 
 N = 3000
 
@@ -100,3 +105,29 @@ def test_monte_carlo_oracle_holds_one_block_at_a_time(k):
     # The k nearest distances of every test point.
     result = n_test * k * 8
     assert peak < 2 * block + draw_chunk + result
+
+
+def test_certificate_on_the_index_holds_no_more_than_the_summary_pass():
+    # gamma above the diameter puts every pair within gamma, so every point
+    # fills its candidate slots and the early points, whose candidates are
+    # all later ones, go to the kernel.  The candidates are taken rows at a
+    # time, so no buffer grows with the pairs within gamma, and the index
+    # path peaks no higher than the summary pass it replaces.
+    points = np.random.default_rng(0).normal(size=(20_000, 3))
+    gamma = 2 * float(np.linalg.norm(np.ptp(points, axis=0)))
+
+    def certificate_peak():
+        clf = ProximityClassifier(make_sample(points), gamma)
+        tracemalloc.start()
+        try:
+            false_alarm_certificate(clf, 0.05)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with index_spy() as built:
+        indexed = certificate_peak()
+    assert built == [True]
+    with mock.patch.object(MetricSpace, "neighbour_index", lambda self, points, r: None):
+        dense = certificate_peak()
+    assert indexed <= dense

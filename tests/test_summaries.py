@@ -2,6 +2,7 @@
 cached nearest and earlier-nearest distances, the estimators read from
 them, the diameter, the radius grid, farthest-first nets and net checks)
 against dense references read from the whole matrix."""
+import math
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
@@ -15,6 +16,7 @@ from metricmass.samples import (
     Sample,
     farthest_first_net,
     farthest_first_traversal,
+    is_r_separated,
     make_sample,
     net_prefix,
     prefix_net_errors,
@@ -27,10 +29,14 @@ from helpers import (
     dense_escape_indicators,
     dense_farthest_first_net,
     dense_good_turing,
+    dense_nearest,
     dense_summaries,
     dense_verify_net,
+    dense_within,
+    index_spy,
     pool_threads,
     triu_r_grid,
+    vector_sample,
 )
 
 KINDS = ("euclidean", "lp", "discrete", "precomputed", "scaled_indicator")
@@ -339,6 +345,93 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
     assert not any(matrix_built(s) for s in (plain, counted, ranked))
 
 
+# Vector samples the neighbour index answers on, and their norms (None is
+# euclidean).
+SHAPES = st.sampled_from(["lattice", "duplicated", "normal"])
+NORMS = st.sampled_from([None, 1.0, 1.5, 2.0, math.inf])
+# Candidates per point: one or two slots fill with a point itself and its
+# duplicates, so most rows go to the kernel.
+NEIGHBOURS = st.sampled_from([1, 2, samples.NEIGHBOURS])
+
+
+@given(SHAPES, NORMS, st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 7, 64]), NEIGHBOURS, THREADS)
+@settings(max_examples=150)
+def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, threads):
+    # A block of 64 entries keeps samples and nets of up to 8 points on the
+    # summary pass; past it they take the index.  Radii at d == r and
+    # d == 2r put candidates between the index's two radii, whose rows the
+    # kernel decides.
+    rng = np.random.default_rng(seed)
+    dense = vector_sample(shape, p, n, rng)
+    queries = np.concatenate([vector_sample(shape, p, 10, rng).points,
+                              vector_sample("lattice", p, 10, rng).points / 2])
+    query_nearest = dense_nearest(dense, queries, 1)[:, 0]
+    d = dense.distance_matrix()
+    radii = radii_on_ties(dense, rng)
+    # And radii one double below a distance, which the index's candidates
+    # reach but the kernel's d <= r does not.
+    radii += [float(np.nextafter(r, 0)) for r in radii[3:] if r > 0]
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
+            mock.patch.object(samples, "NEIGHBOURS", k), pool_threads(threads), \
+            index_spy() as built:
+        for r in radii:
+            sample = Sample(dense.points, dense.space)
+            for got, expected in zip(sample.within(r), dense_within(dense, r)):
+                assert np.array_equal(got, expected)
+            assert np.array_equal(sample.covers(queries, r), query_nearest <= r)
+            picks = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            apart = d[np.ix_(picks, picks)][np.triu_indices(len(picks), k=1)] > r
+            assert is_r_separated(sample, picks, r) == bool(apart.all())
+            net = dense_farthest_first_net(dense, r)
+            for candidate in [net] + corrupted_nets(net, n, rng):
+                assert (net_verdict(verify_net, sample, candidate, r)
+                        == net_verdict(dense_verify_net, dense, candidate, r))
+            assert not matrix_built(sample)
+    if n * n > block and d.max() > 0:
+        assert any(built)
+
+
+@pytest.mark.parametrize("p", [None, 1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_extreme_coordinates_keep_the_dense_results(p, scale):
+    # The k-d tree sums powers of coordinate differences.  Where the
+    # coordinates' extent or r raised to p would leave [2^-900, 2^900], it
+    # is not built, so the summary pass answers and raises as it does
+    # without an index; the 2-norm of these points always leaves it.
+    rng = np.random.default_rng(0)
+    dense = vector_sample("lattice", p, 30, rng)
+    radii = [0.5, 1.0] + [scale * r for r in radii_on_ties(dense, rng) if r > 0]
+    points = dense.points * scale
+    queries = rng.integers(-2, 3, size=(10, 2)) * scale / 2
+
+    def answers(block):
+        with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+            got = []
+            for r in radii:
+                sample = Sample(points, dense.space)
+                try:
+                    got.append((*sample.within(r), sample.covers(queries, r),
+                                net_verdict(verify_net, sample, list(range(0, 30, 4)), r)))
+                except ValueError as exc:
+                    got.append(str(exc))
+            return got
+
+    with index_spy() as built:
+        fast = answers(64)
+    slow = answers(30 * 30)
+    assert len(fast) == len(slow)
+    for got, expected in zip(fast, slow):
+        assert type(got) is type(expected)
+        if isinstance(got, str):
+            assert got == expected == "pairwise distances must be finite"
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got[:3], expected[:3]))
+            assert got[3] == expected[3]
+    if p == 2.0 or p is None:
+        assert built and not any(built)
+
+
 @pytest.mark.parametrize("bad", ["nan", "overflow"])
 @pytest.mark.parametrize("ranked", [False, True])
 @pytest.mark.parametrize("spare", [0, 1])
@@ -359,6 +452,27 @@ def test_non_finite_distances_raise_on_both_paths(bad, ranked, spare):
             sample.pair_rank_selector(GRID_FRACTIONS)
         else:
             sample.nearest_distances()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_midpoint_cuts_end_within_one_pass_per_distinct_distance(dim):
+    # A one-point pilot has no distances to guide the cuts, and a budget of
+    # the four ranks asked keeps no bracket whole, so every bracket is cut
+    # at its bit-pattern midpoint.  Each piece shrinks to its smallest and
+    # largest distance, so a cut always falls between two distinct values
+    # of the bracket: a rank's bracket loses a distinct value per pass.
+    rng = np.random.default_rng(0)
+    dense = make_sample(rng.integers(0, 4 if dim == 2 else 50, size=(300, dim)).astype(float))
+    upper = dense.distance_matrix()[np.triu_indices(300, k=1)]
+    positive = np.sort(upper[upper > 0])
+    ranks = [0, positive.size // 3, positive.size // 2, positive.size - 1]
+    sample = Sample(dense.points, dense.space)
+    with mock.patch.object(samples, "PILOT_POINTS", 1), \
+            mock.patch.object(samples, "KEPT_DISTANCES_SHARE", 0.0), \
+            mock.patch.object(Sample, "_summarize", autospec=True,
+                              side_effect=Sample._summarize) as passes:
+        assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
+    assert full_passes(passes, sample) <= 1 + np.unique(positive).size
 
 
 def test_pair_order_statistics_reject_ranks_out_of_range():
