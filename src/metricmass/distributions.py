@@ -91,6 +91,16 @@ class DiscreteSpec(_ListedAtomsMixin):
 
     def __post_init__(self):
         self._list_atoms("symbols", tuple(self.symbols))
+        # Two atoms of one symbol would be one point at distance 0 to the
+        # kernel but two atoms apart to the finite oracle.
+        points = self.atom_points()
+        codes = discrete().symbol_codes(points)
+        if codes is None:  # symbols numpy does not sort: the kernel's verdicts
+            codes = discrete().kernel(points, points).argmin(axis=1)
+        repeated = np.bincount(codes)[codes] > 1
+        if repeated.any():
+            raise ValueError(f"symbol {self.symbols[int(repeated.argmax())]!r} "
+                             "is listed more than once")
 
     kind = "discrete"
 
@@ -290,7 +300,9 @@ class ScaledIndicatorSpec:
         cdf = np.zeros(x.shape)
         # NaN is not below zero, and stays NaN, as 1 - exp(NaN).
         inside = ~(x < 0)
-        exponents = (-self.rate * x[inside]).tolist()
+        # -rate * x overflows to -inf only where exp gives 0 anyway.
+        with np.errstate(over="ignore"):
+            exponents = (-self.rate * x[inside]).tolist()
         cdf[inside] = 1.0 - np.fromiter(map(math.exp, exponents), float, len(exponents))
         return cdf
 

@@ -10,7 +10,10 @@ picks a spec's branch, from what the spec provides:
 
 * ``finite``, a spec with atoms: exact summation over the atoms, using the
   sampled atom indices when the sample carries them (fast path) or explicit
-  cross distances otherwise;
+  cross distances otherwise.  On the discrete metric the indices alone
+  count each atom's covering balls, in O(n + atoms): an r-ball is its
+  centre alone for r < 1 and the whole space for r >= 1, and no two atoms
+  of a ``DiscreteSpec`` share a symbol;
 * ``interval``, a spec with a ``cdf`` on a line space: balls are coordinate
   intervals (:meth:`~metricmass.spaces.MetricSpace.ball_halfwidth`), so
   masses reduce to exact sweeps over merged intervals;
@@ -39,7 +42,7 @@ import numpy as np
 from .distributions import draw_sample
 from .samples import Sample
 from .serialize import Record
-from .spaces import euclidean
+from .spaces import discrete, euclidean
 
 ANALYTIC = "analytic"
 FINITE = "finite"
@@ -90,13 +93,16 @@ def oracle_branch(spec) -> str:
 def _finite_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
     """(mass covered by no sample ball, mass covered by exactly one)."""
     weights = spec.atom_weights()
-    # Sample points by atoms: the atom distance matrices are exactly
-    # symmetric, so gathering rows reads the same values as columns would.
-    if sample.atom_indices is not None:
-        dist = spec.atom_distance_matrix()[sample.atom_indices]
+    atoms = sample.atom_indices
+    if atoms is not None and spec.space() == discrete():
+        counts = (np.bincount(atoms, minlength=len(weights)) if r < 1
+                  else np.full(len(weights), sample.n))
     else:
-        dist = spec.space().cross_distances(sample.points, spec.atom_points())
-    counts = (dist <= r).sum(axis=0)
+        # Sample points by atoms: the atom distance matrices are exactly
+        # symmetric, so gathering rows reads the same values as columns would.
+        dist = (spec.atom_distance_matrix()[atoms] if atoms is not None
+                else spec.space().cross_distances(sample.points, spec.atom_points()))
+        counts = (dist <= r).sum(axis=0)
     return float(weights[counts == 0].sum()), float(weights[counts == 1].sum())
 
 

@@ -62,9 +62,15 @@ sample runs the summary pass, or :meth:`Sample.nearest_to` for queries.
 A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
 such as a simulation replicate, skips the streaming: each pass over it is
 one kernel call on the calling thread, with the lower triangle masked once
-by a cached mask.  The kernel reads the space's cheapest exact input
-(:meth:`~metricmass.spaces.MetricSpace.kernel_points`), integer codes in
-place of discrete symbols.
+by a cached mask.
+
+The discrete metric takes no pass at all: its distances are 0 between two
+draws of one symbol and 1 otherwise, so symbol counts answer it in
+O(n log n).  A discrete sample holds integer codes of its symbols, from one
+sort (:meth:`~metricmass.spaces.MetricSpace.symbol_codes`), which fill its
+summaries and its count of zero pairs, and every positive order statistic
+is 1.  Symbols numpy does not sort (object arrays) have no codes, and take
+the passes.
 
 Every larger pass runs through :func:`stream_blocks`, and only this module
 cuts passes into blocks: the upper-triangle passes, the net checks, the
@@ -369,6 +375,14 @@ def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
                   int(stops[-1]) if len(stops) else 0, fold)
 
 
+def _checked_ranks(ranks, count: int) -> np.ndarray:
+    """The ranks as an int64 array, each checked to lie in [0, count)."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size and not 0 <= ranks.min() <= ranks.max() < count:
+        raise IndexError("rank out of range of the positive pair distances")
+    return ranks
+
+
 class Sample:
     """An ordered iid sample of points from one space.
 
@@ -376,13 +390,18 @@ class Sample:
     request, and the summaries, filled on first use.
     ``atom_indices`` carries optional provenance for samples generated from a
     finite-support distribution (indices into its atom list), which the
-    oracles use for fast exact computations.
+    oracles use for fast exact computations.  ``symbol_codes`` holds the
+    space's integer codes of the points on the discrete metric, equal for
+    two points exactly where their distance is 0
+    (:meth:`~metricmass.spaces.MetricSpace.symbol_codes`), and None for
+    every other space.
     """
 
     def __init__(self, points, space: MetricSpace, atom_indices=None):
         self.space = space
         self.points = space.as_points(points)
         self.atom_indices = None if atom_indices is None else np.asarray(atom_indices, dtype=int)
+        self.symbol_codes = space.symbol_codes(self.points)
         self._distances: np.ndarray | None = None
         self._nearest: np.ndarray | None = None
         self._earlier: np.ndarray | None = None
@@ -410,21 +429,21 @@ class Sample:
 
     def diameter(self) -> float:
         if self._diameter is None:
-            self._summarize()
+            self._summaries()
         return self._diameter
 
     def nearest_distances(self) -> np.ndarray:
         """Per point, the distance to its nearest other sample point (inf
         for a single point).  Read-only."""
         if self._nearest is None:
-            self._summarize()
+            self._summaries()
         return self._nearest
 
     def earlier_distances(self) -> np.ndarray:
         """Per point, the distance to its nearest strictly earlier sample
         point in sample order (inf for the first point).  Read-only."""
         if self._earlier is None:
-            self._summarize()
+            self._summaries()
         return self._earlier
 
     def nearest_to(self, queries, k: int = 1) -> np.ndarray:
@@ -539,23 +558,10 @@ class Sample:
                     stops=rows if earlier else None)
         return found
 
-    def distance_band(self, low: float, high: float) -> np.ndarray:
-        """The n x n boolean matrix of low < d(i, j) <= high, from streamed
-        row blocks of distances: no n x n distance matrix is held."""
-        band = np.empty((self.n, self.n), dtype=bool)
-        points = self.space.kernel_points(self.points)
-
-        def mark(rows, d):
-            # Each block writes its own rows of ``band``.
-            np.logical_and(d > low, d <= high, out=band[rows])
-
-        _cross_pass(self.space, points, points, mark)
-        return band
-
     def positive_pair_count(self) -> int:
         """The number of pairs i < j at a positive distance."""
         if self._zeros is None:
-            self._summarize()
+            self._summaries()
         return self.n * (self.n - 1) // 2 - self._zeros
 
     def pair_rank_selector(self, fractions):
@@ -574,7 +580,11 @@ class Sample:
         the next pass keeps or cuts (:func:`_plan`); the budget is
         ``KEPT_DISTANCES_SHARE`` * n * n distances, or as many as the ranks
         asked if that is more.  Each pass narrows every bracket a rank is
-        left in, so the passes end."""
+        left in, so the passes end.  On the discrete metric every positive
+        distance is 1, so ``select`` answers 1.0 with no pass."""
+        if self.symbol_codes is not None:
+            count = self.positive_pair_count()
+            return count, lambda ranks: np.ones(_checked_ranks(ranks, count).shape)
         n = self.n
         fractions = np.asarray(fractions, dtype=float)
         budget = int(n * n * KEPT_DISTANCES_SHARE)
@@ -618,9 +628,7 @@ class Sample:
         count_pass(ranges, capacity, spans)
 
         def select(ranks):
-            ranks = np.asarray(ranks, dtype=np.int64)
-            if ranks.size and not 0 <= ranks.min() <= ranks.max() < below[-1]:
-                raise IndexError("rank out of range of the positive pair distances")
+            ranks = _checked_ranks(ranks, below[-1])
             found = np.empty(ranks.shape)
             while True:
                 # The bracket [edges[i], edges[i + 1]) whose counts hold each rank.
@@ -736,8 +744,7 @@ class Sample:
         kernel call on the calling thread; a larger one streams through
         :func:`stream_blocks` in blocks of at most ``SUMMARY_BLOCK_ROWS``
         rows."""
-        n = self.n
-        points = self.space.kernel_points(self.points)
+        n, points = self.n, self.points
 
         def run(rows, buffers):
             block = _block_view(buffers[0], rows.stop - rows.start, n - rows.start)
@@ -751,6 +758,33 @@ class Sample:
             return
         stream_blocks(run, lambda budget: _row_blocks(n, min(SUMMARY_BLOCK_ROWS, budget // n)),
                       n * (n + 1) // 2, n, fold, dtypes)
+
+    def _summaries(self) -> None:
+        """Fill the nearest and earlier distances, the diameter and the
+        number of zero distances d(i, j), i < j: from the symbol codes on
+        the discrete metric, in O(n log n), else by the summary pass
+        (:meth:`_summarize`).
+
+        A discrete distance is 0 between two draws of one symbol and 1
+        otherwise, so a point's earlier distance is 0 after its symbol's
+        first draw and 1 at it, and its nearest distance 0 for a symbol
+        drawn twice or more and 1 for one drawn once; inf stays where no
+        other point is, as on the summary pass."""
+        codes = self.symbol_codes
+        if codes is None:
+            self._summarize()
+            return
+        n = self.n
+        counts = np.bincount(codes)
+        earlier = np.zeros(n)
+        earlier[np.unique(codes, return_index=True)[1]] = 1.0
+        earlier[:1] = np.inf
+        nearest = np.where(counts[codes] > 1, 0.0, 1.0 if n > 1 else np.inf)
+        nearest.flags.writeable = False
+        earlier.flags.writeable = False
+        self._nearest, self._earlier = nearest, earlier
+        self._diameter = 1.0 if len(counts) > 1 else 0.0
+        self._zeros = int((counts * (counts - 1) // 2).sum())
 
     def _summarize(self, ranges=(), capacity: int = 0, spans=()):
         """Fill the nearest and earlier distances, the diameter and the

@@ -8,8 +8,9 @@ certifies concentration of the estimators regardless of the ambient
 dimension.
 
 Both h and its clique relaxation come from one branch-and-bound search
-over one graph, with an edge where r < d(x_i, x_j) <= 2r.  Every locally
-separated subset is a clique of it; the 2r half relies on the triangle
+over one graph, with an edge where r < d(x_i, x_j) <= 2r; the discrete
+metric's clique relaxation is read from symbol counts instead.  Every
+locally separated subset is a clique of it; the 2r half relies on the triangle
 inequality and is sound for every built-in space kind (precomputed
 matrices are assumed to be metrics for this purpose).  The window is
 closed at 2r: a pair's enclosing ball has radius d/2, and halving is
@@ -148,14 +149,21 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
     consequence makes this an upper bound for h; the converse can fail, so
     the certificate is one-sided.  A search that runs out of budget reports
     an upper bound that may exceed its witness, the largest clique it found.
+
+    On the discrete metric the answer is closed, read from the sample's
+    symbol codes: the window holds the distance 1 exactly when
+    1/2 <= r < 1, and then joins every two draws of distinct symbols, so
+    the largest clique takes one draw of each, the last one, as the search
+    would.  Otherwise the graph has no edge, and the clique is the first
+    point.
     """
     check_sample(sample, r)
-    if sample.space.packing_cap == 1:
-        # h_exact settles h from the cap, so nothing needs the matrix.
-        adj = sample.distance_band(r, 2.0 * r)
-        np.fill_diagonal(adj, False)
-    else:
-        _, adj = _separation_graph(sample, r)
+    codes = sample.symbol_codes
+    if codes is not None:
+        last = sample.n - 1 - np.unique(codes[::-1], return_index=True)[1]
+        witness = tuple(sorted(last.tolist())) if 0.5 <= r < 1 and last.size > 1 else (0,)
+        return SeparationReport(len(witness), UPPER_BOUND, CLIQUE_RELAXATION, witness=witness)
+    _, adj = _separation_graph(sample, r)
     clique, open_bound = _largest_clique(adj, lambda subset: True, sample.n)
     value = len(clique) if open_bound is None else open_bound
     return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)

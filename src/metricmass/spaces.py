@@ -21,7 +21,7 @@ read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
 are the same float, so a pass over the upper triangle reads every distance.
 
 Every decision that depends on the kind is made here: the points, the
-kernel and its cheapest input, the neighbour index, ``scaled``,
+kernel, the discrete symbol codes, the neighbour index, ``scaled``,
 ``ball_halfwidth`` on a line, ``packing_cap``, ``meb_locality``,
 ``known_metric``, and the dict and ``kind[:a,b]`` forms of the kinds that
 persist, read from one :data:`GRAMMAR` table.  Other modules compare spaces
@@ -141,14 +141,22 @@ class MetricSpace:
             return out
         raise ValueError(f"unknown space kind {self.kind!r}")
 
-    def kernel_points(self, points: np.ndarray) -> np.ndarray:
-        """The cheapest input on which :meth:`kernel` gives the same
-        distances as on the canonical ``points``: integer codes for discrete
-        string symbols, equal exactly where the symbols are, and the points
-        themselves for every other kind."""
-        if self.kind == DISCRETE and points.dtype.kind in "US":
-            return np.unique(points, return_inverse=True)[1]
-        return points
+    def symbol_codes(self, points: np.ndarray) -> np.ndarray | None:
+        """Integer codes of the canonical discrete ``points``, equal for
+        points i != j exactly where :meth:`kernel` gives 0, from one sort
+        and a compare of neighbours: each NaN symbol, unequal to every
+        symbol as ``np.not_equal`` has it, takes a code of its own.  None for
+        every other kind, and for symbols numpy does not sort (object and
+        structured arrays)."""
+        if self.kind != DISCRETE or points.dtype.kind in "OV":
+            return None
+        order = np.argsort(points)
+        ordered = points[order]
+        fresh = np.ones(len(points), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+        codes = np.empty(len(points), dtype=np.intp)
+        codes[order] = np.cumsum(fresh) - 1
+        return codes
 
     def neighbour_index(self, points: np.ndarray, r: float):
         """The ``query`` of a k-d tree over the canonical ``points`` under

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metricmass.cli import main
 from metricmass.distributions import (
     BasisUniformSpec,
     DiscreteSpec,
@@ -34,6 +35,28 @@ def test_weights_must_sum_to_one():
         DiscreteSpec(("a", "b"), (0.5, 0.6))
     with pytest.raises(ValueError):
         DiscreteSpec(("a", "b"), (1.5, -0.5))
+
+
+def test_discrete_spec_rejects_repeated_symbols(tmp_path, capsys):
+    # Two atoms of one symbol are one point to the kernel, at distance 0,
+    # but two points at distance 1 to the finite oracle: with both draws of
+    # atom 0 of ("a", "a"), it reported a missing mass of 0.5, not 0.
+    with pytest.raises(ValueError, match="symbol 'a' is listed more than once"):
+        DiscreteSpec(("a", "a"), (0.5, 0.5))
+    with pytest.raises(ValueError, match="symbol 'b' is listed more than once"):
+        DiscreteSpec(("a", "b", "c", "b"), (0.25, 0.25, 0.25, 0.25))
+    # Symbols the kernel finds equal, though Python does not.
+    with pytest.raises(ValueError, match="symbol 1 is listed more than once"):
+        DiscreteSpec((1, 1.0), (0.5, 0.5))
+    # Symbols numpy does not sort are compared by the kernel itself.
+    with pytest.raises(ValueError, match="symbol 'a' is listed more than once"):
+        DiscreteSpec(("a", None, "a"), (0.5, 0.25, 0.25))
+    # NaN symbols are unequal to each other, as the kernel has them.
+    assert DiscreteSpec((math.nan, math.nan), (0.5, 0.5)).atom_count() == 2
+    payload = '{"kind": "discrete", "symbols": ["a", "a"], "weights": [0.5, 0.5]}'
+    assert main(["simulate", "--distribution", payload, "--n", "5",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert "symbol 'a' is listed more than once" in capsys.readouterr().err
 
 
 def test_determinism_under_seed():
@@ -147,6 +170,7 @@ CDF_INPUTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                                         800.0, -800.0, 1e308, -1e308]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.lists(CDF_INPUTS, max_size=40), st.floats(1e-3, 1e3), st.booleans())
 @settings(max_examples=200)
 def test_scaled_indicator_cdf_matches_the_elementwise_rule(xs, rate, scalar):

@@ -1,7 +1,8 @@
 """Kernel work of the sample-only commands, counted in distance entries.
 One pass over the upper triangle, about n^2 / 2 entries, serves the radius
 grid, the diameter and the estimators' summaries; the certificates at one
-radius ask the neighbour index instead."""
+radius ask the neighbour index instead, and the discrete metric takes none,
+its symbol counts answering it."""
 import json
 
 import numpy as np
@@ -14,8 +15,8 @@ from metricmass.spaces import MetricSpace
 N = 3000
 
 
-def kernel_entries(argv, monkeypatch) -> int:
-    """Distance entries every kernel call of one CLI run computed."""
+def kernel_calls(argv, monkeypatch) -> list[int]:
+    """Distance entries of each kernel call one CLI run made."""
     kernel = MetricSpace.kernel
     # One entry per call: calls come from every thread of a pass, and an
     # append, unlike a += on a shared count, loses none of them.
@@ -28,7 +29,11 @@ def kernel_entries(argv, monkeypatch) -> int:
 
     monkeypatch.setattr(MetricSpace, "kernel", counting)
     assert main(argv) == 0
-    return sum(sizes)
+    return sizes
+
+
+def kernel_entries(argv, monkeypatch) -> int:
+    return sum(kernel_calls(argv, monkeypatch))
 
 
 @pytest.fixture
@@ -75,3 +80,21 @@ def test_code_net_check_kernel_work(train, tmp_path, monkeypatch):
                               "--out", str(out)], monkeypatch)
     net = len(json.loads((tmp_path / "out.json").read_text())["report"]["codebook"])
     assert entries - N * net <= 0.05 * N * net
+
+
+def test_discrete_commands_make_no_kernel_call(tmp_path, monkeypatch):
+    # A campaign with h and the exact oracle, and an estimate whose clique
+    # relaxation has one draw of each of 300 symbols: every answer comes
+    # from symbol counts and atom indices.
+    spec = json.dumps({"kind": "discrete", "symbols": [f"s{i}" for i in range(500)],
+                       "weights": [1 / 500] * 500})
+    assert kernel_calls(["simulate", "--distribution", spec, "--n", "100", "--r", "0.5",
+                         "--replicates", "20", "--compute-h", "--m-list", "50",
+                         "--out", str(tmp_path / "sim")], monkeypatch) == []
+    symbols = tmp_path / "symbols.csv"
+    draws = np.random.default_rng(0).integers(0, 300, size=N)
+    symbols.write_text("".join(f"s{v}\n" for v in draws))
+    assert kernel_calls(["estimate", "--input", str(symbols), "--r", "0.5",
+                         "--out", str(tmp_path / "est")], monkeypatch) == []
+    report = json.loads((tmp_path / "est.json").read_text())
+    assert report["h_clique"]["value"] == len(set(draws.tolist()))

@@ -106,6 +106,28 @@ def test_finite_fast_path_matches_cross_distances():
         assert a == pytest.approx(brute)
 
 
+@given(st.integers(1, 12), st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60)
+def test_discrete_cover_counts_match_the_matrix_path(k, n, strings, seed):
+    # The finite oracle counts each symbol's covering balls from the drawn
+    # atom indices, reading no atom distance; the gather of the atom
+    # distance matrix and the cross distances give the same masses bit for
+    # bit.
+    rng = np.random.default_rng(seed)
+    symbols = tuple(f"s{i}" for i in range(k)) if strings else tuple(range(-3, k - 3))
+    spec = DiscreteSpec(symbols, tuple(rng.dirichlet(np.ones(k))))
+    drawn = draw_sample(spec, n, seed)
+    plain = Sample(drawn.points, drawn.space)
+    weights = spec.atom_weights()
+    for r in [0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, 1.5]:
+        counts = (spec.atom_distance_matrix()[drawn.atom_indices] <= r).sum(axis=0)
+        matrix = (float(weights[counts == 0].sum()), float(weights[counts == 1].sum()))
+        with mock.patch.object(DiscreteSpec, "atom_distance_matrix",
+                               side_effect=AssertionError("matrix read")):
+            assert oracles._finite_coverage(spec, drawn, r) == matrix
+        assert oracles._finite_coverage(spec, plain, r) == matrix
+
+
 def test_interval_branch_matches_brute_force():
     spec = UniformIntervalSpec(0.0, 1.0)
     rng = np.random.default_rng(0)

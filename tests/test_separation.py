@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metricmass import samples, separation
+from metricmass import separation
 from metricmass.distributions import ScaledIndicatorSpec, draw_sample
 from metricmass.meb import meb_radius
 from metricmass.samples import Sample, make_sample
@@ -39,24 +39,23 @@ def test_discrete_always_one():
             assert rep.value == 1 and rep.certified == "exact"
 
 
-@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
-def test_discrete_clique_graph_streams_its_rows(r):
-    # The clique relaxation of a discrete sample reads its graph from row
-    # blocks of distances, never the n x n matrix, and reports what the
-    # dense graph gives: for 1/2 <= r < 1 a clique with one draw of each
-    # symbol, and no edge otherwise.
-    symbols = np.random.default_rng(0).choice([f"s{i}" for i in range(60)], size=700)
+@pytest.mark.parametrize("r", [0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, 1.5])
+@given(draws=st.lists(st.integers(0, 7), min_size=1, max_size=40), strings=st.booleans())
+@settings(max_examples=40)
+def test_discrete_clique_is_read_from_symbol_codes(r, draws, strings):
+    # The clique relaxation of a discrete sample computes no distance, and
+    # reports what the search gives on the dense graph: for 1/2 <= r < 1 the
+    # last draw of each symbol, and with no edge otherwise the first point.
+    symbols = np.array([f"s{v}" for v in draws]) if strings else np.array(draws)
     s = make_sample(symbols, discrete())
-    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", 7000):
-        streamed = h_clique_relaxed(s, r)
-    assert s._distances is None
+    with mock.patch.object(MetricSpace, "kernel", side_effect=AssertionError("kernel called")):
+        closed = h_clique_relaxed(s, r)
     _, adj = separation._separation_graph(s, r)
     clique, open_bound = separation._largest_clique(adj, lambda subset: True, s.n)
-    dense = separation.SeparationReport(len(clique) if open_bound is None else open_bound,
-                                        separation.UPPER_BOUND,
-                                        separation.CLIQUE_RELAXATION, witness=clique)
-    assert streamed == dense
-    assert streamed.value == (len(set(symbols)) if 0.5 <= r < 1 else 1)
+    assert open_bound is None
+    assert closed == separation.SeparationReport(len(clique), separation.UPPER_BOUND,
+                                                 separation.CLIQUE_RELAXATION, witness=clique)
+    assert closed.value == (len(set(draws)) if 0.5 <= r < 1 else 1)
 
 
 def test_single_point():

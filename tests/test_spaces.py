@@ -115,25 +115,33 @@ def test_symmetry_and_self_distance(xs, ys):
 SYMBOLS = st.lists(st.text(alphabet="ab\u00e9 ", max_size=3), min_size=0, max_size=30)
 
 
+# Floats with NaN, which is unequal to every symbol, itself included, and
+# both zeros, which are equal.
+FLOAT_SYMBOLS = st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, np.nan, np.inf]), max_size=30)
+
+
 @given(st.one_of(SYMBOLS.map(np.array),
                  SYMBOLS.map(lambda v: np.array([x.encode() for x in v], dtype=bytes)),
-                 st.lists(st.integers(-3, 3), max_size=30).map(np.array)))
-def test_discrete_kernel_points_give_the_symbol_kernel(symbols):
+                 st.lists(st.integers(-3, 3), max_size=30).map(np.array),
+                 FLOAT_SYMBOLS.map(np.array)))
+def test_discrete_symbol_codes_give_the_symbol_kernel(symbols):
+    # Off the diagonal, which a NaN symbol leaves at 1, two codes are equal
+    # exactly where the kernel gives 0.
     space = discrete()
     points = space.as_points(symbols)
-    codes = space.kernel_points(points)
-    if points.dtype.kind in "US":
-        assert codes.dtype.kind == "i"
-    else:
-        assert codes is points
-    assert np.array_equal(space.kernel(codes, codes), space.kernel(points, points))
+    codes = space.symbol_codes(points)
+    assert codes.dtype.kind == "i" and codes.shape == points.shape
+    off = ~np.eye(len(points), dtype=bool)
+    assert np.array_equal(space.kernel(codes, codes)[off], space.kernel(points, points)[off])
 
 
 @pytest.mark.parametrize("space", [euclidean(2), lp(2, 1.0), scaled_indicator(2.0),
                                    precomputed([[0.0, 1.0], [1.0, 0.0]])])
-def test_kernel_points_are_the_points_off_discrete(space):
+def test_symbol_codes_are_none_off_discrete(space):
     points = space.as_points([[0.0, 1.0], [1.0, 1.0]] if space.dim == 2 else [0, 1])
-    assert space.kernel_points(points) is points
+    assert space.symbol_codes(points) is None
+    # Nor are there codes for discrete symbols numpy does not sort.
+    assert discrete().symbol_codes(np.array(["a", None, 1], dtype=object)) is None
 
 
 @given(st.floats(0, 10), st.floats(0, 10), st.floats(0.01, 5), st.floats(1.1, 4))

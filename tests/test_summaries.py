@@ -42,6 +42,17 @@ from helpers import (
 KINDS = ("euclidean", "lp", "discrete", "precomputed", "scaled_indicator")
 
 
+def symbol_pool(kind, size):
+    """Discrete symbols: ``size`` strings or integers, or NaN, -0.0, 0.0
+    and ``size`` more floats.  NaN is no symbol's equal, its own included,
+    and -0.0 equals 0.0."""
+    if kind == "str":
+        return np.array([f"s{i}" for i in range(size)])
+    if kind == "int":
+        return np.arange(size) - 1
+    return np.array([np.nan, -0.0, 0.0] + [i + 0.5 for i in range(size)])
+
+
 def near_symmetric(rng, size):
     """Symmetric small-integer matrix with a zero diagonal, plus 1e-12 on
     random upper-triangle entries: allclose to its transpose, not equal."""
@@ -59,7 +70,10 @@ def tie_prone_sample(kind, n, rng):
     if kind == "lp":
         return Sample(rng.integers(-2, 3, size=(n, 3)).astype(float), lp(3, 1.0))
     if kind == "discrete":
-        return Sample(rng.choice(list("abcd"), size=n), discrete())
+        # No NaN symbol: it is at distance 1 from itself, so a farthest-first
+        # traversal at r < 1 would never cover it.
+        pool = symbol_pool(("str", "int")[int(rng.integers(2))], 4)
+        return Sample(rng.choice(pool, size=n), discrete())
     if kind == "precomputed":
         size = int(rng.integers(1, 8))
         return Sample(rng.integers(0, size, size=n), precomputed(near_symmetric(rng, size)))
@@ -253,7 +267,9 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
             mock.patch.object(Sample, "_summarize", autospec=True,
                               side_effect=Sample._summarize) as passes:
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
-        if n > pilot and positive.size and outcome in OUTCOME_PASSES:
+        if kind == "discrete":  # symbol counts answer it
+            assert not passes.called
+        elif n > pilot and positive.size and outcome in OUTCOME_PASSES:
             assert full_passes(passes, sample) == OUTCOME_PASSES[outcome]
         passes.reset_mock()
         assert_matches_dense(sample, radii, dense)
@@ -337,12 +353,50 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
         assert np.array_equal(ranked.pair_order_statistics(np.arange(positive.size)), positive)
         assert ranked.positive_pair_count() == positive.size
     one_block = n * n <= budget
-    assert streams.called == (not one_block and n > 0)
+    # Symbol counts answer a discrete sample with no pass.
+    passes = n > 0 and kind != "discrete"
+    assert streams.called == (not one_block and passes)
     if one_block:
         # The plain summary and two windowed ones, each of which keeps every
         # positive distance of a sample this small.
-        assert kernel.call_count == 3 * (n > 0)
+        assert kernel.call_count == 3 * passes
     assert not any(matrix_built(s) for s in (plain, counted, ranked))
+
+
+@given(st.sampled_from(["str", "int", "float"]),
+       st.one_of(st.integers(1, 40), st.integers(samples.PILOT_POINTS + 1,
+                                                 samples.PILOT_POINTS + 64)),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_discrete_summaries_match_dense_kernel(symbols, n, seed):
+    # Symbol counts give the summaries, the count of positive pairs and
+    # their order statistics as the dense kernel has them, past the pilot's
+    # size too, with no distance computed.  Pools of up to n + 1 symbols
+    # leave some drawn once.
+    rng = np.random.default_rng(seed)
+    points = rng.choice(symbol_pool(symbols, int(rng.integers(1, n + 2))), size=n)
+    dense = Sample(points, discrete())
+    nearest, earlier = dense_summaries(dense)
+    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    positive = np.sort(upper[upper > 0])
+    ranks = rng.integers(positive.size, size=4) if positive.size else np.arange(0)
+    sample = Sample(points, discrete())
+    with mock.patch.object(MetricSpace, "kernel", side_effect=AssertionError("kernel called")):
+        assert np.array_equal(sample.nearest_distances(), nearest)
+        assert np.array_equal(sample.earlier_distances(), earlier)
+        assert sample.diameter() == float(upper.max(initial=0.0))
+        assert sample.positive_pair_count() == positive.size
+        count, select = sample.pair_rank_selector(GRID_FRACTIONS)
+        assert count == positive.size
+        assert np.array_equal(select(np.arange(count)), positive)
+        assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
+        with pytest.raises(IndexError):
+            select([count])
+        assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+        for r in (0.0, 0.5, 1.0):
+            assert good_turing(sample, r) == dense_good_turing(dense, r)
+            assert np.array_equal(escape_indicators(sample, r),
+                                  dense_escape_indicators(dense, r))
 
 
 # Vector samples the neighbour index answers on, and their norms (None is
