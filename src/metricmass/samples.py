@@ -54,10 +54,12 @@ for each point's ``NEIGHBOURS`` nearest candidates within
 r (1 + ``NEIGHBOUR_SLACK``), rows of points at a time, so the memory is
 O(n * NEIGHBOURS).  A candidate within r (1 - ``NEIGHBOUR_SLACK``)
 answers yes and no candidate answers no; a point with a candidate between
-the two radii, or with every slot filled, is decided by the kernel over its
-row, or its earlier points only.  Every d <= r decision is thus the
-kernel's, and no result depends on whether the index was used.  Any other
-sample runs the summary pass, or :meth:`Sample.nearest_to` for queries.
+the two radii, or with every slot filled, is decided by the kernel: over
+its earlier points, or by its second-nearest sample point
+(:meth:`Sample.nearest_to`), its nearest being itself at exactly 0.  Every
+d <= r decision is thus the kernel's, and no result depends on whether the
+index was used.  Any other sample runs the summary pass, or
+:meth:`Sample.nearest_to` for queries.
 
 A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
 such as a simulation replicate, skips the streaming: each pass over it is
@@ -75,7 +77,9 @@ the passes.
 Every larger pass runs through :func:`stream_blocks`, and only this module
 cuts passes into blocks: the upper-triangle passes, the net checks, the
 rows a neighbour index leaves to the kernel, and :meth:`Sample.nearest_to`,
-which serves the classifier and the Monte Carlo oracle.  A pass of at least
+which serves the classifier and the Monte Carlo oracle.  A pass from
+queries to the sample's points puts ``SUMMARY_BLOCK_ELEMENTS`` // (its
+widest row) queries in a block, one at least.  A pass of at least
 ``THREADED_MIN_BLOCKS`` blocks' worth of entries, in a process that may run
 on T > 1 cores and is not a worker process, spreads its blocks over the
 calling thread and T - 1 threads of a process-wide pool;
@@ -86,6 +90,9 @@ minimum, a maximum, an integer sum, a write of the block's own rows or an
 append before a final sort, so every result is the same for any number of
 cores.  A neighbour index answers each point on its own, on T threads of
 its own.
+
+A farthest-first traversal covers each pick with itself, whatever the
+kernel puts on its own entry (1 for a discrete NaN symbol), so it ends.
 """
 from __future__ import annotations
 
@@ -338,24 +345,6 @@ def stream_blocks(work, blocks, entries: int, width: int, fold=None,
         raise errors[0]
 
 
-def _stop_blocks(stops: np.ndarray, budget: int):
-    """Slices cutting rows whose ``stops`` never decrease into blocks of at
-    most ``budget`` entries, a block's rows times its last row's stop, or
-    of one row."""
-    start = 0
-    while start < len(stops):
-        # No block starting here holds more rows than this.
-        most = budget // max(int(stops[start]), 1)
-        if stops[start] == stops[-1]:  # every row left has this stop
-            rows = min(most, len(stops) - start)
-        else:
-            ahead = stops[start:start + most + 1]
-            rows = int(np.count_nonzero(np.arange(1, len(ahead) + 1) * ahead <= budget))
-        rows = max(1, rows)
-        yield slice(start, start + rows)
-        start += rows
-
-
 def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
                 work, fold=None, stops=None) -> None:
     """``work(rows, block)`` for each row block of the distances from
@@ -363,16 +352,18 @@ def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
     ``rows``, through :func:`stream_blocks` with ``fold``.  With ``stops``,
     which never decrease, query q needs only the points before stops[q],
     and a block holds its queries' distances to the points before its last
-    query's stop."""
+    query's stop.  A block has at most budget // (the widest stop) rows, so
+    it holds at most the budget, or one row."""
     if stops is None:
         stops = np.full(len(queries), len(points))
+    widest = int(stops[-1]) if len(stops) else 0
 
     def run(rows, buffers):
         block = _block_view(buffers[0], rows.stop - rows.start, stops[rows.stop - 1])
         return work(rows, space.kernel(queries[rows], points[:block.shape[1]], out=block))
 
-    stream_blocks(run, lambda budget: _stop_blocks(stops, budget), int(stops.sum()),
-                  int(stops[-1]) if len(stops) else 0, fold)
+    stream_blocks(run, lambda budget: _row_blocks(len(queries), budget // max(widest, 1)),
+                  int(stops.sum()), widest, fold)
 
 
 def _checked_ranks(ranks, count: int) -> np.ndarray:
@@ -481,8 +472,10 @@ class Sample:
         (earlier, other), (late, lone) = self._index_answers(
             index, self.points, r, NEIGHBOURS, (np.less, np.not_equal))
         del index  # free the tree before the kernel's rows take their blocks
-        earlier[late] = self._rows_within(late, r, earlier=True)
-        other[lone] = self._rows_within(lone, r, earlier=False)
+        earlier[late] = self._earlier_within(late, r)
+        # The kernel puts each point at exactly 0 from itself, so its second
+        # nearest sample point is its nearest other one.
+        other[lone] = self.nearest_to(self.points[lone], 2)[:, 1] <= r
         return earlier, other
 
     def covers(self, queries, r: float) -> np.ndarray:
@@ -538,24 +531,19 @@ class Sample:
                 left.append(rows.start + np.flatnonzero(~yes & (full | counted.any(axis=1))))
         return answers, [np.concatenate(left) for left in unsure]
 
-    def _rows_within(self, rows: np.ndarray, r: float, earlier: bool) -> np.ndarray:
+    def _earlier_within(self, rows: np.ndarray, r: float) -> np.ndarray:
         """Per point of ``rows`` (increasing), whether a strictly earlier
-        point (``earlier``) or any other point lies within r of it, by the
-        kernel over its row, or over the points before it."""
+        point lies within r of it, by the kernel over the points before it."""
         found = np.empty(len(rows), dtype=bool)
 
         def check(block_rows, d):
-            # Each block writes its own rows of ``found``.
-            own = rows[block_rows]
-            if earlier:  # the block reaches the points before its last row
-                for q, stop in enumerate(own.tolist()):
-                    d[q, stop:] = np.inf
-            else:
-                d[np.arange(len(own)), own] = np.inf
+            # Each block writes its own rows of ``found``, and reaches the
+            # points before its last row.
+            for q, stop in enumerate(rows[block_rows].tolist()):
+                d[q, stop:] = np.inf
             np.less_equal(d.min(axis=1, initial=np.inf), r, out=found[block_rows])
 
-        _cross_pass(self.space, self.points[rows], self.points, check,
-                    stops=rows if earlier else None)
+        _cross_pass(self.space, self.points[rows], self.points, check, stops=rows)
         return found
 
     def positive_pair_count(self) -> int:
@@ -594,29 +582,24 @@ class Sample:
             pilot = self.subsample(np.arange(0, n, -(-n // PILOT_POINTS)))
             windows, guide = pilot._pilot_windows(fractions, n)
             ranges, capacity, spans = _plan(windows, max(budget, fractions.size), guide)
-        # The known edges, increasing, the number of positive distances
-        # below each, and the sorted distances of each kept bracket, by the
-        # edge it starts at.
-        edges, below, kept = np.empty(0), np.empty(0, dtype=np.int64), {}
+        # Each known edge and the number of positive distances below it, and
+        # the sorted distances of each kept bracket, by the edge it starts at.
+        below, kept = {}, {}
 
         def count_pass(ranges, capacity, spans):
-            nonlocal edges, below
             counts, values, extents = self._summarize(ranges=ranges, capacity=capacity,
                                                       spans=spans)
-            extents = np.array(extents).reshape(-1, 2)
-            ends = np.concatenate([edges, ALL_POSITIVE, np.ravel(ranges)])
-            edges, first = np.unique(ends, return_index=True)
-            below = np.concatenate([below, [0, self.positive_pair_count()], counts])[first]
+            below.update({ALL_POSITIVE[0]: 0, ALL_POSITIVE[1]: self.positive_pair_count()})
+            below.update(zip(np.ravel(ranges).tolist(), counts.tolist()))
             # A span's distances lie from its smallest to its largest, so as
             # many lie below the smallest as below the span's lo, and below
-            # the largest's next double up as below its hi.
-            seen = extents[:, 0] <= extents[:, 1]
-            if seen.any():
-                bounds = np.searchsorted(edges, np.array(spans)[seen])
-                ends = np.concatenate([edges, extents[seen, 0],
-                                       np.nextafter(extents[seen, 1], np.inf)])
-                edges, first = np.unique(ends, return_index=True)
-                below = np.concatenate([below, below[bounds[:, 0]], below[bounds[:, 1]]])[first]
+            # the largest's next double up as below its hi.  The ends of a
+            # pilot window, which no pass may have counted, tell nothing.
+            for (lo, hi), (small, large) in zip(spans, extents):
+                if small <= large:
+                    for end, edge in ((lo, small), (hi, float(np.nextafter(large, np.inf)))):
+                        if end in below:
+                            below[edge] = below[end]
             if values is not None:
                 values.sort()
                 # The kept distances of each range follow those of the ranges below.
@@ -626,28 +609,31 @@ class Sample:
                         kept[lo] = values[stop - size:stop]
 
         count_pass(ranges, capacity, spans)
+        count = self.positive_pair_count()
 
         def select(ranks):
-            ranks = _checked_ranks(ranks, below[-1])
+            ranks = _checked_ranks(ranks, count)
             found = np.empty(ranks.shape)
             while True:
+                edges = sorted(below)
+                counts = np.array([below[edge] for edge in edges])
                 # The bracket [edges[i], edges[i + 1]) whose counts hold each rank.
-                bracket = np.searchsorted(below, ranks, side="right") - 1
+                bracket = np.searchsorted(counts, ranks, side="right") - 1
                 left = []
                 for i in np.unique(bracket):
                     at = bracket == i
                     lo, hi = edges[i], edges[i + 1]
                     if lo in kept:
-                        found[at] = kept[lo][ranks[at] - below[i]]
+                        found[at] = kept[lo][ranks[at] - counts[i]]
                     elif hi == np.nextafter(lo, np.inf):
                         found[at] = lo
                     else:
-                        left.append((lo, hi, below[i + 1] - below[i]))
+                        left.append((lo, hi, counts[i + 1] - counts[i]))
                 if not left:
                     return found
                 count_pass(*_plan(left, max(budget, ranks.size), guide))
 
-        return self.positive_pair_count(), select
+        return count, select
 
     def _pilot_windows(self, fractions: np.ndarray, sample_size: int) -> tuple[list, np.ndarray]:
         """Disjoint brackets (lo, hi, count), in increasing order, around the
@@ -728,12 +714,6 @@ class Sample:
         self._upper_pass(reduce, fold)
         return counts
 
-    def pair_order_statistics(self, ranks) -> np.ndarray:
-        """The positive distances d(i, j), i < j, at the given ranks (0 the
-        smallest), one per rank, by the passes of :meth:`pair_rank_selector`
-        with no window."""
-        return self.pair_rank_selector(())[1](ranks)
-
     def _upper_pass(self, work, fold, dtypes=()) -> None:
         """``work(rows, block, scratch)`` for each row block of the upper
         triangle, each result handed to ``fold``.  ``block`` holds the
@@ -808,9 +788,9 @@ class Sample:
 
         def reduce(rows, block, scratch):
             height = rows.stop - rows.start
-            # A precomputed matrix's diagonal need only be close to zero.
-            # The entries below it repeat pairs above, so the maximum is the
-            # pairs' maximum or zero.
+            # A NaN symbol in a discrete object array lies at 1 from itself.
+            # The entries below the diagonal repeat pairs above, so the
+            # maximum is the pairs' maximum or zero.
             np.fill_diagonal(block, 0.0)
             top = float(block.max())
             if not np.isfinite(top):
@@ -964,8 +944,10 @@ def farthest_first_traversal(sample: Sample, r: float,
     lies within r of it, and after each pick the covering radius of the
     picks so far (the largest distance from a sample point to its nearest
     pick).  Each step adds the point farthest from the picks, lowest index
-    on ties.  At any radius s >= r the greedy s-net is the shortest prefix
-    whose covering radius is at most s (:func:`net_prefix`)."""
+    on ties; a pick covers itself whatever the kernel puts on its own
+    entry, so the traversal ends.  At any radius s >= r the greedy s-net
+    is the shortest prefix whose covering radius is at most s
+    (:func:`net_prefix`)."""
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
     if not 0 <= seed_index < sample.n:
@@ -975,6 +957,7 @@ def farthest_first_traversal(sample: Sample, r: float,
     order = [seed_index]
     covering = []
     dist_to_net = sample.distance_rows(slice(seed_index, seed_index + 1))[0]
+    dist_to_net[seed_index] = 0.0
     while True:
         far = int(np.argmax(dist_to_net))
         covering.append(dist_to_net[far])
@@ -983,6 +966,7 @@ def farthest_first_traversal(sample: Sample, r: float,
         order.append(far)
         np.minimum(dist_to_net, sample.distance_rows(slice(far, far + 1))[0],
                    out=dist_to_net)
+        dist_to_net[far] = 0.0
 
 
 def net_prefix(order: list[int], covering: np.ndarray, r: float) -> list[int]:

@@ -16,9 +16,10 @@ to be finite, symmetric to within ``np.allclose``, non-negative and zero on
 the diagonal; callers supplying one are responsible for the triangle
 inequality where an algorithm's certificate depends on it (see
 :mod:`metricmass.separation`).  It is stored symmetrised, as (m + m^T) / 2,
-which leaves an exactly symmetric matrix unchanged, and with every -0.0
-read as +0.0.  Every kernel is thus exactly symmetric: d(x, y) and d(y, x)
-are the same float, so a pass over the upper triangle reads every distance.
+which leaves an exactly symmetric matrix unchanged, with an exactly zero
+diagonal and with every -0.0 read as +0.0.  Every kernel is thus exactly
+symmetric: d(x, y) and d(y, x) are the same float, so a pass over the upper
+triangle reads every distance.
 
 Every decision that depends on the kind is made here: the points, the
 kernel, the discrete symbol codes, the neighbour index, ``scaled``,
@@ -279,9 +280,12 @@ def precomputed(matrix) -> MetricSpace:
     # only entries whose sum overflows are halved before adding.
     overflow = np.isinf(mean)
     mean[overflow] = m[overflow] / 2 + m.T[overflow] / 2
-    # Adding 0.0 turns -0.0, whose sign bit would make a negative bucket key
-    # in the samples' distance counts, into +0.0 and leaves the rest as is.
-    return MetricSpace(PRECOMPUTED, dim=None, matrix=mean + 0.0)
+    # Adding 0.0 turns -0.0 into +0.0 and leaves the rest as is, so no
+    # nearest or covering distance read from the matrix is -0.0, which
+    # prints with its sign.
+    mean += 0.0
+    np.fill_diagonal(mean, 0.0)
+    return MetricSpace(PRECOMPUTED, dim=None, matrix=mean)
 
 
 def scaled_indicator(p: float) -> MetricSpace:

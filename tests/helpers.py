@@ -7,12 +7,18 @@ vectorized implementations is meaningful.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+import metricmass
 from metricmass import samples
 from metricmass.spaces import MetricSpace, euclidean, lp
 
@@ -392,6 +398,35 @@ def index_spy():
 
     with mock.patch.object(MetricSpace, "neighbour_index", spy):
         yield built
+
+
+@contextmanager
+def kernel_spy():
+    """Record the rows and columns of every ``MetricSpace.kernel`` call."""
+    real, shapes = MetricSpace.kernel, []
+
+    def spy(self, a, b, out=None):
+        shapes.append((len(a), len(b)))
+        return real(self, a, b, out=out)
+
+    with mock.patch.object(MetricSpace, "kernel", spy):
+        yield shapes
+
+
+def run_script(script, timeout):
+    """The exit code and the standard error of a Python script run on this
+    package in a child interpreter.  The child runs in a session of its
+    own, so after ``timeout`` seconds it is killed with every process it
+    started, and the timeout is raised."""
+    env = dict(os.environ, PYTHONPATH=str(Path(metricmass.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-c", script], env=env, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as run:
+        try:
+            _, err = run.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            raise
+    return run.returncode, err
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from metricmass.samples import (
 from metricmass.spaces import MetricSpace, discrete, euclidean
 from metricmass.wasserstein import default_r_grid
 
-from helpers import pool_threads
+from helpers import pool_threads, run_script
 
 
 def line_sample(*xs):
@@ -92,6 +93,36 @@ def test_farthest_first_hand_simulated():
 def test_farthest_first_identical_points():
     s = line_sample(2.0, 2.0, 2.0)
     assert farthest_first_net(s, 0.5) == [0]
+
+
+# A pick whose own kernel entry exceeds r: a precomputed diagonal allclose
+# to zero, or a discrete NaN symbol, which np.not_equal puts at 1 from
+# itself.  A traversal that left such a pick uncovered would pick it again
+# forever, so each input runs in a child with a timeout.
+OFF_ITSELF = {
+    "diagonal": """
+        import numpy as np
+        from metricmass.samples import Sample, farthest_first_net, verify_net
+        from metricmass.spaces import precomputed
+        sample = Sample(np.arange(2), precomputed([[1e-9, 1], [1, 1e-9]]))
+        net = farthest_first_net(sample, 0.0)
+        assert net == [0, 1], net
+        verify_net(sample, net, 0.0)
+    """,
+    "nan-symbol": """
+        import numpy as np
+        from metricmass.samples import Sample, farthest_first_net
+        from metricmass.spaces import discrete
+        net = farthest_first_net(Sample(np.array([0.5, np.nan, 0.5]), discrete()), 0.5)
+        assert net == [0, 1], net
+    """,
+}
+
+
+@pytest.mark.parametrize("script", OFF_ITSELF.values(), ids=OFF_ITSELF.keys())
+def test_farthest_first_ends_when_a_pick_is_off_itself(script):
+    code, err = run_script(textwrap.dedent(script), timeout=60)
+    assert code == 0, err
 
 
 def test_farthest_first_fully_separated_includes_all():
@@ -258,14 +289,14 @@ def test_streamed_passes_under_frequent_thread_switches():
         alone = make_sample(points)
         ranks = np.arange(0, alone.positive_pair_count(), 97)
         expected = [alone.nearest_distances(), alone.earlier_distances(),
-                    alone.pair_order_statistics(ranks)]
+                    alone.pair_rank_selector(())[1](ranks)]
     got = []
 
     def passes():
         for _ in range(3):
             s = make_sample(points)
             got.append([s.nearest_distances(), s.earlier_distances(),
-                        s.pair_order_statistics(ranks)])
+                        s.pair_rank_selector(())[1](ranks)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,17 +1,14 @@
 import math
 import os
-import signal
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
-import metricmass
 from metricmass.distributions import UniformIntervalSpec, discrete_uniform
 from metricmass.oracles import expected_missing_mass
 from metricmass.simulate import SimulationConfig, run_campaign
+
+from helpers import run_script
 
 
 def small_config(**kw):
@@ -90,16 +87,8 @@ AFTER_A_THREADED_PASS = textwrap.dedent("""
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_workers_after_a_threaded_pass():
-    env = dict(os.environ, PYTHONPATH=str(Path(metricmass.__file__).parents[1]))
-    # In a session of its own, so a hung worker or child is killed with it.
-    with subprocess.Popen([sys.executable, "-c", AFTER_A_THREADED_PASS], env=env,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as run:
-        try:
-            _, err = run.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(run.pid, signal.SIGKILL)
-            raise
-    assert run.returncode == 0, err
+    code, err = run_script(AFTER_A_THREADED_PASS, timeout=120)
+    assert code == 0, err
 
 
 def test_oracle_column_present_for_exact_specs():

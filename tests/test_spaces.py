@@ -84,6 +84,10 @@ def test_precomputed_stores_symmetric_matrix_unchanged():
     m = m + m.T
     np.fill_diagonal(m, 0.0)
     assert np.array_equal(precomputed(m).matrix, m)
+    # A diagonal allclose to zero is stored as exact zeros.
+    near = m.copy()
+    np.fill_diagonal(near, [1e-9, 1e-12, 5e-324] * 3)
+    assert np.array_equal(precomputed(near).matrix, m)
 
 
 def test_precomputed_keeps_large_finite_entries():

@@ -34,6 +34,7 @@ from helpers import (
     dense_verify_net,
     dense_within,
     index_spy,
+    kernel_spy,
     pool_threads,
     triu_r_grid,
     vector_sample,
@@ -279,7 +280,7 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
         count, select = sample.pair_rank_selector(GRID_FRACTIONS)
         assert count == positive.size
         assert np.array_equal(select(ranks), positive)
-        assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
+        assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive[ranks])
     assert not matrix_built(sample)
 
 
@@ -316,8 +317,8 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
     picked = rng.integers(positive.size, size=4) if positive.size else ranks
     with small_blocks(block, rows, threads, share), pilot_outcome(outcome, pilot):
         assert sample.positive_pair_count() == positive.size
-        assert np.array_equal(sample.pair_order_statistics(ranks), positive)
-        assert np.array_equal(sample.pair_order_statistics(picked), positive[picked])
+        assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive)
+        assert np.array_equal(sample.pair_rank_selector(())[1](picked), positive[picked])
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
         assert np.array_equal(sample.pair_rank_selector(GRID_FRACTIONS)[1](picked),
                               positive[picked])
@@ -350,7 +351,7 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
         assert count == positive.size
         assert np.array_equal(select(np.arange(positive.size)), positive)
         assert np.array_equal(counted.nearest_distances(), nearest)
-        assert np.array_equal(ranked.pair_order_statistics(np.arange(positive.size)), positive)
+        assert np.array_equal(ranked.pair_rank_selector(())[1](np.arange(positive.size)), positive)
         assert ranked.positive_pair_count() == positive.size
     one_block = n * n <= budget
     # Symbol counts answer a discrete sample with no pass.
@@ -389,7 +390,7 @@ def test_discrete_summaries_match_dense_kernel(symbols, n, seed):
         count, select = sample.pair_rank_selector(GRID_FRACTIONS)
         assert count == positive.size
         assert np.array_equal(select(np.arange(count)), positive)
-        assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
+        assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive[ranks])
         with pytest.raises(IndexError):
             select([count])
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
@@ -415,7 +416,7 @@ def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, thread
     # A block of 64 entries keeps samples and nets of up to 8 points on the
     # summary pass; past it they take the index.  Radii at d == r and
     # d == 2r put candidates between the index's two radii, whose rows the
-    # kernel decides.
+    # kernel decides.  Every kernel call holds one row or at most a block.
     rng = np.random.default_rng(seed)
     dense = vector_sample(shape, p, n, rng)
     queries = np.concatenate([vector_sample(shape, p, 10, rng).points,
@@ -428,7 +429,7 @@ def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, thread
     radii += [float(np.nextafter(r, 0)) for r in radii[3:] if r > 0]
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
             mock.patch.object(samples, "NEIGHBOURS", k), pool_threads(threads), \
-            index_spy() as built:
+            index_spy() as built, kernel_spy() as calls:
         for r in radii:
             sample = Sample(dense.points, dense.space)
             for got, expected in zip(sample.within(r), dense_within(dense, r)):
@@ -442,6 +443,7 @@ def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, thread
                 assert (net_verdict(verify_net, sample, candidate, r)
                         == net_verdict(dense_verify_net, dense, candidate, r))
             assert not matrix_built(sample)
+    assert all(rows == 1 or rows * cols <= block for rows, cols in calls)
     if n * n > block and d.max() > 0:
         assert any(built)
 
@@ -525,16 +527,16 @@ def test_midpoint_cuts_end_within_one_pass_per_distinct_distance(dim):
             mock.patch.object(samples, "KEPT_DISTANCES_SHARE", 0.0), \
             mock.patch.object(Sample, "_summarize", autospec=True,
                               side_effect=Sample._summarize) as passes:
-        assert np.array_equal(sample.pair_order_statistics(ranks), positive[ranks])
+        assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive[ranks])
     assert full_passes(passes, sample) <= 1 + np.unique(positive).size
 
 
 def test_pair_order_statistics_reject_ranks_out_of_range():
     sample = make_sample(np.array([[0.0], [1.0], [3.0]]))
-    assert list(sample.pair_order_statistics([2, 0, 1])) == [3.0, 1.0, 2.0]
+    assert list(sample.pair_rank_selector(())[1]([2, 0, 1])) == [3.0, 1.0, 2.0]
     for ranks in ([3], [-1]):
         with pytest.raises(IndexError):
-            sample.pair_order_statistics(ranks)
+            sample.pair_rank_selector(())[1](ranks)
 
 
 def test_grid_endpoints_follow_numpy_percentile_and_median():
