@@ -346,16 +346,23 @@ def sample_points(spec, count: int, seed) -> np.ndarray:
     return spec.sample(count, np.random.default_rng(seed))
 
 
-def draw_sample(spec, count: int, seed) -> Sample:
-    """Draw an ordered sample wrapped with its space; finite-support specs
-    attach atom-index provenance for exact oracle evaluation."""
+def draw(spec, count: int, seed) -> tuple[np.ndarray, np.ndarray | None]:
+    """The points of an ordered sample and, for a finite-support spec, their
+    atom indices (else None); deterministic given the seed."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     if hasattr(spec, "sample_indices"):
         idx = spec.sample_indices(count, rng)
-        return Sample(spec.points_from_indices(idx), spec.space(), atom_indices=idx)
-    return Sample(spec.sample(count, rng), spec.space())
+        return spec.points_from_indices(idx), idx
+    return spec.sample(count, rng), None
+
+
+def draw_sample(spec, count: int, seed) -> Sample:
+    """Draw an ordered sample wrapped with its space; finite-support specs
+    attach atom-index provenance for exact oracle evaluation."""
+    points, atoms = draw(spec, count, seed)
+    return Sample(points, spec.space(), atom_indices=atoms)
 
 
 def indicator_process(p: float, count: int, seed, rate: float = 1.0) -> np.ndarray:

@@ -15,6 +15,11 @@ complements being the whole space.
 
 All upper confidence constructions go through :func:`upper_estimate`:
 clipped to [0, 1], vacuous when the pre-clip value is 1 or more.
+
+The formulas behind the one-sample functions (:func:`isolated_shares`,
+:func:`escapes`, :func:`window_estimates`, :func:`window_minima`,
+:func:`upper_values`) read per-point answers at r and take a leading axis
+of samples, which a simulation campaign fills with a block of replicates.
 """
 from __future__ import annotations
 
@@ -68,11 +73,16 @@ class Estimate(Record):
             raise ValueError("radius must be non-negative")
 
 
+def upper_values(raw):
+    """The values of upper estimates at ``raw``, clipped to 1, elementwise."""
+    return np.fmin(raw, 1.0)
+
+
 def upper_estimate(raw: float, method: str, delta: float, radius: float | None = None,
                    m: int | None = None) -> Estimate:
     """A one-sided upper estimate at ``raw`` clipped to 1, vacuous when
     ``raw`` is 1 or more."""
-    return Estimate(value=min(1.0, raw), method=method, side=UPPER, delta=delta,
+    return Estimate(value=float(upper_values(raw)), method=method, side=UPPER, delta=delta,
                     radius=radius, m=m, vacuous=raw >= 1.0)
 
 
@@ -83,18 +93,30 @@ def check_sample(sample: Sample, r: float) -> None:
         raise ValueError("sample must be non-empty")
 
 
+def isolated_shares(other_within: np.ndarray) -> np.ndarray:
+    """The Good-Turing estimates from whether another point lies within r
+    of each point, per sample of the leading axes."""
+    return np.mean(~other_within, axis=-1)
+
+
 def good_turing(sample: Sample, r: float) -> float:
     """Fraction of sample points farther than r from all other sample points."""
     check_sample(sample, r)
     if sample.n == 1:
         return 1.0
-    return float(np.mean(~sample.within(r)[1]))
+    return float(isolated_shares(sample.within(r)[1]))
+
+
+def escapes(earlier_within: np.ndarray) -> np.ndarray:
+    """The escape indicators from whether an earlier point lies within r of
+    each point, per sample of the leading axes."""
+    return (~earlier_within).astype(float)
 
 
 def escape_indicators(sample: Sample, r: float) -> np.ndarray:
     """Indicator, per point in sample order, of escaping all earlier balls."""
     check_sample(sample, r)
-    return (~sample.within(r)[0]).astype(float)
+    return escapes(sample.within(r)[0])
 
 
 def martingale_estimate(sample: Sample, r: float, m: int) -> float:
@@ -105,11 +127,16 @@ def martingale_estimate(sample: Sample, r: float, m: int) -> float:
     return float(e[sample.n - m:].mean())
 
 
+def window_estimates(e: np.ndarray) -> np.ndarray:
+    """The sequential estimates for m = 1..n (index m-1), the escape
+    indicators ``e`` averaged over the last m points, per sample of the
+    leading axes."""
+    return np.cumsum(e[..., ::-1], axis=-1) / np.arange(1, e.shape[-1] + 1)
+
+
 def all_martingale_estimates(sample: Sample, r: float) -> np.ndarray:
     """Vector of the sequential estimates for m = 1..n (index m-1)."""
-    e = escape_indicators(sample, r)
-    m = np.arange(1, sample.n + 1)
-    return np.cumsum(e[::-1]) / m
+    return window_estimates(escape_indicators(sample, r))
 
 
 @functools.lru_cache(maxsize=32)
@@ -121,18 +148,25 @@ def _window_slacks(n: int, delta: float) -> np.ndarray:
     return slack
 
 
+def window_minima(t: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slacks sqrt(ln(n/delta) / (2m)) of the sequential estimates ``t``
+    for m = 1..n (index m-1), union-bounded over the n windows, and per
+    sample of the leading axes the first index m-1 minimising estimate plus
+    slack and that minimum, unclipped."""
+    slack = _window_slacks(t.shape[-1], delta)
+    values = t + slack
+    return slack, np.argmin(values, axis=-1), values.min(axis=-1)
+
+
 def sequential_bounds(sample: Sample, r: float, delta: float
                       ) -> tuple[np.ndarray, np.ndarray, Estimate]:
-    """The sequential estimates and their sub-Gaussian slacks sqrt(ln(n/delta)
-    / (2m)) for m = 1..n (index m-1), union-bounded over the n windows, and
-    the minimum over m of estimate plus slack as an upper estimate."""
+    """The sequential estimates and their slacks (:func:`window_minima`),
+    and the minimum over m of estimate plus slack as an upper estimate."""
     check_delta(delta)
     t = all_martingale_estimates(sample, r)
-    slack = _window_slacks(sample.n, delta)
-    values = t + slack
-    best = int(np.argmin(values))
-    return t, slack, upper_estimate(float(values[best]), MARTINGALE_MIN, delta,
-                                    radius=float(slack[best]), m=best + 1)
+    slack, best, raw = window_minima(t, delta)
+    return t, slack, upper_estimate(float(raw), MARTINGALE_MIN, delta,
+                                    radius=float(slack[best]), m=int(best) + 1)
 
 
 def martingale_upper_bound(sample: Sample, r: float, delta: float) -> Estimate:

@@ -13,7 +13,8 @@ picks a spec's branch, from what the spec provides:
   cross distances otherwise.  On the discrete metric the indices alone
   count each atom's covering balls, in O(n + atoms): an r-ball is its
   centre alone for r < 1 and the whole space for r >= 1, and no two atoms
-  of a ``DiscreteSpec`` share a symbol;
+  of a ``DiscreteSpec`` share a symbol.  So the expected missing mass reads
+  each atom's ball mass from the weights there, with no atom matrix;
 * ``interval``, a spec with a ``cdf`` on a line space: balls are coordinate
   intervals (:meth:`~metricmass.spaces.MetricSpace.ball_halfwidth`), so
   masses reduce to exact sweeps over merged intervals;
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import draw_sample
-from .samples import Sample
+from .samples import SUMMARY_BLOCK_ELEMENTS, Sample
 from .serialize import Record
 from .spaces import discrete, euclidean
 
@@ -89,50 +90,92 @@ def oracle_branch(spec) -> str:
 
 
 # -- coverage decompositions -------------------------------------------------
+#
+# Each branch computes the masses of a stack of samples of one size at once:
+# ``points`` holds their canonical points and ``atoms`` their atom indices
+# (None for samples without them) along a leading axis, and each mass comes
+# back per sample.
 
-def _finite_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
+def _finite_coverage(spec, points: np.ndarray, atoms: np.ndarray | None,
+                     r: float) -> tuple[np.ndarray, np.ndarray]:
     """(mass covered by no sample ball, mass covered by exactly one)."""
     weights = spec.atom_weights()
-    atoms = sample.atom_indices
+    k = len(weights)
     if atoms is not None and spec.space() == discrete():
-        counts = (np.bincount(atoms, minlength=len(weights)) if r < 1
-                  else np.full(len(weights), sample.n))
-    else:
+        # Adding k times its row gives each sample atoms of its own.
+        counts = (np.bincount((atoms + k * np.arange(len(atoms))[:, None]).ravel(),
+                              minlength=k * len(atoms)).reshape(len(atoms), k) if r < 1
+                  else np.full((len(atoms), k), atoms.shape[1]))
+    elif atoms is not None:
         # Sample points by atoms: the atom distance matrices are exactly
-        # symmetric, so gathering rows reads the same values as columns would.
-        dist = (spec.atom_distance_matrix()[atoms] if atoms is not None
-                else spec.space().cross_distances(sample.points, spec.atom_points()))
-        counts = (dist <= r).sum(axis=0)
-    return float(weights[counts == 0].sum()), float(weights[counts == 1].sum())
+        # symmetric, so gathering rows reads the same values as columns
+        # would.  A gather holds at most SUMMARY_BLOCK_ELEMENTS distances,
+        # or one sample's.
+        matrix = spec.atom_distance_matrix()
+        step = max(1, SUMMARY_BLOCK_ELEMENTS // atoms[0].size // k)
+        counts = np.concatenate([(matrix[atoms[s:s + step]] <= r).sum(axis=1)
+                                 for s in range(0, len(atoms), step)])
+    else:
+        space, centres = spec.space(), spec.atom_points()
+        counts = np.array([(space.cross_distances(sample, centres) <= r).sum(axis=0)
+                           for sample in points])
+    # One sum per sample: summing masked rows of the stack would add in
+    # another order.
+    return (np.array([weights[row == 0].sum() for row in counts]),
+            np.array([weights[row == 1].sum() for row in counts]))
 
 
-def _interval_coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
+def _interval_coverage(spec, points: np.ndarray, atoms: np.ndarray | None,
+                       r: float) -> tuple[np.ndarray, np.ndarray]:
     """Coverage masses for scalar distributions: balls are intervals.
 
-    One sweep over the 2n sorted endpoints, starts before ends at a tie so
-    touching closed intervals leave no gap.  The masses are summed
+    One sweep over each sample's 2n sorted endpoints, starts before ends at
+    a tie so touching closed intervals leave no gap.  The masses are summed
     sequentially in sweep order (np.cumsum, not the pairwise np.sum), which
-    keeps them bit-identical to an endpoint-by-endpoint loop.
+    keeps them bit-identical to an endpoint-by-endpoint loop; a gap that
+    does not count adds 0.0, which leaves every partial sum, never -0.0,
+    unchanged.
     """
-    xs = np.asarray(sample.points, dtype=float).reshape(-1)
+    xs = np.asarray(points, dtype=float).reshape(len(points), -1)
     rho = spec.space().ball_halfwidth(r)
-    pos = np.concatenate([xs - rho, xs + rho])
-    delta = np.concatenate([np.ones(len(xs), dtype=np.int64),
-                            -np.ones(len(xs), dtype=np.int64)])
-    order = np.lexsort((-delta, pos))
-    pos = pos[order]
+    pos = np.concatenate([xs - rho, xs + rho], axis=1)
+    delta = np.repeat(np.array([1, -1], dtype=np.int64), xs.shape[1])
+    order = np.lexsort((np.broadcast_to(-delta, pos.shape), pos), axis=-1)
+    pos = np.take_along_axis(pos, order, axis=1)
     cdf = spec.cdf(pos)
     # Balls covering the gap (pos[k-1], pos[k]), for k >= 1.
-    count = np.cumsum(delta[order])[:-1]
-    mass = cdf[1:] - cdf[:-1]
-    gap = pos[1:] > pos[:-1]
-    m0 = np.cumsum(np.concatenate([[0.0, cdf[0]], mass[gap & (count == 0)],
-                                   [1.0 - cdf[-1]]]))[-1]
-    m1 = np.cumsum(np.concatenate([[0.0], mass[gap & (count == 1)]]))[-1]
-    return float(m0), float(m1)
+    count = np.cumsum(delta[order], axis=1)[:, :-1]
+    mass = cdf[:, 1:] - cdf[:, :-1]
+    gap = pos[:, 1:] > pos[:, :-1]
+
+    def swept(covers: int, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        # From 0.0: first, the gaps ``covers`` balls cover, then last.
+        terms = np.concatenate([np.zeros((len(pos), 1)), first[:, None],
+                                np.where(gap & (count == covers), mass, 0.0), last[:, None]],
+                               axis=1)
+        return np.cumsum(terms, axis=1)[:, -1]
+
+    none = np.zeros(len(pos))
+    return swept(0, cdf[:, 0], 1.0 - cdf[:, -1]), swept(1, none, none)
 
 
 _COVERAGE = {FINITE: _finite_coverage, INTERVAL: _interval_coverage}
+
+
+def coverage_masses(spec, points: np.ndarray, atoms: np.ndarray | None,
+                    r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample of a stack, the masses covered by no sample ball and by
+    exactly one, by the spec's exact branch; ``points`` and ``atoms`` (or
+    None) hold the samples' canonical points and atom indices along a
+    leading axis."""
+    return _COVERAGE[oracle_branch(spec)](spec, points, atoms, r)
+
+
+def _coverage(spec, sample: Sample, r: float) -> tuple[float, float]:
+    """:func:`coverage_masses` of one sample, as Python floats."""
+    atoms = None if sample.atom_indices is None else sample.atom_indices[None]
+    m0, m1 = coverage_masses(spec, sample.points[None], atoms, r)
+    return float(m0[0]), float(m1[0])
 
 
 def _mc_nearest(spec, sample: Sample, n_test: int, alpha: float, seed,
@@ -180,7 +223,7 @@ def conditional_missing_masses(spec, sample: Sample, radii,
         raise ValueError("sample must be non-empty")
     branch = oracle_branch(spec)
     if branch != MONTE_CARLO:
-        return [_analytic(_COVERAGE[branch](spec, sample, r)[0]) for r in radii]
+        return [_analytic(_coverage(spec, sample, r)[0]) for r in radii]
     d1 = _mc_nearest(spec, sample, n_test, alpha, seed, k=1)[:, 0]
     return [_monte_carlo((d1 > r).mean(), n_test, alpha, seed) for r in radii]
 
@@ -208,7 +251,7 @@ def smoothed_oracle_H(spec, sample: Sample, r: float,
         raise ValueError("sample must be non-empty")
     branch = oracle_branch(spec)
     if branch != MONTE_CARLO:
-        m0, m1 = _COVERAGE[branch](spec, sample, r)
+        m0, m1 = _coverage(spec, sample, r)
         return _analytic(m0 + m1 / n)
     d1, d2 = _mc_nearest(spec, sample, n_test, alpha, seed, k=2).T
     # Per test point the leave-one-out contribution lies in [0, 1], so one
@@ -233,7 +276,12 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
         raise ValueError("radius must be non-negative")
     if oracle_branch(spec) == FINITE:
         w = spec.atom_weights()
-        ball_mass = ((spec.atom_distance_matrix() <= r) * w[None, :]).sum(axis=1)
+        # On the discrete metric no matrix is read: its row sums would add
+        # the same weights and zeros.
+        if spec.space() == discrete():
+            ball_mass = w if r < 1 else np.full(len(w), w.sum())
+        else:
+            ball_mass = ((spec.atom_distance_matrix() <= r) * w[None, :]).sum(axis=1)
         return _analytic(float((w * (1.0 - ball_mass) ** n).sum()))
     if replicates < 1:
         raise ValueError("replicates must be positive")

@@ -61,10 +61,14 @@ d <= r decision is thus the kernel's, and no result depends on whether the
 index was used.  Any other sample runs the summary pass, or
 :meth:`Sample.nearest_to` for queries.
 
-A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries,
-such as a simulation replicate, skips the streaming: each pass over it is
-one kernel call on the calling thread, with the lower triangle masked once
-by a cached mask.
+A sample whose whole n x n square fits in ``SUMMARY_BLOCK_ELEMENTS`` entries
+skips the streaming: each pass over it is one kernel call on the calling
+thread, with the lower triangle masked once by a cached mask.  A stack of m
+such samples of one size, such as a simulation campaign's block of
+replicates, is answered at once (:func:`stacked_within`): one kernel call
+per sample fills its slice of one m x n x n array, so the stack holds m n^2
+distances, bounded by its caller, and the reduction each sample's own pass
+runs (:func:`_upper_summaries`) takes the whole stack along a leading axis.
 
 The discrete metric takes no pass at all: its distances are 0 between two
 draws of one symbol and 1 otherwise, so symbol counts answer it in
@@ -183,8 +187,60 @@ def _lower_triangle(height: int) -> np.ndarray:
 def _mask_lower(block: np.ndarray, height: int) -> None:
     """Set the diagonal of the block's leading height x height square and the
     entries below it, which pair a point with itself or repeat a pair read
-    above, to inf."""
-    np.copyto(block[:, :height], np.inf, where=_lower_triangle(height))
+    above, to inf; over every sample of a leading axis, if it has one."""
+    np.copyto(block[..., :height], np.inf, where=_lower_triangle(height))
+
+
+def _upper_summaries(block: np.ndarray, height: int):
+    """The largest distance, the row and column minima and the number of
+    zero distances of upper-triangle blocks, per sample of a leading axis if
+    ``block`` has one.
+
+    A block (..., height, width) holds the distances from ``height`` points
+    to every point from the first of them on.  Its leading square's
+    diagonal and the entries below it, which pair a point with itself or
+    repeat a pair read above, are set to inf in place, so the minima and
+    the zero count read each pair i < j once."""
+    # A NaN symbol in a discrete object array lies at 1 from itself.  The
+    # entries below the diagonal repeat pairs above, so the maximum is the
+    # pairs' maximum or zero.
+    diagonal = np.arange(height)
+    block[..., diagonal, diagonal] = 0.0
+    top = block.max(axis=(-2, -1))
+    if not np.isfinite(top).all():
+        raise ValueError("pairwise distances must be finite")
+    _mask_lower(block, height)
+    rows_min = block.min(axis=-1)
+    zeros = (block.shape[-2] * block.shape[-1] - np.count_nonzero(block, axis=(-2, -1))
+             if rows_min.min() == 0 else np.zeros(block.shape[:-2], dtype=np.int64))
+    return top, rows_min, block.min(axis=-2), zeros
+
+
+def _code_summaries(codes: np.ndarray):
+    """The nearest and earlier distances, the diameter and the number of
+    zero distances d(i, j), i < j, of samples on the discrete metric, from
+    their symbol codes (:meth:`~metricmass.spaces.MetricSpace.symbol_codes`),
+    per sample of a leading axis if ``codes`` has one.
+
+    A discrete distance is 0 between two draws of one symbol and 1
+    otherwise, so a point's earlier distance is 0 after its symbol's first
+    draw and 1 at it, and its nearest distance 0 for a symbol drawn twice
+    or more and 1 for one drawn once; inf stays where no other point is, as
+    on the summary pass."""
+    *lead, n = codes.shape
+    # A sample's codes lie in [0, n), so adding n times its row gives every
+    # sample codes of its own, counted by one bincount.
+    rows = codes.reshape(math.prod(lead), n)
+    keys = rows + n * np.arange(len(rows))[:, None]
+    counts = np.bincount(keys.ravel(), minlength=keys.size)
+    earlier = np.zeros(keys.size)
+    earlier[np.unique(keys, return_index=True)[1]] = 1.0
+    earlier = earlier.reshape(codes.shape)
+    earlier[..., :1] = np.inf
+    nearest = np.where(counts[keys].reshape(codes.shape) > 1, 0.0, 1.0 if n > 1 else np.inf)
+    diameter = np.where(rows.max(axis=1, initial=0) > 0, 1.0, 0.0).reshape(lead)
+    zeros = (counts * (counts - 1) // 2).reshape(len(rows), n).sum(axis=1).reshape(lead)
+    return nearest, earlier, diameter, zeros
 
 
 def _keep(block: np.ndarray, ranges, scratch) -> tuple[np.ndarray, list[int]]:
@@ -742,29 +798,16 @@ class Sample:
     def _summaries(self) -> None:
         """Fill the nearest and earlier distances, the diameter and the
         number of zero distances d(i, j), i < j: from the symbol codes on
-        the discrete metric, in O(n log n), else by the summary pass
-        (:meth:`_summarize`).
-
-        A discrete distance is 0 between two draws of one symbol and 1
-        otherwise, so a point's earlier distance is 0 after its symbol's
-        first draw and 1 at it, and its nearest distance 0 for a symbol
-        drawn twice or more and 1 for one drawn once; inf stays where no
-        other point is, as on the summary pass."""
-        codes = self.symbol_codes
-        if codes is None:
+        the discrete metric, in O(n log n) (:func:`_code_summaries`), else
+        by the summary pass (:meth:`_summarize`)."""
+        if self.symbol_codes is None:
             self._summarize()
             return
-        n = self.n
-        counts = np.bincount(codes)
-        earlier = np.zeros(n)
-        earlier[np.unique(codes, return_index=True)[1]] = 1.0
-        earlier[:1] = np.inf
-        nearest = np.where(counts[codes] > 1, 0.0, 1.0 if n > 1 else np.inf)
+        nearest, earlier, diameter, zeros = _code_summaries(self.symbol_codes)
         nearest.flags.writeable = False
         earlier.flags.writeable = False
         self._nearest, self._earlier = nearest, earlier
-        self._diameter = 1.0 if len(counts) > 1 else 0.0
-        self._zeros = int((counts * (counts - 1) // 2).sum())
+        self._diameter, self._zeros = float(diameter), int(zeros)
 
     def _summarize(self, ranges=(), capacity: int = 0, spans=()):
         """Fill the nearest and earlier distances, the diameter and the
@@ -787,20 +830,10 @@ class Sample:
                     float(block.max(where=inside, initial=-np.inf)))
 
         def reduce(rows, block, scratch):
-            height = rows.stop - rows.start
-            # A NaN symbol in a discrete object array lies at 1 from itself.
-            # The entries below the diagonal repeat pairs above, so the
-            # maximum is the pairs' maximum or zero.
-            np.fill_diagonal(block, 0.0)
-            top = float(block.max())
-            if not np.isfinite(top):
-                raise ValueError("pairwise distances must be finite")
-            _mask_lower(block, height)
-            rows_min = block.min(axis=1)
-            zeros = block.size - np.count_nonzero(block) if rows_min.min() == 0 else 0
+            top, rows_min, cols_min, zeros = _upper_summaries(block, rows.stop - rows.start)
             found, below = _keep(block, ranges, scratch) if ranges else (None, None)
             seen = [span_extent(block, lo, hi, scratch) for lo, hi in spans]
-            return rows, top, rows_min, block.min(axis=0), zeros, found, below, seen
+            return rows, float(top), rows_min, cols_min, int(zeros), found, below, seen
 
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
@@ -847,6 +880,36 @@ class Sample:
         """A copy whose every pairwise distance is multiplied by ``factor``."""
         points, space = self.space.scaled(self.points, factor)
         return Sample(points, space, atom_indices=self.atom_indices)
+
+
+def stacked_within(space: MetricSpace, points: np.ndarray, r: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of m samples of n points each, ``points`` holding their
+    canonical points of ``space`` along a leading axis: per sample and
+    point, whether a strictly earlier point lies within r (d <= r), and
+    whether any other point does, as :meth:`Sample.within` answers; each
+    m x n.
+
+    The discrete metric reads them from the symbol codes, with no distance.
+    Samples whose n x n squares fit ``SUMMARY_BLOCK_ELEMENTS`` entries fill
+    one m x n x n block, one kernel call per sample into its own slice, and
+    reduce it in one :func:`_upper_summaries`, so the block holds m n^2
+    distances.  A larger sample answers on its own, by
+    :meth:`Sample.within`."""
+    n = points.shape[1]
+    codes = space.symbol_codes(points)
+    if codes is not None:
+        nearest, earlier = _code_summaries(codes)[:2]
+    elif n * n > SUMMARY_BLOCK_ELEMENTS:
+        earlier, other = zip(*(Sample(sample, space).within(r) for sample in points))
+        return np.stack(earlier), np.stack(other)
+    else:
+        block = np.empty((len(points), n, n))
+        for sample, out in zip(points, block):
+            space.kernel(sample, sample, out=out)
+        _, rows_min, earlier, _ = _upper_summaries(block, n)
+        nearest = np.minimum(rows_min, earlier)
+    return earlier <= r, nearest <= r
 
 
 def infer_space(points) -> MetricSpace:
@@ -988,7 +1051,8 @@ def farthest_first_net(sample: Sample, r: float, seed_index: int = 0) -> list[in
 def verify_net(sample: Sample, net, r: float) -> None:
     """Raise InvalidNetError unless ``net`` is r-separated and covers the
     sample, by :meth:`Sample.within` over the net and :meth:`Sample.covers`
-    of the sample points."""
+    of the sample points.  Each net point covers itself, whatever the
+    kernel puts on its own entry, as in the traversal."""
     if not r >= 0:
         raise ValueError("radius must be non-negative")
     idx = np.asarray(net, dtype=int)
@@ -999,7 +1063,9 @@ def verify_net(sample: Sample, net, r: float) -> None:
     picks = sample.subsample(idx)
     if picks.within(r)[0].any():
         raise InvalidNetError("net is not r-separated")
-    if not picks.covers(sample.points, r).all():
+    covered = picks.covers(sample.points, r)
+    covered[idx] = True
+    if not covered.all():
         raise InvalidNetError("net does not cover the sample at radius r")
 
 
@@ -1010,9 +1076,11 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     One blocked pass over the distances from every point to ``order[:K]``,
     K the largest k, gives each checked prefix's covering radius: minima
     over the segments between consecutive checked lengths, then running
-    minima over those few segments.  One pass over the upper triangle of
-    ``order[:K]`` gives, per position, the distance to the nearest earlier
-    pick, whose running minimum is each prefix's separation."""
+    minima over those few segments; each pick is at 0 from itself there,
+    whatever the kernel puts on its own entry.  One pass over the upper
+    triangle of ``order[:K]`` gives, per position, the distance to the
+    nearest earlier pick, whose running minimum is each prefix's
+    separation."""
     checks = [(int(k), float(r)) for k, r in checks]
     if any(not r >= 0 for _, r in checks):
         raise ValueError("radius must be non-negative")
@@ -1022,15 +1090,21 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     idx = np.asarray(order, dtype=int)[:width]
     if idx.size < width:
         raise ValueError("prefix longer than the order")
-    _, first = np.unique(idx, return_index=True)
+    picked, first = np.unique(idx, return_index=True)
     repeats = np.setdiff1d(np.arange(width), first)
     distinct = int(repeats[0]) if repeats.size else width
     lengths = sorted({k for k, _ in checks if k > 0})
     cover = np.zeros(len(lengths))
     if lengths:
         starts = [0] + lengths[:-1]
+        # Each point's first position in the order, or -1.
+        position = np.full(sample.n, -1)
+        position[picked] = first
 
         def segment_cover(rows, d):
+            own = position[rows]
+            at = np.flatnonzero(own >= 0)
+            d[at, own[at]] = 0.0
             segments = np.minimum.reduceat(d, starts, axis=1)
             np.minimum.accumulate(segments, axis=1, out=segments)
             return segments.max(axis=0)

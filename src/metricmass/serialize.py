@@ -36,6 +36,12 @@ def _normalize(obj):
     return obj
 
 
+# The renderer of each scalar type a list may hold flat, by exact type; a
+# list holding anything else (a bool, a numpy scalar, a nested item) renders
+# each item recursively.
+_FLAT = {str: json.dumps, int: str, float: format_float}
+
+
 def dump_json(obj, indent: int = 0) -> str:
     obj = _normalize(obj)
     if obj is None:
@@ -61,8 +67,11 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [f"{pad}{dump_json(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{closing}]"
+        if _FLAT.keys() >= set(map(type, obj)):
+            items = [_FLAT[type(v)](v) for v in obj]
+        else:
+            items = [dump_json(v, indent + 2) for v in obj]
+        return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{closing}]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

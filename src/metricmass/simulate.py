@@ -9,6 +9,24 @@ Replicate i uses the generator seeded by (root_seed, i), so campaigns are
 bit-reproducible regardless of worker count.  The campaign table has one
 column per name (replicate, estimators, oracle, h, each requested T_m),
 every column in replicate order.
+
+Replicates are evaluated a block at a time, B = max(1,
+``SUMMARY_BLOCK_ELEMENTS`` // n^2) of them (26 at n = 100).  Each replicate
+draws its sample from its own generator; the block's points are stacked,
+and each statistic takes the whole stack in one call of the formula the
+one-sample functions call with one sample:
+:func:`~metricmass.samples.stacked_within`, the estimators'
+``isolated_shares``, ``escapes``, ``window_estimates`` and
+``window_minima``, and
+:func:`~metricmass.oracles.coverage_masses`.  The distances of a block fill
+one B x n x n array, one kernel call per replicate into its own slice, so
+a block holds at most 2^18 distances (2 MB) whatever B is, and none on the
+discrete metric, whose symbol codes answer it.  Every reduction adds in
+the order it does for one sample, so each value is the one-sample
+functions' bit for bit, for any B and any worker count.  Only the h search
+runs per replicate.  A replicate of more than 512 points (n^2 past the
+budget) is a block of its own and answers as a ``Sample`` does, streaming
+its passes or asking its neighbour index.
 """
 from __future__ import annotations
 
@@ -19,15 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
-from .distributions import draw_sample, spec_to_dict
-from .estimators import check_delta, good_turing, sequential_bounds
-from .oracles import (
-    FINITE,
-    MONTE_CARLO,
-    conditional_missing_mass,
-    expected_missing_mass,
-    oracle_branch,
+from .distributions import draw, spec_to_dict
+from .estimators import (
+    check_delta,
+    escapes,
+    isolated_shares,
+    upper_values,
+    window_estimates,
+    window_minima,
 )
+from .oracles import FINITE, MONTE_CARLO, coverage_masses, expected_missing_mass, oracle_branch
+from .samples import SUMMARY_BLOCK_ELEMENTS, Sample, stacked_within
 from .separation import DEFAULT_CAP, h_exact
 
 
@@ -71,26 +91,36 @@ class SimulationConfig:
         }
 
 
-def _run_range(config: SimulationConfig, start: int, stop: int) -> list[dict]:
-    """One named record per replicate in [start, stop); a column that is
-    off holds None."""
-    spec, n, r = config.spec, config.n, config.r
+def _run_range(config: SimulationConfig, start: int, stop: int) -> dict[str, list]:
+    """The campaign's columns over the replicates [start, stop), a block at
+    a time; a column that is off holds None."""
+    spec, r = config.spec, config.r
+    space = spec.space()
     oracle = oracle_branch(spec) != MONTE_CARLO
-    records = []
-    for i in range(start, stop):
-        sample = draw_sample(spec, n, [config.seed, i])
-        t_all, _, min_bound = sequential_bounds(sample, r, config.delta)
-        record = {
-            "replicate": i,
-            "good_turing": good_turing(sample, r),
-            "martingale_full": float(t_all[-1]),
-            "martingale_min_bound": min_bound.value,
-            "mhat_oracle": conditional_missing_mass(spec, sample, r).value if oracle else None,
-            "h": h_exact(sample, r, cap=config.h_cap).value if config.compute_h else None,
+    step = max(1, SUMMARY_BLOCK_ELEMENTS // (config.n * config.n))
+    columns: dict[str, list] = {}
+    for first in range(start, stop, step):
+        reps = range(first, min(first + step, stop))
+        draws = [draw(spec, config.n, [config.seed, i]) for i in reps]
+        points = np.stack([space.as_points(drawn) for drawn, _ in draws])
+        atoms = None if draws[0][1] is None else np.stack([idx for _, idx in draws])
+        earlier, other = stacked_within(space, points, r)
+        t = window_estimates(escapes(earlier))
+        off = [None] * len(reps)
+        block = {
+            "replicate": list(reps),
+            "good_turing": isolated_shares(other).tolist(),
+            "martingale_full": t[:, -1].tolist(),
+            "martingale_min_bound": upper_values(window_minima(t, config.delta)[2]).tolist(),
+            "mhat_oracle": coverage_masses(spec, points, atoms, r)[0].tolist() if oracle else off,
+            "h": [h_exact(Sample(points[k], space, None if atoms is None else atoms[k]), r,
+                          cap=config.h_cap).value for k in range(len(reps))]
+                 if config.compute_h else off,
+            **{f"martingale_m{m}": t[:, m - 1].tolist() for m in config.m_list},
         }
-        record.update((f"martingale_m{m}", float(t_all[m - 1])) for m in config.m_list)
-        records.append(record)
-    return records
+        for name, values in block.items():
+            columns.setdefault(name, []).extend(values)
+    return columns
 
 
 def run_campaign(config: SimulationConfig) -> dict:
@@ -99,7 +129,7 @@ def run_campaign(config: SimulationConfig) -> dict:
     comparisons against the closed-form bounds."""
     reps = config.replicates
     if config.workers <= 1:
-        records = _run_range(config, 0, reps)
+        columns = _run_range(config, 0, reps)
     else:
         chunk = max(1, math.ceil(reps / (config.workers * 4)))
         spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
@@ -109,9 +139,9 @@ def run_campaign(config: SimulationConfig) -> dict:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(_run_range, [config] * len(spans),
                                   [s for s, _ in spans], [e for _, e in spans]))
-        records = [record for part in parts for record in part]
+        columns = {name: [value for part in parts for value in part[name]]
+                   for name in parts[0]}
 
-    columns = {name: [record[name] for record in records] for name in records[0]}
     return {
         "config": config.to_dict(),
         "columns": columns,

@@ -143,20 +143,21 @@ class MetricSpace:
         raise ValueError(f"unknown space kind {self.kind!r}")
 
     def symbol_codes(self, points: np.ndarray) -> np.ndarray | None:
-        """Integer codes of the canonical discrete ``points``, equal for
-        points i != j exactly where :meth:`kernel` gives 0, from one sort
-        and a compare of neighbours: each NaN symbol, unequal to every
-        symbol as ``np.not_equal`` has it, takes a code of its own.  None for
-        every other kind, and for symbols numpy does not sort (object and
-        structured arrays)."""
+        """Integer codes in [0, n) of the n canonical discrete ``points``,
+        equal for points i != j exactly where :meth:`kernel` gives 0, from
+        one sort and a compare of neighbours: each NaN symbol, unequal to
+        every symbol as ``np.not_equal`` has it, takes a code of its own.
+        ``points`` may hold several samples along leading axes, each coded
+        on its own.  None for every other kind, and for symbols numpy does
+        not sort (object and structured arrays)."""
         if self.kind != DISCRETE or points.dtype.kind in "OV":
             return None
-        order = np.argsort(points)
-        ordered = points[order]
-        fresh = np.ones(len(points), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-        codes = np.empty(len(points), dtype=np.intp)
-        codes[order] = np.cumsum(fresh) - 1
+        order = np.argsort(points, axis=-1)
+        ordered = np.take_along_axis(points, order, axis=-1)
+        fresh = np.ones(points.shape, dtype=bool)
+        np.not_equal(ordered[..., 1:], ordered[..., :-1], out=fresh[..., 1:])
+        codes = np.empty(points.shape, dtype=np.intp)
+        np.put_along_axis(codes, order, np.cumsum(fresh, axis=-1) - 1, axis=-1)
         return codes
 
     def neighbour_index(self, points: np.ndarray, r: float):

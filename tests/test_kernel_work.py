@@ -12,6 +12,8 @@ from metricmass.cli import main
 from metricmass.samples import Sample
 from metricmass.spaces import MetricSpace
 
+from helpers import kernel_spy
+
 N = 3000
 
 
@@ -98,3 +100,15 @@ def test_discrete_commands_make_no_kernel_call(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "est")], monkeypatch) == []
     report = json.loads((tmp_path / "est.json").read_text())
     assert report["h_clique"]["value"] == len(set(draws.tolist()))
+
+
+def test_campaign_kernel_work(tmp_path):
+    # Each replicate's distances are one n x n kernel call into its slice
+    # of the block's stack; the estimators and the interval oracle read
+    # them from the stack's summaries and compute none.
+    spec = json.dumps({"kind": "uniform_interval", "a": 0.0, "b": 1.0})
+    with kernel_spy() as shapes:
+        assert main(["simulate", "--distribution", spec, "--n", "100", "--r", "0.004",
+                     "--replicates", "53", "--m-list", "25,50",
+                     "--out", str(tmp_path / "sim")]) == 0
+    assert shapes == [(100, 100)] * 53

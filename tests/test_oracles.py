@@ -19,7 +19,7 @@ from metricmass.distributions import (
     draw_sample,
 )
 from metricmass.oracles import (
-    _interval_coverage,
+    _coverage,
     conditional_missing_mass,
     conditional_missing_masses,
     exact_wasserstein_1d,
@@ -110,22 +110,28 @@ def test_finite_fast_path_matches_cross_distances():
 @settings(max_examples=60)
 def test_discrete_cover_counts_match_the_matrix_path(k, n, strings, seed):
     # The finite oracle counts each symbol's covering balls from the drawn
-    # atom indices, reading no atom distance; the gather of the atom
-    # distance matrix and the cross distances give the same masses bit for
-    # bit.
+    # atom indices, and the expected mass reads each ball's mass from the
+    # weights, reading no atom distance; the gather of the atom distance
+    # matrix, the cross distances and the matrix's ball masses give the same
+    # masses bit for bit.  Some weights are zero.
     rng = np.random.default_rng(seed)
     symbols = tuple(f"s{i}" for i in range(k)) if strings else tuple(range(-3, k - 3))
-    spec = DiscreteSpec(symbols, tuple(rng.dirichlet(np.ones(k))))
+    weights = rng.dirichlet(np.ones(k))
+    weights[1:] *= rng.integers(0, 2, size=k - 1)
+    spec = DiscreteSpec(symbols, tuple(weights / weights.sum()))
     drawn = draw_sample(spec, n, seed)
     plain = Sample(drawn.points, drawn.space)
     weights = spec.atom_weights()
     for r in [0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, 1.5]:
         counts = (spec.atom_distance_matrix()[drawn.atom_indices] <= r).sum(axis=0)
         matrix = (float(weights[counts == 0].sum()), float(weights[counts == 1].sum()))
+        ball_mass = ((spec.atom_distance_matrix() <= r) * weights[None, :]).sum(axis=1)
+        expected = float((weights * (1.0 - ball_mass) ** n).sum())
         with mock.patch.object(DiscreteSpec, "atom_distance_matrix",
                                side_effect=AssertionError("matrix read")):
-            assert oracles._finite_coverage(spec, drawn, r) == matrix
-        assert oracles._finite_coverage(spec, plain, r) == matrix
+            assert oracles._coverage(spec, drawn, r) == matrix
+            assert repr(expected_missing_mass(spec, n, r).value) == repr(expected)
+        assert oracles._coverage(spec, plain, r) == matrix
 
 
 def test_interval_branch_matches_brute_force():
@@ -184,7 +190,7 @@ _coords = st.one_of(_grid, st.floats(0.0, 2.0, allow_nan=False))
 
 def _scalar_case(spec, points, r):
     sample = Sample(np.array(points, dtype=float).reshape(-1, 1), spec.space())
-    got = _interval_coverage(spec, sample, r)
+    got = _coverage(spec, sample, r)
     assert got == interval_coverage_loop(spec, points, r)
     # Both masses come back as Python floats, like the loop's.
     assert all(type(m) is float for m in got)

@@ -111,10 +111,15 @@ OFF_ITSELF = {
     """,
     "nan-symbol": """
         import numpy as np
-        from metricmass.samples import Sample, farthest_first_net
+        from metricmass.samples import Sample, farthest_first_net, prefix_net_errors, verify_net
         from metricmass.spaces import discrete
-        net = farthest_first_net(Sample(np.array([0.5, np.nan, 0.5]), discrete()), 0.5)
+        sample = Sample(np.array([0.5, np.nan, 0.5]), discrete())
+        net = farthest_first_net(sample, 0.5)
         assert net == [0, 1], net
+        # The checks count each net point as covering itself, as the
+        # traversal does.
+        verify_net(sample, net, 0.5)
+        assert prefix_net_errors(sample, net, [(2, 0.5)]) == [None]
     """,
 }
 

@@ -13,7 +13,7 @@ from metricmass import (
     WassersteinReport,
     variance_bound_G,
 )
-from metricmass.serialize import csv_cell, dump_json, write_csv
+from metricmass.serialize import _normalize, csv_cell, dump_json, write_csv
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, -1e308])
@@ -120,3 +120,43 @@ def test_bound_report_dict_copies_its_inputs():
     report = RECORDS[1]
     assert report.to_dict()["inputs"] == report.inputs
     assert report.to_dict()["inputs"] is not report.inputs
+
+
+def recursive_json(obj, indent: int = 0) -> str:
+    """The JSON writer with every list item, and every dict value, rendered
+    by a recursive call of its own: the reference for lists rendered flat."""
+    obj = _normalize(obj)
+    pad, closing = " " * (indent + 2), " " * indent
+    if isinstance(obj, dict) and obj:
+        items = [f"{pad}{json.dumps(str(k))}: {recursive_json(v, indent + 2)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{closing}}}"
+    if isinstance(obj, (list, tuple)) and len(obj):
+        items = [f"{pad}{recursive_json(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{closing}]"
+    return dump_json(obj, indent)  # a scalar or an empty container
+
+
+TEXT = st.text(alphabet='ab "\\\n\u00e9', max_size=4)
+# Python scalars of exactly str, int and float, which a list of them alone
+# renders flat, and bools, None and numpy scalars, which it does not.
+JSON_SCALARS = st.one_of(
+    FLOATS, st.integers(-2**70, 2**70), TEXT, st.booleans(), st.none(),
+    FLOATS.map(np.float64), st.integers(-2**62, 2**62).map(np.int64), st.booleans().map(np.bool_))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(FLOATS) | st.lists(st.integers(-2**70, 2**70)) | st.lists(TEXT),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(NAMES, inner, max_size=3)
+                   | st.lists(FLOATS, max_size=4).map(np.array)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON_VALUES, indent=st.sampled_from([0, 4]))
+@example(obj=[0.5, float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 3, -2**70, 'a"b',
+              True, np.float64(0.1), np.int64(3), np.bool_(False)], indent=0)
+@example(obj={"flat": [float("nan"), float("inf"), float("-inf"), -0.0, 1, "x"],
+              "bools": [True, False], "numpy": [np.float64(-0.0), np.int64(-1)],
+              "nested": [[1.5], (2, "y"), {"z": [None]}], "empty": [[], {}]}, indent=2)
+def test_flat_lists_render_as_the_recursive_writer(obj, indent):
+    assert dump_json(obj, indent) == recursive_json(obj, indent)

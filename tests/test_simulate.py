@@ -4,8 +4,24 @@ import textwrap
 
 import pytest
 
-from metricmass.distributions import UniformIntervalSpec, discrete_uniform
-from metricmass.oracles import expected_missing_mass
+from metricmass.distributions import (
+    LowdimEmbeddingSpec,
+    PointMassSpec,
+    ScaledIndicatorSpec,
+    UniformIntervalSpec,
+    discrete_uniform,
+    discrete_zipf,
+    draw_sample,
+)
+from metricmass.estimators import good_turing, sequential_bounds
+from metricmass.oracles import (
+    MONTE_CARLO,
+    conditional_missing_mass,
+    expected_missing_mass,
+    oracle_branch,
+)
+from metricmass.samples import SUMMARY_BLOCK_ELEMENTS
+from metricmass.separation import h_exact
 from metricmass.simulate import SimulationConfig, run_campaign
 
 from helpers import run_script
@@ -142,3 +158,62 @@ def test_config_validation():
         small_config(m_list=(100,))
     with pytest.raises(ValueError):
         small_config(delta=2.0)
+
+
+# One spec per oracle branch: finite on the discrete metric, where atom
+# indices count the covering balls (r < 1) or every ball covers every atom
+# (r >= 1), and on atom points, which gather the atom distance matrix;
+# interval on a line and on the scaled indicator; Monte Carlo, which
+# leaves the oracle column off.
+BRANCH_CASES = {
+    "discrete-below-1": (discrete_zipf(30), 0.5),
+    "discrete-at-1": (discrete_zipf(30), 1.0),
+    "point-mass": (PointMassSpec(((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)), (0.2, 0.3, 0.5)), 1.0),
+    "uniform": (UniformIntervalSpec(0.0, 1.0), 0.01),
+    "scaled-indicator": (ScaledIndicatorSpec(2.0), 0.1),
+    "monte-carlo": (LowdimEmbeddingSpec(2, 3), 0.3),
+}
+# Replicates per sample size: blocks hold SUMMARY_BLOCK_ELEMENTS // n^2
+# replicates (65,536, 29,127, 907, 26 and 1), so each count but the last
+# leaves a partial block, and 53 at n = 100 two full blocks before it.
+REPLICATES = {2: 5, 3: 5, 17: 5, 100: 53, 600: 2}
+
+
+def one_sample_columns(config):
+    """The campaign's columns from the one-sample functions, a replicate at
+    a time."""
+    oracle = oracle_branch(config.spec) != MONTE_CARLO
+    columns = {}
+    for i in range(config.replicates):
+        sample = draw_sample(config.spec, config.n, [config.seed, i])
+        t, _, bound = sequential_bounds(sample, config.r, config.delta)
+        row = {
+            "replicate": i,
+            "good_turing": good_turing(sample, config.r),
+            "martingale_full": float(t[-1]),
+            "martingale_min_bound": bound.value,
+            "mhat_oracle": (conditional_missing_mass(config.spec, sample, config.r).value
+                            if oracle else None),
+            "h": h_exact(sample, config.r, cap=config.h_cap).value if config.compute_h else None,
+            **{f"martingale_m{m}": float(t[m - 1]) for m in config.m_list},
+        }
+        for name, value in row.items():
+            columns.setdefault(name, []).append(value)
+    return columns
+
+
+def exact(columns):
+    """Each column's values by repr, which tells -0.0 and types apart."""
+    return [(name, [repr(v) for v in values]) for name, values in columns.items()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", sorted(REPLICATES))
+@pytest.mark.parametrize("case", BRANCH_CASES)
+def test_blocks_match_one_sample_functions(case, n, workers):
+    spec, r = BRANCH_CASES[case]
+    assert n == 600 or REPLICATES[n] % max(1, SUMMARY_BLOCK_ELEMENTS // (n * n))
+    config = SimulationConfig(spec=spec, n=n, r=r, replicates=REPLICATES[n], seed=5,
+                              workers=workers, m_list=tuple(m for m in (1, 2, 50) if m <= n),
+                              compute_h=n <= 17)
+    assert exact(run_campaign(config)["columns"]) == exact(one_sample_columns(config))

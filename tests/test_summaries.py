@@ -364,6 +364,42 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
     assert not any(matrix_built(s) for s in (plain, counted, ranked))
 
 
+@given(st.sampled_from(KINDS + ("lattice", "duplicated")), st.integers(1, 40),
+       st.sampled_from([1, 2, 26]), st.sampled_from(["fits", "past", "default"]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_stacked_answers_match_dense_reference(kind, n, count, budget, seed):
+    # A stack of samples, as a campaign's block of replicates, answers per
+    # sample as the dense reference does.  Where n * n fits the budget,
+    # exactly or with room, each sample is one n x n kernel call into the
+    # stack and nothing streams; one entry past it, each sample answers on
+    # its own, with no kernel call past the budget but of one row.  The
+    # discrete metric makes no kernel call either way.
+    rng = np.random.default_rng(seed)
+    # Rows of one drawn sample share its space and its pool of symbols.
+    drawn = tie_prone_sample(kind, n * count, rng)
+    points = drawn.points.reshape(count, n, *drawn.points.shape[1:])
+    stack = [Sample(rows, drawn.space) for rows in points]
+    radii = radii_on_ties(stack[0], rng)
+    references = [dense_summaries(sample) for sample in stack]
+    limit = {"fits": n * n, "past": n * n - 1, "default": samples.SUMMARY_BLOCK_ELEMENTS}[budget]
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", limit), kernel_spy() as shapes, \
+            mock.patch.object(samples, "stream_blocks", wraps=samples.stream_blocks) as streams:
+        for r in radii:
+            earlier, other = samples.stacked_within(drawn.space, points, r)
+            assert earlier.shape == other.shape == (count, n)
+            for k, (nearest, before) in enumerate(references):
+                assert np.array_equal(earlier[k], before <= r)
+                assert np.array_equal(other[k], nearest <= r)
+    if drawn.symbol_codes is not None:
+        assert shapes == []
+    elif budget == "past":
+        assert all(rows * cols <= limit or rows == 1 for rows, cols in shapes)
+    else:
+        assert shapes == [(n, n)] * (count * len(radii))
+        assert not streams.called
+
+
 @given(st.sampled_from(["str", "int", "float"]),
        st.one_of(st.integers(1, 40), st.integers(samples.PILOT_POINTS + 1,
                                                  samples.PILOT_POINTS + 64)),
