@@ -27,19 +27,23 @@ point sets a window of values around each wanted fraction, its quantile
 plus and minus four standard errors, so the default radius grid's
 percentile and median take the summary pass alone: it counts the positive
 distances below each window's ends and keeps those inside, and a rank
-inside is an offset into the kept values, sorted.  A window whose pilot
-distances are all one value v, such as a tie on a lattice, keeps nothing:
-the pass counts the distances below v and below v's next double up, and a
-rank between the two counts is v.  A sample of at most 1,024 points is its
-own pilot: its summary pass keeps every positive distance.  Every count is
-exact, so a rank left over, past the buffer the pilot sized or outside its
-window, lies in a bracket of known count.  The next pass keeps that bracket
-whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise
-counts the distances below cuts inside it: at pilot distances, or at the
-midpoint of its float64 bit patterns, whose order for non-negative doubles
-is the order of the values; that pass also finds the smallest and largest
-distance of each piece, which shrinks the piece to them.  Windows the pilot
-predicts past that budget are cut so in the summary pass itself.
+inside is an offset into the kept values in sorted order.  The kept
+values are not sorted: a few ranks are selected (Hoare 1961), one
+partition per offset in increasing order, each over the values past the
+offset before, and only a call asking more than log2 of their number
+sorts them.  A window whose pilot distances are all one value v, such as
+a tie on a lattice, keeps nothing: the pass counts the distances below v
+and below v's next double up, and a rank between the two counts is v.
+A sample of at most 1,024 points is its own pilot: its summary pass keeps
+every positive distance.  Every count is exact, so a rank left over, past
+the buffer the pilot sized or outside its window, lies in a bracket of
+known count.  The next pass keeps that bracket whole if it fits
+``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise counts the
+distances below cuts inside it: at pilot distances, or at the midpoint of
+its float64 bit patterns, whose order for non-negative doubles is the
+order of the values; that pass also finds the smallest and largest
+distance of each piece, which shrinks the piece to them.  Windows the
+pilot predicts past that budget are cut so in the summary pass itself.
 
 Three questions read one radius r only: per point, whether an earlier
 point, and whether any other point, lies within r (:meth:`Sample.within`,
@@ -91,12 +95,20 @@ calling thread and T - 1 threads of a process-wide pool;
 Each thread computes its block unlocked and folds the result into the
 pass's totals under the lock that hands out the blocks.  Every fold is a
 minimum, a maximum, an integer sum, a write of the block's own rows or an
-append before a final sort, so every result is the same for any number of
-cores.  A neighbour index answers each point on its own, on T threads of
-its own.
+append to a buffer whose order no answer reads, so every result is the
+same for any number of cores.  A neighbour index answers each point on
+its own, on T threads of its own.
 
 A farthest-first traversal covers each pick with itself, whatever the
 kernel puts on its own entry (1 for a discrete NaN symbol), so it ends.
+It tracks only the points farther than r from its picks, which alone can
+be picked next: every ``TRAVERSAL_DROP_PICKS`` picks it drops the others,
+once they are ``TRAVERSAL_DROP_SHARE`` of those it tracks, and each pick's
+row of distances reaches the tracked points alone.
+
+A CSV file of numbers alone is parsed in C by ``np.loadtxt``, which reads
+each cell as float() does; a file it declines or warns on (quotes, a
+header row, ragged rows, no rows) is read by the csv reader, as before.
 """
 from __future__ import annotations
 
@@ -106,6 +118,7 @@ import math
 import multiprocessing
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -146,6 +159,10 @@ WINDOW_ERRORS = 4
 # Room for this share more distances than the pilot predicts the windows
 # hold.
 WINDOW_SLACK = 1 / 16
+# Every this many picks, a farthest-first traversal drops the points within
+# r of its picks, once they are at least this share of those it tracks.
+TRAVERSAL_DROP_PICKS = 32
+TRAVERSAL_DROP_SHARE = 1 / 4
 
 
 class InvalidNetError(ValueError):
@@ -422,6 +439,28 @@ def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
                   int(stops.sum()), widest, fold)
 
 
+def _order_statistics(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The entries at ``positions`` of ``values`` sorted, one per position,
+    with ``values`` reordered in place: by one sort where more than log2
+    of its size distinct positions are asked, else by selection (Hoare
+    1961), one per distinct position in increasing order, each over the
+    entries past the one before."""
+    wanted = np.unique(positions).tolist()
+    if len(wanted) > math.log2(max(values.size, 1)):
+        values.sort()
+        return values[positions]
+    start = 0
+    for at in wanted:
+        rest = values[start:]
+        if at == start:  # the least of the rest: argmin takes a fifth of partition's time
+            least = int(rest.argmin())
+            rest[0], rest[least] = rest[least], rest[0]
+        else:  # one kth at a time: numpy's partition at several is slower
+            rest.partition(at - start)
+        start = at + 1
+    return values[positions]
+
+
 def _checked_ranks(ranks, count: int) -> np.ndarray:
     """The ranks as an int64 array, each checked to lie in [0, count)."""
     ranks = np.asarray(ranks, dtype=np.int64)
@@ -434,7 +473,8 @@ class Sample:
     """An ordered iid sample of points from one space.
 
     Immutable after construction apart from the distance matrix, built on
-    request, and the summaries, filled on first use.
+    request, the summaries, filled on first use, and the neighbour index
+    of the last radius asked.
     ``atom_indices`` carries optional provenance for samples generated from a
     finite-support distribution (indices into its atom list), which the
     oracles use for fast exact computations.  ``symbol_codes`` holds the
@@ -454,6 +494,7 @@ class Sample:
         self._earlier: np.ndarray | None = None
         self._diameter: float | None = None
         self._zeros: int | None = None
+        self._index: tuple[float, object] | None = None
 
     @property
     def n(self) -> int:
@@ -527,7 +568,6 @@ class Sample:
             return self.earlier_distances() <= r, self.nearest_distances() <= r
         (earlier, other), (late, lone) = self._index_answers(
             index, self.points, r, NEIGHBOURS, (np.less, np.not_equal))
-        del index  # free the tree before the kernel's rows take their blocks
         earlier[late] = self._earlier_within(late, r)
         # The kernel puts each point at exactly 0 from itself, so its second
         # nearest sample point is its nearest other one.
@@ -551,10 +591,14 @@ class Sample:
     def _neighbour_index(self, r: float):
         """The space's neighbour index over the sample at r, for a sample of
         more than ``SUMMARY_BLOCK_ELEMENTS`` pairs n * n; a smaller one
-        takes one kernel call per pass instead.  Else None."""
+        takes one kernel call per pass instead.  Else None.  The index of
+        the last radius asked is kept, so questions at one radius, such as
+        a certificate's and a classifier's, build one."""
         if self.n * self.n <= SUMMARY_BLOCK_ELEMENTS:
             return None
-        return self.space.neighbour_index(self.points, r)
+        if self._index is None or self._index[0] != r:
+            self._index = r, self.space.neighbour_index(self.points, r)
+        return self._index[1]
 
     def _index_answers(self, index, queries, r: float, k: int, questions):
         """Per question, the answers the index gives for each query and
@@ -617,9 +661,10 @@ class Sample:
         window around each fraction (:meth:`_pilot_windows`) and keeps
         those inside, in a buffer the pilot sizes.  A sample of at most
         ``PILOT_POINTS`` points is its own pilot and keeps every positive
-        distance.  ``select`` answers a rank from the sorted kept values,
-        or by v when the counts put it in a one-value bracket [v, v's next
-        double up).  Every pass counts exactly the distances below each
+        distance.  ``select`` answers a rank from the kept values, at its
+        position in their sorted order, which the ranges' counts give, by
+        selection (:func:`_order_statistics`), or by v when the counts put
+        it in a one-value bracket [v, v's next double up).  Every pass counts exactly the distances below each
         edge, so a rank left over lies in a bracket of known count, which
         the next pass keeps or cuts (:func:`_plan`); the budget is
         ``KEPT_DISTANCES_SHARE`` * n * n distances, or as many as the ranks
@@ -639,7 +684,8 @@ class Sample:
             windows, guide = pilot._pilot_windows(fractions, n)
             ranges, capacity, spans = _plan(windows, max(budget, fractions.size), guide)
         # Each known edge and the number of positive distances below it, and
-        # the sorted distances of each kept bracket, by the edge it starts at.
+        # per kept bracket, by the edge it starts at, its pass's buffer of
+        # kept distances and the sorted position of its first one there.
         below, kept = {}, {}
 
         def count_pass(ranges, capacity, spans):
@@ -657,12 +703,12 @@ class Sample:
                         if end in below:
                             below[edge] = below[end]
             if values is not None:
-                values.sort()
-                # The kept distances of each range follow those of the ranges below.
+                # Sorted, the kept distances of each range follow those of
+                # the ranges below.
                 sizes = counts[1::2] - counts[::2]
-                for (lo, hi), stop, size in zip(ranges, np.cumsum(sizes), sizes):
+                for (lo, hi), start in zip(ranges, (np.cumsum(sizes) - sizes).tolist()):
                     if lo < hi:
-                        kept[lo] = values[stop - size:stop]
+                        kept[lo] = values, start
 
         count_pass(ranges, capacity, spans)
         count = self.positive_pair_count()
@@ -670,21 +716,32 @@ class Sample:
         def select(ranks):
             ranks = _checked_ranks(ranks, count)
             found = np.empty(ranks.shape)
+            waiting = np.ones(ranks.shape, dtype=bool)
             while True:
                 edges = sorted(below)
                 counts = np.array([below[edge] for edge in edges])
                 # The bracket [edges[i], edges[i + 1]) whose counts hold each rank.
                 bracket = np.searchsorted(counts, ranks, side="right") - 1
-                left = []
-                for i in np.unique(bracket):
-                    at = bracket == i
+                # Per kept buffer, by its id, the ranks it answers, each at
+                # its sorted position there, so one selection serves them.
+                left, asked = [], {}
+                position = np.empty(ranks.shape, dtype=np.int64)
+                for i in np.unique(bracket[waiting]).tolist():
+                    at = waiting & (bracket == i)
                     lo, hi = edges[i], edges[i + 1]
                     if lo in kept:
-                        found[at] = kept[lo][ranks[at] - counts[i]]
+                        values, start = kept[lo]
+                        position[at] = start + ranks[at] - counts[i]
+                        mask = asked.setdefault(id(values), (values, np.zeros_like(at)))[1]
+                        mask |= at
                     elif hi == np.nextafter(lo, np.inf):
                         found[at] = lo
                     else:
                         left.append((lo, hi, counts[i + 1] - counts[i]))
+                        continue
+                    waiting &= ~at
+                for values, at in asked.values():
+                    found[at] = _order_statistics(values, position[at])
                 if not left:
                     return found
                 count_pass(*_plan(left, max(budget, ranks.size), guide))
@@ -936,12 +993,35 @@ def _looks_numeric(row) -> bool:
         return False
 
 
+def _numeric_csv(path) -> np.ndarray | None:
+    """The file's rows of comma-separated numbers as a 2-D float array,
+    parsed in C by ``np.loadtxt``, or None where it raises a ValueError or
+    warns (an empty file) or finds no value.  Its cells parse as float()
+    parses them, but it takes no quotes, headers, ragged rows or digit
+    underscores."""
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            points = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return points if points.size else None
+
+
 def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
     """One point per row.  Numeric columns are coordinates; a single
     non-numeric column, or any single column under a declared discrete
     space, is read as categorical symbols under the discrete metric.  An
     optional header row is skipped when it does not parse as numbers but
-    the rest of the file does."""
+    the rest of the file does.
+
+    A file of numbers alone, outside a declared discrete space, is parsed
+    in C (:func:`_numeric_csv`); any other falls through to the csv
+    reader, whose messages name what is wrong."""
+    if space != discrete():
+        points = _numeric_csv(path)
+        if points is not None:
+            return make_sample(points, space)
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -1010,7 +1090,17 @@ def farthest_first_traversal(sample: Sample, r: float,
     on ties; a pick covers itself whatever the kernel puts on its own
     entry, so the traversal ends.  At any radius s >= r the greedy s-net
     is the shortest prefix whose covering radius is at most s
-    (:func:`net_prefix`)."""
+    (:func:`net_prefix`).
+
+    A point within r of the picks can never again be the farthest, so the
+    traversal drops such points (see ``TRAVERSAL_DROP_PICKS``) and computes
+    each pick's row of distances to the points it still tracks alone
+    (Gonzalez 1985).  So every covering radius but the last is exact.  The
+    last is the largest distance the traversal last held for any point, a
+    dropped one's being its distance when dropped: at most r, and at least
+    the final covering radius, which it equals where nothing was dropped.
+    It decides every radius of at least r as the exact value would, and
+    those are the only radii a caller compares it with."""
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
     if not 0 <= seed_index < sample.n:
@@ -1019,17 +1109,32 @@ def farthest_first_traversal(sample: Sample, r: float,
         raise ValueError("radius must be non-negative")
     order = [seed_index]
     covering = []
+    # The tracked points, in increasing index order so that argmax breaks
+    # ties as over every point: a dropped one lies within r, below the
+    # distance of any pick.
+    tracked, points = np.arange(sample.n), sample.points
     dist_to_net = sample.distance_rows(slice(seed_index, seed_index + 1))[0]
     dist_to_net[seed_index] = 0.0
+    dropped = -np.inf  # the largest distance a dropped point had
     while True:
         far = int(np.argmax(dist_to_net))
-        covering.append(dist_to_net[far])
         if dist_to_net[far] <= r:
+            covering.append(max(dist_to_net[far], dropped))
             return order, np.array(covering)
-        order.append(far)
-        np.minimum(dist_to_net, sample.distance_rows(slice(far, far + 1))[0],
+        covering.append(dist_to_net[far])
+        order.append(int(tracked[far]))
+        np.minimum(dist_to_net, sample.space.kernel(points[far:far + 1], points)[0],
                    out=dist_to_net)
         dist_to_net[far] = 0.0
+        if len(order) % TRAVERSAL_DROP_PICKS:
+            continue
+        near = dist_to_net <= r
+        covered = np.count_nonzero(near)
+        # Where every point is covered, the next step ends the traversal.
+        if TRAVERSAL_DROP_SHARE * len(near) <= covered < len(near):
+            dropped = max(dropped, dist_to_net[near].max())
+            keep = ~near  # NaN distances stay tracked, as argmax picks them
+            tracked, points, dist_to_net = tracked[keep], points[keep], dist_to_net[keep]
 
 
 def net_prefix(order: list[int], covering: np.ndarray, r: float) -> list[int]:

@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 
 import metricmass
-from metricmass import samples
+from metricmass import samples, spaces
 from metricmass.spaces import MetricSpace, euclidean, lp
 
 
@@ -85,17 +85,24 @@ def triu_r_grid(sample, size=20):
     return list(np.geomspace(lo, hi, size))
 
 
-def dense_farthest_first_net(sample, r, seed_index=0):
-    """Greedy farthest-first r-net, every row read from the whole matrix."""
+def dense_farthest_first_traversal(sample, r, seed_index=0):
+    """Greedy farthest-first order run down to r, and the covering radius
+    after each pick, every row read from the whole matrix."""
     dmat = sample.distance_matrix()
-    net = [seed_index]
+    net, covering = [seed_index], []
     dist_to_net = dmat[seed_index].copy()
     while True:
         far = int(np.argmax(dist_to_net))
+        covering.append(dist_to_net[far])
         if dist_to_net[far] <= r:
-            return net
+            return net, np.array(covering)
         net.append(far)
         np.minimum(dist_to_net, dmat[far], out=dist_to_net)
+
+
+def dense_farthest_first_net(sample, r, seed_index=0):
+    """Greedy farthest-first r-net, every row read from the whole matrix."""
+    return dense_farthest_first_traversal(sample, r, seed_index)[0]
 
 
 def dense_verify_net(sample, net, r):
@@ -398,6 +405,20 @@ def index_spy():
 
     with mock.patch.object(MetricSpace, "neighbour_index", spy):
         yield built
+
+
+@contextmanager
+def tree_spy():
+    """Record the number of points of every k-d tree a neighbour index
+    builds."""
+    real, sizes = spaces.cKDTree, []
+
+    def spy(points, *args, **kwargs):
+        sizes.append(len(points))
+        return real(points, *args, **kwargs)
+
+    with mock.patch.object(spaces, "cKDTree", spy):
+        yield sizes
 
 
 @contextmanager

@@ -26,7 +26,7 @@ from metricmass.oracles import conditional_missing_mass
 from metricmass.samples import Sample, make_sample
 from metricmass.spaces import discrete, lp, scaled_indicator
 
-from helpers import dense_nearest, index_spy, pool_threads, vector_sample
+from helpers import dense_nearest, index_spy, pool_threads, tree_spy, vector_sample
 
 
 def line_sample(*xs):
@@ -94,7 +94,8 @@ def test_classify_batch_on_the_index_matches_dense_rule(p, n, seed, block, k, th
     # Lattice training points and queries on the lattice and half way
     # between, with gamma at d == gamma ties: a block of 64 entries keeps
     # up to 8 training points off the index, 1 or 2 candidates per query
-    # send rows to the kernel.
+    # send rows to the kernel.  The certificate and the verdicts at one
+    # gamma share one index.
     rng = np.random.default_rng(seed)
     train = vector_sample("lattice", p, n, rng)
     queries = rng.integers(-6, 7, size=(30, 2)) / 2
@@ -105,7 +106,12 @@ def test_classify_batch_on_the_index_matches_dense_rule(p, n, seed, block, k, th
         for gamma in [0.5, 1.0] + [float(v) for v in rng.choice(nearest, size=3)]:
             expected = ["anomalous" if d > gamma else "normal" for d in nearest]
             classifier = ProximityClassifier(Sample(train.points, train.space), gamma)
-            assert classify_batch(classifier, queries) == expected
+            asked = len(built)
+            with tree_spy() as trees:
+                false_alarm_certificate(classifier, 0.1)
+                assert classify_batch(classifier, queries) == expected
+            assert len(built) - asked <= 1
+            assert len(trees) == sum(built[asked:])
     assert any(built) == (n * n > block and np.ptp(train.points, axis=0).max() > 0)
 
 

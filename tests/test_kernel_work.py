@@ -74,14 +74,17 @@ def test_certificate_kernel_work(train, tmp_path, monkeypatch):
 
 
 def test_code_net_check_kernel_work(train, tmp_path, monkeypatch):
-    # The farthest-first traversal computes one row of N distances per net
-    # point.  The net check asks the neighbour index over the net, so it
-    # adds no N x |net| block of its own.
+    # The farthest-first traversal computes one row per net point, of the
+    # distances to the points it still tracks: every 32 picks it drops
+    # those within r of the net, so past a few hundred picks the rows
+    # average well under N.  The net check asks the neighbour index over
+    # the net, so it adds no N x |net| block of its own.
     out = tmp_path / "out"
     entries = kernel_entries(["code", "--input", train, "--epsilon", "0.4", "--use-net",
                               "--out", str(out)], monkeypatch)
     net = len(json.loads((tmp_path / "out.json").read_text())["report"]["codebook"])
-    assert entries - N * net <= 0.05 * N * net
+    assert net >= 500
+    assert entries <= 0.6 * N * net
 
 
 def test_discrete_commands_make_no_kernel_call(tmp_path, monkeypatch):

@@ -169,6 +169,49 @@ def test_csv_numeric_round_trip(tmp_path):
     assert np.array_equal(again.points, s.points)
 
 
+# Files of numbers the C parser reads (True) and files it leaves to the csv
+# reader: signed zeros, underflow, subnormals, overflow, NaN and infinities,
+# padded cells, line endings, blank lines, and then quotes, digit
+# underscores, headers, ragged rows, '#', empty cells, bytes that are not
+# UTF-8, a byte-order mark, full-width digits, symbols and no rows at all.
+CSV_EDGES = [
+    (b"-0\n1\n", True), (b"1e-400,2\n-1e-400,4\n", True), (b"2.5e-324\n5e-324\n", True),
+    (b"1e400,-1e400\n", True), (b"1" + b"0" * 400 + b",1\n", True),
+    (b"nan,NaN\n-nan,+nan\n", True), (b"inf,-Infinity\n+INF,infinity\n", True),
+    (b" 1.5 , 2 \n\t3\t,4\n", True), (b"1\x0b,2\n3,4\n", True), (b"1,2\r\n3,4\r\n", True),
+    (b"1,2\r3,4\r", True), (b"1,2\n\n3,4\n\n", True), (b"+1,+.5\n1.,.5e1\n", True),
+    (b"0.1000000000000000055511151231257827021181583404541015625,3\n", True), (b"7\n", True),
+    (b'"1","2"\n3,4\n', False), (b"1_0,2\n3,4\n", False), (b"x,y\n1,2\n", False),
+    (b'"a","b"\n"1","2"\n', False), (b"1,2\n3\n", False), (b"1,2\n   \n3,4\n", False),
+    (b"1,2#c\n3,4\n", False), (b"1,2,\n3,4,\n", False), (b",\n", False),
+    (b"1,\xff\n", False), (b"\xef\xbb\xbf1,2\n3,4\n", False),
+    ("\uff11,2\n".encode(), False), (b"0x10,1\n", False), (b"1,2\x0c3,4\n", False),
+    (b"a\nb\n", False), (b"1;2\n", False), (b"", False), (b"\n\n", False),
+]
+
+
+@pytest.mark.parametrize("text,parsed_in_c", CSV_EDGES)
+def test_csv_numbers_parsed_in_c_match_the_csv_reader(tmp_path, text, parsed_in_c):
+    # Each file gives the same points, bit for bit, or the same error with
+    # the C parser as with the csv reader alone, forced by making the
+    # parser fail.
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text)
+
+    def read():
+        try:
+            s = sample_from_csv(path)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return s.space, s.points.dtype, s.points.shape, s.points.tobytes()
+
+    with mock.patch.object(samples.csv, "reader", wraps=samples.csv.reader) as reader:
+        fast = read()
+    assert reader.called != parsed_in_c
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("parser failed")):
+        assert fast == read()
+
+
 def test_csv_symbols(tmp_path):
     path = tmp_path / "sym.csv"
     path.write_text("a\na\nb\nc\n")

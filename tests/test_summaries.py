@@ -28,6 +28,7 @@ from metricmass.wasserstein import GRID_FRACTIONS, default_r_grid, grid_endpoint
 from helpers import (
     dense_escape_indicators,
     dense_farthest_first_net,
+    dense_farthest_first_traversal,
     dense_good_turing,
     dense_nearest,
     dense_summaries,
@@ -36,6 +37,7 @@ from helpers import (
     index_spy,
     kernel_spy,
     pool_threads,
+    tree_spy,
     triu_r_grid,
     vector_sample,
 )
@@ -279,9 +281,22 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
         assert sample.positive_pair_count() == positive.size
         count, select = sample.pair_rank_selector(GRID_FRACTIONS)
         assert count == positive.size
+        # A few ranks are selected, not sorted: the grid's, in its windows
+        # or their one-value brackets, repeated, and scattered ones; then
+        # every rank, sorted, from the buffers the selection reordered.
+        picked = np.array(grid_ranks(count) * 2 + rng.integers(count, size=3).tolist()
+                          if count else [], dtype=np.int64)
+        assert np.array_equal(select(picked), positive[picked])
         assert np.array_equal(select(ranks), positive)
         assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive[ranks])
     assert not matrix_built(sample)
+
+
+def grid_ranks(count):
+    """The ranks of ``count`` positive distances the default grid asks."""
+    asked = []
+    grid_endpoints(count, lambda ranks: asked.extend(ranks) or np.ones(len(ranks)))
+    return asked
 
 
 def edge_sample(kind, n, scale, rng):
@@ -468,17 +483,29 @@ def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, thread
             index_spy() as built, kernel_spy() as calls:
         for r in radii:
             sample = Sample(dense.points, dense.space)
-            for got, expected in zip(sample.within(r), dense_within(dense, r)):
-                assert np.array_equal(got, expected)
-            assert np.array_equal(sample.covers(queries, r), query_nearest <= r)
+            # Questions at one radius share the sample's one index, and a
+            # net check builds one over the net.
+            with tree_spy() as trees:
+                for got, expected in zip(sample.within(r), dense_within(dense, r)):
+                    assert np.array_equal(got, expected)
+                assert np.array_equal(sample.covers(queries, r), query_nearest <= r)
+            assert len(trees) <= 1
             picks = rng.permutation(n)[:int(rng.integers(1, n + 1))]
             apart = d[np.ix_(picks, picks)][np.triu_indices(len(picks), k=1)] > r
             assert is_r_separated(sample, picks, r) == bool(apart.all())
             net = dense_farthest_first_net(dense, r)
             for candidate in [net] + corrupted_nets(net, n, rng):
-                assert (net_verdict(verify_net, sample, candidate, r)
-                        == net_verdict(dense_verify_net, dense, candidate, r))
+                with tree_spy() as trees:
+                    assert (net_verdict(verify_net, sample, candidate, r)
+                            == net_verdict(dense_verify_net, dense, candidate, r))
+                assert len(trees) <= 1
             assert not matrix_built(sample)
+        # One sample asked at every radius, down to 0, where no index is
+        # built, keeps the index of its last radius only for that radius.
+        sample = Sample(dense.points, dense.space)
+        for r in sorted(radii, reverse=True):
+            for got, expected in zip(sample.within(r), dense_within(dense, r)):
+                assert np.array_equal(got, expected)
     assert all(rows == 1 or rows * cols <= block for rows, cols in calls)
     if n * n > block and d.max() > 0:
         assert any(built)
@@ -626,9 +653,20 @@ def test_sweep_verifies_every_net_in_one_pass():
     assert sum(rep.upper_b is not None for rep in reports) == len(spy.call_args.args[2])
 
 
-@given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), BLOCKS)
-@settings(max_examples=100)
-def test_one_traversal_serves_every_radius(kind, n, seed, block):
+# How often a farthest-first traversal drops the points within r of its
+# picks: by default, which these samples' few picks never reach, or after
+# every pick or every third, whatever share of those it tracks they are.
+DROPS = st.sampled_from([(samples.TRAVERSAL_DROP_PICKS, samples.TRAVERSAL_DROP_SHARE),
+                         (1, 0.0), (3, 0.0)])
+
+
+@given(st.sampled_from(KINDS + ("lattice", "duplicated")), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1), BLOCKS, DROPS)
+@settings(max_examples=150)
+def test_one_traversal_serves_every_radius(kind, n, seed, block, drop):
+    # A traversal that drops the points within r of its picks has the dense
+    # reference's order and covering radii, bit for bit, but the last,
+    # which lies between the reference's final covering radius and r.
     # Each radius's net is a prefix of one traversal run to the smallest
     # radius, also at radii equal to a recorded covering radius, where the
     # per-radius loop stops exactly at d == r.
@@ -637,7 +675,15 @@ def test_one_traversal_serves_every_radius(kind, n, seed, block):
     sample = Sample(dense.points, dense.space)
     radii = radii_on_ties(dense, rng)
     start = int(rng.integers(n))
-    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block):
+    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
+            mock.patch.object(samples, "TRAVERSAL_DROP_PICKS", drop[0]), \
+            mock.patch.object(samples, "TRAVERSAL_DROP_SHARE", drop[1]):
+        for r in radii:
+            order, covering = farthest_first_traversal(sample, r, start)
+            dense_order, dense_covering = dense_farthest_first_traversal(dense, r, start)
+            assert order == dense_order
+            assert np.array_equal(covering[:-1], dense_covering[:-1])
+            assert dense_covering[-1] <= covering[-1] <= r
         order, covering = farthest_first_traversal(sample, min(radii), start)
         assert covering[-1] <= min(radii) < covering[:-1].min(initial=np.inf)
         for r in radii + [float(c) for c in covering]:
