@@ -5,8 +5,11 @@ Sample order is preserved exactly as ingested; the sequential estimators in
 :mod:`metricmass.estimators` depend on it.
 
 Distances are streamed in row blocks of at most ``SUMMARY_BLOCK_ELEMENTS``
-entries, each computed by the space's kernel.  The time is still O(n^2),
-but the memory is O(n * block).  The matrix itself is built only on request, by
+entries, or one row, each computed by the space's kernel.  A block is cut
+by its entries, not by a fixed count of rows: it takes as many rows as its
+own width leaves room for, so blocks grow as the rows narrow, down the
+upper triangle or up to a query's stop.  The time is still O(n^2), but the
+memory is O(n * block).  The matrix itself is built only on request, by
 :meth:`Sample.distance_matrix` (the h search in :mod:`metricmass.separation`
 reads it).
 
@@ -138,9 +141,11 @@ NEIGHBOUR_SLACK = 2.0 ** -30
 # A pass of fewer entries than this many blocks runs on the calling thread,
 # where handing blocks to other threads would cost more than it saves.
 THREADED_MIN_BLOCKS = 2
-# Rows per block of the upper-triangle pass.  Each block also computes the
-# square below its part of the diagonal and discards it; short blocks keep
-# that waste near n * SUMMARY_BLOCK_ROWS / 2 entries in all.
+# Rows per block of the upper-triangle pass, at most.  A block from row i
+# takes as many rows as fit its budget at width n - i, up to this many.
+# Each block also computes the square below its part of the diagonal and
+# discards it; short blocks keep that waste under n * SUMMARY_BLOCK_ROWS / 2
+# entries in all.
 SUMMARY_BLOCK_ROWS = 64
 # A pass of the order statistics keeps at most this share of n * n
 # distances, or as many as there are ranks asked if that is more; a bracket
@@ -169,11 +174,19 @@ class InvalidNetError(ValueError):
     """A claimed r-net fails the separation or coverage requirement."""
 
 
-def _row_blocks(rows: int, step: int):
-    """Slices cutting ``rows`` rows into blocks of ``step`` rows, one at
-    least."""
-    step = max(1, step)
-    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
+def _entry_blocks(rows: int, budget: int, width, most: int):
+    """Slices cutting ``rows`` rows into blocks of at most ``most`` rows and
+    ``budget`` entries, or of one row.  ``width(start, stop)``, the width of
+    a block of the rows from start to stop, never decreases with stop."""
+    start = 0
+    while start < rows:
+        step = min(most, rows - start, budget // max(width(start, start + 1), 1))
+        if step > 1:
+            # A wider last row shortens the block to what its width allows.
+            step = min(step, budget // max(width(start, start + step), 1))
+        step = max(1, step)
+        yield slice(start, start + step)
+        start += step
 
 
 def _block_view(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -425,8 +438,7 @@ def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
     ``rows``, through :func:`stream_blocks` with ``fold``.  With ``stops``,
     which never decrease, query q needs only the points before stops[q],
     and a block holds its queries' distances to the points before its last
-    query's stop.  A block has at most budget // (the widest stop) rows, so
-    it holds at most the budget, or one row."""
+    query's stop.  A block holds at most the budget, or one row."""
     if stops is None:
         stops = np.full(len(queries), len(points))
     widest = int(stops[-1]) if len(stops) else 0
@@ -435,7 +447,8 @@ def _cross_pass(space: MetricSpace, queries: np.ndarray, points: np.ndarray,
         block = _block_view(buffers[0], rows.stop - rows.start, stops[rows.stop - 1])
         return work(rows, space.kernel(queries[rows], points[:block.shape[1]], out=block))
 
-    stream_blocks(run, lambda budget: _row_blocks(len(queries), budget // max(widest, 1)),
+    stream_blocks(run, lambda budget: _entry_blocks(
+        len(queries), budget, lambda start, stop: int(stops[stop - 1]), len(queries)),
                   int(stops.sum()), widest, fold)
 
 
@@ -618,7 +631,8 @@ class Sample:
         low, high = r * (1 - NEIGHBOUR_SLACK), r * (1 + NEIGHBOUR_SLACK)
         answers = [np.zeros(len(queries), dtype=bool) for _ in questions]
         unsure = [[np.empty(0, dtype=np.intp)] for _ in questions]
-        for rows in _row_blocks(len(queries), SUMMARY_BLOCK_ELEMENTS // (4 * k)):
+        for rows in _entry_blocks(len(queries), SUMMARY_BLOCK_ELEMENTS, lambda start, stop: 4 * k,
+                                  len(queries)):
             # An empty slot has distance inf and index n.
             d, j = (a.reshape(rows.stop - rows.start, k) for a in index(
                 queries[rows], k=k, distance_upper_bound=high, workers=_threads()))
@@ -836,7 +850,7 @@ class Sample:
         ``SUMMARY_BLOCK_ELEMENTS`` entries is one block, computed by one
         kernel call on the calling thread; a larger one streams through
         :func:`stream_blocks` in blocks of at most ``SUMMARY_BLOCK_ROWS``
-        rows."""
+        rows, each as many as its budget holds at its width."""
         n, points = self.n, self.points
 
         def run(rows, buffers):
@@ -849,7 +863,8 @@ class Sample:
             if n:
                 fold(run(slice(0, n), [np.empty(n * n, dtype) for dtype in dtypes]))
             return
-        stream_blocks(run, lambda budget: _row_blocks(n, min(SUMMARY_BLOCK_ROWS, budget // n)),
+        stream_blocks(run, lambda budget: _entry_blocks(
+            n, budget, lambda start, stop: n - start, SUMMARY_BLOCK_ROWS),
                       n * (n + 1) // 2, n, fold, dtypes)
 
     def _summaries(self) -> None:
@@ -998,8 +1013,8 @@ def _numeric_csv(path) -> np.ndarray | None:
     parsed in C by ``np.loadtxt``, or None where it raises a ValueError or
     warns (an empty file) or finds no value.  Its cells parse as float()
     parses them, but it takes no quotes, headers, ragged rows or digit
-    underscores."""
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+    underscores.  A leading UTF-8 byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             points = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
@@ -1013,7 +1028,8 @@ def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
     non-numeric column, or any single column under a declared discrete
     space, is read as categorical symbols under the discrete metric.  An
     optional header row is skipped when it does not parse as numbers but
-    the rest of the file does.
+    the rest of the file does.  A leading UTF-8 byte-order mark is no part
+    of the first cell.
 
     A file of numbers alone, outside a declared discrete space, is parsed
     in C (:func:`_numeric_csv`); any other falls through to the csv
@@ -1022,7 +1038,7 @@ def sample_from_csv(path, space: MetricSpace | None = None) -> Sample:
         points = _numeric_csv(path)
         if points is not None:
             return make_sample(points, space)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")

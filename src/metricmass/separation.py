@@ -19,11 +19,14 @@ the largest clique whose every prefix passes a hereditary feasibility
 predicate (every subset of a locally separated set is locally separated).
 Candidate sets are Python-int bitsets, and each node peels colour classes
 off its candidates in index order for its bound, as in San Segundo et
-al.'s BBMC.  The clique relaxation's predicate accepts everything; h's is
-the locality test below.  Witnesses are returned sorted.  A search that
-lists ``CLIQUE_NODE_BUDGET`` candidates stops there with a one-sided answer:
-the clique relaxation then reports the largest colour bound of the
-branches it left open, and h its witness as a lower bound.
+al.'s BBMC.  The search is one loop over an explicit stack of frames, and
+colours a child's candidates in its parent's loop, before entering it: a
+child that lists no candidate has no branch and is never entered.  The
+clique relaxation's predicate accepts everything; h's is the locality test
+below.  Witnesses are returned sorted.  A search that lists
+``CLIQUE_NODE_BUDGET`` candidates stops there with a one-sided answer: the
+clique relaxation then reports the largest colour bound of the branches it
+left open, and h its witness as a lower bound.
 
 The clique value ω bounds h from above, so :func:`h_exact` given the
 :func:`h_clique_relaxed` report of the same sample and radius stops as soon
@@ -180,68 +183,84 @@ def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]
 def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[tuple[int, ...], int | None]:
     """Largest clique of ``adj`` whose every prefix passes the hereditary
     ``feasible``, by branch and bound over bitset candidate sets with a
-    colour-class bound.
+    colour-class bound, as one loop over an explicit stack of frames.
 
     Returns the clique sorted, and None; or, if the search listed
     ``CLIQUE_NODE_BUDGET`` candidates to branch on before it finished, the
     largest clique found and an upper bound on the largest there is.  The
     search ends as soon as the clique has ``stop`` vertices.
+
+    A child's candidates are coloured in its parent's loop, before it is
+    entered; a child that lists no vertex has no branch and adds no node, so
+    it is never entered.
     """
     budget = CLIQUE_NODE_BUDGET
     nbrs = [int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(adj, axis=1, bitorder="little")]
+    # The vertices that may share a colour class with v: its non-neighbours.
+    # Kept non-negative, which Python's ``&`` takes faster than ``~(...)``.
+    everyone = (1 << len(nbrs)) - 1
+    masks = [everyone ^ (nbr | 1 << v) for v, nbr in enumerate(nbrs)]
     best = [0]
     nodes = 0
     # The largest len(clique) + colour over the branches the budget left
     # open, None while the search runs within it.
     open_bound = None
-
-    def expand(clique: list[int], cands: int) -> bool:
-        nonlocal best, nodes, open_bound
-        # Colour classes peeled in index order; a clique among the
-        # candidates up to a class-k vertex has at most k of them.  A
-        # vertex whose colour cannot beat best is never branched on.
-        skip = len(best) - len(clique)
-        listed: list[tuple[int, int]] = []
-        uncoloured, colour = cands, 0
-        while uncoloured:
-            colour += 1
-            free = uncoloured
-            while free:
-                low = free & -free
-                v = low.bit_length() - 1
-                free &= ~(nbrs[v] | low)
-                uncoloured ^= low
-                if colour > skip:
-                    listed.append((v, colour))
-        if listed and nodes >= budget:
-            # Every branch here stays open; the last has the highest colour.
-            open_bound = max(open_bound or 0, len(clique) + listed[-1][1])
-            return True
-        nodes += len(listed)
-        for k in range(len(listed) - 1, -1, -1):
-            v, colour = listed[k]
-            if len(clique) + colour <= len(best):
-                return False
-            cands ^= 1 << v
-            grown = clique + [v]
-            if not feasible(grown):
-                continue
-            if len(grown) > len(best):
-                best = grown
-                if len(best) >= stop:
-                    return True
-            if expand(grown, cands & nbrs[v]):
-                if open_bound is not None and k:  # the branches after v
-                    open_bound = max(open_bound, len(clique) + listed[k - 1][1])
-                return True
-        return False
-
-    if len(best) < stop:
-        expand([], (1 << adj.shape[0]) - 1)
-    # ``expand`` refers to itself, a cycle that would keep ``feasible``, and
-    # the distance matrix it reads, alive until the next garbage collection.
-    del expand
+    # The frame whose branches are taken: its clique, its candidates not yet
+    # branched on, its listed (vertex, colour) pairs and the index of its
+    # next branch, which runs down to 0.  The frames it was entered from
+    # wait on the stack; the bottom one, below the root, has no branch.
+    clique, cands, listed, k = [], 0, [], -1
+    stack = []
+    # The clique of the child to colour next and its candidates, first the
+    # root's; None once it is entered or passed over.
+    grown, child = [], everyone
+    while len(best) < stop:
+        if grown is not None:
+            # Colour classes peeled in index order; a clique among the
+            # candidates up to a class-c vertex has at most c of them.  A
+            # vertex whose colour cannot beat best is never branched on.
+            skip = len(best) - len(grown)
+            fresh = []
+            uncoloured, colour = child, 0
+            while uncoloured:
+                colour += 1
+                free = uncoloured
+                while free:
+                    low = free & -free
+                    v = low.bit_length() - 1
+                    free &= masks[v]
+                    uncoloured ^= low
+                    if colour > skip:
+                        fresh.append((v, colour))
+            if fresh:
+                if nodes >= budget:
+                    # Every branch of the child stays open, and so does each
+                    # frame's next one; the last listed has the highest colour.
+                    open_bound = len(grown) + fresh[-1][1]
+                    for above, _, pairs, j in (*stack, (clique, cands, listed, k)):
+                        if j >= 0:
+                            open_bound = max(open_bound, len(above) + pairs[j][1])
+                    break
+                nodes += len(fresh)
+                stack.append((clique, cands, listed, k))
+                clique, cands, listed, k = grown, child, fresh, len(fresh) - 1
+            grown = None
+        if k < 0 or len(clique) + listed[k][1] <= len(best):
+            if not stack:
+                break
+            clique, cands, listed, k = stack.pop()
+            continue
+        v = listed[k][0]
+        k -= 1
+        cands ^= 1 << v
+        grown = clique + [v]
+        if not feasible(grown):
+            grown = None
+            continue
+        if len(grown) > len(best):
+            best = grown
+        child = cands & nbrs[v]
     bound = None if open_bound is None else max(open_bound, len(best))
     return tuple(sorted(best)), bound
 

@@ -360,6 +360,65 @@ def reference_max_clique(adj):
     return best
 
 
+def reference_bbmc(adj, feasible, stop, budget=None):
+    """``separation._largest_clique`` as a recursive search, one call per
+    child, with its budget (``separation.CLIQUE_NODE_BUDGET`` by default),
+    stop and open bound: the loop must return exactly what this returns."""
+    from metricmass import separation
+
+    budget = separation.CLIQUE_NODE_BUDGET if budget is None else budget
+    nbrs = [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(adj, axis=1, bitorder="little")]
+    best = [0]
+    nodes = 0
+    # The largest len(clique) + colour over the branches the budget left
+    # open, None while the search runs within it.
+    open_bound = None
+
+    def expand(clique, cands):
+        nonlocal best, nodes, open_bound
+        skip = len(best) - len(clique)
+        listed = []
+        uncoloured, colour = cands, 0
+        while uncoloured:
+            colour += 1
+            free = uncoloured
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                free &= ~(nbrs[v] | low)
+                uncoloured ^= low
+                if colour > skip:
+                    listed.append((v, colour))
+        if listed and nodes >= budget:
+            # Every branch here stays open; the last has the highest colour.
+            open_bound = max(open_bound or 0, len(clique) + listed[-1][1])
+            return True
+        nodes += len(listed)
+        for k in range(len(listed) - 1, -1, -1):
+            v, colour = listed[k]
+            if len(clique) + colour <= len(best):
+                return False
+            cands ^= 1 << v
+            grown = clique + [v]
+            if not feasible(grown):
+                continue
+            if len(grown) > len(best):
+                best = grown
+                if len(best) >= stop:
+                    return True
+            if expand(grown, cands & nbrs[v]):
+                if open_bound is not None and k:  # the branches after v
+                    open_bound = max(open_bound, len(clique) + listed[k - 1][1])
+                return True
+        return False
+
+    if len(best) < stop:
+        expand([], (1 << adj.shape[0]) - 1)
+    bound = None if open_bound is None else max(open_bound, len(best))
+    return tuple(sorted(best)), bound
+
+
 def transport_w1_atoms(mu_positions, mu_weights, nu_positions, nu_weights):
     """W1 between two atomic measures on the line, by CDF area over a mesh."""
     xs = np.unique(np.concatenate([mu_positions, nu_positions]))
@@ -422,12 +481,15 @@ def tree_spy():
 
 
 @contextmanager
-def kernel_spy():
-    """Record the rows and columns of every ``MetricSpace.kernel`` call."""
+def kernel_spy(into_blocks=False):
+    """Record the rows and columns of every ``MetricSpace.kernel`` call, or
+    with ``into_blocks`` of every call that writes into a given ``out``
+    array, as streamed blocks are computed."""
     real, shapes = MetricSpace.kernel, []
 
     def spy(self, a, b, out=None):
-        shapes.append((len(a), len(b)))
+        if out is not None or not into_blocks:
+            shapes.append((len(a), len(b)))
         return real(self, a, b, out=out)
 
     with mock.patch.object(MetricSpace, "kernel", spy):

@@ -171,9 +171,9 @@ def test_csv_numeric_round_trip(tmp_path):
 
 # Files of numbers the C parser reads (True) and files it leaves to the csv
 # reader: signed zeros, underflow, subnormals, overflow, NaN and infinities,
-# padded cells, line endings, blank lines, and then quotes, digit
-# underscores, headers, ragged rows, '#', empty cells, bytes that are not
-# UTF-8, a byte-order mark, full-width digits, symbols and no rows at all.
+# padded cells, line endings, blank lines, a byte-order mark, and then
+# quotes, digit underscores, headers, ragged rows, '#', empty cells, bytes
+# that are not UTF-8, full-width digits, symbols and no rows at all.
 CSV_EDGES = [
     (b"-0\n1\n", True), (b"1e-400,2\n-1e-400,4\n", True), (b"2.5e-324\n5e-324\n", True),
     (b"1e400,-1e400\n", True), (b"1" + b"0" * 400 + b",1\n", True),
@@ -184,7 +184,7 @@ CSV_EDGES = [
     (b'"1","2"\n3,4\n', False), (b"1_0,2\n3,4\n", False), (b"x,y\n1,2\n", False),
     (b'"a","b"\n"1","2"\n', False), (b"1,2\n3\n", False), (b"1,2\n   \n3,4\n", False),
     (b"1,2#c\n3,4\n", False), (b"1,2,\n3,4,\n", False), (b",\n", False),
-    (b"1,\xff\n", False), (b"\xef\xbb\xbf1,2\n3,4\n", False),
+    (b"1,\xff\n", False), (b"\xef\xbb\xbf1,2\n3,4\n", True),
     ("\uff11,2\n".encode(), False), (b"0x10,1\n", False), (b"1,2\x0c3,4\n", False),
     (b"a\nb\n", False), (b"1;2\n", False), (b"", False), (b"\n\n", False),
 ]
@@ -210,6 +210,24 @@ def test_csv_numbers_parsed_in_c_match_the_csv_reader(tmp_path, text, parsed_in_
     assert reader.called != parsed_in_c
     with mock.patch.object(np, "loadtxt", side_effect=ValueError("parser failed")):
         assert fast == read()
+
+
+def test_csv_byte_order_mark_before_numbers(tmp_path):
+    # The mark is no part of the first cell, so the first row is data, not
+    # a header, on both readers.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    assert sample_from_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("parser failed")):
+        assert sample_from_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_csv_byte_order_mark_before_symbols(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa\nb\n")
+    for space in (None, discrete()):
+        s = sample_from_csv(path, space)
+        assert s.space.kind == "discrete" and list(s.points) == ["a", "b"]
 
 
 def test_csv_symbols(tmp_path):

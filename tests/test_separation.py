@@ -1,10 +1,11 @@
 import math
 import time
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metricmass import separation
 from metricmass.distributions import ScaledIndicatorSpec, draw_sample
@@ -19,7 +20,13 @@ from metricmass.separation import (
 )
 from metricmass.spaces import MetricSpace, discrete, euclidean, lp, precomputed, scaled_indicator
 
-from helpers import h_grid_oracle, reference_h_exact, reference_max_clique, window_graph
+from helpers import (
+    h_grid_oracle,
+    reference_bbmc,
+    reference_h_exact,
+    reference_max_clique,
+    window_graph,
+)
 
 
 def line_sample(*xs):
@@ -371,6 +378,7 @@ def test_searches_match_references(kind, n, seed):
 
 
 @given(st.integers(1, 60), st.floats(0.05, 0.6), st.integers(0, 2 ** 32 - 1))
+@example(0, 0.05, 0)
 @settings(max_examples=300)
 def test_bitset_search_matches_reference_on_random_graphs(n, density, seed):
     rng = np.random.default_rng(seed)
@@ -378,6 +386,39 @@ def test_bitset_search_matches_reference_on_random_graphs(n, density, seed):
     adj = upper | upper.T
     assert separation._largest_clique(adj, lambda subset: True, n) == \
         (tuple(sorted(reference_max_clique(adj))), None)
+
+
+def recorded_predicate(forbidden, calls):
+    """A hereditary predicate on subsets of range(n): no vertex, pair or
+    triple of the subset is in ``forbidden``.  Each subset it is asked
+    about is appended to ``calls``."""
+    def feasible(subset):
+        calls.append(list(subset))
+        return not any(frozenset(part) in forbidden
+                       for size in (1, 2, 3) for part in combinations(subset, size))
+    return feasible
+
+
+@given(st.integers(0, 60), st.floats(0.05, 0.8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 7, 64, separation.CLIQUE_NODE_BUDGET]),
+       st.sampled_from(["1", "2", "n"]), st.booleans())
+@settings(max_examples=300)
+def test_search_loop_matches_the_recursive_search(n, density, seed, budget, stop, hereditary):
+    # The same witness and open bound, and the same subsets asked of the
+    # predicate in the same order, within the budget and out of it, with a
+    # predicate that accepts everything or a random hereditary one.
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    adj = upper | upper.T
+    stop = n if stop == "n" else int(stop)
+    forbidden = {frozenset(rng.choice(n, size=size, replace=False).tolist())
+                 for size in (1, 2, 2, 3, 3, 3) if hereditary and size <= n for _ in range(n)}
+    loop_calls, reference_calls = [], []
+    with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", budget):
+        got = separation._largest_clique(adj, recorded_predicate(forbidden, loop_calls), stop)
+    want = reference_bbmc(adj, recorded_predicate(forbidden, reference_calls), stop, budget)
+    assert got == want
+    assert loop_calls == reference_calls
 
 
 @given(st.sampled_from(REFERENCE_KINDS), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),

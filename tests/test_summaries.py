@@ -152,11 +152,18 @@ SHARES = st.sampled_from([samples.KEPT_DISTANCES_SHARE, 0.0])
 def small_blocks(block, rows, threads, share=samples.KEPT_DISTANCES_SHARE):
     """Patch the elements and the rows per block of the upper-triangle
     pass, the pool threads of every pass, and the share of n * n distances
-    a pass of the order statistics keeps."""
+    a pass of the order statistics keeps.  Then check that each block held
+    at most a thread's budget of entries, or one row, or was a whole n x n
+    square that fits ``block``."""
     with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", block), \
             mock.patch.object(samples, "SUMMARY_BLOCK_ROWS", rows), pool_threads(threads), \
-            mock.patch.object(samples, "KEPT_DISTANCES_SHARE", share):
+            mock.patch.object(samples, "KEPT_DISTANCES_SHARE", share), \
+            kernel_spy(into_blocks=True) as shapes:
         yield
+    budget = max(1, block // threads)
+    for height, width in shapes:
+        assert (height == 1 or height * width <= budget
+                or height == width and height * width <= block), (height, width, budget)
 
 
 # How the windowed order statistics of a sample larger than its pilot end,
@@ -340,13 +347,14 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
     assert not matrix_built(sample)
 
 
-@given(st.sampled_from(KINDS), st.sampled_from([0, 1, 2, 3, 17]), st.booleans(),
-       st.integers(0, 2 ** 32 - 1), THREADS, SHARES)
+@given(st.sampled_from(KINDS + ("lattice",)), st.sampled_from([0, 1, 2, 3, 17, 40]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), THREADS, SHARES)
 @settings(max_examples=100)
 def test_one_block_threshold(kind, n, fits, seed, threads, share):
     # A sample whose n x n square fits the block budget, exactly or with
     # room, is one kernel call per pass with no streaming; one entry less
-    # and the pass streams.  Both match the dense reference.
+    # and the pass streams, in blocks that grow as the triangle narrows.
+    # Both match the dense reference.
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     nearest, earlier = dense_summaries(dense) if n else (np.empty(0), np.empty(0))
