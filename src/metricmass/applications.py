@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .samples import Sample, farthest_first_net
 from .serialize import Record
-from .spaces import space_from_dict
+from .spaces import check_radius, space_from_dict
 
 NORMAL = "normal"
 ANOMALOUS = "anomalous"
@@ -45,8 +45,7 @@ class ProximityClassifier:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be non-negative")
+        check_radius(self.gamma, name="gamma")
         if self.training.n < 1:
             raise ValueError("training sample must be non-empty")
 
@@ -110,8 +109,7 @@ def coding_report(sample: Sample, epsilon: float, delta: float,
     is declared the expected reconstruction error is bounded by
     diameter * exceedance + epsilon.
     """
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be non-negative")
+    check_radius(epsilon, name="epsilon")
     check_delta(delta)
     if use_net:
         net = farthest_first_net(sample, epsilon / 2.0)

@@ -203,8 +203,6 @@ def cmd_wasserstein(args) -> int:
             grid = default_r_grid(sample)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    if not grid or any(not r > 0 for r in grid):
-        raise UsageError("radius grid must be non-empty and positive")
 
     delta = float(_pick(cfg, args.delta, "delta", 0.1))
     reports = w1_report(sample, grid, delta, mu_spec=spec, seed=seed)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .samples import Sample, verify_net
 from .serialize import Record
+from .spaces import check_radius
 
 GOOD_TURING = "good_turing"
 MARTINGALE = "martingale"
@@ -87,8 +88,7 @@ def upper_estimate(raw: float, method: str, delta: float, radius: float | None =
 
 
 def check_sample(sample: Sample, r: float) -> None:
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
 

@@ -43,7 +43,7 @@ import numpy as np
 from .distributions import draw_sample
 from .samples import SUMMARY_BLOCK_ELEMENTS, Sample
 from .serialize import Record
-from .spaces import discrete, euclidean
+from .spaces import check_radius, discrete, euclidean
 
 ANALYTIC = "analytic"
 FINITE = "finite"
@@ -217,8 +217,7 @@ def conditional_missing_masses(spec, sample: Sample, radii,
     branch draws its n_test points once and scores every radius on them,
     which gives each radius exactly the estimate of a one-radius call with
     the same seed."""
-    if any(not r >= 0 for r in radii):
-        raise ValueError("radius must be non-negative")
+    check_radius(*radii)
     if sample.n < 1:
         raise ValueError("sample must be non-empty")
     branch = oracle_branch(spec)
@@ -244,8 +243,7 @@ def smoothed_oracle_H(spec, sample: Sample, r: float,
     Sandwiched between the conditional missing mass and the same plus 1/n;
     its expectation equals that of the Good-Turing estimate.
     """
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     n = sample.n
     if n < 1:
         raise ValueError("sample must be non-empty")
@@ -272,8 +270,7 @@ def expected_missing_mass(spec, n: int, r: float, replicates: int = 1000,
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     if oracle_branch(spec) == FINITE:
         w = spec.atom_weights()
         # On the discrete metric no matrix is read: its row sums would add

@@ -25,28 +25,28 @@ further radius costs O(n).
 
 Order statistics of the positive distances d(i, j), i < j, hold no
 n(n - 1)/2 buffer; one loop of summary passes answers them
-(:meth:`Sample.pair_rank_selector`).  A pilot of every ceil(n / 1024)-th
-point sets a window of values around each wanted fraction, its quantile
-plus and minus four standard errors, so the default radius grid's
-percentile and median take the summary pass alone: it counts the positive
-distances below each window's ends and keeps those inside, and a rank
-inside is an offset into the kept values in sorted order.  The kept
-values are not sorted: a few ranks are selected (Hoare 1961), one
-partition per offset in increasing order, each over the values past the
-offset before, and only a call asking more than log2 of their number
-sorts them.  A window whose pilot distances are all one value v, such as
-a tie on a lattice, keeps nothing: the pass counts the distances below v
-and below v's next double up, and a rank between the two counts is v.
-A sample of at most 1,024 points is its own pilot: its summary pass keeps
-every positive distance.  Every count is exact, so a rank left over, past
-the buffer the pilot sized or outside its window, lies in a bracket of
-known count.  The next pass keeps that bracket whole if it fits
-``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise counts the
-distances below cuts inside it: at pilot distances, or at the midpoint of
-its float64 bit patterns, whose order for non-negative doubles is the
-order of the values; that pass also finds the smallest and largest
-distance of each piece, which shrinks the piece to them.  Windows the
-pilot predicts past that budget are cut so in the summary pass itself.
+(:meth:`Sample.pair_rank_selector`).  A pilot of one block of distances,
+every point against a few random points, sets a window of values around
+each wanted fraction, its quantile plus and minus four standard errors of
+the column draws, so the default radius grid's percentile and median take
+the summary pass alone: it counts the positive distances below each
+window's ends and keeps those inside, and a rank inside is an offset into
+the kept values in sorted order.  The kept values are not sorted: a few
+ranks are selected (Hoare 1961), one partition per offset in increasing
+order, each over the values past the offset before, and only a call asking
+more than log2 of their number sorts them.  A window whose pilot distances
+are all one value v, such as a tie on a lattice, keeps nothing: the pass
+counts the distances below v and below v's next double up, and a rank
+between the two counts is v.  A sample of at most 1,024 points is its own
+pilot: its summary pass keeps every positive distance.  Every count is
+exact, so a rank left over, past the buffer the pilot sized or outside its
+window, lies in a bracket of known count.  The next pass keeps that bracket
+whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise
+counts the distances below cuts inside it: at pilot distances, or at the
+midpoint of its float64 bit patterns, whose order for non-negative doubles
+is the order of the values; that pass also finds the smallest and largest
+distance of each piece, which shrinks the piece to them.  Windows the pilot
+predicts past that budget are cut so in the summary pass itself.
 
 Three questions read one radius r only: per point, whether an earlier
 point, and whether any other point, lies within r (:meth:`Sample.within`,
@@ -126,7 +126,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .spaces import MetricSpace, discrete, euclidean, precomputed
+from .spaces import MetricSpace, check_radius, discrete, euclidean, precomputed
 
 # Elements in the row blocks of distances alive at once, which bounds the
 # temporaries of every blocked pass.
@@ -156,7 +156,8 @@ KEPT_DISTANCES_SHARE = 1 / 8
 SELECT_SCRATCH = (bool, bool)
 # Every positive double, the value range of a pass that keeps them all.
 ALL_POSITIVE = (float(np.nextafter(0.0, 1.0)), np.inf)
-# The pilot of the windowed order statistics has at most this many points.
+# A sample of at most this many points is its own pilot, and the pilot's
+# guide to cuts has at most this many distances.
 PILOT_POINTS = 1024
 # A window spans the pilot's quantile plus and minus this many standard
 # errors of it.
@@ -214,13 +215,6 @@ def _lower_triangle(height: int) -> np.ndarray:
     return mask[:height, :height]
 
 
-def _mask_lower(block: np.ndarray, height: int) -> None:
-    """Set the diagonal of the block's leading height x height square and the
-    entries below it, which pair a point with itself or repeat a pair read
-    above, to inf; over every sample of a leading axis, if it has one."""
-    np.copyto(block[..., :height], np.inf, where=_lower_triangle(height))
-
-
 def _upper_summaries(block: np.ndarray, height: int):
     """The largest distance, the row and column minima and the number of
     zero distances of upper-triangle blocks, per sample of a leading axis if
@@ -239,7 +233,7 @@ def _upper_summaries(block: np.ndarray, height: int):
     top = block.max(axis=(-2, -1))
     if not np.isfinite(top).all():
         raise ValueError("pairwise distances must be finite")
-    _mask_lower(block, height)
+    np.copyto(block[..., :height], np.inf, where=_lower_triangle(height))
     rows_min = block.min(axis=-1)
     zeros = (block.shape[-2] * block.shape[-1] - np.count_nonzero(block, axis=(-2, -1))
              if rows_min.min() == 0 else np.zeros(block.shape[:-2], dtype=np.int64))
@@ -672,19 +666,21 @@ class Sample:
         smallest), one per rank.
 
         The summary pass also counts the distances below the ends of a
-        window around each fraction (:meth:`_pilot_windows`) and keeps
-        those inside, in a buffer the pilot sizes.  A sample of at most
+        window around each fraction, which a pilot of every point against
+        a few random points sets (:meth:`_pilot_windows`), and keeps those
+        inside, in a buffer the pilot sizes.  A sample of at most
         ``PILOT_POINTS`` points is its own pilot and keeps every positive
         distance.  ``select`` answers a rank from the kept values, at its
         position in their sorted order, which the ranges' counts give, by
         selection (:func:`_order_statistics`), or by v when the counts put
-        it in a one-value bracket [v, v's next double up).  Every pass counts exactly the distances below each
-        edge, so a rank left over lies in a bracket of known count, which
-        the next pass keeps or cuts (:func:`_plan`); the budget is
-        ``KEPT_DISTANCES_SHARE`` * n * n distances, or as many as the ranks
-        asked if that is more.  Each pass narrows every bracket a rank is
-        left in, so the passes end.  On the discrete metric every positive
-        distance is 1, so ``select`` answers 1.0 with no pass."""
+        it in a one-value bracket [v, v's next double up).  Every pass
+        counts exactly the distances below each edge, so a rank left over
+        lies in a bracket of known count, which the next pass keeps or
+        cuts (:func:`_plan`); the budget is ``KEPT_DISTANCES_SHARE`` * n * n
+        distances, or as many as the ranks asked if that is more.  Each
+        pass narrows every bracket a rank is left in, so the passes end.
+        On the discrete metric every positive distance is 1, so ``select``
+        answers 1.0 with no pass."""
         if self.symbol_codes is not None:
             count = self.positive_pair_count()
             return count, lambda ranks: np.ones(_checked_ranks(ranks, count).shape)
@@ -694,8 +690,7 @@ class Sample:
         if n <= PILOT_POINTS:
             ranges, capacity, spans, guide = [ALL_POSITIVE], n * (n - 1) // 2, [], np.empty(0)
         else:
-            pilot = self.subsample(np.arange(0, n, -(-n // PILOT_POINTS)))
-            windows, guide = pilot._pilot_windows(fractions, n)
+            windows, guide = self._pilot_windows(fractions)
             ranges, capacity, spans = _plan(windows, max(budget, fractions.size), guide)
         # Each known edge and the number of positive distances below it, and
         # per kept bracket, by the edge it starts at, its pass's buffer of
@@ -762,29 +757,48 @@ class Sample:
 
         return count, select
 
-    def _pilot_windows(self, fractions: np.ndarray, sample_size: int) -> tuple[list, np.ndarray]:
+    def _pilot_windows(self, fractions: np.ndarray) -> tuple[list, np.ndarray]:
         """Disjoint brackets (lo, hi, count), in increasing order, around the
-        given fractions of this pilot's positive distances, count being how
-        many of a sample's distances the pilot predicts in [lo, hi), and
-        every k-th of the pilot's distances, sorted, at most
-        ``PILOT_POINTS`` of them; no bracket where there is no distance.
+        given fractions of the positive distances, count being how many the
+        pilot predicts in [lo, hi), and every k-th of the pilot's positive
+        distances, sorted, at most ``PILOT_POINTS`` of them; no bracket
+        where there is no distance.
 
-        The pilot is a subsample of m of a sample's ``sample_size`` points.
-        Each window spans the pilot's quantile plus and minus
-        ``WINDOW_ERRORS`` standard errors of it, read off the pilot's own
-        sorted distances.  The fraction of the pilot's distances at or
-        below the quantile q is a U-statistic (Hoeffding 1948): it differs
-        from the whole sample's fraction by a standard error of
-        2 std(F_i) sqrt(1/m - 1/sample_size), F_i being the share of pilot
-        point i's m - 1 distances at or below q.  Two passes over the
-        pilot's pairs compute it: one keeps the distances, one counts each
-        point's distances at or below each quantile.  Windows that overlap
-        are merged, and the predicted counts have ``WINDOW_SLACK`` to
-        spare.  A window whose pilot distances are all one value v becomes
-        the empty brackets at v and at v's next double up, which keep
-        nothing and count the distances equal to v."""
-        m = self.n
-        values = self._summarize(ranges=[ALL_POSITIVE], capacity=m * (m - 1) // 2)[1]
+        The pilot holds E = min(``SUMMARY_BLOCK_ELEMENTS``, n(n - 1)/2 // 8)
+        distances: every row against C = max(2, ceil(E / n)) columns.  Its
+        rows are cut as a pass's blocks are (:func:`_entry_blocks`) into B
+        groups, strided (group b holds rows b, b + B, ...) so that sorted or
+        clustered input spreads over all; each group meets C columns of its
+        own, drawn with replacement with a fixed seed, so the pilot errs by
+        its column draws alone.  With c_bj the share of group b's rows in
+        (0, q] of its column j, the pilot's share in (0, q] errs by
+        sqrt(mean_b var_j(c_bj) / (B C)); over the positive share, that is
+        the error of the fraction at the quantile q.  Each window spans q
+        plus and minus ``WINDOW_ERRORS`` such errors; overlapping windows
+        merge, and the predicted counts have ``WINDOW_SLACK`` to spare.  A
+        window whose pilot distances are all one value v becomes the empty
+        brackets at v and at v's next double up, which keep nothing and
+        count the distances equal to v."""
+        n, points = self.n, self.points
+        cols = max(2, -(-min(SUMMARY_BLOCK_ELEMENTS, n * (n - 1) // 2 // 8) // n))
+        pilot = np.empty(0)
+
+        def cut(budget):
+            # A strided group has at most ceil(n / B) rows, no more than the
+            # blocks the cut found; zeros pad the shorter ones.
+            nonlocal pilot
+            groups = len(list(_entry_blocks(n, budget, lambda *_: cols, SUMMARY_BLOCK_ROWS)))
+            pilot = np.zeros((groups, -(-n // groups), cols))
+            return enumerate(np.random.default_rng(0).integers(n, size=(groups, cols)))
+
+        def work(group, buffers):
+            b, picked = group
+            rows = points[b::len(pilot)]
+            self.space.kernel(rows, points[picked], out=pilot[b, :len(rows)])
+
+        stream_blocks(work, cut, n * cols, cols, dtypes=())
+        positive = pilot > 0
+        values = pilot[positive]
         values.sort()
         count = values.size
         guide = values[::max(1, -(-count // PILOT_POINTS))].copy()
@@ -792,8 +806,11 @@ class Sample:
             return [], guide
         last = count - 1
         quantiles = values[np.floor(fractions * last).astype(np.int64)]
-        within = self._within_counts(quantiles) / (m - 1)
-        errors = WINDOW_ERRORS * 2 * within.std(axis=1) * math.sqrt(1 / m - 1 / sample_size)
+        groups = len(pilot)
+        shares = (np.count_nonzero(positive & (pilot <= quantiles[:, None, None, None]), axis=2)
+                  / ((n - 1 - np.arange(groups)) // groups + 1)[:, None])
+        errors = (WINDOW_ERRORS * n * cols / count
+                  * np.sqrt(shares.var(axis=2, ddof=1).mean(axis=1) / (groups * cols)))
         lows = np.floor((fractions - errors) * last).astype(np.int64)
         # Each window takes the values tied with its last one, which a
         # wanted rank may sit among.
@@ -810,7 +827,7 @@ class Sample:
             else:
                 merged.append((lo, hi))
         # The sample's distances per pilot distance, with the slack.
-        scale = sample_size * (sample_size - 1) / 2 * (1 + WINDOW_SLACK) / count
+        scale = n * (n - 1) / 2 * (1 + WINDOW_SLACK) / count
         brackets = []
         for lo, hi in merged:
             first, stop = np.searchsorted(values, [lo, hi])
@@ -821,25 +838,6 @@ class Sample:
             else:
                 brackets.append((lo, hi, math.ceil((stop - first) * scale)))
         return brackets, guide
-
-    def _within_counts(self, thresholds: np.ndarray) -> np.ndarray:
-        """Per threshold t and point i, how many other points lie within t
-        of point i, by one upper-triangle pass."""
-        counts = np.zeros((len(thresholds), self.n), dtype=np.int64)
-        limits = thresholds[:, None, None]
-
-        def reduce(rows, block, scratch):
-            _mask_lower(block, rows.stop - rows.start)
-            within = block[None] <= limits
-            return rows, within.sum(axis=2), within.sum(axis=1)
-
-        def fold(result):
-            rows, by_row, by_column = result
-            counts[:, rows] += by_row
-            counts[:, rows.start:] += by_column
-
-        self._upper_pass(reduce, fold)
-        return counts
 
     def _upper_pass(self, work, fold, dtypes=()) -> None:
         """``work(rows, block, scratch)`` for each row block of the upper
@@ -1089,8 +1087,7 @@ def sample_to_csv(sample: Sample, path) -> None:
 def is_r_separated(sample: Sample, indices, r: float) -> bool:
     """True iff every distinct pair of the sub-sample is at distance
     strictly greater than r.  A single index is vacuously separated."""
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     idx = np.asarray(indices, dtype=int)
     if len(np.unique(idx)) != len(idx):
         raise ValueError("indices must be distinct")
@@ -1121,8 +1118,7 @@ def farthest_first_traversal(sample: Sample, r: float,
         raise ValueError("sample must be non-empty")
     if not 0 <= seed_index < sample.n:
         raise ValueError("seed index out of range")
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     order = [seed_index]
     covering = []
     # The tracked points, in increasing index order so that argmax breaks
@@ -1174,8 +1170,7 @@ def verify_net(sample: Sample, net, r: float) -> None:
     sample, by :meth:`Sample.within` over the net and :meth:`Sample.covers`
     of the sample points.  Each net point covers itself, whatever the
     kernel puts on its own entry, as in the traversal."""
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     idx = np.asarray(net, dtype=int)
     if idx.size == 0:
         raise InvalidNetError("net is empty")
@@ -1203,8 +1198,7 @@ def prefix_net_errors(sample: Sample, order, checks) -> list[ValueError | None]:
     nearest earlier pick, whose running minimum is each prefix's
     separation."""
     checks = [(int(k), float(r)) for k, r in checks]
-    if any(not r >= 0 for _, r in checks):
-        raise ValueError("radius must be non-negative")
+    check_radius(*(r for _, r in checks))
     if any(k < 0 for k, _ in checks):
         raise ValueError("prefix length must be non-negative")
     width = max((k for k, _ in checks), default=0)

@@ -49,6 +49,7 @@ from .estimators import (
 from .oracles import FINITE, MONTE_CARLO, coverage_masses, expected_missing_mass, oracle_branch
 from .samples import SUMMARY_BLOCK_ELEMENTS, Sample, stacked_within
 from .separation import DEFAULT_CAP, h_exact
+from .spaces import check_radius
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ class SimulationConfig:
         if self.n < 2 or self.replicates < 1:
             raise ValueError("n must be at least 2 and replicates positive")
         check_delta(self.delta)
+        check_radius(self.r)
         if any(not 1 <= m <= self.n for m in self.m_list):
             raise ValueError("every m must lie in [1, n]")
 

@@ -340,8 +340,14 @@ def parse_space(text: str) -> MetricSpace:
     return factory(*args)
 
 
+def check_radius(*radii: float, name: str = "radius", positive: bool = False) -> None:
+    """Raise ValueError unless every radius is finite and non-negative, or
+    positive; inf, which samples read as "no such point", is no radius."""
+    if not all((0 < r if positive else 0 <= r) and r < math.inf for r in radii):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'non-negative'}")
+
+
 def ball_contains(space: MetricSpace, center, r: float, y) -> bool:
     """Whether y lies in the closed ball B(center, r) = {y : d(center, y) <= r}."""
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     return space.distance(center, y) <= r

@@ -32,7 +32,7 @@ from .samples import (
     verify_net,
 )
 from .serialize import Record
-from .spaces import discrete
+from .spaces import check_radius, discrete
 
 DIAMETER_MARGIN = 1.05
 DIAMETER_ERROR = "upper bounds need diameter <= 1; rescale the sample"
@@ -62,8 +62,7 @@ def w1_lower_bound(mhat: float, r: float) -> float:
     """r * Mhat, valid for every r with no failure probability."""
     if not 0.0 <= mhat <= 1.0:
         raise ValueError("mhat must lie in [0, 1]")
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     return r * mhat
 
 
@@ -114,9 +113,9 @@ def default_r_grid(sample: Sample, size: int = 20) -> list[float]:
     positive pairwise distances.
 
     One pass over the pairs finds both and fills the sample's summaries on
-    the way: it counts the distances below a window around each of the two
-    fractions and keeps those inside, the windows chosen from a pilot of at
-    most 1,024 points, and a window of one tied value only counts
+    the way: it counts the distances below a window around each fraction
+    and keeps those inside, the windows set by a pilot of every point
+    against a few random ones, and a window of one tied value only counts
     (:meth:`Sample.pair_rank_selector`).  Where a wanted rank falls outside
     its window or past the buffer, the exact counts leave it in a bracket
     that the next pass keeps or cuts.  Either way the endpoints equal
@@ -178,8 +177,7 @@ def w1_report(sample: Sample, r_grid=None, delta: float = 0.1, mu_spec=None,
     r_grid = [float(r) for r in r_grid]
     if not r_grid:
         raise ValueError("radius grid must be non-empty")
-    if any(not r > 0 for r in r_grid):
-        raise ValueError("grid radii must be positive")
+    check_radius(*r_grid, name="grid radii", positive=True)
 
     diameter = sample.diameter()
     if sample.space == discrete():

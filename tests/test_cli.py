@@ -368,6 +368,27 @@ def test_nan_radius_is_usage_error(command, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("command", ["wasserstein", "estimate", "classify", "code", "simulate"])
+def test_infinite_radius_is_usage_error(command, tmp_path, capsys):
+    # Each used to exit 0, but code --use-net, which exited 2 with "net is
+    # not r-separated"; the sweep wrote lower = Infinity above upper_a.
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[v] for v in np.linspace(0, 1, 60)])
+    argv = {
+        "wasserstein": ["wasserstein", "--input", str(sample), "--r-grid", "0.5,inf"],
+        "estimate": ["estimate", "--input", str(sample), "--r", "inf"],
+        "classify": ["classify", "--train", str(sample), "--gamma", "inf",
+                     "--certificate-delta", "0.1"],
+        "code": ["code", "--input", str(sample), "--epsilon", "inf", "--use-net"],
+        "simulate": ["simulate", "--distribution",
+                     '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                     "--n", "20", "--r", "inf", "--replicates", "3"],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
+
+
 @pytest.mark.parametrize("command", ["bounds", "estimate", "simulate"])
 def test_fewer_than_two_points_is_usage_error(command, tmp_path, capsys, monkeypatch):
     # Each used to end in a ZeroDivisionError traceback from the M_hat

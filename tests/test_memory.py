@@ -45,9 +45,10 @@ def test_radius_grid_on_tied_distances(monkeypatch):
     # On the lattice {0..3}^2 a few distances are shared by most pairs, and
     # each window of the grid holds one or two of them.  The pass counts the
     # distances equal to each instead of keeping them, so the traced peak is
-    # the pilot's distances and the blocks of a pass (the block, its masks
-    # and the distances it keeps): keeping the ties adds megabytes.  The
-    # counts answer the grid's ranks, so the sample takes one pass.
+    # the pilot's one block of distances, every point against a few random
+    # ones, and the blocks of a pass (the block, its masks and the distances
+    # it keeps): keeping the ties adds megabytes.  The counts answer the
+    # grid's ranks, so the sample takes one pass.
     sample = make_sample(np.random.default_rng(0).integers(0, 4, size=(N, 2)).astype(float))
     summarize, passes = Sample._summarize, []
 
@@ -63,9 +64,9 @@ def test_radius_grid_on_tied_distances(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    m = len(range(0, N, -(-N // samples.PILOT_POINTS)))
-    pilot = m * (m - 1) // 2 * 8
     block = samples.SUMMARY_BLOCK_ELEMENTS * 8
+    # The pilot's distances: N rows of ceil(block / N) columns.
+    pilot = N * -(-samples.SUMMARY_BLOCK_ELEMENTS // N) * 8
     assert peak < pilot + 3 * block
     assert sum(passes) == 1
 

@@ -1,7 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from metricmass.applications import ProximityClassifier, coding_report
+from metricmass.distributions import spec_from_dict
+from metricmass.estimators import (
+    all_martingale_estimates,
+    escape_indicators,
+    good_turing,
+    good_turing_interval,
+    martingale_upper_bound,
+)
+from metricmass.oracles import (
+    conditional_missing_mass,
+    conditional_missing_masses,
+    expected_missing_mass,
+    smoothed_oracle_H,
+)
+from metricmass.samples import (
+    farthest_first_net,
+    farthest_first_traversal,
+    is_r_separated,
+    make_sample,
+    prefix_net_errors,
+    verify_net,
+)
+from metricmass.separation import h_clique_relaxed, h_exact
+from metricmass.simulate import SimulationConfig
 from metricmass.spaces import (
     DimensionError,
     ball_contains,
@@ -12,6 +39,7 @@ from metricmass.spaces import (
     scaled_indicator,
     space_from_dict,
 )
+from metricmass.wasserstein import w1_lower_bound, w1_report
 
 
 def test_ball_boundary_is_included():
@@ -69,6 +97,55 @@ def test_precomputed_reads_negative_zero_as_zero():
 def test_ball_rejects_nan_radius():
     with pytest.raises(ValueError, match="radius"):
         ball_contains(euclidean(1), [0.0], float("nan"), [0.0])
+
+
+def radius_entry_points():
+    """Every library call that takes a radius, each as a function of it."""
+    s = make_sample(np.array([[0.0], [1.0], [3.0]]))
+    spec = spec_from_dict({"kind": "uniform_interval", "a": 0.0, "b": 4.0})
+    return {
+        "ball_contains": lambda r: ball_contains(euclidean(1), [0.0], r, [0.0]),
+        "good_turing": lambda r: good_turing(s, r),
+        "escape_indicators": lambda r: escape_indicators(s, r),
+        "all_martingale_estimates": lambda r: all_martingale_estimates(s, r),
+        "martingale_upper_bound": lambda r: martingale_upper_bound(s, r, 0.1),
+        "good_turing_interval": lambda r: good_turing_interval(s, r, 0.1),
+        "is_r_separated": lambda r: is_r_separated(s, [0, 1], r),
+        "farthest_first_traversal": lambda r: farthest_first_traversal(s, r),
+        "farthest_first_net": lambda r: farthest_first_net(s, r),
+        "verify_net": lambda r: verify_net(s, [0, 1, 2], r),
+        "prefix_net_errors": lambda r: prefix_net_errors(s, [0, 1, 2], [(3, r)]),
+        "conditional_missing_mass": lambda r: conditional_missing_mass(spec, s, r),
+        "conditional_missing_masses": lambda r: conditional_missing_masses(spec, s, [0.5, r]),
+        "smoothed_oracle_H": lambda r: smoothed_oracle_H(spec, s, r),
+        "expected_missing_mass": lambda r: expected_missing_mass(spec, 3, r),
+        "w1_lower_bound": lambda r: w1_lower_bound(0.5, r),
+        "h_exact": lambda r: h_exact(s, r),
+        "h_clique_relaxed": lambda r: h_clique_relaxed(s, r),
+        "gamma": lambda r: ProximityClassifier(training=s, gamma=r),
+        "epsilon": lambda r: coding_report(s, epsilon=r, delta=0.1),
+        "simulate": lambda r: SimulationConfig(spec=spec, n=10, r=r),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(radius_entry_points()))
+def test_radius_entry_points_reject_inf_and_nan_and_accept_zero(name):
+    # inf, which samples use for "no such point", used to pass: at r = inf
+    # the first point had an earlier point within r, so escape_indicators
+    # read [0, 0] where r = 1e300 reads [1, 0].
+    call = radius_entry_points()[name]
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            call(bad)
+    call(0.0)
+
+
+def test_grid_radii_must_be_finite_and_positive():
+    s = make_sample(np.array([[0.0], [0.5], [0.75], [1.0]]))
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="grid radii must be finite and positive"):
+            w1_report(s, [0.25, bad])
+    assert len(w1_report(s, [0.25])) == 1
 
 
 def test_precomputed_lookup_and_range():

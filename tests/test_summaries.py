@@ -182,8 +182,9 @@ OUTCOME_PASSES = {"hit": 1, "split": 1, "overflow": 2, "miss": 2, "none": 2}
 PILOTS = st.integers(1, 8)
 
 
-def split_windows(pilot, pairs):
-    d = pilot.distance_matrix()
+def split_windows(sample, pairs):
+    # Computed apart from the sample, which must build no matrix.
+    d = sample.distance_rows(slice(None))
     if not (d > 0).any():  # one window, as "hit"
         return [(*samples.ALL_POSITIVE, pairs)]
     middle = float(np.median(d[d > 0]))
@@ -192,22 +193,28 @@ def split_windows(pilot, pairs):
 
 @contextmanager
 def pilot_outcome(outcome, pilot):
-    """Patch the pilot's size and, but for "pilot", the windows it finds."""
+    """Patch the pilot's threshold and, but for "pilot", the windows it
+    finds; the real pilot runs either way and gives the guide."""
     tiny = samples.ALL_POSITIVE[0]
-    windows = {"hit": lambda pilot, pairs: [(*samples.ALL_POSITIVE, pairs)],
+    windows = {"hit": lambda sample, pairs: [(*samples.ALL_POSITIVE, pairs)],
                "split": split_windows, "overflow": lambda *args: [(*samples.ALL_POSITIVE, 0)],
                "miss": lambda *args: [(tiny, tiny, 0)], "none": lambda *args: []}
-    real = Sample._pilot_windows
+    real, runs = Sample._pilot_windows, []
 
-    def found(self, fractions, size):
-        return windows[outcome](self, size * (size - 1) // 2), real(self, fractions, size)[1]
+    def recorded(self, fractions):
+        runs.append(self.n)
+        return real(self, fractions)
+
+    def found(self, fractions):
+        return windows[outcome](self, self.n * (self.n - 1) // 2), recorded(self, fractions)[1]
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(samples, "PILOT_POINTS", pilot))
+        stack.enter_context(mock.patch.object(
+            Sample, "_pilot_windows", found if outcome in windows else recorded))
         if outcome in windows:
-            stack.enter_context(mock.patch.object(Sample, "_pilot_windows", found))
             stack.enter_context(mock.patch.object(samples, "KEPT_DISTANCES_SHARE", 1.0))
-        yield
+        yield runs
 
 
 def full_passes(spy, sample) -> int:
@@ -273,10 +280,13 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
     upper = d[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
-    with small_blocks(block, rows, threads, share), pilot_outcome(outcome, pilot), \
+    with small_blocks(block, rows, threads, share), pilot_outcome(outcome, pilot) as pilots, \
             mock.patch.object(Sample, "_summarize", autospec=True,
                               side_effect=Sample._summarize) as passes:
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
+        # The real pilot runs on every sample past its threshold, and its
+        # kernel calls keep to the blocks' budget.
+        assert pilots == ([n] if n > pilot and kind != "discrete" else [])
         if kind == "discrete":  # symbol counts answer it
             assert not passes.called
         elif n > pilot and positive.size and outcome in OUTCOME_PASSES:
@@ -573,19 +583,23 @@ def test_non_finite_distances_raise_on_both_paths(bad, ranked, spare):
     else:
         # Finite points whose squared differences overflow.
         sample = make_sample(np.arange(n, dtype=float)[:, None] * 1e200)
-    with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", n * n - spare), \
-            pytest.raises(ValueError, match="pairwise distances must be finite"):
-        if ranked:  # the pass that keeps the distances in ranges
-            sample.pair_rank_selector(GRID_FRACTIONS)
-        else:
-            sample.nearest_distances()
+    # The pass that keeps the distances in ranges raises also past a pilot,
+    # which meets the bad distances first.
+    for pilot in (samples.PILOT_POINTS, 1) if ranked else (samples.PILOT_POINTS,):
+        with mock.patch.object(samples, "SUMMARY_BLOCK_ELEMENTS", n * n - spare), \
+                mock.patch.object(samples, "PILOT_POINTS", pilot), \
+                pytest.raises(ValueError, match="pairwise distances must be finite"):
+            if ranked:
+                sample.pair_rank_selector(GRID_FRACTIONS)
+            else:
+                sample.nearest_distances()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_midpoint_cuts_end_within_one_pass_per_distinct_distance(dim):
-    # A one-point pilot has no distances to guide the cuts, and a budget of
-    # the four ranks asked keeps no bracket whole, so every bracket is cut
-    # at its bit-pattern midpoint.  Each piece shrinks to its smallest and
+    # A pilot that finds no distance guides no cut, and a budget of the
+    # four ranks asked keeps no bracket whole, so every bracket is cut at
+    # its bit-pattern midpoint.  Each piece shrinks to its smallest and
     # largest distance, so a cut always falls between two distinct values
     # of the bracket: a rank's bracket loses a distinct value per pass.
     rng = np.random.default_rng(0)
@@ -594,12 +608,35 @@ def test_midpoint_cuts_end_within_one_pass_per_distinct_distance(dim):
     positive = np.sort(upper[upper > 0])
     ranks = [0, positive.size // 3, positive.size // 2, positive.size - 1]
     sample = Sample(dense.points, dense.space)
+    no_guide = ([], np.empty(0))
     with mock.patch.object(samples, "PILOT_POINTS", 1), \
+            mock.patch.object(Sample, "_pilot_windows", lambda self, fractions: no_guide), \
             mock.patch.object(samples, "KEPT_DISTANCES_SHARE", 0.0), \
             mock.patch.object(Sample, "_summarize", autospec=True,
                               side_effect=Sample._summarize) as passes:
         assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive[ranks])
     assert full_passes(passes, sample) <= 1 + np.unique(positive).size
+
+
+@pytest.mark.parametrize("shape", ["sorted", "repeated"])
+def test_grid_takes_one_pass_past_the_pilot(shape):
+    # The pilot puts every row against random columns of its own, in
+    # strided groups, so input sorted along a line, or each point repeated
+    # ten times in a row, still finds the grid's ranks inside its windows:
+    # every seed takes the one summary pass, and equals the dense grid.
+    n = 1200
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        if shape == "sorted":
+            points = np.sort(rng.normal(size=n))[:, None]
+        else:
+            points = np.repeat(rng.normal(size=(n // 10, 3)), 10, axis=0)
+        sample = make_sample(points)
+        with mock.patch.object(Sample, "_summarize", autospec=True,
+                               side_effect=Sample._summarize) as passes:
+            grid = default_r_grid(sample)
+        assert full_passes(passes, sample) == 1, seed
+        assert grid == triu_r_grid(sample)
 
 
 def test_pair_order_statistics_reject_ranks_out_of_range():
