@@ -120,8 +120,7 @@ def coding_report(sample: Sample, epsilon: float, delta: float,
         codebook = tuple(range(sample.n))
     expected = None
     if diameter is not None:
-        if not diameter > 0:
-            raise ValueError("declared diameter must be positive")
+        check_radius(diameter, name="declared diameter", positive=True)
         expected = diameter * bound.value + epsilon
     return CodingReport(codebook=codebook, epsilon=epsilon,
                         exceed_prob_estimate=bound,

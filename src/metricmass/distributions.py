@@ -74,7 +74,7 @@ class _ListedAtomsMixin(_FiniteSupportMixin):
         w = self.atom_weights()
         if len(atoms) != len(w) or len(w) == 0:
             raise ValueError(f"{name} and weights must be non-empty and aligned")
-        if w.min() < 0:
+        if not (w >= 0).all():  # NaN too
             raise ValueError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
@@ -253,8 +253,9 @@ class UniformIntervalSpec:
     b: float
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError("interval requires b > a")
+        # An infinite length also overflows numpy's uniform draw.
+        if not (self.b > self.a and math.isfinite(self.b - self.a)):
+            raise ValueError("interval requires b > a, b - a finite")
 
     kind = "uniform_interval"
 

@@ -42,11 +42,11 @@ pilot: its summary pass keeps every positive distance.  Every count is
 exact, so a rank left over, past the buffer the pilot sized or outside its
 window, lies in a bracket of known count.  The next pass keeps that bracket
 whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise
-counts the distances below cuts inside it: at pilot distances, or at the
-midpoint of its float64 bit patterns, whose order for non-negative doubles
-is the order of the values; that pass also finds the smallest and largest
-distance of each piece, which shrinks the piece to them.  Windows the pilot
-predicts past that budget are cut so in the summary pass itself.
+counts its distances in at most 2^10 buckets of their float64 bit patterns,
+whose order for non-negative doubles is the order of the values; each
+bucket's end is an edge of known count, so a pass narrows the bracket
+1024-fold, and every rank is found within eight passes.  Windows the pilot
+predicts past that budget are counted so in the summary pass itself.
 
 Three questions read one radius r only: per point, whether an earlier
 point, and whether any other point, lies within r (:meth:`Sample.within`,
@@ -156,8 +156,7 @@ KEPT_DISTANCES_SHARE = 1 / 8
 SELECT_SCRATCH = (bool, bool)
 # Every positive double, the value range of a pass that keeps them all.
 ALL_POSITIVE = (float(np.nextafter(0.0, 1.0)), np.inf)
-# A sample of at most this many points is its own pilot, and the pilot's
-# guide to cuts has at most this many distances.
+# A sample of at most this many points is its own pilot.
 PILOT_POINTS = 1024
 # A window spans the pilot's quantile plus and minus this many standard
 # errors of it.
@@ -287,41 +286,34 @@ def _keep(block: np.ndarray, ranges, scratch) -> tuple[np.ndarray, list[int]]:
     return (found[0] if len(found) == 1 else np.concatenate([np.empty(0), *found])), counts
 
 
-def _plan(brackets, budget: int, guide: np.ndarray) -> tuple[list, int, list]:
-    """The value ranges, the buffer size and the spans of a pass over the
-    brackets (lo, hi, count), disjoint and in increasing order, each
-    holding ``count`` distances: it keeps a bracket whole while the counts
-    it keeps fit the budget, and counts the distances below cuts inside the
-    rest.
+def _bits(value: float) -> int:
+    """The float64 bit pattern of ``value``, whose order for non-negative
+    doubles is the order of the values."""
+    return int(np.float64(value).view(np.int64))
 
-    Where some of the sorted ``guide`` distances fall in a bracket, its
-    cuts are every k-th of them, k such that the guide predicts pieces of
-    half the budget, each with its next double up, so a value the guide
-    finds tied becomes a one-value bracket of its own.  Otherwise the cut
-    is the midpoint of the bracket's bit patterns, whose order for
-    non-negative doubles is the order of the values, and the two pieces
-    are spans, whose smallest and largest distances the pass finds, so a
-    piece of one value, such as a tie the guide misses, becomes a
-    one-value bracket after that pass.  Either way a bracket that is not
-    one value has a cut above its lo."""
-    ranges, capacity, spans = [], 0, []
+
+def _plan(brackets, budget: int) -> tuple[list, int, list]:
+    """The value ranges, the buffer size and the counted brackets of a pass
+    over the brackets (lo, hi, count), disjoint and in increasing order,
+    each holding ``count`` distances: it keeps a bracket whole while the
+    counts it keeps fit the budget, and counts the rest in buckets.
+
+    A counted bracket (lo, hi, shift) gets the empty range [lo, lo), whose
+    count is the distances below lo, and its pass counts those in [lo, hi)
+    per bucket of 2^shift bit patterns from lo's, at most 2^10 buckets.  So
+    each pass narrows a bracket 1024-fold: the positive doubles and inf
+    have fewer than 2^63 bit patterns, so any bracket is down to one-value
+    buckets, [v, v's next double up), within ceil(63 / 10) = 7 passes after
+    the first."""
+    ranges, capacity, counted = [], 0, []
     for lo, hi, count in brackets:
         if capacity + count <= budget:
             ranges.append((lo, hi))
             capacity += count
             continue
-        inside = guide[np.searchsorted(guide, lo):np.searchsorted(guide, hi)]
-        if inside.size:
-            step = max(1, budget * inside.size // (2 * count))
-            picked = np.unique(inside[step // 2::step])
-            cuts = np.union1d(picked, np.nextafter(picked, np.inf))
-            cuts = cuts[cuts < hi].tolist()
-        else:
-            first, last = (int(v) for v in np.array([lo, hi]).view(np.int64))
-            cuts = [float(np.array(first + (last - first) // 2).view(np.float64))]
-            spans += [(lo, cuts[0]), (cuts[0], hi)]
-        ranges += [(cut, cut) for cut in cuts]
-    return ranges, capacity, spans
+        ranges.append((lo, lo))
+        counted.append((lo, hi, max(0, (_bits(hi) - _bits(lo)).bit_length() - 10)))
+    return ranges, capacity, counted
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -676,9 +668,10 @@ class Sample:
         it in a one-value bracket [v, v's next double up).  Every pass
         counts exactly the distances below each edge, so a rank left over
         lies in a bracket of known count, which the next pass keeps or
-        cuts (:func:`_plan`); the budget is ``KEPT_DISTANCES_SHARE`` * n * n
-        distances, or as many as the ranks asked if that is more.  Each
-        pass narrows every bracket a rank is left in, so the passes end.
+        counts in buckets (:func:`_plan`); the budget is
+        ``KEPT_DISTANCES_SHARE`` * n * n distances, or as many as the ranks
+        asked if that is more.  Each pass narrows every bracket a rank is
+        left in at least 1024-fold, so at most eight passes answer a rank.
         On the discrete metric every positive distance is 1, so ``select``
         answers 1.0 with no pass."""
         if self.symbol_codes is not None:
@@ -688,29 +681,25 @@ class Sample:
         fractions = np.asarray(fractions, dtype=float)
         budget = int(n * n * KEPT_DISTANCES_SHARE)
         if n <= PILOT_POINTS:
-            ranges, capacity, spans, guide = [ALL_POSITIVE], n * (n - 1) // 2, [], np.empty(0)
+            ranges, capacity, counted = [ALL_POSITIVE], n * (n - 1) // 2, []
         else:
-            windows, guide = self._pilot_windows(fractions)
-            ranges, capacity, spans = _plan(windows, max(budget, fractions.size), guide)
+            ranges, capacity, counted = _plan(self._pilot_windows(fractions),
+                                              max(budget, fractions.size))
         # Each known edge and the number of positive distances below it, and
         # per kept bracket, by the edge it starts at, its pass's buffer of
         # kept distances and the sorted position of its first one there.
         below, kept = {}, {}
 
-        def count_pass(ranges, capacity, spans):
-            counts, values, extents = self._summarize(ranges=ranges, capacity=capacity,
-                                                      spans=spans)
+        def count_pass(ranges, capacity, counted):
+            counts, values, buckets = self._summarize(ranges=ranges, capacity=capacity,
+                                                      counted=counted)
             below.update({ALL_POSITIVE[0]: 0, ALL_POSITIVE[1]: self.positive_pair_count()})
             below.update(zip(np.ravel(ranges).tolist(), counts.tolist()))
-            # A span's distances lie from its smallest to its largest, so as
-            # many lie below the smallest as below the span's lo, and below
-            # the largest's next double up as below its hi.  The ends of a
-            # pilot window, which no pass may have counted, tell nothing.
-            for (lo, hi), (small, large) in zip(spans, extents):
-                if small <= large:
-                    for end, edge in ((lo, small), (hi, float(np.nextafter(large, np.inf)))):
-                        if end in below:
-                            below[edge] = below[end]
+            # Each bucket of a counted bracket ends where the next starts,
+            # the last at the bracket's hi.
+            for (lo, hi, shift), bins in zip(counted, buckets):
+                ends = (_bits(lo) + (np.arange(1, bins.size) << shift)).view(np.float64)
+                below.update(zip([*ends.tolist(), hi], (below[lo] + np.cumsum(bins)).tolist()))
             if values is not None:
                 # Sorted, the kept distances of each range follow those of
                 # the ranges below.
@@ -719,7 +708,7 @@ class Sample:
                     if lo < hi:
                         kept[lo] = values, start
 
-        count_pass(ranges, capacity, spans)
+        count_pass(ranges, capacity, counted)
         count = self.positive_pair_count()
 
         def select(ranks):
@@ -753,16 +742,14 @@ class Sample:
                     found[at] = _order_statistics(values, position[at])
                 if not left:
                     return found
-                count_pass(*_plan(left, max(budget, ranks.size), guide))
+                count_pass(*_plan(left, max(budget, ranks.size)))
 
         return count, select
 
-    def _pilot_windows(self, fractions: np.ndarray) -> tuple[list, np.ndarray]:
+    def _pilot_windows(self, fractions: np.ndarray) -> list:
         """Disjoint brackets (lo, hi, count), in increasing order, around the
         given fractions of the positive distances, count being how many the
-        pilot predicts in [lo, hi), and every k-th of the pilot's positive
-        distances, sorted, at most ``PILOT_POINTS`` of them; no bracket
-        where there is no distance.
+        pilot predicts in [lo, hi); no bracket where there is no distance.
 
         The pilot holds E = min(``SUMMARY_BLOCK_ELEMENTS``, n(n - 1)/2 // 8)
         distances: every row against C = max(2, ceil(E / n)) columns.  Its
@@ -801,9 +788,8 @@ class Sample:
         values = pilot[positive]
         values.sort()
         count = values.size
-        guide = values[::max(1, -(-count // PILOT_POINTS))].copy()
         if not count or not fractions.size:
-            return [], guide
+            return []
         last = count - 1
         quantiles = values[np.floor(fractions * last).astype(np.int64)]
         groups = len(pilot)
@@ -837,7 +823,7 @@ class Sample:
                 brackets += [(tie, tie, 0), (up, up, 0)]
             else:
                 brackets.append((lo, hi, math.ceil((stop - first) * scale)))
-        return brackets, guide
+        return brackets
 
     def _upper_pass(self, work, fold, dtypes=()) -> None:
         """``work(rows, block, scratch)`` for each row block of the upper
@@ -879,31 +865,34 @@ class Sample:
         self._nearest, self._earlier = nearest, earlier
         self._diameter, self._zeros = float(diameter), int(zeros)
 
-    def _summarize(self, ranges=(), capacity: int = 0, spans=()):
+    def _summarize(self, ranges=(), capacity: int = 0, counted=()):
         """Fill the nearest and earlier distances, the diameter and the
         number of zero distances d(i, j), i < j, by one upper-triangle pass.
 
         Return the numbers of positive distances below each of ``ranges``'
         lo and hi, in that order, the distances in the ranges, unsorted,
         in a buffer of ``capacity`` entries, or None where they overflow it,
-        and per span the smallest and the largest distance in it (inf and
-        -inf where it has none).  ``ranges`` are disjoint value ranges
-        [lo, hi) in increasing order; an empty one [v, v) keeps nothing.
-        ``spans`` are value ranges [lo, hi) of positive distances, which
+        and per counted bracket (lo, hi, shift) the numbers of distances in
+        [lo, hi) per bucket of 2^shift bit patterns from lo's.  ``ranges``
+        are disjoint value ranges [lo, hi) in increasing order; an empty one
+        [v, v) keeps nothing.  The brackets lie among positive doubles, and
         need ``ranges``' scratch."""
         n = self.n
+        buckets = [np.zeros(((_bits(hi) - _bits(lo) - 1) >> shift) + 1, dtype=np.int64)
+                   for lo, hi, shift in counted]
 
-        def span_extent(block, lo, hi, scratch):
+        def bucket_counts(block, lo, hi, shift, size, scratch):
             inside = np.logical_and(np.greater_equal(block, lo, out=scratch[0]),
                                     np.less(block, hi, out=scratch[1]), out=scratch[0])
-            return (float(block.min(where=inside, initial=np.inf)),
-                    float(block.max(where=inside, initial=-np.inf)))
+            found = np.compress(inside.ravel(), block.ravel()).view(np.int64)
+            return np.bincount((found - _bits(lo)) >> shift, minlength=size)
 
         def reduce(rows, block, scratch):
             top, rows_min, cols_min, zeros = _upper_summaries(block, rows.stop - rows.start)
             found, below = _keep(block, ranges, scratch) if ranges else (None, None)
-            seen = [span_extent(block, lo, hi, scratch) for lo, hi in spans]
-            return rows, float(top), rows_min, cols_min, int(zeros), found, below, seen
+            bins = [bucket_counts(block, *bracket, total.size, scratch)
+                    for bracket, total in zip(counted, buckets)]
+            return rows, float(top), rows_min, cols_min, int(zeros), found, below, bins
 
         row_min = np.empty(n)
         earlier = np.full(n, np.inf)
@@ -912,13 +901,12 @@ class Sample:
         edges = np.zeros(2 * len(ranges), dtype=np.int64)
         values = np.empty(capacity)
         filled = 0
-        extents = [[math.inf, -math.inf] for _ in spans]
 
         def fold(result):
             nonlocal diameter, zeros, values, filled
-            rows, top, rows_min, cols_min, block_zeros, found, below, seen = result
-            for extent, (small, large) in zip(extents, seen):
-                extent[:] = min(extent[0], small), max(extent[1], large)
+            rows, top, rows_min, cols_min, block_zeros, found, below, bins = result
+            for total, block_bins in zip(buckets, bins):
+                total += block_bins
             diameter = max(diameter, top)
             row_min[rows] = rows_min
             np.minimum(earlier[rows.start:], cols_min, out=earlier[rows.start:])
@@ -938,7 +926,7 @@ class Sample:
         earlier.flags.writeable = False
         self._nearest, self._earlier, self._diameter = nearest, earlier, diameter
         self._zeros = zeros
-        return edges, None if values is None else values[:filled], extents
+        return edges, None if values is None else values[:filled], buckets
 
     def subsample(self, indices) -> "Sample":
         """Sub-sample in the given order; indices define the new ordering."""

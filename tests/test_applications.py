@@ -169,8 +169,9 @@ def test_nan_gamma_epsilon_and_diameter_rejected():
         ProximityClassifier(training=s, gamma=math.nan)
     with pytest.raises(ValueError, match="epsilon"):
         coding_report(s, epsilon=math.nan, delta=0.1)
-    with pytest.raises(ValueError, match="diameter"):
-        coding_report(s, epsilon=0.5, delta=0.1, diameter=math.nan)
+    for diameter in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="diameter"):
+            coding_report(s, epsilon=0.5, delta=0.1, diameter=diameter)
 
 
 def test_coding_report_net_constant_sample():

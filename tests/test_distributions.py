@@ -35,6 +35,11 @@ def test_weights_must_sum_to_one():
         DiscreteSpec(("a", "b"), (0.5, 0.6))
     with pytest.raises(ValueError):
         DiscreteSpec(("a", "b"), (1.5, -0.5))
+    # NaN passes both a minimum test and a sum test.
+    with pytest.raises(ValueError, match="non-negative"):
+        DiscreteSpec(("a", "b"), (math.nan, 1.0))
+    with pytest.raises(ValueError, match="non-negative"):
+        PointMassSpec(((0.0,), (1.0,)), (1.0, math.nan))
 
 
 def test_discrete_spec_rejects_repeated_symbols(tmp_path, capsys):
@@ -152,6 +157,10 @@ def test_uniform_interval_sampling_and_cdf():
     assert pts.shape == (1000, 1)
     assert pts.min() >= 2.0 and pts.max() <= 4.0
     assert spec.cdf(3.0) == 0.5
+    # An infinite length overflowed numpy's draw; NaN is no end either.
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="interval requires"):
+            UniformIntervalSpec(a, b)
 
 
 def test_scaled_indicator_metric_identity():
