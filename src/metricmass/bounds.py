@@ -37,8 +37,14 @@ class BoundReport(Record):
 
 
 def _check_eh(e_h: float) -> None:
-    if e_h < 1.0:
-        raise ValueError("E_h is at least 1 (h >= 1 on non-empty samples)")
+    if not 1.0 <= e_h < math.inf:
+        raise ValueError("E_h must be finite and at least 1 (h >= 1 on non-empty samples)")
+
+
+def check_t(t: float) -> None:
+    """Raise ValueError unless the tail bounds' t is positive."""
+    if not t > 0:
+        raise ValueError("t must be positive")
 
 
 def hypothesis_warnings(n: int) -> tuple[str, ...]:
@@ -70,8 +76,7 @@ def _tail(kind: str, e_h: float, n: int, t: float, formula) -> BoundReport:
     """The deviation threshold and failure probability ``formula()`` at
     (E_h, n, t), checked first."""
     _check_eh(e_h)
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_t(t)
     warnings = hypothesis_warnings(n)
     threshold, probability = formula()
     return BoundReport(kind, {"E_h": e_h, "n": n, "t": t}, threshold,

@@ -25,7 +25,7 @@ from .applications import (
     false_alarm_certificate,
     save_classifier,
 )
-from .bounds import bound_reports, hypothesis_warnings
+from .bounds import bound_reports, check_t, hypothesis_warnings
 from .distributions import draw_sample, spec_from_dict
 from .estimators import good_turing_interval, sequential_bounds
 from .oracles import exact_wasserstein_1d, has_exact_w1
@@ -92,6 +92,7 @@ def _stop_if_strict(args, warnings) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
+    check_t(args.t)
     sample = _load_sample(args.input, args.space)
     delta = args.delta
     n = sample.n

@@ -28,25 +28,25 @@ n(n - 1)/2 buffer; one loop of summary passes answers them
 (:meth:`Sample.pair_rank_selector`).  A pilot of one block of distances,
 every point against a few random points, sets a window of values around
 each wanted fraction, its quantile plus and minus four standard errors of
-the column draws, so the default radius grid's percentile and median take
-the summary pass alone: it counts the positive distances below each
-window's ends and keeps those inside, and a rank inside is an offset into
-the kept values in sorted order.  The kept values are not sorted: a few
-ranks are selected (Hoare 1961), one partition per offset in increasing
-order, each over the values past the offset before, and only a call asking
-more than log2 of their number sorts them.  A window whose pilot distances
-are all one value v, such as a tie on a lattice, keeps nothing: the pass
-counts the distances below v and below v's next double up, and a rank
-between the two counts is v.  A sample of at most 1,024 points is its own
-pilot: its summary pass keeps every positive distance.  Every count is
-exact, so a rank left over, past the buffer the pilot sized or outside its
-window, lies in a bracket of known count.  The next pass keeps that bracket
-whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n distances, and otherwise
-counts its distances in at most 2^10 buckets of their float64 bit patterns,
-whose order for non-negative doubles is the order of the values; each
-bucket's end is an edge of known count, so a pass narrows the bracket
-1024-fold, and every rank is found within eight passes.  Windows the pilot
-predicts past that budget are counted so in the summary pass itself.
+the column draws, and a buffer for its pilot count plus as many errors, so
+the W1 grid's percentile and median take the summary pass alone: it counts
+the positive distances below each window's ends and keeps those inside, and
+a rank inside is an offset into the kept values in sorted order.  The kept
+values are not sorted: a few ranks are selected (Hoare 1961), one partition
+per offset in increasing order, each over the values past the offset
+before, and only a call asking more than log2 of their number sorts them.
+A window whose pilot distances are all one value v, such as a tie on a
+lattice, keeps nothing: the pass counts the distances below v and below v's
+next double up, and a rank between the two counts is v.  A sample of at
+most 1,024 points is its own pilot: its summary pass keeps every positive
+distance.  Every count is exact, so a rank left over, past its window's
+buffer or outside the window, lies in a bracket of known count.  The next
+pass keeps that bracket whole if it fits ``KEPT_DISTANCES_SHARE`` of n * n
+distances, and otherwise counts its distances in at most 2^10 buckets of
+their float64 bit patterns, whose order for non-negative doubles is the
+order of the values; each bucket's end is an edge of known count, so a pass
+narrows the bracket 1024-fold, and eight passes find every rank.  Windows
+the pilot predicts past that budget are counted so in the first pass.
 
 Three questions read one radius r only: per point, whether an earlier
 point, and whether any other point, lies within r (:meth:`Sample.within`,
@@ -158,12 +158,8 @@ SELECT_SCRATCH = (bool, bool)
 ALL_POSITIVE = (float(np.nextafter(0.0, 1.0)), np.inf)
 # A sample of at most this many points is its own pilot.
 PILOT_POINTS = 1024
-# A window spans the pilot's quantile plus and minus this many standard
-# errors of it.
+# A window's ends and size allow this many standard errors of the pilot.
 WINDOW_ERRORS = 4
-# Room for this share more distances than the pilot predicts the windows
-# hold.
-WINDOW_SLACK = 1 / 16
 # Every this many picks, a farthest-first traversal drops the points within
 # r of its picks, once they are at least this share of those it tracks.
 TRAVERSAL_DROP_PICKS = 32
@@ -757,15 +753,15 @@ class Sample:
         groups, strided (group b holds rows b, b + B, ...) so that sorted or
         clustered input spreads over all; each group meets C columns of its
         own, drawn with replacement with a fixed seed, so the pilot errs by
-        its column draws alone.  With c_bj the share of group b's rows in
-        (0, q] of its column j, the pilot's share in (0, q] errs by
-        sqrt(mean_b var_j(c_bj) / (B C)); over the positive share, that is
-        the error of the fraction at the quantile q.  Each window spans q
-        plus and minus ``WINDOW_ERRORS`` such errors; overlapping windows
-        merge, and the predicted counts have ``WINDOW_SLACK`` to spare.  A
-        window whose pilot distances are all one value v becomes the empty
-        brackets at v and at v's next double up, which keep nothing and
-        count the distances equal to v."""
+        its column draws alone.  With c_bj the share of group b's rows in a
+        value range of its column j, the pilot's share in the range errs by
+        sqrt(mean_b var_j(c_bj) / (B C)).  Over the positive share, that of
+        (0, q] is the error of the fraction at the quantile q: each window
+        spans q plus and minus ``WINDOW_ERRORS`` such errors, overlapping
+        windows merge, and each is sized for n(n - 1)/2 times its pilot
+        share plus as many errors of it.  A window whose pilot distances are
+        all one value v becomes the empty brackets at v and at v's next
+        double up, which keep nothing and count the distances equal to v."""
         n, points = self.n, self.points
         cols = max(2, -(-min(SUMMARY_BLOCK_ELEMENTS, n * (n - 1) // 2 // 8) // n))
         pilot = np.empty(0)
@@ -791,12 +787,16 @@ class Sample:
         if not count or not fractions.size:
             return []
         last = count - 1
-        quantiles = values[np.floor(fractions * last).astype(np.int64)]
         groups = len(pilot)
-        shares = (np.count_nonzero(positive & (pilot <= quantiles[:, None, None, None]), axis=2)
-                  / ((n - 1 - np.arange(groups)) // groups + 1)[:, None])
-        errors = (WINDOW_ERRORS * n * cols / count
-                  * np.sqrt(shares.var(axis=2, ddof=1).mean(axis=1) / (groups * cols)))
+
+        def error(counts):
+            # The standard error of a share, from its counts per group's column.
+            shares = counts / ((n - 1 - np.arange(groups)) // groups + 1)[:, None]
+            return np.sqrt(shares.var(axis=-1, ddof=1).mean(axis=-1) / (groups * cols))
+
+        quantiles = values[np.floor(fractions * last).astype(np.int64)]
+        errors = WINDOW_ERRORS * n * cols / count * error(
+            np.count_nonzero(positive & (pilot <= quantiles[:, None, None, None]), axis=2))
         lows = np.floor((fractions - errors) * last).astype(np.int64)
         # Each window takes the values tied with its last one, which a
         # wanted rank may sit among.
@@ -812,8 +812,6 @@ class Sample:
                 merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
             else:
                 merged.append((lo, hi))
-        # The sample's distances per pilot distance, with the slack.
-        scale = n * (n - 1) / 2 * (1 + WINDOW_SLACK) / count
         brackets = []
         for lo, hi in merged:
             first, stop = np.searchsorted(values, [lo, hi])
@@ -822,7 +820,9 @@ class Sample:
                 up = float(np.nextafter(tie, np.inf))
                 brackets += [(tie, tie, 0), (up, up, 0)]
             else:
-                brackets.append((lo, hi, math.ceil((stop - first) * scale)))
+                inside = np.count_nonzero((pilot >= lo) & (pilot < hi), axis=1)
+                share = (stop - first) / (n * cols) + WINDOW_ERRORS * error(inside)
+                brackets.append((lo, hi, math.ceil(n * (n - 1) / 2 * share)))
         return brackets
 
     def _upper_pass(self, work, fold, dtypes=()) -> None:

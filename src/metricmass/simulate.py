@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
+from .bounds import check_t, tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
 from .distributions import draw, spec_to_dict
 from .estimators import (
     check_delta,
@@ -74,6 +74,10 @@ class SimulationConfig:
         check_radius(self.r)
         if any(not 1 <= m <= self.n for m in self.m_list):
             raise ValueError("every m must lie in [1, n]")
+        for t in self.t_list:
+            check_t(t)
+        if self.h_cap < 1:
+            raise ValueError("h_cap must be at least 1")
 
     def to_dict(self) -> dict:
         # The worker count is execution machinery, not part of the

@@ -27,8 +27,11 @@ def test_variance_G_small_n_warns_but_computes():
 
 
 def test_variance_G_rejects_subunit_eh():
-    with pytest.raises(ValueError):
-        variance_bound_G(0.5, 100)
+    # NaN and inf used to pass as E_h, with NaN or inf bounds marked not
+    # vacuous.
+    for e_h in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="E_h must be finite and at least 1"):
+            variance_bound_G(e_h, 100)
 
 
 def test_variance_Mhat_values():

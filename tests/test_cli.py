@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from metricmass import cli
+from metricmass import cli, simulate
 from metricmass.cli import main
 from metricmass.distributions import spec_from_dict
 from metricmass.samples import sample_from_csv
@@ -403,6 +403,29 @@ def test_fewer_than_two_points_is_usage_error(command, tmp_path, capsys, monkeyp
                          "--n", "1", "--replicates", "3", "--out", str(tmp_path / "x")]}[command]
     assert main(argv) == 2
     assert "at least 2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bounds", "--n", "100", "--e-h", "nan"], "E_h must be finite", id="bounds-nan"),
+    pytest.param(["bounds", "--n", "100", "--e-h", "inf"], "E_h must be finite", id="bounds-inf"),
+    pytest.param(["estimate", "--r", "0.1", "--t", "0"], "t must be positive", id="estimate"),
+    pytest.param(["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                  "--n", "20", "--replicates", "3", "--t-list", "0"], "t must be positive",
+                 id="simulate")])
+def test_bad_bound_parameter_is_usage_error_before_any_work(argv, message, tmp_path, capsys,
+                                                            monkeypatch):
+    # bounds used to write NaN bounds marked not vacuous and exit 0;
+    # estimate and simulate checked t only after their h search or their
+    # whole campaign had run.
+    monkeypatch.setattr(cli, "h_clique_relaxed", lambda *a, **k: pytest.fail("h search ran"))
+    monkeypatch.setattr(simulate, "_run_range", lambda *a: pytest.fail("campaign ran"))
+    sample = tmp_path / "pts.csv"
+    write_csv(sample, [[v] for v in np.linspace(0, 1, 60)])
+    if argv[0] == "estimate":
+        argv = argv + ["--input", str(sample)]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
 
 

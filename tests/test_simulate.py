@@ -158,6 +158,11 @@ def test_config_validation():
         small_config(m_list=(100,))
     with pytest.raises(ValueError):
         small_config(delta=2.0)
+    for t in (0.0, math.nan):
+        with pytest.raises(ValueError, match="t must be positive"):
+            small_config(t_list=(1.0, t))
+    with pytest.raises(ValueError, match="h_cap must be at least 1"):
+        small_config(h_cap=0)
 
 
 # One spec per oracle branch: finite on the discrete metric, where atom

@@ -622,20 +622,33 @@ def test_midpoint_cuts_end_within_one_pass_per_distinct_distance(dim, high, n):
     assert full_passes(passes, sample) <= min(8, 1 + np.unique(positive).size)
 
 
-@pytest.mark.parametrize("shape", ["sorted", "repeated"])
+# Seeds of five tight clusters, 2-D on the 1-norm and 3-D euclidean, whose
+# windows held more distances than 1/16 over their pilot counts.
+CLUSTER_SEEDS = [(lp(2, 1.0), seed) for seed in (35, 48, 72, 127, 131, 133, 154)] + [
+    (None, seed) for seed in (43, 126, 130, 132, 175)]
+
+
+@pytest.mark.parametrize("shape", ["sorted", "repeated", "clusters"])
 def test_grid_takes_one_pass_past_the_pilot(shape):
     # The pilot puts every row against random columns of its own, in
     # strided groups, so input sorted along a line, or each point repeated
-    # ten times in a row, still finds the grid's ranks inside its windows:
-    # every seed takes the one summary pass, and equals the dense grid.
+    # ten times in a row, still finds the grid's ranks inside its windows,
+    # and sizes each window's buffer by its pilot count plus as many errors
+    # of it, so tight clusters fit theirs: every seed takes the one summary
+    # pass, and equals the dense grid.
     n = 1200
-    for seed in range(25):
+    cases = CLUSTER_SEEDS if shape == "clusters" else [(None, seed) for seed in range(25)]
+    for space, seed in cases:
         rng = np.random.default_rng(seed)
         if shape == "sorted":
             points = np.sort(rng.normal(size=n))[:, None]
-        else:
+        elif shape == "repeated":
             points = np.repeat(rng.normal(size=(n // 10, 3)), 10, axis=0)
-        sample = make_sample(points)
+        else:
+            dim = 3 if space is None else space.dim
+            centres = rng.normal(size=(5, dim)) * 5
+            points = centres[rng.integers(5, size=n)] + rng.normal(size=(n, dim)) * 0.3
+        sample = make_sample(points, space)
         with mock.patch.object(Sample, "_summarize", autospec=True,
                                side_effect=Sample._summarize) as passes:
             grid = default_r_grid(sample)
