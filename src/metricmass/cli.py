@@ -30,7 +30,14 @@ from .distributions import draw_sample, spec_from_dict
 from .estimators import good_turing_interval, sequential_bounds
 from .oracles import exact_wasserstein_1d, has_exact_w1
 from .samples import Sample, sample_from_csv, sample_from_json
-from .separation import DEFAULT_CAP, eh_upper_from_sample, h_clique_relaxed, h_exact, h_upper_bound
+from .separation import (
+    DEFAULT_CAP,
+    check_cap,
+    eh_upper_from_sample,
+    h_clique_relaxed,
+    h_exact,
+    h_upper_bound,
+)
 from .serialize import dump_json, write_csv, write_json
 from .simulate import SimulationConfig, run_campaign
 from .spaces import parse_space
@@ -93,6 +100,7 @@ def _stop_if_strict(args, warnings) -> None:
 
 def cmd_estimate(args) -> int:
     check_t(args.t)
+    check_cap(args.h_cap)
     sample = _load_sample(args.input, args.space)
     delta = args.delta
     n = sample.n

@@ -35,6 +35,19 @@ the full search returns, since a witness is only replaced by a larger one.
 A witness of size ω also proves h = ω, and is reported exact on every space
 whose triangle inequality is known (all but precomputed matrices).
 
+Some space kinds cap ω itself, in exact arithmetic
+(:attr:`metricmass.spaces.MetricSpace.clique_cap`: 2 under a 1-D norm, 4 in
+the 1-norm plane, 2^D under the sup-norm, ⌈2^p⌉ for the scaled indicator).
+The relaxation then stops at that ceiling instead of at n, and h at the
+least of its cap, ω and the ceiling, provided no distance lies within a
+relative ``NEIGHBOUR_SLACK`` (2^-30) of r or 2r: the kernel's rounding on
+these kinds stays below that, so each window decision read off the rounded
+distances is the exact one.  Since a witness is only replaced by a larger
+one, a search that finishes within its budget returns the same report with
+the ceiling as without.  One that would run out of budget may reach the
+ceiling first, and then reports the exact ω in place of a larger colour
+bound; and a relaxation out of budget reports no bound above the ceiling.
+
 Locality of a candidate subset is decided by what the space tells:
 
 * a packing cap of 1 (the discrete metric) settles h = 1 without a search;
@@ -59,7 +72,7 @@ import numpy as np
 
 from .estimators import check_delta, check_sample
 from .meb import meb_radius, three_point_radius
-from .samples import Sample
+from .samples import NEIGHBOUR_SLACK, Sample
 from .serialize import Record
 
 EXACT = "exact"
@@ -86,6 +99,12 @@ class SeparationReport(Record):
     witness: tuple[int, ...] | None = None
 
 
+def check_cap(cap: int) -> None:
+    """Raise ValueError unless the h search's cap is at least 1."""
+    if not cap >= 1:
+        raise ValueError("h_cap must be at least 1")
+
+
 def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
             clique: SeparationReport | None = None) -> SeparationReport:
     """Largest locally separated sub-sample, searched up to size ``cap``.
@@ -102,8 +121,7 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     space's triangle inequality is unverified (a precomputed matrix).
     """
     check_sample(sample, r)
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    check_cap(cap)
     stop = cap
     if clique is not None:
         if (clique.certified, clique.method) != (UPPER_BOUND, CLIQUE_RELAXATION):
@@ -113,6 +131,7 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     if space.packing_cap == 1:
         return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
     d, adj = _separation_graph(sample, r)
+    stop = _ceiling_stop(space, d, r, stop)
 
     if space.meb_locality:
         pts = sample.points
@@ -150,8 +169,10 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
 
     Dropping the shared-center requirement in favor of its pairwise
     consequence makes this an upper bound for h; the converse can fail, so
-    the certificate is one-sided.  A search that runs out of budget reports
-    an upper bound that may exceed its witness, the largest clique it found.
+    the certificate is one-sided.  The search ends at the space's clique
+    ceiling where every window decision is exact.  A search that runs out
+    of budget reports an upper bound, at most that ceiling, that may exceed
+    its witness, the largest clique it found.
 
     On the discrete metric the answer is closed, read from the sample's
     symbol codes: the window holds the distance 1 exactly when
@@ -166,9 +187,10 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
         last = sample.n - 1 - np.unique(codes[::-1], return_index=True)[1]
         witness = tuple(sorted(last.tolist())) if 0.5 <= r < 1 and last.size > 1 else (0,)
         return SeparationReport(len(witness), UPPER_BOUND, CLIQUE_RELAXATION, witness=witness)
-    _, adj = _separation_graph(sample, r)
-    clique, open_bound = _largest_clique(adj, lambda subset: True, sample.n)
-    value = len(clique) if open_bound is None else open_bound
+    d, adj = _separation_graph(sample, r)
+    stop = _ceiling_stop(sample.space, d, r, sample.n)
+    clique, open_bound = _largest_clique(adj, lambda subset: True, stop)
+    value = len(clique) if open_bound is None else min(open_bound, stop)
     return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
 
 
@@ -178,6 +200,20 @@ def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]
     adj = (d > r) & (d <= 2.0 * r)
     np.fill_diagonal(adj, False)
     return d, adj
+
+
+def _ceiling_stop(space, d: np.ndarray, r: float, stop: int) -> int:
+    """The lesser of ``stop`` and the space's clique ceiling, provided no
+    distance of ``d`` lies within a relative ``NEIGHBOUR_SLACK`` of r or 2r,
+    so that every window decision is the exact one; else ``stop``."""
+    ceiling = space.clique_cap
+    if ceiling is None or ceiling >= stop:
+        return stop
+    for edge in (r, 2.0 * r):
+        low, high = edge * (1 - NEIGHBOUR_SLACK), edge * (1 + NEIGHBOUR_SLACK)
+        if ((d >= low) & (d <= high)).any():
+            return stop
+    return ceiling
 
 
 def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[tuple[int, ...], int | None]:

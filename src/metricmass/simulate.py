@@ -48,7 +48,7 @@ from .estimators import (
 )
 from .oracles import FINITE, MONTE_CARLO, coverage_masses, expected_missing_mass, oracle_branch
 from .samples import SUMMARY_BLOCK_ELEMENTS, Sample, stacked_within
-from .separation import DEFAULT_CAP, h_exact
+from .separation import DEFAULT_CAP, check_cap, h_exact
 from .spaces import check_radius
 
 
@@ -76,8 +76,7 @@ class SimulationConfig:
             raise ValueError("every m must lie in [1, n]")
         for t in self.t_list:
             check_t(t)
-        if self.h_cap < 1:
-            raise ValueError("h_cap must be at least 1")
+        check_cap(self.h_cap)
 
     def to_dict(self) -> dict:
         # The worker count is execution machinery, not part of the

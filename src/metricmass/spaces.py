@@ -23,10 +23,10 @@ triangle reads every distance.
 
 Every decision that depends on the kind is made here: the points, the
 kernel, the discrete symbol codes, the neighbour index, ``scaled``,
-``ball_halfwidth`` on a line, ``packing_cap``, ``meb_locality``,
-``known_metric``, and the dict and ``kind[:a,b]`` forms of the kinds that
-persist, read from one :data:`GRAMMAR` table.  Other modules compare spaces
-by value instead, as in ``space == euclidean(1)``.
+``ball_halfwidth`` on a line, ``packing_cap``, ``clique_cap``,
+``meb_locality``, ``known_metric``, and the dict and ``kind[:a,b]`` forms
+of the kinds that persist, read from one :data:`GRAMMAR` table.  Other
+modules compare spaces by value instead, as in ``space == euclidean(1)``.
 
 Only ``euclidean`` and ``lp`` have a neighbour index, a k-d tree (Bentley
 1975) under the space's p-norm, and only for a radius r where r^p and the
@@ -213,6 +213,35 @@ class MetricSpace:
         if self.kind in (EUCLIDEAN, LP):
             return (3 if self.kind == EUCLIDEAN else 8) ** self.dim
         return 1 if self.kind == DISCRETE else None
+
+    @property
+    def clique_cap(self) -> int | None:
+        """Ceiling on the largest clique ω of the window graph r < d <= 2r,
+        in exact arithmetic: 2 for a 1-D norm, 2^D for the sup-norm,
+        4 for the plane's 1-norm, ⌈2^p⌉ for the scaled indicator, and None
+        where no ceiling is known.
+
+        Points pairwise at most 2r apart in the sup-norm fit in a box of
+        side 2r, and none of the 2^D boxes of side r it splits into holds a
+        pair more than r apart; the map (x, y) -> (x + y, x - y) carries the
+        plane's 1-norm onto its sup-norm.  k sorted points on a line with
+        gaps in (s, 2^p s], where s = r^p is the gap at distance r, span
+        more than (k - 1) s, so k - 1 < 2^p."""
+        if self.kind in (EUCLIDEAN, LP) and self.dim == 1:
+            return 2
+        if self.kind == LP and self.p == math.inf:
+            return 2 ** self.dim
+        if self.kind == LP and (self.dim, self.p) == (2, 1.0):
+            return 4
+        if self.kind != SCALED_INDICATOR:
+            return None
+        if self.p.is_integer() or self.p > 64:
+            # 2^⌈p⌉ >= ⌈2^p⌉: equal for integer p, and past any sample size
+            # where 2.0 ** p could overflow.
+            return 2 ** math.ceil(self.p)
+        # For p not an integer 2^p is irrational, so ⌈2^p⌉ = ⌊2^p⌋ + 1; its
+        # float, an ulp off at most, is rounded up so ⌊2^p⌋ is not missed.
+        return math.floor(math.nextafter(2.0 ** self.p, math.inf)) + 1
 
     @property
     def meb_locality(self) -> bool:

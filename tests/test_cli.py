@@ -410,6 +410,8 @@ def test_fewer_than_two_points_is_usage_error(command, tmp_path, capsys, monkeyp
     pytest.param(["bounds", "--n", "100", "--e-h", "nan"], "E_h must be finite", id="bounds-nan"),
     pytest.param(["bounds", "--n", "100", "--e-h", "inf"], "E_h must be finite", id="bounds-inf"),
     pytest.param(["estimate", "--r", "0.1", "--t", "0"], "t must be positive", id="estimate"),
+    pytest.param(["estimate", "--r", "0.1", "--h-cap", "0"], "h_cap must be at least 1",
+                 id="estimate-h-cap"),
     pytest.param(["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
                   "--n", "20", "--replicates", "3", "--t-list", "0"], "t must be positive",
                  id="simulate")])
@@ -417,7 +419,8 @@ def test_bad_bound_parameter_is_usage_error_before_any_work(argv, message, tmp_p
                                                             monkeypatch):
     # bounds used to write NaN bounds marked not vacuous and exit 0;
     # estimate and simulate checked t only after their h search or their
-    # whole campaign had run.
+    # whole campaign had run, and estimate its h cap only after Good-Turing,
+    # the sequential bounds and the clique relaxation.
     monkeypatch.setattr(cli, "h_clique_relaxed", lambda *a, **k: pytest.fail("h search ran"))
     monkeypatch.setattr(simulate, "_run_range", lambda *a: pytest.fail("campaign ran"))
     sample = tmp_path / "pts.csv"

@@ -243,6 +243,105 @@ def test_packing_caps():
     assert precomputed([[0.0]]).packing_cap is None
 
 
+@pytest.mark.parametrize("space, cap", [
+    (euclidean(1), 2), (lp(1, 1.0), 2), (lp(1, 1.5), 2), (lp(1, math.inf), 2),
+    (lp(2, math.inf), 4), (lp(3, math.inf), 8), (lp(2, 1.0), 4),
+    (scaled_indicator(1.0), 2), (scaled_indicator(1.5), 3), (scaled_indicator(2.0), 4),
+    (scaled_indicator(3.0), 8),
+    (lp(3, 1.0), None), (lp(2, 1.5), None), (euclidean(2), None), (discrete(), None),
+    (precomputed([[0.0]]), None)])
+def test_clique_caps(space, cap):
+    assert space.clique_cap == cap
+
+
+CAPPED_SPACES = (euclidean(1), lp(1, 1.5), lp(2, math.inf), lp(3, math.inf), lp(2, 1.0),
+                 scaled_indicator(1.0), scaled_indicator(1.5), scaled_indicator(2.0),
+                 scaled_indicator(3.0))
+
+
+@given(st.sampled_from(CAPPED_SPACES), st.integers(1, 16), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(lp(1, 1.5), 4, True, 1)
+@settings(max_examples=300)
+def test_window_cliques_stay_within_clique_caps(space, n, lattice, seed):
+    # Random radii, and on integer lattices radii read off the matrix and
+    # halves of its entries, which put pairs exactly at d == r and d == 2r.
+    # The ceilings hold in exact arithmetic.  A rounded distance may cross
+    # r or 2r, but then it lies within the searches' slack, and they keep
+    # their own stops: on the 1.5-norm line of the example the gap 4 reads
+    # 4 - 2^-51, and at half of that, r = 2 - 2^-52, the gaps 2, 2 and 4
+    # of three points all fall in the window.
+    rng = np.random.default_rng(seed)
+    shape = (n,) if space.kind == "scaled_indicator" else (n, space.dim)
+    points = rng.integers(0, 9, size=shape).astype(float) if lattice else \
+        rng.uniform(0.0, 3.0, size=shape)
+    sample = Sample(points, space)
+    d = sample.distance_matrix()
+    values = rng.choice(d.ravel(), size=3)
+    radii = [float(v) for v in values] + [float(v) / 2.0 for v in values] + \
+        rng.uniform(0.05, 2.0, size=3).tolist()
+    cap = space.clique_cap
+    for r in radii:
+        omega = len(reference_max_clique(window_graph(sample, r)))
+        assert omega <= cap or separation._ceiling_stop(space, d, r, cap + 1) > cap
+
+
+def spy_on_stops(monkeypatch):
+    """The ``stop`` of every clique search from here on, in call order."""
+    stops = []
+    search = separation._largest_clique
+
+    def spy(adj, feasible, stop):
+        stops.append(stop)
+        return search(adj, feasible, stop)
+
+    monkeypatch.setattr(separation, "_largest_clique", spy)
+    return stops
+
+
+def searched_reports(sample, r, caps=(DEFAULT_CAP,)):
+    """The clique relaxation, then h at each cap without and with it."""
+    clique = h_clique_relaxed(sample, r)
+    return [clique] + [h_exact(sample, r, cap=cap, clique=bound)
+                       for cap in caps for bound in (None, clique)]
+
+
+@pytest.mark.parametrize("tie", [None, 2.0, 1.0 + 2.0 ** -31])
+def test_clique_ceiling_needs_exact_window_decisions(tie, monkeypatch):
+    # At r = 1, a pair exactly at 2r, or within 2^-31 of r, is decided by
+    # rounded distances, so the searches keep their own stops there; with
+    # neither they stop at the 1-norm plane's ceiling.  Either way the
+    # reports are the ones searched without a ceiling.
+    points = np.random.default_rng(4).uniform(0.0, 3.0, size=(12, 2))
+    if tie is not None:
+        points[:2] = [[0.0, 3.5], [tie, 3.5]]
+    sample = Sample(points, lp(2, 1.0))
+    stops = spy_on_stops(monkeypatch)
+    reports = searched_reports(sample, 1.0)
+    omega = reports[0].value
+    assert stops == ([4, 4, omega] if tie is None else [sample.n, DEFAULT_CAP, omega])
+    stops.clear()
+    with mock.patch.object(MetricSpace, "clique_cap", None):
+        assert searched_reports(sample, 1.0) == reports
+    assert stops == [sample.n, DEFAULT_CAP, omega]
+
+
+def test_clique_ceiling_ends_a_search_the_budget_would_stop():
+    # Uniform points in the 1-norm plane: out of budget, the full relaxation
+    # reports an open colour bound above its witness; stopped at the ceiling
+    # it reaches ω = 4 within the budget, and h = 4 is exact given it (on
+    # sample-point centres alone, only a lower bound).
+    sample = Sample(np.random.default_rng(0).uniform(size=(600, 2)), lp(2, 1.0))
+    with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", 2000):
+        with mock.patch.object(MetricSpace, "clique_cap", None):
+            full = h_clique_relaxed(sample, 0.15)
+        clique, h, bounded = searched_reports(sample, 0.15)
+    assert full.value > len(full.witness)
+    assert clique.value == len(clique.witness) == 4
+    assert (h.value, h.certified) == (4, "lower_bound")
+    assert (bounded.value, bounded.certified) == (4, "exact")
+
+
 def test_h_within_packing_cap():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -311,7 +410,7 @@ def test_h_upper_bound_sources(source, cap, expected, monkeypatch):
     assert h_upper_bound(h, clique, sample.space) == (expected, source)
 
 
-REFERENCE_KINDS = ("euclidean", "lp", "precomputed", "scaled_indicator")
+REFERENCE_KINDS = ("euclidean", "line", "lp", "sup", "precomputed", "scaled_indicator")
 
 
 def metric_on_tie_prone_sample(kind, n, rng):
@@ -319,8 +418,11 @@ def metric_on_tie_prone_sample(kind, n, rng):
     small weighted graph), so pairs sit at equal distances."""
     if kind == "euclidean":
         return make_sample(rng.integers(-2, 3, size=(n, 2)).astype(float))
-    if kind == "lp":
-        return Sample(rng.integers(-2, 3, size=(n, 2)).astype(float), lp(2, 1.0))
+    if kind == "line":
+        return make_sample(rng.integers(-2, 3, size=(n, 1)).astype(float))
+    if kind in ("lp", "sup"):
+        p = 1.0 if kind == "lp" else math.inf
+        return Sample(rng.integers(-2, 3, size=(n, 2)).astype(float), lp(2, p))
     if kind == "precomputed":
         size = int(rng.integers(1, 8))
         w = rng.integers(1, 4, size=(size, size)).astype(float)
@@ -330,6 +432,13 @@ def metric_on_tie_prone_sample(kind, n, rng):
             m = np.minimum(m, m[:, [k]] + m[[k], :])
         return Sample(rng.integers(0, size, size=n), precomputed(m))
     return Sample(rng.integers(0, 5, size=n).astype(float), scaled_indicator(2.0))
+
+
+def tie_prone_radii(sample, rng):
+    """0, 1, and three entries of the sample's matrix, each also halved and
+    scaled by 0.6."""
+    values = rng.choice(sample.distance_matrix().ravel(), size=3).tolist()
+    return [0.0, 1.0] + [v * scale for scale in (1.0, 0.5, 0.6) for v in values]
 
 
 def witness_pairs(sample, rep):
@@ -353,24 +462,27 @@ def assert_genuine_witnesses(sample, r, h, clique):
 @settings(max_examples=200)
 def test_searches_match_references(kind, n, seed):
     # Radii read off the matrix, and halves of its entries, put pairs
-    # exactly at d == r and at d == 2r.
+    # exactly at d == r and at d == 2r; 0.6 of an entry falls between the
+    # lattice's ties, where the searches may stop at the space's ceiling.
     rng = np.random.default_rng(seed)
     sample = metric_on_tie_prone_sample(kind, n, rng)
-    values = rng.choice(sample.distance_matrix().ravel(), size=3)
-    for r in [0.0, 1.0] + [float(v) for v in values] + [float(v) / 2.0 for v in values]:
-        clique = h_clique_relaxed(sample, r)
+    for r in tie_prone_radii(sample, rng):
+        uncapped = reference_h_exact(sample, r)[0]
+        caps = (1, 2, uncapped, uncapped + 1, DEFAULT_CAP)
+        reports = searched_reports(sample, r, caps)
+        # The ceiling only ends a search that would find nothing larger.
+        with mock.patch.object(MetricSpace, "clique_cap", None):
+            assert searched_reports(sample, r, caps) == reports
+        clique = reports[0]
         ref_clique = reference_max_clique(window_graph(sample, r))
         assert clique.witness == tuple(sorted(ref_clique))
         assert (clique.certified, clique.method) == ("upper_bound", "clique_relaxation")
-        uncapped = reference_h_exact(sample, r)[0]
-        for cap in (1, 2, uncapped, uncapped + 1, DEFAULT_CAP):
-            h = h_exact(sample, r, cap=cap)
+        for cap, h, bounded in zip(caps, reports[1::2], reports[2::2]):
             assert (h.value, h.certified, h.method) == reference_h_exact(sample, r, cap)[:3]
             assert h.value <= clique.value
             assert_genuine_witnesses(sample, r, h, clique)
             # The search stopped at the clique bound returns the full
             # search's witness, and a witness of size ω proves h exact.
-            bounded = h_exact(sample, r, cap=cap, clique=clique)
             assert (bounded.value, bounded.method, bounded.witness) == \
                 (h.value, h.method, h.witness)
             reaches = h.value == clique.value and kind != "precomputed"
@@ -429,21 +541,20 @@ def test_searches_out_of_budget_stay_one_sided(kind, n, seed, budget):
     # from above and h from below, and calls h exact only when it is.
     rng = np.random.default_rng(seed)
     sample = metric_on_tie_prone_sample(kind, n, rng)
-    values = rng.choice(sample.distance_matrix().ravel(), size=3)
-    for r in [0.0, 1.0] + [float(v) for v in values] + [float(v) / 2.0 for v in values]:
+    for r in tie_prone_radii(sample, rng):
         omega = len(reference_max_clique(window_graph(sample, r)))
         h_ref = reference_h_exact(sample, r)[0]
         with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", budget):
-            clique = h_clique_relaxed(sample, r)
-            h = h_exact(sample, r, clique=clique)
+            clique, *hs = searched_reports(sample, r)
         assert (clique.certified, clique.method) == ("upper_bound", "clique_relaxation")
         assert len(clique.witness) <= omega <= clique.value
         w = list(clique.witness)
         pairs = sample.distance_matrix()[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
         assert ((pairs > r) & (pairs <= 2.0 * r)).all()
-        assert h.value <= h_ref and h.value == len(h.witness)
-        if h.certified == "exact":
-            assert h.value == h_ref
+        for h in hs:
+            assert h.value <= h_ref and h.value == len(h.witness)
+            if h.certified == "exact":
+                assert h.value == h_ref
 
 
 def test_clique_search_stops_at_its_budget():
