@@ -28,25 +28,27 @@ below.  Witnesses are returned sorted.  A search that lists
 clique relaxation then reports the largest colour bound of the branches it
 left open, and h its witness as a lower bound.
 
-The clique value ω bounds h from above, so :func:`h_exact` given the
-:func:`h_clique_relaxed` report of the same sample and radius stops as soon
-as its witness reaches ω: the witness found first at that size is the one
-the full search returns, since a witness is only replaced by a larger one.
-A witness of size ω also proves h = ω, and is reported exact on every space
-whose triangle inequality is known (all but precomputed matrices).
+The clique value ω bounds h from above, and some space kinds cap ω itself,
+in exact arithmetic (:attr:`metricmass.spaces.MetricSpace.clique_cap`: 2
+under a 1-D norm, 4 in the 1-norm plane, 2^D under the sup-norm, ⌈2^p⌉ for
+the scaled indicator).  One function builds both searches' window graph and
+stop: the search's own bound, lowered to that ceiling provided no distance
+lies within a relative ``NEIGHBOUR_SLACK`` (2^-30) of r or 2r, beyond the
+kernel's rounding on these kinds, so that each window decision is the exact
+one.  The relaxation's own bound is n; h's is ω, the :func:`h_clique_relaxed`
+value of the same sample and radius, when given, and h also stops at its
+cap.  A witness is only replaced by a larger one, so the search returns the
+full search's witness, and one that finishes within its budget the same
+report with the ceiling as without.  One that would run out of budget may
+reach the ceiling first, and then reports the exact ω in place of a larger
+colour bound; and a relaxation out of budget reports no bound above the
+ceiling.
 
-Some space kinds cap ω itself, in exact arithmetic
-(:attr:`metricmass.spaces.MetricSpace.clique_cap`: 2 under a 1-D norm, 4 in
-the 1-norm plane, 2^D under the sup-norm, ⌈2^p⌉ for the scaled indicator).
-The relaxation then stops at that ceiling instead of at n, and h at the
-least of its cap, ω and the ceiling, provided no distance lies within a
-relative ``NEIGHBOUR_SLACK`` (2^-30) of r or 2r: the kernel's rounding on
-these kinds stays below that, so each window decision read off the rounded
-distances is the exact one.  Since a witness is only replaced by a larger
-one, a search that finishes within its budget returns the same report with
-the ceiling as without.  One that would run out of budget may reach the
-ceiling first, and then reports the exact ω in place of a larger colour
-bound; and a relaxation out of budget reports no bound above the ceiling.
+One rule certifies h.  On a space whose triangle inequality is known (all
+but precomputed matrices), h is exact when its witness reaches that proven
+bound on ω, or when the locality test is exact and the search ended below
+the cap within its budget; else the witness is a lower bound, equal to the
+cap when the search reached it.
 
 Locality of a candidate subset is decided by what the space tells:
 
@@ -109,29 +111,25 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
             clique: SeparationReport | None = None) -> SeparationReport:
     """Largest locally separated sub-sample, searched up to size ``cap``.
 
-    Returns an exact value with witness when the space admits an exact
-    locality test and the search terminates below the cap within its
-    budget; otherwise the value is a certified lower bound (the witness is
-    still genuine).
-
     ``clique``, if given, must be the :func:`h_clique_relaxed` report of
-    the same sample and radius.  The search then stops once its witness
-    reaches that upper bound ω, with the value, method and witness of the
-    full search, and a witness of size ω is reported exact unless the
-    space's triangle inequality is unverified (a precomputed matrix).
+    the same sample and radius; its value, else the space's clique ceiling
+    where every window decision is exact, is a proven bound on ω.  The
+    search stops once its witness reaches that bound or the cap, with the
+    value, method and witness of the full search.  Unless the space's
+    triangle inequality is unverified (a precomputed matrix), h is exact
+    when the witness reaches the bound, or when the locality test is exact
+    and the search ended below the cap within its budget.  Otherwise the
+    value is a certified lower bound (the witness is still genuine).
     """
     check_sample(sample, r)
     check_cap(cap)
-    stop = cap
     if clique is not None:
         if (clique.certified, clique.method) != (UPPER_BOUND, CLIQUE_RELAXATION):
             raise ValueError("clique must be an h_clique_relaxed report")
-        stop = min(cap, clique.value)
     space = sample.space
     if space.packing_cap == 1:
         return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
-    d, adj = _separation_graph(sample, r)
-    stop = _ceiling_stop(space, d, r, stop)
+    d, nbrs, omega = _window(sample, r, math.inf if clique is None else clique.value)
 
     if space.meb_locality:
         pts = sample.points
@@ -155,13 +153,11 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
         def feasible(subset: list[int]) -> bool:
             return bool((d[:, subset].max(axis=1) <= r).any())
 
-    best, open_bound = _largest_clique(adj, feasible, stop)
-    if clique is not None and len(best) == clique.value and space.known_metric:
-        return SeparationReport(len(best), EXACT, BRUTE_FORCE, witness=best)
-    if len(best) >= cap:
-        return SeparationReport(cap, LOWER_BOUND, BRUTE_FORCE, witness=best)
-    certified = EXACT if space.meb_locality and open_bound is None else LOWER_BOUND
-    return SeparationReport(len(best), certified, BRUTE_FORCE, witness=best)
+    best, open_bound = _largest_clique(nbrs, feasible, min(cap, omega))
+    size = len(best)
+    exact = space.known_metric and (size >= omega or (space.meb_locality
+                                                      and open_bound is None and size < cap))
+    return SeparationReport(size, EXACT if exact else LOWER_BOUND, BRUTE_FORCE, witness=best)
 
 
 def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
@@ -187,39 +183,36 @@ def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
         last = sample.n - 1 - np.unique(codes[::-1], return_index=True)[1]
         witness = tuple(sorted(last.tolist())) if 0.5 <= r < 1 and last.size > 1 else (0,)
         return SeparationReport(len(witness), UPPER_BOUND, CLIQUE_RELAXATION, witness=witness)
-    d, adj = _separation_graph(sample, r)
-    stop = _ceiling_stop(sample.space, d, r, sample.n)
-    clique, open_bound = _largest_clique(adj, lambda subset: True, stop)
+    _, nbrs, stop = _window(sample, r, sample.n)
+    clique, open_bound = _largest_clique(nbrs, lambda subset: True, stop)
     value = len(clique) if open_bound is None else min(open_bound, stop)
     return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
 
 
-def _separation_graph(sample: Sample, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distance matrix and the adjacency of r < d <= 2r, closed at 2r."""
+def _window(sample: Sample, r: float, bound: float) -> tuple[np.ndarray, list[int], float]:
+    """The distance matrix, each point's neighbours in the window graph
+    r < d <= 2r (closed at 2r) as a bitset, and the search stop: ``bound``,
+    lowered to the space's clique ceiling provided no distance lies within
+    a relative ``NEIGHBOUR_SLACK`` of r or 2r, so that every window
+    decision is the exact one."""
     d = sample.distance_matrix()
     adj = (d > r) & (d <= 2.0 * r)
     np.fill_diagonal(adj, False)
-    return d, adj
+    nbrs = [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(adj, axis=1, bitorder="little")]
+    ceiling = sample.space.clique_cap
+    if ceiling is not None and ceiling < bound and not any(
+            ((d >= edge * (1 - NEIGHBOUR_SLACK)) & (d <= edge * (1 + NEIGHBOUR_SLACK))).any()
+            for edge in (r, 2.0 * r)):
+        bound = ceiling
+    return d, nbrs, bound
 
 
-def _ceiling_stop(space, d: np.ndarray, r: float, stop: int) -> int:
-    """The lesser of ``stop`` and the space's clique ceiling, provided no
-    distance of ``d`` lies within a relative ``NEIGHBOUR_SLACK`` of r or 2r,
-    so that every window decision is the exact one; else ``stop``."""
-    ceiling = space.clique_cap
-    if ceiling is None or ceiling >= stop:
-        return stop
-    for edge in (r, 2.0 * r):
-        low, high = edge * (1 - NEIGHBOUR_SLACK), edge * (1 + NEIGHBOUR_SLACK)
-        if ((d >= low) & (d <= high)).any():
-            return stop
-    return ceiling
-
-
-def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[tuple[int, ...], int | None]:
-    """Largest clique of ``adj`` whose every prefix passes the hereditary
-    ``feasible``, by branch and bound over bitset candidate sets with a
-    colour-class bound, as one loop over an explicit stack of frames.
+def _largest_clique(nbrs: list[int], feasible, stop: int) -> tuple[tuple[int, ...], int | None]:
+    """Largest clique whose every prefix passes the hereditary ``feasible``,
+    in the graph where vertex v has the neighbour bitset ``nbrs[v]``, by
+    branch and bound over bitset candidate sets with a colour-class bound,
+    as one loop over an explicit stack of frames.
 
     Returns the clique sorted, and None; or, if the search listed
     ``CLIQUE_NODE_BUDGET`` candidates to branch on before it finished, the
@@ -231,8 +224,6 @@ def _largest_clique(adj: np.ndarray, feasible, stop: int) -> tuple[tuple[int, ..
     it is never entered.
     """
     budget = CLIQUE_NODE_BUDGET
-    nbrs = [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(adj, axis=1, bitorder="little")]
     # The vertices that may share a colour class with v: its non-neighbours.
     # Kept non-negative, which Python's ``&`` takes faster than ``~(...)``.
     everyone = (1 << len(nbrs)) - 1

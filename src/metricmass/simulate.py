@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import samples
 from .bounds import check_t, tail_bound_G, tail_bound_Mhat, variance_bound_G, variance_bound_Mhat
 from .distributions import draw, spec_to_dict
 from .estimators import (
@@ -70,6 +71,8 @@ class SimulationConfig:
         # The M_hat bounds every campaign reports divide by n - 1.
         if self.n < 2 or self.replicates < 1:
             raise ValueError("n must be at least 2 and replicates positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         check_delta(self.delta)
         check_radius(self.r)
         if any(not 1 <= m <= self.n for m in self.m_list):
@@ -133,15 +136,18 @@ def run_campaign(config: SimulationConfig) -> dict:
     table as ``"columns"`` (name -> list in replicate order) and aggregate
     comparisons against the closed-form bounds."""
     reps = config.replicates
-    if config.workers <= 1:
+    # A forked pool starts all its processes at the first submit, so it is
+    # given no more than there are cores; no output depends on the count.
+    workers = min(config.workers, samples._cores())
+    if workers == 1:
         columns = _run_range(config, 0, reps)
     else:
-        chunk = max(1, math.ceil(reps / (config.workers * 4)))
+        chunk = max(1, math.ceil(reps / (workers * 4)))
         spans = [(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
         # A worker process runs its passes on one thread (see
         # samples.stream_blocks), so k workers start k threads, not k times
         # the cores.
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [config] * len(spans),
                                   [s for s, _ in spans], [e for _, e in spans]))
         columns = {name: [value for part in parts for value in part[name]]

@@ -360,6 +360,13 @@ def reference_max_clique(adj):
     return best
 
 
+def bitsets(adj):
+    """Each row of a boolean adjacency matrix as a Python-int bitset, the
+    form ``separation._largest_clique`` takes."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(adj, axis=1, bitorder="little")]
+
+
 def reference_bbmc(adj, feasible, stop, budget=None):
     """``separation._largest_clique`` as a recursive search, one call per
     child, with its budget (``separation.CLIQUE_NODE_BUDGET`` by default),
@@ -367,8 +374,7 @@ def reference_bbmc(adj, feasible, stop, budget=None):
     from metricmass import separation
 
     budget = separation.CLIQUE_NODE_BUDGET if budget is None else budget
-    nbrs = [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(adj, axis=1, bitorder="little")]
+    nbrs = bitsets(adj)
     best = [0]
     nodes = 0
     # The largest len(clique) + colour over the branches the budget left

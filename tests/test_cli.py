@@ -414,7 +414,11 @@ def test_fewer_than_two_points_is_usage_error(command, tmp_path, capsys, monkeyp
                  id="estimate-h-cap"),
     pytest.param(["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
                   "--n", "20", "--replicates", "3", "--t-list", "0"], "t must be positive",
-                 id="simulate")])
+                 id="simulate"),
+    *(pytest.param(["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                    "--n", "20", "--replicates", "3", "--workers", workers],
+                   "workers must be at least 1", id=f"simulate-workers{workers}")
+      for workers in ("0", "-3"))])
 def test_bad_bound_parameter_is_usage_error_before_any_work(argv, message, tmp_path, capsys,
                                                             monkeypatch):
     # bounds used to write NaN bounds marked not vacuous and exit 0;

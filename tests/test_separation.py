@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from metricmass import separation
 from metricmass.distributions import ScaledIndicatorSpec, draw_sample
 from metricmass.meb import meb_radius
-from metricmass.samples import Sample, make_sample
+from metricmass.samples import NEIGHBOUR_SLACK, Sample, make_sample
 from metricmass.separation import (
     DEFAULT_CAP,
     eh_upper_from_sample,
@@ -21,6 +22,7 @@ from metricmass.separation import (
 from metricmass.spaces import MetricSpace, discrete, euclidean, lp, precomputed, scaled_indicator
 
 from helpers import (
+    bitsets,
     h_grid_oracle,
     reference_bbmc,
     reference_h_exact,
@@ -57,8 +59,8 @@ def test_discrete_clique_is_read_from_symbol_codes(r, draws, strings):
     s = make_sample(symbols, discrete())
     with mock.patch.object(MetricSpace, "kernel", side_effect=AssertionError("kernel called")):
         closed = h_clique_relaxed(s, r)
-    _, adj = separation._separation_graph(s, r)
-    clique, open_bound = separation._largest_clique(adj, lambda subset: True, s.n)
+    _, nbrs, _ = separation._window(s, r, s.n)
+    clique, open_bound = separation._largest_clique(nbrs, lambda subset: True, s.n)
     assert open_bound is None
     assert closed == separation.SeparationReport(len(clique), separation.UPPER_BOUND,
                                                  separation.CLIQUE_RELAXATION, witness=clique)
@@ -259,6 +261,37 @@ CAPPED_SPACES = (euclidean(1), lp(1, 1.5), lp(2, math.inf), lp(3, math.inf), lp(
                  scaled_indicator(3.0))
 
 
+def capped_sample_and_radii(space, n, lattice, seed):
+    """A sample of a capped space kind, on an integer lattice or of floats,
+    and radii: three matrix entries, their halves, and three random ones."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if space.kind == "scaled_indicator" else (n, space.dim)
+    points = rng.integers(0, 9, size=shape).astype(float) if lattice else \
+        rng.uniform(0.0, 3.0, size=shape)
+    sample = Sample(points, space)
+    values = rng.choice(sample.distance_matrix().ravel(), size=3)
+    radii = [float(v) for v in values] + [float(v) / 2.0 for v in values] + \
+        rng.uniform(0.05, 2.0, size=3).tolist()
+    return sample, radii
+
+
+def guarded_ceiling(sample, r):
+    """The space's clique ceiling, or None where a distance lies within a
+    relative ``NEIGHBOUR_SLACK`` of r or 2r and rounding may decide the
+    window."""
+    d = sample.distance_matrix()
+    if any(np.isclose(d, edge, rtol=NEIGHBOUR_SLACK, atol=0.0).any() for edge in (r, 2.0 * r)):
+        return None
+    return sample.space.clique_cap
+
+
+def alone_certificate(ceiling, value, certified):
+    """The certificate of an h search without the clique report whose
+    reference (with no ceiling) is ``value`` and ``certified``: exact where
+    the value reaches the guarded ``ceiling``."""
+    return "exact" if ceiling is not None and value >= ceiling else certified
+
+
 @given(st.sampled_from(CAPPED_SPACES), st.integers(1, 16), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 @example(lp(1, 1.5), 4, True, 1)
@@ -271,19 +304,37 @@ def test_window_cliques_stay_within_clique_caps(space, n, lattice, seed):
     # their own stops: on the 1.5-norm line of the example the gap 4 reads
     # 4 - 2^-51, and at half of that, r = 2 - 2^-52, the gaps 2, 2 and 4
     # of three points all fall in the window.
-    rng = np.random.default_rng(seed)
-    shape = (n,) if space.kind == "scaled_indicator" else (n, space.dim)
-    points = rng.integers(0, 9, size=shape).astype(float) if lattice else \
-        rng.uniform(0.0, 3.0, size=shape)
-    sample = Sample(points, space)
-    d = sample.distance_matrix()
-    values = rng.choice(d.ravel(), size=3)
-    radii = [float(v) for v in values] + [float(v) / 2.0 for v in values] + \
-        rng.uniform(0.05, 2.0, size=3).tolist()
+    sample, radii = capped_sample_and_radii(space, n, lattice, seed)
     cap = space.clique_cap
     for r in radii:
         omega = len(reference_max_clique(window_graph(sample, r)))
-        assert omega <= cap or separation._ceiling_stop(space, d, r, cap + 1) > cap
+        assert omega <= cap or separation._window(sample, r, cap + 1)[2] > cap
+
+
+@given(st.sampled_from(CAPPED_SPACES), st.integers(1, 16), st.booleans(),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 7, 64]))
+@settings(max_examples=300)
+def test_h_is_exact_where_its_witness_reaches_a_proven_bound(space, n, lattice, seed,
+                                                             budget):
+    # In budget or out of it: where h alone stops at the guarded ceiling, it
+    # is the report h gets given the relaxation, and exact.  A report is
+    # exact only where its witness reaches a proven bound on ω (the guarded
+    # ceiling alone, the relaxation's value given it), or, on the line,
+    # where the reference is exact, with the reference's value.
+    sample, radii = capped_sample_and_radii(space, n, lattice, seed)
+    for r in radii:
+        ceiling = guarded_ceiling(sample, r)
+        value, certified, _, _ = reference_h_exact(sample, r)
+        with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", budget):
+            clique = h_clique_relaxed(sample, r)
+            alone, given = h_exact(sample, r), h_exact(sample, r, clique=clique)
+        if ceiling is not None and alone.value == ceiling:
+            assert given == alone and alone.certified == "exact"
+        for h, bound in ((alone, ceiling), (given, clique.value)):
+            if certified == "exact":
+                assert h.certified == "lower_bound" or h.value == value
+            else:
+                assert (h.certified == "exact") == (bound is not None and h.value >= bound)
 
 
 def spy_on_stops(monkeypatch):
@@ -291,9 +342,9 @@ def spy_on_stops(monkeypatch):
     stops = []
     search = separation._largest_clique
 
-    def spy(adj, feasible, stop):
+    def spy(nbrs, feasible, stop):
         stops.append(stop)
-        return search(adj, feasible, stop)
+        return search(nbrs, feasible, stop)
 
     monkeypatch.setattr(separation, "_largest_clique", spy)
     return stops
@@ -329,8 +380,8 @@ def test_clique_ceiling_needs_exact_window_decisions(tie, monkeypatch):
 def test_clique_ceiling_ends_a_search_the_budget_would_stop():
     # Uniform points in the 1-norm plane: out of budget, the full relaxation
     # reports an open colour bound above its witness; stopped at the ceiling
-    # it reaches ω = 4 within the budget, and h = 4 is exact given it (on
-    # sample-point centres alone, only a lower bound).
+    # it reaches ω = 4 within the budget, and h = 4 is exact, given it or
+    # not, since its witness reaches the ceiling.
     sample = Sample(np.random.default_rng(0).uniform(size=(600, 2)), lp(2, 1.0))
     with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", 2000):
         with mock.patch.object(MetricSpace, "clique_cap", None):
@@ -338,8 +389,8 @@ def test_clique_ceiling_ends_a_search_the_budget_would_stop():
         clique, h, bounded = searched_reports(sample, 0.15)
     assert full.value > len(full.witness)
     assert clique.value == len(clique.witness) == 4
-    assert (h.value, h.certified) == (4, "lower_bound")
-    assert (bounded.value, bounded.certified) == (4, "exact")
+    assert (h.value, h.certified) == (4, "exact")
+    assert bounded == h
 
 
 def test_h_within_packing_cap():
@@ -470,15 +521,21 @@ def test_searches_match_references(kind, n, seed):
         uncapped = reference_h_exact(sample, r)[0]
         caps = (1, 2, uncapped, uncapped + 1, DEFAULT_CAP)
         reports = searched_reports(sample, r, caps)
-        # The ceiling only ends a search that would find nothing larger.
+        # The ceiling only ends a search that would find nothing larger, and
+        # certifies h alone exact where its witness reaches the ceiling.
+        ceiling = guarded_ceiling(sample, r)
         with mock.patch.object(MetricSpace, "clique_cap", None):
-            assert searched_reports(sample, r, caps) == reports
+            ceilingless = searched_reports(sample, r, caps)
+        assert [replace(rep, certified=alone_certificate(ceiling, rep.value, rep.certified))
+                if k % 2 else rep for k, rep in enumerate(ceilingless)] == reports
         clique = reports[0]
         ref_clique = reference_max_clique(window_graph(sample, r))
         assert clique.witness == tuple(sorted(ref_clique))
         assert (clique.certified, clique.method) == ("upper_bound", "clique_relaxation")
         for cap, h, bounded in zip(caps, reports[1::2], reports[2::2]):
-            assert (h.value, h.certified, h.method) == reference_h_exact(sample, r, cap)[:3]
+            value, certified, method, _ = reference_h_exact(sample, r, cap)
+            assert (h.value, h.certified, h.method) == \
+                (value, alone_certificate(ceiling, value, certified), method)
             assert h.value <= clique.value
             assert_genuine_witnesses(sample, r, h, clique)
             # The search stopped at the clique bound returns the full
@@ -496,7 +553,7 @@ def test_bitset_search_matches_reference_on_random_graphs(n, density, seed):
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < density, k=1)
     adj = upper | upper.T
-    assert separation._largest_clique(adj, lambda subset: True, n) == \
+    assert separation._largest_clique(bitsets(adj), lambda subset: True, n) == \
         (tuple(sorted(reference_max_clique(adj))), None)
 
 
@@ -527,7 +584,8 @@ def test_search_loop_matches_the_recursive_search(n, density, seed, budget, stop
                  for size in (1, 2, 2, 3, 3, 3) if hereditary and size <= n for _ in range(n)}
     loop_calls, reference_calls = [], []
     with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", budget):
-        got = separation._largest_clique(adj, recorded_predicate(forbidden, loop_calls), stop)
+        got = separation._largest_clique(bitsets(adj), recorded_predicate(forbidden, loop_calls),
+                                         stop)
     want = reference_bbmc(adj, recorded_predicate(forbidden, reference_calls), stop, budget)
     assert got == want
     assert loop_calls == reference_calls

@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from metricmass import samples, simulate
 from metricmass.distributions import (
     LowdimEmbeddingSpec,
     PointMassSpec,
@@ -62,6 +63,30 @@ def test_worker_count_does_not_change_results():
     parallel = run_campaign(small_config(replicates=24, workers=4))
     assert serial["columns"] == parallel["columns"]
     assert serial["aggregate"] == parallel["aggregate"]
+
+
+def test_workers_beyond_the_cores_start_no_more_processes(monkeypatch):
+    # A forked pool starts every worker it is given at the first submit: a
+    # campaign asking for a million asks the pool for at most the cores.
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recorder)
+    many = run_campaign(small_config(replicates=24, workers=10 ** 6))
+    assert len(asked) <= 1 and all(k <= samples._cores() for k in asked)
+    assert many == run_campaign(small_config(replicates=24))
 
 
 # A large pass starts the pool's threads; a forked child inherits the pool
