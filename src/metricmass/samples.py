@@ -9,9 +9,7 @@ entries, or one row, each computed by the space's kernel.  A block is cut
 by its entries, not by a fixed count of rows: it takes as many rows as its
 own width leaves room for, so blocks grow as the rows narrow, down the
 upper triangle or up to a query's stop.  The time is still O(n^2), but the
-memory is O(n * block).  The matrix itself is built only on request, by
-:meth:`Sample.distance_matrix` (the h search in :mod:`metricmass.separation`
-reads it).
+memory is O(n * block), and no sample keeps the n x n matrix.
 
 Each sample also computes, once, two radius-free summaries of its distances:
 every point's distance to its nearest other point and to its nearest
@@ -467,9 +465,8 @@ def _checked_ranks(ranks, count: int) -> np.ndarray:
 class Sample:
     """An ordered iid sample of points from one space.
 
-    Immutable after construction apart from the distance matrix, built on
-    request, the summaries, filled on first use, and the neighbour index
-    of the last radius asked.
+    Immutable after construction apart from the summaries, filled on first
+    use, and the neighbour index of the last radius asked.
     ``atom_indices`` carries optional provenance for samples generated from a
     finite-support distribution (indices into its atom list), which the
     oracles use for fast exact computations.  ``symbol_codes`` holds the
@@ -484,7 +481,6 @@ class Sample:
         self.points = space.as_points(points)
         self.atom_indices = None if atom_indices is None else np.asarray(atom_indices, dtype=int)
         self.symbol_codes = space.symbol_codes(self.points)
-        self._distances: np.ndarray | None = None
         self._nearest: np.ndarray | None = None
         self._earlier: np.ndarray | None = None
         self._diameter: float | None = None
@@ -495,16 +491,10 @@ class Sample:
     def n(self) -> int:
         return len(self.points)
 
-    def distance_matrix(self) -> np.ndarray:
-        """The whole n x n matrix, built on the first call and kept."""
-        if self._distances is None:
-            self._distances = self.space.kernel(self.points, self.points)
-        return self._distances
-
     def distance_rows(self, rows, cols=slice(None)) -> np.ndarray:
         """A new array of the distances from the points ``rows`` to the
         points ``cols`` (each a slice or an index array; every point by
-        default), computed by the kernel whether or not the matrix is built."""
+        default), computed by the kernel."""
         return self.space.kernel(self.points[rows], self.points[cols])
 
     def distance(self, i: int, j: int) -> float:

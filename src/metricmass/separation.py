@@ -31,24 +31,24 @@ left open, and h its witness as a lower bound.
 The clique value ω bounds h from above, and some space kinds cap ω itself,
 in exact arithmetic (:attr:`metricmass.spaces.MetricSpace.clique_cap`: 2
 under a 1-D norm, 4 in the 1-norm plane, 2^D under the sup-norm, ⌈2^p⌉ for
-the scaled indicator).  One function builds both searches' window graph and
-stop: the search's own bound, lowered to that ceiling provided no distance
-lies within a relative ``NEIGHBOUR_SLACK`` (2^-30) of r or 2r, beyond the
-kernel's rounding on these kinds, so that each window decision is the exact
-one.  The relaxation's own bound is n; h's is ω, the :func:`h_clique_relaxed`
-value of the same sample and radius, when given, and h also stops at its
-cap.  A witness is only replaced by a larger one, so the search returns the
-full search's witness, and one that finishes within its budget the same
-report with the ceiling as without.  One that would run out of budget may
-reach the ceiling first, and then reports the exact ω in place of a larger
-colour bound; and a relaxation out of budget reports no bound above the
-ceiling.
+the scaled indicator).  Each public function builds one window: the n x n
+matrix, from one kernel call and freed on return, the graph, and a stop, the
+search's own bound lowered to that ceiling provided no distance lies within
+a relative ``NEIGHBOUR_SLACK`` (2^-30) of r or 2r, beyond the kernel's
+rounding on these kinds, so that each window decision is the exact one.  The
+relaxation's own bound is n; h's is ω in :func:`h_search`, which runs the
+relaxation first, and none in :func:`h_exact`; h also stops at its cap.  A
+witness is only replaced by a larger one, so the search returns the full
+search's witness, and one that finishes within its budget the same report
+with the ceiling as without.  One that would run out of budget may reach the
+ceiling first, and then reports the exact ω in place of a larger colour
+bound; and a relaxation out of budget reports no bound above the ceiling.
 
-One rule certifies h.  On a space whose triangle inequality is known (all
-but precomputed matrices), h is exact when its witness reaches that proven
-bound on ω, or when the locality test is exact and the search ended below
-the cap within its budget; else the witness is a lower bound, equal to the
-cap when the search reached it.
+One rule certifies h.  Where the triangle inequality is known (all but
+precomputed matrices), h is exact when its witness reaches a proven bound on
+ω (ω in :func:`h_search`, else the guarded ceiling), or when the locality
+test is exact and the search ended below the cap within its budget; else the
+witness is a lower bound, equal to the cap when the search reached it.
 
 Locality of a candidate subset is decided by what the space tells:
 
@@ -107,30 +107,67 @@ def check_cap(cap: int) -> None:
         raise ValueError("h_cap must be at least 1")
 
 
-def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
-            clique: SeparationReport | None = None) -> SeparationReport:
-    """Largest locally separated sub-sample, searched up to size ``cap``.
-
-    ``clique``, if given, must be the :func:`h_clique_relaxed` report of
-    the same sample and radius; its value, else the space's clique ceiling
-    where every window decision is exact, is a proven bound on ω.  The
-    search stops once its witness reaches that bound or the cap, with the
-    value, method and witness of the full search.  Unless the space's
-    triangle inequality is unverified (a precomputed matrix), h is exact
-    when the witness reaches the bound, or when the locality test is exact
-    and the search ended below the cap within its budget.  Otherwise the
-    value is a certified lower bound (the witness is still genuine).
-    """
+def h_search(sample: Sample, r: float,
+             cap: int = DEFAULT_CAP) -> tuple[SeparationReport, SeparationReport]:
+    """The :func:`h_clique_relaxed` and :func:`h_exact` reports from one
+    window graph: h's search also stops at the clique value ω, and is exact
+    where its witness reaches ω, with :func:`h_exact`'s value and witness."""
     check_sample(sample, r)
     check_cap(cap)
-    if clique is not None:
-        if (clique.certified, clique.method) != (UPPER_BOUND, CLIQUE_RELAXATION):
-            raise ValueError("clique must be an h_clique_relaxed report")
-    space = sample.space
-    if space.packing_cap == 1:
-        return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
-    d, nbrs, omega = _window(sample, r, math.inf if clique is None else clique.value)
+    if sample.space.packing_cap == 1:
+        return h_clique_relaxed(sample, r), h_exact(sample, r, cap)
+    d, nbrs, stop = _window(sample, r, sample.n)
+    clique = _relaxation(nbrs, stop)
+    return clique, _h_in_window(sample, r, cap, d, nbrs, clique.value)
 
+
+def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP) -> SeparationReport:
+    """Largest locally separated sub-sample, searched up to size ``cap``
+    and, where every window decision is exact, the space's clique ceiling.
+    Unless the triangle inequality is unverified (a precomputed matrix), h
+    is exact when its witness reaches that ceiling, or when the locality
+    test is exact and the search ended below the cap within its budget;
+    otherwise it is a certified lower bound, with a genuine witness."""
+    check_sample(sample, r)
+    check_cap(cap)
+    if sample.space.packing_cap == 1:
+        return SeparationReport(1, EXACT, BRUTE_FORCE, witness=(0,))
+    return _h_in_window(sample, r, cap, *_window(sample, r, math.inf))
+
+
+def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
+    """Maximum clique of the graph with edges where r < d(x_i, x_j) <= 2r:
+    a one-sided upper bound on h, which drops the shared centre for its
+    pairwise consequence.  The search ends at the space's clique ceiling
+    where every window decision is exact; out of budget it reports an upper
+    bound, at most that ceiling, that may exceed its witness.
+
+    On the discrete metric the answer is read from the symbol codes: for
+    1/2 <= r < 1 the window joins every two draws of distinct symbols, so
+    the clique takes the last draw of each, as the search would; otherwise
+    the graph has no edge, and the clique is the first point.
+    """
+    check_sample(sample, r)
+    codes = sample.symbol_codes
+    if codes is not None:
+        last = sample.n - 1 - np.unique(codes[::-1], return_index=True)[1]
+        witness = tuple(sorted(last.tolist())) if 0.5 <= r < 1 and last.size > 1 else (0,)
+        return SeparationReport(len(witness), UPPER_BOUND, CLIQUE_RELAXATION, witness=witness)
+    return _relaxation(*_window(sample, r, sample.n)[1:])
+
+
+def _relaxation(nbrs: list[int], stop: int) -> SeparationReport:
+    """The clique relaxation of the window graph ``nbrs``, up to ``stop``."""
+    clique, open_bound = _largest_clique(nbrs, lambda subset: True, stop)
+    value = len(clique) if open_bound is None else min(open_bound, stop)
+    return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
+
+
+def _h_in_window(sample: Sample, r: float, cap: int, d: np.ndarray, nbrs: list[int],
+                 omega: float) -> SeparationReport:
+    """h from the window's matrix ``d`` and graph ``nbrs``, searched up to
+    ``min(cap, omega)`` for ``omega`` a proven bound on ω, or inf."""
+    space = sample.space
     if space.meb_locality:
         pts = sample.points
         r_feas = r * (1.0 + MEB_FEASIBILITY_RTOL)
@@ -160,42 +197,13 @@ def h_exact(sample: Sample, r: float, cap: int = DEFAULT_CAP,
     return SeparationReport(size, EXACT if exact else LOWER_BOUND, BRUTE_FORCE, witness=best)
 
 
-def h_clique_relaxed(sample: Sample, r: float) -> SeparationReport:
-    """Maximum clique of the graph with edges where r < d(x_i, x_j) <= 2r.
-
-    Dropping the shared-center requirement in favor of its pairwise
-    consequence makes this an upper bound for h; the converse can fail, so
-    the certificate is one-sided.  The search ends at the space's clique
-    ceiling where every window decision is exact.  A search that runs out
-    of budget reports an upper bound, at most that ceiling, that may exceed
-    its witness, the largest clique it found.
-
-    On the discrete metric the answer is closed, read from the sample's
-    symbol codes: the window holds the distance 1 exactly when
-    1/2 <= r < 1, and then joins every two draws of distinct symbols, so
-    the largest clique takes one draw of each, the last one, as the search
-    would.  Otherwise the graph has no edge, and the clique is the first
-    point.
-    """
-    check_sample(sample, r)
-    codes = sample.symbol_codes
-    if codes is not None:
-        last = sample.n - 1 - np.unique(codes[::-1], return_index=True)[1]
-        witness = tuple(sorted(last.tolist())) if 0.5 <= r < 1 and last.size > 1 else (0,)
-        return SeparationReport(len(witness), UPPER_BOUND, CLIQUE_RELAXATION, witness=witness)
-    _, nbrs, stop = _window(sample, r, sample.n)
-    clique, open_bound = _largest_clique(nbrs, lambda subset: True, stop)
-    value = len(clique) if open_bound is None else min(open_bound, stop)
-    return SeparationReport(value, UPPER_BOUND, CLIQUE_RELAXATION, witness=clique)
-
-
 def _window(sample: Sample, r: float, bound: float) -> tuple[np.ndarray, list[int], float]:
-    """The distance matrix, each point's neighbours in the window graph
-    r < d <= 2r (closed at 2r) as a bitset, and the search stop: ``bound``,
-    lowered to the space's clique ceiling provided no distance lies within
-    a relative ``NEIGHBOUR_SLACK`` of r or 2r, so that every window
-    decision is the exact one."""
-    d = sample.distance_matrix()
+    """The distance matrix, from one kernel call, each point's neighbours
+    in the window graph r < d <= 2r (closed at 2r) as a bitset, and the
+    search stop: ``bound``, lowered to the space's clique ceiling provided
+    no distance lies within a relative ``NEIGHBOUR_SLACK`` of r or 2r, so
+    that every window decision is the exact one."""
+    d = sample.space.kernel(sample.points, sample.points)
     adj = (d > r) & (d <= 2.0 * r)
     np.fill_diagonal(adj, False)
     nbrs = [int.from_bytes(row.tobytes(), "little")

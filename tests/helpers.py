@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
@@ -44,11 +45,32 @@ def brute_martingale(points, space, r, m):
     return total / m
 
 
+# Each sample's dense reference matrix, computed once.
+_DENSE = weakref.WeakKeyDictionary()
+
+
+def dense_matrix(sample):
+    """The whole n x n distance matrix, from one kernel call on the first
+    request for ``sample`` and kept for the later ones, so that a reference
+    asked inside a kernel spy computes nothing.  Read-only."""
+    if sample not in _DENSE:
+        d = sample.space.kernel(sample.points, sample.points)
+        d.flags.writeable = False
+        _DENSE[sample] = d
+    return _DENSE[sample]
+
+
+def holds_matrix(sample):
+    """Whether the sample keeps an n x n array besides its points."""
+    return any(isinstance(value, np.ndarray) and value.shape == (sample.n, sample.n)
+               for name, value in vars(sample).items() if name != "points")
+
+
 def dense_summaries(sample):
     """(nearest, earlier) distances per point, each from a masked copy of
     the whole distance matrix: the diagonal set to inf for the nearest
     distances, every j >= i for the earlier ones; row-wise minima."""
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     others = d.copy()
     np.fill_diagonal(others, np.inf)
     earlier = np.where(np.tri(sample.n, k=-1, dtype=bool), d, np.inf)
@@ -59,21 +81,21 @@ def dense_good_turing(sample, r):
     """Good-Turing estimate from a masked copy of the whole matrix."""
     if sample.n == 1:
         return 1.0
-    d = sample.distance_matrix().copy()
+    d = dense_matrix(sample).copy()
     np.fill_diagonal(d, np.inf)
     return float(np.mean(d.min(axis=1) > r))
 
 
 def dense_escape_indicators(sample, r):
     """Escape indicators from the whole matrix masked to j < i."""
-    d = np.where(np.tri(sample.n, k=-1, dtype=bool), sample.distance_matrix(), np.inf)
+    d = np.where(np.tri(sample.n, k=-1, dtype=bool), dense_matrix(sample), np.inf)
     return (d.min(axis=1) > r).astype(float)
 
 
 def triu_r_grid(sample, size=20):
     """Default radius grid from the upper triangle gathered by
     np.triu_indices."""
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     vals = d[np.triu_indices(sample.n, k=1)]
     vals = vals[vals > 0]
     if len(vals) == 0:
@@ -88,7 +110,7 @@ def triu_r_grid(sample, size=20):
 def dense_farthest_first_traversal(sample, r, seed_index=0):
     """Greedy farthest-first order run down to r, and the covering radius
     after each pick, every row read from the whole matrix."""
-    dmat = sample.distance_matrix()
+    dmat = dense_matrix(sample)
     net, covering = [seed_index], []
     dist_to_net = dmat[seed_index].copy()
     while True:
@@ -115,7 +137,7 @@ def dense_verify_net(sample, net, r):
         raise InvalidNetError("net is empty")
     if len(np.unique(idx)) != len(idx):
         raise ValueError("indices must be distinct")
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     if not (d[np.ix_(idx, idx)][np.triu_indices(idx.size, k=1)] > r).all():
         raise InvalidNetError("net is not r-separated")
     if (d[:, idx].min(axis=1) > r).any():
@@ -257,7 +279,7 @@ def _grid_hit(sub, lo, hi, pitch, r_tol, chunk=200_000):
 
 def window_graph(sample, r):
     """Adjacency of r < d <= 2r over the sample, closed at 2r."""
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     adj = (d > r) & (d <= 2.0 * r)
     np.fill_diagonal(adj, False)
     return adj
@@ -271,7 +293,7 @@ def reference_h_exact(sample, r, cap=8):
 
     if sample.space.kind == "discrete":
         return 1, "exact", "brute_force", (0,)
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     adj = window_graph(sample, r)
     euclidean = sample.space.kind == "euclidean"
     r_feas = r * (1.0 + 1e-9)

@@ -31,7 +31,7 @@ from metricmass.separation import h_exact
 from metricmass.spaces import discrete, precomputed
 from metricmass.wasserstein import w1_report
 
-from helpers import h_grid_oracle
+from helpers import dense_matrix, h_grid_oracle
 
 ROOT_SEED = 20260809
 
@@ -178,7 +178,7 @@ def test_criterion_5_adversarial_variance():
         s = Sample(idx, space, atom_indices=idx)
         g[i] = good_turing(s, r)
         mhat[i] = conditional_missing_mass(mu, s, r).value
-        d = s.distance_matrix()
+        d = dense_matrix(s)
         iu = np.triu_indices(n, 1)
         b_event[i] = bool((d[iu] > r).all() and (norms[idx] <= 1.0).all())
 

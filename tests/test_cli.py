@@ -8,7 +8,7 @@ from metricmass import cli, simulate
 from metricmass.cli import main
 from metricmass.distributions import spec_from_dict
 from metricmass.samples import sample_from_csv
-from metricmass.separation import eh_upper_from_sample, h_clique_relaxed, h_exact
+from metricmass.separation import eh_upper_from_sample, h_clique_relaxed, h_search
 from metricmass.spaces import (
     SPACE_FORMS,
     MetricSpace,
@@ -64,9 +64,8 @@ def test_estimate_h_is_the_bounded_search(option, space, tmp_path):
     main(argv + option)
     payload = json.loads((tmp_path / "rep.json").read_text())
     sample = sample_from_csv(str(path), space)
-    clique = h_clique_relaxed(sample, 0.2)
-    assert payload["h_clique"] == clique.to_dict()
-    assert payload["h"] == h_exact(sample, 0.2, clique=clique).to_dict()
+    assert payload["h_clique"] == h_clique_relaxed(sample, 0.2).to_dict()
+    assert payload["h"] == h_search(sample, 0.2)[1].to_dict()
     assert payload["h"]["certified"] == "exact"
     assert payload["e_h_source"] == "h"
 
@@ -418,22 +417,44 @@ def test_fewer_than_two_points_is_usage_error(command, tmp_path, capsys, monkeyp
     *(pytest.param(["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
                     "--n", "20", "--replicates", "3", "--workers", workers],
                    "workers must be at least 1", id=f"simulate-workers{workers}")
-      for workers in ("0", "-3"))])
+      for workers in ("0", "-3")),
+    # A config file, given as the JSON it holds, read with each key's JSON
+    # type: each used to exit 1 with a traceback, or to run with the value
+    # coerced ("false" turned the h search on, seed 1.9 ran seed 1).
+    *(pytest.param([command, "--config", [1, 2]], "a config file holds one JSON object",
+                   id=f"{command}-config-list") for command in ("simulate", "wasserstein")),
+    *(pytest.param(["simulate", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                    "--config", {key: value}], f"config key '{key}' must be {kind}",
+                   id=f"simulate-config-{key}")
+      for key, value, kind in (("n", None, "an integer"), ("m_list", 5, "a list of integers"),
+                               ("compute_h", "false", "a boolean"),
+                               ("seed", 1.9, "an integer"), ("replicates", True, "an integer"),
+                               ("t_list", ["1"], "a list of numbers"))),
+    pytest.param(["wasserstein", "--distribution", '{"kind": "uniform_interval", "a": 0, "b": 1}',
+                  "--config", {"r_grid": 0.1}], "config key 'r_grid' must be a list of numbers",
+                 id="wasserstein-config-r_grid")])
 def test_bad_bound_parameter_is_usage_error_before_any_work(argv, message, tmp_path, capsys,
                                                             monkeypatch):
     # bounds used to write NaN bounds marked not vacuous and exit 0;
     # estimate and simulate checked t only after their h search or their
     # whole campaign had run, and estimate its h cap only after Good-Turing,
     # the sequential bounds and the clique relaxation.
-    monkeypatch.setattr(cli, "h_clique_relaxed", lambda *a, **k: pytest.fail("h search ran"))
+    monkeypatch.setattr(cli, "h_search", lambda *a, **k: pytest.fail("h search ran"))
     monkeypatch.setattr(simulate, "_run_range", lambda *a: pytest.fail("campaign ran"))
     sample = tmp_path / "pts.csv"
     write_csv(sample, [[v] for v in np.linspace(0, 1, 60)])
+    written = ["pts.csv"]
     if argv[0] == "estimate":
         argv = argv + ["--input", str(sample)]
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(argv[at]))
+        argv = argv[:at] + [str(config)] + argv[at + 1:]
+        written.append("cfg.json")
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["pts.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
 
 
 @pytest.mark.parametrize("command", ["wasserstein", "estimate"])

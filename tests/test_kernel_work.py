@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from metricmass import separation
 from metricmass.cli import main
 from metricmass.samples import Sample
 from metricmass.spaces import MetricSpace
@@ -105,6 +106,27 @@ def test_discrete_commands_make_no_kernel_call(tmp_path, monkeypatch):
                          "--out", str(tmp_path / "est")], monkeypatch) == []
     report = json.loads((tmp_path / "est.json").read_text())
     assert report["h_clique"]["value"] == len(set(draws.tolist()))
+
+
+@pytest.mark.parametrize("space", [[], ["--space", "lp:2,1"]])
+def test_estimate_answers_both_h_questions_from_one_window(space, tmp_path, monkeypatch):
+    # The clique relaxation and the h search read one window graph, built
+    # from one n x n kernel call.
+    n = 200
+    path = tmp_path / "points.csv"
+    np.savetxt(path, np.random.default_rng(0).uniform(size=(n, 2)), delimiter=",")
+    window, inside = separation._window, []
+
+    def counting(sample, r, bound):
+        with kernel_spy() as shapes:
+            built = window(sample, r, bound)
+        inside.append(shapes)
+        return built
+
+    monkeypatch.setattr(separation, "_window", counting)
+    assert main(["estimate", "--input", str(path), "--r", "0.1",
+                 "--out", str(tmp_path / "est")] + space) == 0
+    assert inside == [[(n, n)]]
 
 
 def test_campaign_kernel_work(tmp_path):

@@ -8,6 +8,8 @@ from metricmass.meb import meb_radius, minimum_enclosing_ball, three_point_radiu
 from metricmass.samples import make_sample
 from metricmass.separation import MEB_FEASIBILITY_RTOL
 
+from helpers import dense_matrix
+
 
 def test_single_point():
     center, radius = minimum_enclosing_ball([[1.0, 2.0]])
@@ -96,7 +98,7 @@ def test_planar_triangle_test_agrees_with_meb(dim, data):
     lattice = list(product(range(-3, 4) if dim == 1 else range(-2, 3), repeat=dim))
     pts = np.array(data.draw(st.lists(st.sampled_from(lattice), min_size=4, max_size=6,
                                       unique=True)), dtype=float)
-    d = make_sample(pts).distance_matrix()
+    d = dense_matrix(make_sample(pts))
     pairs = d[np.triu_indices(len(pts), k=1)]
     r = data.draw(st.sampled_from(sorted(set(pairs.tolist()) | set((pairs / 2).tolist()))))
     r_feas = r * (1.0 + MEB_FEASIBILITY_RTOL)

@@ -57,7 +57,7 @@ def test_radius_grid_on_tied_distances(monkeypatch):
         return summarize(self, *args, **kwargs)
 
     monkeypatch.setattr(Sample, "_summarize", counting)
-    monkeypatch.setattr(Sample, "distance_matrix", refuse_matrix)
+    refuse_matrix(monkeypatch)
     tracemalloc.start()
     try:
         default_r_grid(sample)
@@ -71,13 +71,21 @@ def test_radius_grid_on_tied_distances(monkeypatch):
     assert sum(passes) == 1
 
 
-def refuse_matrix(self):
-    raise AssertionError("the n x n distance matrix was requested")
+def refuse_matrix(monkeypatch):
+    """Fail any kernel call for as many distances as the N x N matrix."""
+    kernel = MetricSpace.kernel
+
+    def refusing(self, a, b, out=None):
+        if len(a) * len(b) >= N * N:
+            raise AssertionError("the n x n distance matrix was requested")
+        return kernel(self, a, b, out=out)
+
+    monkeypatch.setattr(MetricSpace, "kernel", refusing)
 
 
 def matrix_free_peak(argv, monkeypatch) -> int:
     """The traced peak of a CLI run that must succeed without the matrix."""
-    monkeypatch.setattr(Sample, "distance_matrix", refuse_matrix)
+    refuse_matrix(monkeypatch)
     tracemalloc.start()
     try:
         assert main(argv) == 0

@@ -23,7 +23,7 @@ from metricmass.samples import (
 from metricmass.spaces import MetricSpace, discrete, euclidean
 from metricmass.wasserstein import default_r_grid
 
-from helpers import pool_threads, run_script
+from helpers import dense_matrix, holds_matrix, kernel_spy, pool_threads, run_script
 
 
 def line_sample(*xs):
@@ -39,9 +39,7 @@ def test_distance_cache_round_trip():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(40, 3))
     s = make_sample(pts)
-    cached = s.distance_matrix().copy()
-    rebuilt = s.space.pairwise_distances(s.points)
-    assert (cached == rebuilt).all()
+    assert (dense_matrix(s) == s.space.pairwise_distances(s.points)).all()
 
 
 def test_matrix_built_only_on_request():
@@ -50,18 +48,16 @@ def test_matrix_built_only_on_request():
     default_r_grid(s)
     net = farthest_first_net(s, 0.5)
     verify_net(s, net, 0.5)
-    assert s._distances is None
-    d = s.distance_matrix()
-    assert s._distances is d
-    assert s.distance_matrix() is d
+    assert not holds_matrix(s)
 
 
 def test_distance_reads_one_pair_without_the_matrix():
     s = make_sample(np.random.default_rng(5).normal(size=(3000, 3)))
     pairs = [(0, 1), (2999, 7), (-1, 0), (5, 5)]
-    got = [s.distance(i, j) for i, j in pairs]
-    assert s._distances is None
-    d = s.distance_matrix()
+    with kernel_spy() as shapes:
+        got = [s.distance(i, j) for i, j in pairs]
+    assert shapes == [(1, 1)] * len(pairs)
+    d = dense_matrix(s)
     assert got == [float(d[i, j]) for i, j in pairs]
 
 
@@ -246,7 +242,7 @@ def test_csv_integer_symbols_round_trip(tmp_path):
     sample_to_csv(s, out)
     again = sample_from_csv(out, discrete())
     assert list(again.points) == ["3", "1", "3", "2"]
-    assert np.array_equal(again.distance_matrix(), s.distance_matrix())
+    assert np.array_equal(dense_matrix(again), dense_matrix(s))
 
 
 def test_json_array_and_matrix(tmp_path):
@@ -266,7 +262,7 @@ def test_json_array_and_matrix(tmp_path):
 
 def test_discrete_sample_pairwise():
     s = make_sample(np.array(["a", "a", "b"]), discrete())
-    d = s.distance_matrix()
+    d = dense_matrix(s)
     assert d[0, 1] == 0.0 and d[0, 2] == 1.0
 
 

@@ -17,12 +17,14 @@ from metricmass.separation import (
     eh_upper_from_sample,
     h_clique_relaxed,
     h_exact,
+    h_search,
     h_upper_bound,
 )
 from metricmass.spaces import MetricSpace, discrete, euclidean, lp, precomputed, scaled_indicator
 
 from helpers import (
     bitsets,
+    dense_matrix,
     h_grid_oracle,
     reference_bbmc,
     reference_h_exact,
@@ -37,15 +39,16 @@ def line_sample(*xs):
 
 def test_discrete_always_one():
     s = make_sample(np.array(["a", "b", "c", "a"]), discrete())
-    # The packing cap settles h = 1 before any n x n matrix is built, and a
-    # bad cap fails before one is built too.
-    with pytest.raises(ValueError, match="cap"):
-        h_exact(s, 0.5, cap=0)
-    assert h_exact(s, 0.5).value == 1
-    assert s._distances is None
-    for r in (0.2, 0.5, 1.0, 3.0):
-        for rep in (h_exact(s, r), h_exact(s, r, clique=h_clique_relaxed(s, r))):
-            assert rep.value == 1 and rep.certified == "exact"
+    # The packing cap settles h = 1 before any distance is computed, and a
+    # bad cap fails before one is computed too.
+    with mock.patch.object(MetricSpace, "kernel", side_effect=AssertionError("kernel called")):
+        for search in (h_exact, h_search):
+            with pytest.raises(ValueError, match="cap"):
+                search(s, 0.5, cap=0)
+        assert h_exact(s, 0.5).value == 1
+        for r in (0.2, 0.5, 1.0, 3.0):
+            for rep in (h_exact(s, r), h_search(s, r)[1]):
+                assert rep.value == 1 and rep.certified == "exact"
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, 1.5])
@@ -97,7 +100,7 @@ def test_witness_is_genuine():
         r = float(rng.uniform(0.3, 1.5))
         rep = h_exact(s, r)
         w = list(rep.witness)
-        d = s.distance_matrix()[np.ix_(w, w)]
+        d = dense_matrix(s)[np.ix_(w, w)]
         iu = np.triu_indices(len(w), k=1)
         assert (d[iu] > r).all()
         assert meb_radius(pts[w]) <= r * (1 + 1e-8)
@@ -110,7 +113,7 @@ def test_matches_grid_oracle_euclidean():
         n = int(rng.integers(3, 11))
         pts = rng.uniform(size=(n, dim))
         s = make_sample(pts)
-        d = s.distance_matrix()
+        d = dense_matrix(s)
         r = float(np.quantile(d[np.triu_indices(n, 1)], 0.4))
         if r <= 0:
             continue
@@ -138,15 +141,9 @@ def test_witness_reaching_clique_bound_is_exact():
     assert clique.value == 4
     for cap in (4, DEFAULT_CAP):
         assert h_exact(s, 1.0, cap=cap).certified == "lower_bound"
-        rep = h_exact(s, 1.0, cap=cap, clique=clique)
+        rep = h_search(s, 1.0, cap=cap)[1]
         assert (rep.value, rep.certified, rep.witness) == (4, "exact", (1, 2, 3, 4))
-    assert h_exact(s, 1.0, cap=3, clique=clique).certified == "lower_bound"
-
-
-def test_clique_bound_must_be_a_clique_report():
-    s = line_sample(0.0, 1.9)
-    with pytest.raises(ValueError, match="h_clique_relaxed"):
-        h_exact(s, 1.5, clique=h_exact(s, 1.5))
+    assert h_search(s, 1.0, cap=3)[1].certified == "lower_bound"
 
 
 def test_clique_bound_saves_feasibility_tests(monkeypatch):
@@ -166,10 +163,9 @@ def test_clique_bound_saves_feasibility_tests(monkeypatch):
 
     for name in ("three_point_radius", "meb_radius"):
         monkeypatch.setattr(separation, name, counting(getattr(separation, name)))
-    clique = h_clique_relaxed(s, 0.18)
     full = h_exact(s, 0.18)
     unbounded, calls = calls, 0
-    bounded = h_exact(s, 0.18, clique=clique)
+    clique, bounded = h_search(s, 0.18)
     assert bounded == full and full.value == clique.value
     assert calls < unbounded
 
@@ -269,7 +265,7 @@ def capped_sample_and_radii(space, n, lattice, seed):
     points = rng.integers(0, 9, size=shape).astype(float) if lattice else \
         rng.uniform(0.0, 3.0, size=shape)
     sample = Sample(points, space)
-    values = rng.choice(sample.distance_matrix().ravel(), size=3)
+    values = rng.choice(dense_matrix(sample).ravel(), size=3)
     radii = [float(v) for v in values] + [float(v) / 2.0 for v in values] + \
         rng.uniform(0.05, 2.0, size=3).tolist()
     return sample, radii
@@ -279,7 +275,7 @@ def guarded_ceiling(sample, r):
     """The space's clique ceiling, or None where a distance lies within a
     relative ``NEIGHBOUR_SLACK`` of r or 2r and rounding may decide the
     window."""
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     if any(np.isclose(d, edge, rtol=NEIGHBOUR_SLACK, atol=0.0).any() for edge in (r, 2.0 * r)):
         return None
     return sample.space.clique_cap
@@ -316,18 +312,23 @@ def test_window_cliques_stay_within_clique_caps(space, n, lattice, seed):
 @settings(max_examples=300)
 def test_h_is_exact_where_its_witness_reaches_a_proven_bound(space, n, lattice, seed,
                                                              budget):
-    # In budget or out of it: where h alone stops at the guarded ceiling, it
-    # is the report h gets given the relaxation, and exact.  A report is
-    # exact only where its witness reaches a proven bound on ω (the guarded
-    # ceiling alone, the relaxation's value given it), or, on the line,
-    # where the reference is exact, with the reference's value.
+    # In budget or out of it: h_search reports the relaxation's clique, and
+    # h alone's value and witness, exact wherever h alone is.  Where h alone
+    # stops at the guarded ceiling, the two reports are equal, and exact.  A
+    # report is exact only where its witness reaches a proven bound on ω
+    # (the guarded ceiling alone, the relaxation's value in h_search), or,
+    # on the line, where the reference is exact, with the reference's value.
     sample, radii = capped_sample_and_radii(space, n, lattice, seed)
     for r in radii:
         ceiling = guarded_ceiling(sample, r)
         value, certified, _, _ = reference_h_exact(sample, r)
         with mock.patch.object(separation, "CLIQUE_NODE_BUDGET", budget):
             clique = h_clique_relaxed(sample, r)
-            alone, given = h_exact(sample, r), h_exact(sample, r, clique=clique)
+            alone = h_exact(sample, r)
+            paired, given = h_search(sample, r)
+        assert paired == clique
+        assert (given.value, given.witness) == (alone.value, alone.witness)
+        assert alone.certified != "exact" or given.certified == "exact"
         if ceiling is not None and alone.value == ceiling:
             assert given == alone and alone.certified == "exact"
         for h, bound in ((alone, ceiling), (given, clique.value)):
@@ -351,10 +352,16 @@ def spy_on_stops(monkeypatch):
 
 
 def searched_reports(sample, r, caps=(DEFAULT_CAP,)):
-    """The clique relaxation, then h at each cap without and with it."""
+    """The clique relaxation, then at each cap h alone and h from
+    h_search, whose clique report must be the relaxation's."""
     clique = h_clique_relaxed(sample, r)
-    return [clique] + [h_exact(sample, r, cap=cap, clique=bound)
-                       for cap in caps for bound in (None, clique)]
+    reports = [clique]
+    for cap in caps:
+        alone = h_exact(sample, r, cap=cap)
+        paired, given = h_search(sample, r, cap)
+        assert paired == clique
+        reports += [alone, given]
+    return reports
 
 
 @pytest.mark.parametrize("tie", [None, 2.0, 1.0 + 2.0 ** -31])
@@ -370,11 +377,13 @@ def test_clique_ceiling_needs_exact_window_decisions(tie, monkeypatch):
     stops = spy_on_stops(monkeypatch)
     reports = searched_reports(sample, 1.0)
     omega = reports[0].value
-    assert stops == ([4, 4, omega] if tie is None else [sample.n, DEFAULT_CAP, omega])
+    # The relaxation, h alone, then h_search's relaxation and its h.
+    assert stops == ([4, 4, 4, omega] if tie is None else
+                     [sample.n, DEFAULT_CAP, sample.n, omega])
     stops.clear()
     with mock.patch.object(MetricSpace, "clique_cap", None):
         assert searched_reports(sample, 1.0) == reports
-    assert stops == [sample.n, DEFAULT_CAP, omega]
+    assert stops == [sample.n, DEFAULT_CAP, sample.n, omega]
 
 
 def test_clique_ceiling_ends_a_search_the_budget_would_stop():
@@ -455,8 +464,7 @@ def test_h_upper_bound_sources(source, cap, expected, monkeypatch):
     else:
         rng = np.random.default_rng(3)
         sample = make_sample([rng.uniform(size=(40, 2)) for _ in range(2)][1], lp(2, 1.0))
-    clique = h_clique_relaxed(sample, 0.2)
-    h = h_exact(sample, 0.2, clique=clique)
+    clique, h = h_search(sample, 0.2)
     assert (h.certified == "exact") == (source == "h")
     assert h_upper_bound(h, clique, sample.space) == (expected, source)
 
@@ -488,14 +496,14 @@ def metric_on_tie_prone_sample(kind, n, rng):
 def tie_prone_radii(sample, rng):
     """0, 1, and three entries of the sample's matrix, each also halved and
     scaled by 0.6."""
-    values = rng.choice(sample.distance_matrix().ravel(), size=3).tolist()
+    values = rng.choice(dense_matrix(sample).ravel(), size=3).tolist()
     return [0.0, 1.0] + [v * scale for scale in (1.0, 0.5, 0.6) for v in values]
 
 
 def witness_pairs(sample, rep):
     w = list(rep.witness)
     assert len(w) == rep.value and w == sorted(set(w))
-    return sample.distance_matrix()[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
+    return dense_matrix(sample)[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
 
 
 def assert_genuine_witnesses(sample, r, h, clique):
@@ -506,7 +514,7 @@ def assert_genuine_witnesses(sample, r, h, clique):
     if sample.space.kind == "euclidean":
         assert meb_radius(sample.points[w]) <= r * (1 + 1e-9)
     else:
-        assert (sample.distance_matrix()[:, w].max(axis=1) <= r).any()
+        assert (dense_matrix(sample)[:, w].max(axis=1) <= r).any()
 
 
 @given(st.sampled_from(REFERENCE_KINDS), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
@@ -607,7 +615,7 @@ def test_searches_out_of_budget_stay_one_sided(kind, n, seed, budget):
         assert (clique.certified, clique.method) == ("upper_bound", "clique_relaxation")
         assert len(clique.witness) <= omega <= clique.value
         w = list(clique.witness)
-        pairs = sample.distance_matrix()[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
+        pairs = dense_matrix(sample)[np.ix_(w, w)][np.triu_indices(len(w), k=1)]
         assert ((pairs > r) & (pairs <= 2.0 * r)).all()
         for h in hs:
             assert h.value <= h_ref and h.value == len(h.witness)
@@ -620,11 +628,10 @@ def test_clique_search_stops_at_its_budget():
     # budget the relaxation searched for over a minute at n = 200.
     rng = np.random.default_rng(0)
     sample = make_sample(rng.normal(size=(200, 20)))
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     r = float(np.median(d[np.triu_indices(200, k=1)])) / 1.6
     start = time.perf_counter()
-    clique = h_clique_relaxed(sample, r)
-    h = h_exact(sample, r, clique=clique)
+    clique, h = h_search(sample, r)
     assert time.perf_counter() - start < 60
     assert clique.value > len(clique.witness)
     assert h.certified == "lower_bound"
@@ -632,6 +639,6 @@ def test_clique_search_stops_at_its_budget():
 
 def test_nan_radius_rejected():
     s = make_sample(np.array([[0.0], [1.0], [3.0]]))
-    for fn in (h_exact, h_clique_relaxed):
+    for fn in (h_exact, h_clique_relaxed, h_search):
         with pytest.raises(ValueError, match="radius"):
             fn(s, math.nan)

@@ -27,6 +27,7 @@ from metricmass.wasserstein import GRID_FRACTIONS, default_r_grid, grid_endpoint
 
 from helpers import (
     dense_escape_indicators,
+    dense_matrix,
     dense_farthest_first_net,
     dense_farthest_first_traversal,
     dense_good_turing,
@@ -34,6 +35,7 @@ from helpers import (
     dense_summaries,
     dense_verify_net,
     dense_within,
+    holds_matrix,
     index_spy,
     kernel_spy,
     pool_threads,
@@ -90,7 +92,7 @@ def tie_prone_sample(kind, n, rng):
 
 def radii_on_ties(sample, rng, count=4):
     """Radii at d == r and d == 2r for distances d of the sample."""
-    d = sample.distance_matrix()
+    d = dense_matrix(sample)
     picked = [float(v) for v in rng.choice(d.ravel(), size=count)]
     return [0.0, 0.5, 1.0] + picked + [v / 2 for v in picked]
 
@@ -132,10 +134,6 @@ def corrupted_nets(net, n, rng):
     if others.size:
         nets.append(net + [int(rng.choice(others))])
     return nets
-
-
-def matrix_built(sample):
-    return sample._distances is not None
 
 
 BLOCKS = st.sampled_from([1, 7, 64, samples.SUMMARY_BLOCK_ELEMENTS])
@@ -234,7 +232,7 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
     radii = radii_on_ties(dense, rng)
-    d = dense.distance_matrix()
+    d = dense_matrix(dense)
     with small_blocks(block, rows, threads):
         nearest, earlier = dense_summaries(dense)
         assert np.array_equal(sample.nearest_distances(), nearest)
@@ -261,7 +259,7 @@ def test_summaries_match_dense_reference(kind, n, seed, block, rows, threads):
                 verdict = net_verdict(verify_net, sample, bad, r)
                 assert verdict is not None
                 assert verdict == net_verdict(dense_verify_net, dense, bad, r)
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
 
 
 @given(st.sampled_from(KINDS + ("lattice", "duplicated")), st.integers(1, 40),
@@ -277,7 +275,7 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
     dense = tie_prone_sample(kind, n, rng)
     sample = Sample(dense.points, dense.space)
     radii = radii_on_ties(dense, rng)
-    d = dense.distance_matrix()
+    d = dense_matrix(dense)
     upper = d[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
@@ -307,7 +305,7 @@ def test_grid_first_then_summaries_match_dense_reference(kind, n, seed, block, r
         assert np.array_equal(select(picked), positive[picked])
         assert np.array_equal(select(ranks), positive)
         assert np.array_equal(sample.pair_rank_selector(())[1](ranks), positive[ranks])
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
 
 
 def grid_ranks(count):
@@ -344,7 +342,7 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
     rng = np.random.default_rng(seed)
     dense = edge_sample(kind, n, scale, rng)
     sample = Sample(dense.points, dense.space)
-    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    upper = dense_matrix(dense)[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     ranks = np.arange(positive.size)
     picked = rng.integers(positive.size, size=4) if positive.size else ranks
@@ -355,7 +353,7 @@ def test_pair_order_statistics_on_bucket_edges(kind, n, scale, seed, block, rows
         assert r_grid_or_error(default_r_grid, sample) == r_grid_or_error(triu_r_grid, dense)
         assert np.array_equal(sample.pair_rank_selector(GRID_FRACTIONS)[1](picked),
                               positive[picked])
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
 
 
 @given(st.sampled_from(KINDS + ("lattice",)), st.sampled_from([0, 1, 2, 3, 17, 40]),
@@ -369,7 +367,7 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
     rng = np.random.default_rng(seed)
     dense = tie_prone_sample(kind, n, rng)
     nearest, earlier = dense_summaries(dense) if n else (np.empty(0), np.empty(0))
-    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    upper = dense_matrix(dense)[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     diameter = float(upper.max(initial=0.0))
     plain, counted, ranked = (Sample(dense.points, dense.space) for _ in range(3))
@@ -395,7 +393,7 @@ def test_one_block_threshold(kind, n, fits, seed, threads, share):
         # The plain summary and two windowed ones, each of which keeps every
         # positive distance of a sample this small.
         assert kernel.call_count == 3 * passes
-    assert not any(matrix_built(s) for s in (plain, counted, ranked))
+    assert not any(holds_matrix(s) for s in (plain, counted, ranked))
 
 
 @given(st.sampled_from(KINDS + ("lattice", "duplicated")), st.integers(1, 40),
@@ -448,7 +446,7 @@ def test_discrete_summaries_match_dense_kernel(symbols, n, seed):
     points = rng.choice(symbol_pool(symbols, int(rng.integers(1, n + 2))), size=n)
     dense = Sample(points, discrete())
     nearest, earlier = dense_summaries(dense)
-    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    upper = dense_matrix(dense)[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     ranks = rng.integers(positive.size, size=4) if positive.size else np.arange(0)
     sample = Sample(points, discrete())
@@ -492,7 +490,7 @@ def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, thread
     queries = np.concatenate([vector_sample(shape, p, 10, rng).points,
                               vector_sample("lattice", p, 10, rng).points / 2])
     query_nearest = dense_nearest(dense, queries, 1)[:, 0]
-    d = dense.distance_matrix()
+    d = dense_matrix(dense)
     radii = radii_on_ties(dense, rng)
     # And radii one double below a distance, which the index's candidates
     # reach but the kernel's d <= r does not.
@@ -518,7 +516,7 @@ def test_index_answers_match_dense_reference(shape, p, n, seed, block, k, thread
                     assert (net_verdict(verify_net, sample, candidate, r)
                             == net_verdict(dense_verify_net, dense, candidate, r))
                 assert len(trees) <= 1
-            assert not matrix_built(sample)
+            assert not holds_matrix(sample)
         # One sample asked at every radius, down to 0, where no index is
         # built, keeps the index of its last radius only for that radius.
         sample = Sample(dense.points, dense.space)
@@ -609,7 +607,7 @@ def test_midpoint_cuts_end_within_one_pass_per_distinct_distance(dim, high, n):
     # distinct distance, as the midpoint cuts it replaced did.
     rng = np.random.default_rng(0)
     dense = make_sample(rng.integers(0, high, size=(n, dim)).astype(float))
-    upper = dense.distance_matrix()[np.triu_indices(n, k=1)]
+    upper = dense_matrix(dense)[np.triu_indices(n, k=1)]
     positive = np.sort(upper[upper > 0])
     ranks = [0, positive.size // 3, positive.size // 2, positive.size - 1]
     sample = Sample(dense.points, dense.space)
@@ -703,7 +701,7 @@ def test_prefix_net_verdicts_match_dense_reference(kind, n, seed, block, rows, t
             got = [None if error is None else (type(error), str(error))
                    for error in prefix_net_errors(sample, bad, checks)]
             assert got == [net_verdict(dense_verify_net, dense, bad[:k], r) for k, r in checks]
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
 
 
 def test_sweep_verifies_every_net_in_one_pass():
@@ -752,7 +750,7 @@ def test_one_traversal_serves_every_radius(kind, n, seed, block, drop):
             net = net_prefix(order, covering, r)
             assert net == farthest_first_net(sample, r, start)
             assert net == dense_farthest_first_net(dense, r, start)
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
@@ -769,7 +767,7 @@ def test_sweep_nets_match_dense_per_radius_nets(kind, n, seed, block, rows, thre
     normalized = dense.with_distances_scaled(1.0 / scale) if scale != 1.0 else dense
     for rep in reports:
         assert list(rep.net_indices) == dense_farthest_first_net(normalized, rep.r / scale)
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -785,7 +783,7 @@ def test_summaries_span_several_row_blocks(seed):
     net = farthest_first_net(sample, r)
     assert net == dense_farthest_first_net(dense, r)
     verify_net(sample, net, r)
-    assert not matrix_built(sample)
+    assert not holds_matrix(sample)
     assert_matches_dense(sample, radii_on_ties(dense, rng))
 
 

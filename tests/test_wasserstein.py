@@ -13,6 +13,8 @@ from metricmass.wasserstein import (
     w1_upper_bounds,
 )
 
+from helpers import dense_matrix
+
 
 def test_lower_bound_arithmetic():
     assert w1_lower_bound(0.0, 0.3) == 0.0
@@ -130,7 +132,7 @@ def test_default_grid_spans_percentile_to_median():
     s = unit_sample(300, seed=5)
     grid = default_r_grid(s)
     assert len(grid) == 20
-    d = s.distance_matrix()[np.triu_indices(300, 1)]
+    d = dense_matrix(s)[np.triu_indices(300, 1)]
     assert grid[0] == pytest.approx(np.percentile(d[d > 0], 1))
     assert grid[-1] == pytest.approx(np.median(d[d > 0]))
 
